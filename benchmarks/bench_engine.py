@@ -83,10 +83,10 @@ def legacy_power_trace(accelerator, inputs, *, cached=False):
     activations = inputs
     for tile in accelerator.tiles:
         if not cached:
-            tile.array.invalidate_state_cache()
+            tile.physical_arrays[0].invalidate_state_cache()
         per_tile_currents.append(np.atleast_1d(tile.total_current(activations)))
         if not cached:
-            tile.array.invalidate_state_cache()
+            tile.physical_arrays[0].invalidate_state_cache()
         activations = np.atleast_2d(tile.forward(activations))
     total = np.sum(per_tile_currents, axis=0)
     return accelerator.power_model.report(total, per_tile_currents)
@@ -96,7 +96,7 @@ def legacy_query(accelerator, inputs, *, cached=False):
     """The seed ``Oracle.query(expose_power=True)``: forward + power passes."""
     if not cached:
         for tile in accelerator.tiles:
-            tile.array.invalidate_state_cache()
+            tile.physical_arrays[0].invalidate_state_cache()
     outputs = np.atleast_2d(accelerator.forward(inputs))
     report = legacy_power_trace(accelerator, inputs, cached=cached)
     return outputs, np.atleast_1d(report.total_current)
@@ -149,7 +149,7 @@ def reference_query(accelerator, inputs):
     layer_currents = []
     for tile in accelerator.tiles:
         voltages = tile._line_voltages(activations)
-        currents, totals = _reference_matvec_with_current(tile.array, voltages)
+        currents, totals = _reference_matvec_with_current(tile.physical_arrays[0], voltages)
         activations = tile.activation.forward(tile._to_logical(currents))
         shard_currents = np.atleast_1d(totals)[:, np.newaxis]
         per_tile_currents.extend(

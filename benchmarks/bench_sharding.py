@@ -1,21 +1,13 @@
 """Benchmark multi-tile sharded execution against the single-tile placement.
 
 For each shipped shard geometry the same logical layer runs once as a single
-crossbar tile and once as a :class:`~repro.crossbar.tile.ShardedTileGroup`,
-through the fused ``forward_with_power`` path.  Total arithmetic is identical
-(the shards partition the weight matrix), so the recorded
-``sharded_s / single_s`` ratio is pure sharding overhead — shard dispatch,
-partial-sum reduction, per-shard current stacking.  The acceptance gate
-(enforced by ``scripts/check_bench_regression.py``) is that sharded forward
-stays within 1.2x of the single-tile per-element throughput.
-
-A second section times the *process-parallel* shard path: the same sharded
-group driven by ``ParallelRunner("process")``, whose workers execute the
-picklable :class:`~repro.crossbar.shard.ShardProgram` kernels.  Process
-dispatch has real serialization overhead, so the gate
-(``--min-shard-speedup``) is a single-core floor like the netservice and
-executor gates — the parallel path must retain at least that fraction of
-serial throughput, and perfect scaling shows up as speedup > 1.
+crossbar array and once as a :class:`~repro.crossbar.tile.CrossbarTile`
+on a grid of arrays, through the fused ``forward_with_power`` path.  Total
+arithmetic is identical (the shards partition the weight matrix), so the
+recorded ``sharded_s / single_s`` ratio is pure sharding overhead — the
+serial shard loop, partial-sum reduction, per-shard current stacking.  The
+acceptance gate (enforced by ``scripts/check_bench_regression.py``) is that
+sharded forward stays within 1.2x of the single-tile per-element throughput.
 
 Results merge into ``BENCH_engine.json`` under ``bench_sharding``.
 """
@@ -32,7 +24,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_engine
 
 from repro.crossbar import CrossbarAccelerator, ShardingSpec
-from repro.experiments.runner import ParallelRunner
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 
@@ -45,17 +36,6 @@ GEOMETRIES = {
 
 #: Gate: sharded forward must stay within this factor of single-tile time.
 MAX_SHARDED_RATIO = 1.2
-
-#: Gate: process-parallel shard execution must retain at least this fraction
-#: of serial throughput (speedup = serial_s / process_s).  An overhead
-#: floor, not a scaling requirement (same philosophy as the executor gate's
-#: 0.15 floor): every forward call pays pool spawn plus pickling the input
-#: slices to the workers, and serial BLAS already uses all cores, so the
-#: pool only wins once per-shard arithmetic dwarfs IPC.  The gate is a
-#: canary that the dispatch overhead stays bounded, and the recorded
-#: ``outputs_identical`` flag is the real acceptance: process execution is
-#: bit-identical to serial.
-MIN_SHARD_SPEEDUP = 0.05
 
 
 def build_network(n_inputs=2048, n_outputs=512, *, seed=0):
@@ -153,75 +133,6 @@ def run_sharding_benchmark(
     }
 
 
-def run_process_parallel_benchmark(
-    *,
-    n_inputs=2048,
-    n_outputs=512,
-    batch_size=512,
-    repeats=5,
-    rounds=3,
-    seed=0,
-    geometry=("rows-4", ShardingSpec.rows(4)),
-):
-    """Time serial vs process-parallel execution of the same sharded group.
-
-    Both accelerators hold identical programmed state (same seed), and the
-    ideal-device forward path is a pure function of the shard programs, so
-    the process pool's outputs must be bit-identical to serial — asserted
-    here and recorded as ``outputs_identical`` for the regression gate.
-    """
-    name, spec = geometry
-    network = build_network(n_inputs, n_outputs, seed=seed)
-    rng = np.random.default_rng(seed)
-    inputs = rng.uniform(0.0, 1.0, size=(batch_size, n_inputs))
-
-    serial = CrossbarAccelerator(network, sharding=spec, random_state=seed)
-    runner = ParallelRunner(mode="process", max_workers=spec.n_shards)
-    parallel = CrossbarAccelerator(
-        network, sharding=spec, shard_runner=runner, random_state=seed
-    )
-
-    serial_out, serial_report = serial.forward_with_power(inputs)
-    parallel_out, parallel_report = parallel.forward_with_power(inputs)
-    outputs_identical = bool(
-        np.array_equal(serial_out, parallel_out)
-        and np.array_equal(
-            serial_report.total_current, parallel_report.total_current
-        )
-    )
-    assert outputs_identical, "process-parallel shard outputs diverged from serial"
-
-    best = None
-    for _ in range(rounds):
-        serial_s, process_s = _interleaved_best(
-            serial.forward_with_power,
-            parallel.forward_with_power,
-            inputs,
-            repeats=repeats,
-        )
-        if best is None or serial_s / process_s > best[0] / best[1]:
-            best = (serial_s, process_s)
-    serial_s, process_s = best
-    return {
-        "config": {
-            "n_inputs": int(n_inputs),
-            "n_outputs": int(n_outputs),
-            "batch_size": int(batch_size),
-            "repeats": int(repeats),
-            "rounds": int(rounds),
-            "seed": int(seed),
-        },
-        "geometry": name,
-        "n_shards": spec.n_shards,
-        "workers": spec.n_shards,
-        "serial_s": serial_s,
-        "process_s": process_s,
-        "speedup": serial_s / process_s,
-        "outputs_identical": outputs_identical,
-        "min_speedup_gate": MIN_SHARD_SPEEDUP,
-    }
-
-
 def test_sharded_forward_throughput(single_round, benchmark):
     """Sharded fused forward within the gate of single-tile throughput.
 
@@ -231,28 +142,19 @@ def test_sharded_forward_throughput(single_round, benchmark):
     ``--tolerance``.
     """
     results = single_round(run_sharding_benchmark)
-    results["process_parallel"] = run_process_parallel_benchmark()
     bench_engine.record_timings("bench_sharding", results)
     for row in results["geometries"]:
         benchmark.extra_info[f"{row['geometry']}/ratio"] = round(row["ratio"], 3)
-    parallel = results["process_parallel"]
-    benchmark.extra_info["process_parallel/speedup"] = round(parallel["speedup"], 3)
     worst = max(row["ratio"] for row in results["geometries"])
     tolerance = float(os.environ.get("BENCH_TOLERANCE", "0"))
     gate = MAX_SHARDED_RATIO * (1.0 + tolerance)
     assert worst <= gate, (
         f"sharded forward is {worst:.2f}x the single-tile time (gate {gate:.2f}x)"
     )
-    speedup_gate = MIN_SHARD_SPEEDUP * (1.0 - tolerance)
-    assert parallel["speedup"] >= speedup_gate, (
-        f"process-parallel shard forward retains only {parallel['speedup']:.2f}x "
-        f"of serial throughput (floor {speedup_gate:.2f}x)"
-    )
 
 
 def main():  # pragma: no cover - console entry point
     results = run_sharding_benchmark()
-    results["process_parallel"] = run_process_parallel_benchmark()
     bench_engine.record_timings("bench_sharding", results)
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nresults merged into {bench_engine.RESULTS_PATH}")

@@ -11,7 +11,6 @@ non-zero when any gate fails::
                                              [--min-peak-speedup 2.0]
                                              [--min-probing-speedup 1.0]
                                              [--max-sharded-ratio 1.2]
-                                             [--min-shard-speedup 0.05]
                                              [--min-service-speedup 2.0]
                                              [--min-net-speedup 1.3]
                                              [--min-backend-ratio 0.95]
@@ -48,13 +47,7 @@ Gated sections:
   recorded.
 * ``bench_sharding`` — multi-tile sharded forward must stay within
   ``--max-sharded-ratio`` (default 1.2x) of the single-tile per-element
-  throughput for every recorded geometry.  When a ``process_parallel``
-  entry is recorded, its outputs must have been verified bit-identical to
-  serial execution and the serial/process wall-time ratio must stay above
-  ``--min-shard-speedup`` (default 0.05 — a dispatch-overhead floor like
-  the executor gate: every forward call pays pool spawn plus pickling the
-  input slices, and serial BLAS already uses all cores, so the gate only
-  catches runaway shard-dispatch overhead).
+  throughput for every recorded geometry.
 * ``bench_sweeps`` — the scenario-sweep subsystem: the process-pool sweep
   must be bit-identical to the serial sweep, both wall times must be
   recorded, and the recorded leakage curve must be monotonicity-sane
@@ -100,7 +93,6 @@ DEFAULT_THRESHOLDS = {
     "min_peak_speedup": 2.0,
     "min_probing_speedup": 1.0,
     "max_sharded_ratio": 1.2,
-    "min_shard_speedup": 0.05,
     "min_service_speedup": 2.0,
     "min_net_speedup": 1.3,
     "min_backend_ratio": 0.95,
@@ -148,7 +140,6 @@ def check_results(
     min_peak_speedup = thresholds["min_peak_speedup"]
     min_probing_speedup = thresholds["min_probing_speedup"]
     max_sharded_ratio = thresholds["max_sharded_ratio"]
-    min_shard_speedup = thresholds["min_shard_speedup"]
     min_service_speedup = thresholds["min_service_speedup"]
     min_net_speedup = thresholds["min_net_speedup"]
     min_backend_ratio = thresholds["min_backend_ratio"]
@@ -159,9 +150,7 @@ def check_results(
     failures.extend(_check_probing_section(results, min_probing_speedup))
     failures.extend(_check_figure5_sections(results))
     failures.extend(_check_experiments_section(results))
-    failures.extend(
-        _check_sharding_section(results, max_sharded_ratio, min_shard_speedup)
-    )
+    failures.extend(_check_sharding_section(results, max_sharded_ratio))
     failures.extend(_check_sweeps_section(results))
     failures.extend(_check_service_section(results, min_service_speedup))
     failures.extend(_check_netservice_section(results, min_net_speedup))
@@ -313,9 +302,7 @@ def _check_experiments_section(results: dict) -> list[str]:
     return failures
 
 
-def _check_sharding_section(
-    results: dict, max_sharded_ratio: float, min_shard_speedup: float
-) -> list[str]:
+def _check_sharding_section(results: dict, max_sharded_ratio: float) -> list[str]:
     """Gate the multi-tile timings recorded by benchmarks/bench_sharding.py."""
     payload = results.get("bench_sharding")
     if payload is None:
@@ -337,27 +324,6 @@ def _check_sharding_section(
             failures.append(
                 f"sharded forward ({row.get('geometry')!r}) is {ratio:.2f}x the "
                 f"single-tile per-element time (gate {max_sharded_ratio:.2f}x)"
-            )
-    parallel = payload.get("process_parallel")
-    if parallel is not None:
-        if parallel.get("outputs_identical") is not True:
-            failures.append(
-                "bench_sharding: process-parallel shard outputs were not "
-                "verified bit-identical to serial execution"
-            )
-        for key in ("serial_s", "process_s"):
-            value = parallel.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                failures.append(
-                    f"bench_sharding process_parallel has no positive "
-                    f"{key!r} wall time"
-                )
-        speedup = parallel.get("speedup")
-        if isinstance(speedup, (int, float)) and speedup < min_shard_speedup:
-            failures.append(
-                f"process-parallel shard forward retains only {speedup:.2f}x "
-                f"of serial throughput (floor {min_shard_speedup:.2f} — "
-                "excess shard-dispatch overhead)"
             )
     return failures
 
@@ -580,11 +546,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_THRESHOLDS["max_sharded_ratio"],
     )
     parser.add_argument(
-        "--min-shard-speedup",
-        type=float,
-        default=DEFAULT_THRESHOLDS["min_shard_speedup"],
-    )
-    parser.add_argument(
         "--min-service-speedup",
         type=float,
         default=DEFAULT_THRESHOLDS["min_service_speedup"],
@@ -618,7 +579,6 @@ def main(argv: list[str] | None = None) -> int:
         "min_peak_speedup": args.min_peak_speedup,
         "min_probing_speedup": args.min_probing_speedup,
         "max_sharded_ratio": args.max_sharded_ratio,
-        "min_shard_speedup": args.min_shard_speedup,
         "min_service_speedup": args.min_service_speedup,
         "min_net_speedup": args.min_net_speedup,
         "min_backend_ratio": args.min_backend_ratio,

@@ -18,16 +18,9 @@ from repro.crossbar.mapping import (
     reduce_partial_sums,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.crossbar.shard import (
-    NonPicklableShardError,
-    ShardProgram,
-    run_shard,
-    run_shard_matvec,
-    run_shard_total_current,
-)
 from repro.crossbar.adc_dac import DAC, ADC
 from repro.crossbar.power import PowerModel, PowerReport
-from repro.crossbar.tile import CrossbarTile, ShardedTileGroup, build_tile
+from repro.crossbar.tile import CrossbarTile
 from repro.crossbar.accelerator import CrossbarAccelerator
 
 __all__ = [
@@ -41,17 +34,10 @@ __all__ = [
     "ShardingSpec",
     "reduce_partial_sums",
     "CrossbarArray",
-    "NonPicklableShardError",
-    "ShardProgram",
-    "run_shard",
-    "run_shard_matvec",
-    "run_shard_total_current",
     "DAC",
     "ADC",
     "PowerModel",
     "PowerReport",
     "CrossbarTile",
-    "ShardedTileGroup",
-    "build_tile",
     "CrossbarAccelerator",
 ]

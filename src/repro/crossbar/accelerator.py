@@ -18,13 +18,13 @@ queries cost one matrix product per tile and nothing else.
 
 Multi-tile sharding: passing a
 :class:`~repro.crossbar.mapping.ShardingSpec` (one spec for every layer, or a
-per-layer sequence) places layers on
-:class:`~repro.crossbar.tile.ShardedTileGroup` grids instead of single tiles.
-The :class:`~repro.crossbar.power.PowerReport` then carries one current
-column per *physical* tile — labelled ``layer<i>/r<r>c<c>`` — so tile-count
-and placement scenarios from the paper's hardware discussion are observable,
-while the summed total current is the partial-sum reduction the digital
-backend would perform.
+per-layer sequence) places layers on grids of physical arrays instead of
+single arrays; the shards of a layer are traversed serially, in row-major
+order.  The :class:`~repro.crossbar.power.PowerReport` then carries one
+current column per *physical* tile — labelled ``layer<i>/r<r>c<c>`` — so
+tile-count and placement scenarios from the paper's hardware discussion are
+observable, while the summed total current is the partial-sum reduction the
+digital backend would perform.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.crossbar.adc_dac import ADC, DAC
-from repro.crossbar.mapping import ConductanceMapping, ShardingSpec
+from repro.crossbar.mapping import UNSHARDED, ConductanceMapping, ShardingSpec
 from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.power import PowerModel, PowerReport
-from repro.crossbar.tile import CrossbarTile, build_tile
+from repro.crossbar.tile import CrossbarTile
 from repro.nn.network import Sequential
 from repro.utils.rng import RandomState, spawn_rngs
 
@@ -46,10 +46,10 @@ from repro.utils.rng import RandomState, spawn_rngs
 def _resolve_layer_sharding(
     sharding: Union[None, ShardingSpec, Sequence[Optional[ShardingSpec]]],
     n_layers: int,
-) -> List[Optional[ShardingSpec]]:
-    """Normalise the sharding argument to one optional spec per layer."""
+) -> List[ShardingSpec]:
+    """Normalise the sharding argument to one spec per layer."""
     if sharding is None:
-        return [None] * n_layers
+        return [UNSHARDED] * n_layers
     if isinstance(sharding, ShardingSpec):
         return [sharding] * n_layers
     specs = list(sharding)
@@ -63,7 +63,7 @@ def _resolve_layer_sharding(
                 f"sharding entries must be ShardingSpec or None, "
                 f"got {type(spec).__name__}"
             )
-    return specs
+    return [UNSHARDED if spec is None else spec for spec in specs]
 
 
 class CrossbarAccelerator:
@@ -85,14 +85,6 @@ class CrossbarAccelerator:
         ``None`` (one tile per layer, the historical placement), a single
         :class:`~repro.crossbar.mapping.ShardingSpec` applied to every layer,
         or a per-layer sequence of specs/``None``.
-    shard_runner:
-        Optional :class:`~repro.experiments.runner.ParallelRunner` executing
-        the shard kernels of sharded layers concurrently.  ``thread`` mode
-        maps host arrays in-process; ``process`` mode ships picklable
-        :class:`~repro.crossbar.shard.ShardProgram` snapshots to worker
-        processes (bitwise-identical for seeded/deterministic execution;
-        rejected with :class:`~repro.crossbar.shard.NonPicklableShardError`
-        for device-resident backends such as cupy).
     random_state:
         Seed; each tile receives an independent child generator.
     backend / dtype / batch_invariant:
@@ -114,7 +106,6 @@ class CrossbarAccelerator:
         adc: Optional[ADC] = None,
         power_model: Optional[PowerModel] = None,
         sharding: Union[None, ShardingSpec, Sequence[Optional[ShardingSpec]]] = None,
-        shard_runner=None,
         random_state: RandomState = None,
         backend=None,
         dtype="float64",
@@ -130,14 +121,13 @@ class CrossbarAccelerator:
         layer_sharding = _resolve_layer_sharding(sharding, len(network.layers))
         rngs = spawn_rngs(random_state, len(network.layers))
         self.tiles: List[CrossbarTile] = [
-            build_tile(
+            CrossbarTile(
                 layer,
                 sharding=spec,
                 mapping=mapping,
                 nonidealities=nonidealities,
                 dac=dac,
                 adc=adc,
-                runner=shard_runner,
                 random_state=rng,
                 backend=self.backend,
                 dtype=self.dtype,
@@ -145,7 +135,7 @@ class CrossbarAccelerator:
             )
             for layer, rng, spec in zip(network.layers, rngs, layer_sharding)
         ]
-        self._tile_labels = self._build_tile_labels()
+        self._tile_labels = self._label_tiles()
         # Distinct per-physical-array noise tags (label order), so seeded
         # queries derive statistically independent streams per tile even
         # though every tile shares the request's per-row seeds.
@@ -185,7 +175,7 @@ class CrossbarAccelerator:
         """
         return self._tile_labels
 
-    def _build_tile_labels(self) -> Tuple[str, ...]:
+    def _label_tiles(self) -> Tuple[str, ...]:
         labels: List[str] = []
         for index, tile in enumerate(self.tiles):
             spec = tile.sharding
@@ -273,9 +263,7 @@ class CrossbarAccelerator:
             activations, shard_currents = tile.forward_with_power_shards(
                 activations, sample_seeds=sample_seeds
             )
-            per_tile_currents.extend(
-                shard_currents[:, k] for k in range(shard_currents.shape[1])
-            )
+            per_tile_currents.extend(shard_currents)
             layer_currents.append(tile.reduce_shard_currents(shard_currents))
         total = np.sum(layer_currents, axis=0)
         report = self.power_model.report(

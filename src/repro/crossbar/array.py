@@ -11,11 +11,12 @@ IR-drop-attenuated differential matrix ``(G+ - G-) * a`` and the attenuated
 column conductance sums ``Σ_i (G+ + G-) * a`` — realised from one conductance
 read.  Three properties of that state drive the engine:
 
-* **Fusion.**  :meth:`matvec_with_current` computes the output currents
-  (Eq. 3) *and* the total supply current (Eq. 5) from a *single* conductance
-  realization, so the functional outputs and the power side channel observed
-  by an attacker are physically consistent (one read, one noise draw) and the
-  array is traversed once instead of twice.
+* **Fusion.**  :meth:`matvec`, :meth:`total_current` and
+  :meth:`matvec_with_current` are views of one traversal, which computes the
+  output currents (Eq. 3) *and* the total supply current (Eq. 5) from a
+  *single* conductance realization, so the functional outputs and the power
+  side channel observed by an attacker are physically consistent (one read,
+  one noise draw) and the array is traversed once instead of twice.
 * **Caching.**  When the device has no read noise the effective state is
   deterministic, so it is computed lazily once and reused by every subsequent
   :meth:`matvec` / :meth:`total_current` / :meth:`matvec_with_current` call.
@@ -283,18 +284,6 @@ class CrossbarArray:
         self._n_operations = 0
         self._n_realizations = 0
 
-    def record_offloaded_traversal(self, *, realizations: int = 1) -> None:
-        """Account for a traversal executed outside this host object.
-
-        When a shard's physics runs in a worker process (a materialised
-        :class:`~repro.crossbar.shard.ShardProgram`), the worker traverses
-        its own copy of the devices; the host array records the traversal
-        here so :attr:`n_operations` / :attr:`n_realizations` keep describing
-        the physical array regardless of where the kernel ran.
-        """
-        self._n_operations += 1
-        self._n_realizations += int(realizations)
-
     # -------------------------------------------------- static non-idealities
 
     def _apply_static_nonidealities(self) -> None:
@@ -329,10 +318,10 @@ class CrossbarArray:
         """
         self._state_cache = None
 
-    def _read_conductances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Conductances as seen by one read operation (read noise applied)."""
-        g_plus = self.device.apply_read_noise(self.g_plus, self._rng)
-        g_minus = self.device.apply_read_noise(self.g_minus, self._rng)
+    def _read_conductances(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Conductances as seen by one read operation (read noise from ``rng``)."""
+        g_plus = self.device.apply_read_noise(self.g_plus, rng)
+        g_minus = self.device.apply_read_noise(self.g_minus, rng)
         return g_plus, g_minus
 
     def _ir_drop_attenuation(self, g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
@@ -381,6 +370,25 @@ class CrossbarArray:
         )
         return 1.0 / (1.0 + drop)
 
+    def _effective(
+        self, g_plus: np.ndarray, g_minus: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(effective, column_sums)`` of one conductance read.
+
+        Applies the wire physics — 2-D droop when ``wire_resistance_ohm`` is
+        set, then the 1-D per-column IR-drop attenuation — to the
+        differential matrix and to the column conductance sums.
+        """
+        attenuation = self._ir_drop_attenuation(g_plus, g_minus)
+        droop = self._wire_droop(g_plus, g_minus)
+        if droop is not None:
+            g_diff = (g_plus - g_minus) * droop
+            g_sum = (g_plus + g_minus) * droop
+        else:
+            g_diff = g_plus - g_minus
+            g_sum = g_plus + g_minus
+        return g_diff * attenuation, (g_sum * attenuation).sum(axis=0)
+
     def _realize_state(self) -> _EffectiveState:
         """One physical conductance read, shared by outputs and power.
 
@@ -397,17 +405,7 @@ class CrossbarArray:
                 and cache.g_minus is self.g_minus
             ):
                 return cache
-        g_plus, g_minus = self._read_conductances()
-        attenuation = self._ir_drop_attenuation(g_plus, g_minus)
-        droop = self._wire_droop(g_plus, g_minus)
-        if droop is not None:
-            g_diff = (g_plus - g_minus) * droop
-            g_sum = (g_plus + g_minus) * droop
-        else:
-            g_diff = g_plus - g_minus
-            g_sum = g_plus + g_minus
-        effective = g_diff * attenuation[np.newaxis, :]
-        column_sums = (g_sum * attenuation[np.newaxis, :]).sum(axis=0)
+        effective, column_sums = self._effective(*self._read_conductances(self._rng))
         # One host->device transfer per realization; with a deterministic
         # device the state is cached, so the operands stay device-resident
         # until program()/invalidate_state_cache() and every query pays only
@@ -435,57 +433,6 @@ class CrossbarArray:
             )
         return batch, single
 
-    def _apply_measurement_noise(self, currents):
-        """Multiplicative instrument noise on (host or device) currents.
-
-        Noise factors are always drawn host-side from the array's own
-        generator — exactly the draws the pre-backend engine made — and
-        shipped to the device for the elementwise multiply.
-        """
-        noise = self.nonidealities.current_measurement_noise
-        if noise > 0:
-            factors = 1.0 + self._rng.normal(0.0, noise, size=tuple(currents.shape))
-            currents = currents * self.backend.asarray(factors, self._dtype)
-        return currents
-
-    # ------------------------------------------------------ unseeded kernels
-
-    def _product_kernels(self, batch: np.ndarray, state: _EffectiveState, *,
-                         want_outputs: bool, want_totals: bool):
-        """The unseeded hot-path products on the device-resident operands.
-
-        Default: BLAS ``matmul`` (fastest).  With :attr:`batch_invariant`
-        the same fixed-reduction-order einsum family as the seeded path is
-        used instead, so a row's result is bitwise independent of the batch
-        it rides in even without seeds.
-        """
-        vb = self.backend.asarray(batch, self._dtype)
-        if self.batch_invariant:
-            outputs = (
-                self.backend.einsum("ij,kj->ik", vb, state.effective_dev)
-                if want_outputs
-                else None
-            )
-            totals = (
-                self.backend.einsum("ij,j->i", vb, state.column_sums_dev)
-                if want_totals
-                else None
-            )
-        else:
-            outputs = (
-                self.backend.matmul(vb, state.effective_dev.T)
-                if want_outputs
-                else None
-            )
-            totals = (
-                self.backend.matmul(vb, state.column_sums_dev)
-                if want_totals
-                else None
-            )
-        return outputs, totals
-
-    # ------------------------------------------------------ seeded operations
-
     def _validate_seeds(self, sample_seeds, batch: np.ndarray) -> np.ndarray:
         seeds = np.asarray(sample_seeds, dtype=np.uint64)
         if seeds.ndim != 1 or len(seeds) != len(batch):
@@ -495,82 +442,86 @@ class CrossbarArray:
             )
         return seeds
 
-    def _seeded_compute(
+    def _rail_factors(self, n_rows: int, seeds) -> Optional[np.ndarray]:
+        """Host-side multiplicative rail-noise factors, ``None`` when noise-free.
+
+        Unseeded factors come from the array's own generator; seeded ones
+        from each row's ``(seed, noise_tag, rail channel)`` stream.
+        """
+        noise = self.nonidealities.current_measurement_noise
+        if noise <= 0:
+            return None
+        if seeds is None:
+            return 1.0 + self._rng.normal(0.0, noise, size=(n_rows,))
+        return seeded_noise_factors(
+            seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
+        )
+
+    def _traverse(
         self,
         batch: np.ndarray,
-        sample_seeds: np.ndarray,
+        sample_seeds=None,
         *,
-        want_outputs: bool,
-        want_totals: bool,
+        want_outputs: bool = True,
+        want_totals: bool = True,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """One array traversal whose noise is keyed on per-row seeds.
+        """One analogue traversal of a ``(B, N)`` batch: ``(outputs, totals)``.
 
-        Every stochastic effect along the path — read-noise conductance
-        realizations and rail measurement noise — is drawn from a stream
-        derived from ``(row seed, noise_tag, channel)`` instead of the
-        array's own generator, making row ``i``'s observables a pure function
-        of ``(batch[i], sample_seeds[i])``: independent of batch composition
-        and of any previous operation.  Row-noise-free arrays reuse the
-        cached effective state, so the deterministic fast path is untouched.
+        Unseeded, the effective state is read through the array's own
+        generator (and cached when read-noise free), and the products run on
+        BLAS ``matmul`` — or, with :attr:`batch_invariant`, on the seeded
+        path's einsum kernels.  With ``sample_seeds`` every stochastic effect
+        — read-noise conductance realizations and rail measurement noise — is
+        drawn from a stream derived from ``(row seed, noise_tag, channel)``
+        instead, making row ``i``'s observables a pure function of
+        ``(batch[i], sample_seeds[i])``: independent of batch composition and
+        of any previous operation.  A seeded noisy device realises one read
+        per row, host-side; a read-noise-free one reuses the cached state.
         """
-        seeds = self._validate_seeds(sample_seeds, batch)
+        seeds = None
+        if sample_seeds is not None:
+            seeds = self._validate_seeds(sample_seeds, batch)
         self._n_operations += 1
-        noise = self.nonidealities.current_measurement_noise
-        if self.device.read_noise == 0:
-            state = self._realize_state()
-            vb = self.backend.asarray(batch, self._dtype)
-            # einsum, not BLAS matmul: its per-row reduction order does not
-            # depend on the batch size, so a row's result is bitwise the same
-            # whether it is computed alone or inside a coalesced batch (BLAS
-            # gemm/gemv pick different kernels per shape and break that).
-            outputs = (
-                self.backend.einsum("ij,kj->ik", vb, state.effective_dev)
-                if want_outputs
-                else None
-            )
-            totals = (
-                self.backend.einsum("ij,j->i", vb, state.column_sums_dev)
-                if want_totals
-                else None
-            )
-            if want_totals and noise > 0:
-                factors = seeded_noise_factors(
-                    seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
-                )
-                totals = totals * self.backend.asarray(factors, self._dtype)
-            if want_outputs:
-                outputs = self.backend.to_numpy(outputs)
-            if want_totals:
-                totals = self.backend.to_numpy(totals)
-        else:
-            outputs = (
-                np.empty((len(batch), self.n_rows)) if want_outputs else None
-            )
+        if seeds is not None and self.device.read_noise > 0:
+            outputs = np.empty((len(batch), self.n_rows)) if want_outputs else None
             totals = np.empty(len(batch)) if want_totals else None
             for i, (row, seed) in enumerate(zip(batch, seeds)):
                 rng = sample_stream(seed, _ARRAY_DOMAIN, self.noise_tag, _READ_CHANNEL)
-                g_plus = self.device.apply_read_noise(self.g_plus, rng)
-                g_minus = self.device.apply_read_noise(self.g_minus, rng)
-                attenuation = self._ir_drop_attenuation(g_plus, g_minus)
-                droop = self._wire_droop(g_plus, g_minus)
-                if droop is not None:
-                    g_diff = (g_plus - g_minus) * droop
-                    g_sum = (g_plus + g_minus) * droop
-                else:
-                    g_diff = g_plus - g_minus
-                    g_sum = g_plus + g_minus
+                effective, column_sums = self._effective(*self._read_conductances(rng))
                 self._n_realizations += 1
                 if want_outputs:
-                    outputs[i] = (g_diff * attenuation) @ row
+                    outputs[i] = effective @ row
                 if want_totals:
-                    column_sums = (g_sum * attenuation).sum(axis=0)
                     totals[i] = row @ column_sums
-            # The per-row realization loop is host-side physics (fresh noisy
-            # conductances per row); its rail noise stays host-side too.
-            if want_totals and noise > 0:
-                totals = totals * seeded_noise_factors(
-                    seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
-                )
+            # Host-side physics per row, so the rail noise stays host-side too.
+            factors = self._rail_factors(len(batch), seeds) if want_totals else None
+            if factors is not None:
+                totals = totals * factors
+            return outputs, totals
+
+        state = self._realize_state()
+        vb = self.backend.asarray(batch, self._dtype)
+        # einsum, not BLAS matmul, whenever rows must not depend on their
+        # batch: its per-row reduction order is independent of the batch size
+        # (BLAS gemm/gemv pick different kernels per shape and break that).
+        einsum = seeds is not None or self.batch_invariant
+        outputs = totals = None
+        if want_outputs:
+            outputs = self.backend.to_numpy(
+                self.backend.einsum("ij,kj->ik", vb, state.effective_dev)
+                if einsum
+                else self.backend.matmul(vb, state.effective_dev.T)
+            )
+        if want_totals:
+            totals = (
+                self.backend.einsum("ij,j->i", vb, state.column_sums_dev)
+                if einsum
+                else self.backend.matmul(vb, state.column_sums_dev)
+            )
+            factors = self._rail_factors(len(batch), seeds)
+            if factors is not None:
+                totals = totals * self.backend.asarray(factors, self._dtype)
+            totals = self.backend.to_numpy(totals)
         return outputs, totals
 
     def matvec(
@@ -583,7 +534,7 @@ class CrossbarArray:
         voltages:
             ``(N,)`` or ``(B, N)`` input voltage vector(s).
         sample_seeds:
-            Optional per-row noise seeds (see :meth:`_seeded_compute`); the
+            Optional per-row noise seeds (see :meth:`_traverse`); the
             default draws from the array's own generator as before.
 
         Returns
@@ -592,17 +543,7 @@ class CrossbarArray:
             Output currents ``(M,)`` or ``(B, M)``.
         """
         batch, single = self._validate_batch(voltages)
-        if sample_seeds is not None:
-            currents, _ = self._seeded_compute(
-                batch, sample_seeds, want_outputs=True, want_totals=False
-            )
-        else:
-            state = self._realize_state()
-            self._n_operations += 1
-            currents, _ = self._product_kernels(
-                batch, state, want_outputs=True, want_totals=False
-            )
-            currents = self.backend.to_numpy(currents)
+        currents, _ = self._traverse(batch, sample_seeds, want_totals=False)
         return currents[0] if single else currents
 
     def total_current(
@@ -615,17 +556,7 @@ class CrossbarArray:
         noise (drawn per row from ``sample_seeds`` streams when given).
         """
         batch, single = self._validate_batch(voltages)
-        if sample_seeds is not None:
-            _, currents = self._seeded_compute(
-                batch, sample_seeds, want_outputs=False, want_totals=True
-            )
-        else:
-            state = self._realize_state()
-            self._n_operations += 1
-            _, currents = self._product_kernels(
-                batch, state, want_outputs=False, want_totals=True
-            )
-            currents = self.backend.to_numpy(self._apply_measurement_noise(currents))
+        _, currents = self._traverse(batch, sample_seeds, want_outputs=False)
         return float(currents[0]) if single else currents
 
     def matvec_with_current(
@@ -648,30 +579,10 @@ class CrossbarArray:
             ``(B,)`` for a batch.
         """
         batch, single = self._validate_batch(voltages)
-        if sample_seeds is not None:
-            outputs, totals = self._seeded_compute(
-                batch, sample_seeds, want_outputs=True, want_totals=True
-            )
-        else:
-            state = self._realize_state()
-            self._n_operations += 1
-            outputs, totals = self._product_kernels(
-                batch, state, want_outputs=True, want_totals=True
-            )
-            outputs = self.backend.to_numpy(outputs)
-            totals = self.backend.to_numpy(self._apply_measurement_noise(totals))
+        outputs, totals = self._traverse(batch, sample_seeds)
         if single:
             return outputs[0], float(totals[0])
         return outputs, totals
-
-    def static_power(self, voltages: np.ndarray, *, supply_voltage: float = 1.0) -> np.ndarray:
-        """Dissipated power ``Σ_j v_j^2 G_j`` (or ``Vdd * i_total`` when driven at Vdd)."""
-        voltages = np.asarray(voltages, dtype=float)
-        single = voltages.ndim == 1
-        batch = np.atleast_2d(voltages)
-        column_sums = self.column_conductance_sums
-        power = (batch**2) @ column_sums * float(supply_voltage)
-        return float(power[0]) if single else power
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,8 +22,7 @@ a logical weight matrix onto physical hardware: :class:`ShardingSpec` declares
 how one layer is split across a grid of crossbar tiles (row shards partition
 the output rows, column shards partition the input columns) and in which
 order the column-shard partial sums are reduced back into one output.  The
-actual multi-tile execution lives in
-:class:`~repro.crossbar.tile.ShardedTileGroup`.
+multi-tile execution lives in :class:`~repro.crossbar.tile.CrossbarTile`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,23 +213,4 @@ class PowerModel:
             energy=energy,
             per_tile_current=per_tile,
             tile_labels=tuple(labels) if labels is not None else None,
-        )
-
-    def combine(self, reports: List[PowerReport]) -> PowerReport:
-        """Sum several single-tile reports into one accelerator-level report."""
-        if not reports:
-            raise ValueError("cannot combine an empty list of reports")
-        total = np.sum([r.total_current for r in reports], axis=0)
-        per_tile = np.concatenate([r.per_tile_current for r in reports], axis=1)
-        labels: Optional[Tuple[str, ...]] = None
-        if all(r.tile_labels is not None for r in reports):
-            labels = tuple(label for r in reports for label in r.tile_labels)
-        power = self.supply_voltage * total
-        energy = power * self.integration_time
-        return PowerReport(
-            total_current=total,
-            power=power,
-            energy=energy,
-            per_tile_current=per_tile,
-            tile_labels=labels,
         )

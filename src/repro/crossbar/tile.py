@@ -1,32 +1,30 @@
 """Crossbar tiles: one neural-network layer mapped onto physical arrays.
 
-:class:`CrossbarTile` owns a single
-:class:`~repro.crossbar.array.CrossbarArray` programmed with the layer's
-weights, an input DAC, an output ADC, and applies the layer's activation
-function digitally after conversion, exactly mirroring Figure 2 of the paper
-(``v_y = f(i_s) = f(G v_u)``).
+:class:`CrossbarTile` maps one layer onto a grid of
+:class:`~repro.crossbar.array.CrossbarArray` sub-arrays described by a
+:class:`~repro.crossbar.mapping.ShardingSpec`, with an input DAC and an
+output ADC, and applies the layer's activation function digitally after
+conversion, exactly mirroring Figure 2 of the paper
+(``v_y = f(i_s) = f(G v_u)``).  The default spec is the 1x1 grid: one array
+programmed with the layer's weights.
 
-:class:`ShardedTileGroup` maps the *same* logical layer onto a grid of
-physical tiles instead: a :class:`~repro.crossbar.mapping.ShardingSpec`
-partitions the weight matrix into ``row_shards x col_shards`` sub-arrays, the
-full matrix is programmed **once** (so the physical devices are identical to
-the single-tile placement) and each shard receives its slice of the
-programmed conductances.  Every shard runs through the fused
-:meth:`CrossbarArray.matvec_with_current` path; column-shard partial outputs
-are reduced in the spec's declared order and each shard's supply current
-remains individually observable — the per-tile observables the paper's
-hardware discussion assumes.  For ideal (noise-free) devices the sharded
-computation performs the same exact-arithmetic operations as the single-tile
-one, so the two placements agree bit-for-bit whenever no float rounding
-occurs and to ~1e-12 otherwise.
+A larger grid partitions the weight matrix into ``row_shards x col_shards``
+sub-arrays: the full matrix is programmed **once** (so the physical devices
+are identical to the single-array placement) and each shard receives its
+slice of the programmed conductances.  Every shard is traversed once per
+batch; column-shard partial outputs are reduced in the spec's declared order
+and each shard's supply current remains individually observable — the
+per-tile observables the paper's hardware discussion assumes.  For ideal
+(noise-free) devices the sharded computation performs the same
+exact-arithmetic operations as the single-array one, so the two placements
+agree bit-for-bit whenever no float rounding occurs and to ~1e-12 otherwise.
 
-Batches stream through both tile kinds in 2-D form end to end: the internal
-``*_batch`` helpers assume ``(B, n_inputs)`` arrays and never re-wrap their
-operands, while the public methods only handle the single-vector/batch shape
-convention at the boundary.  :meth:`forward_with_power_shards` is the uniform
-fused interface the accelerator drives: one call yields the layer outputs and
-a ``(B, n_physical_tiles)`` matrix of per-shard supply currents from the same
-conductance realizations.
+Batches stream through the tile in 2-D form end to end: :meth:`_traverse`
+assumes a ``(B, n_inputs)`` array and never re-wraps its operands, while the
+public methods only handle the single-vector/batch shape convention at the
+boundary.  :meth:`forward_with_power_shards` is the fused interface the
+accelerator drives: one call yields the layer outputs and one ``(B,)``
+supply current per physical array from the same conductance realizations.
 """
 
 from __future__ import annotations
@@ -45,49 +43,21 @@ from repro.crossbar.mapping import (
     reduce_partial_sums,
 )
 from repro.crossbar.nonidealities import NonidealityConfig
-from repro.crossbar.shard import (
-    ShardProgram,
-    run_shard,
-    run_shard_matvec,
-    run_shard_total_current,
-)
 from repro.nn.activations import Activation, get_activation
 from repro.nn.layers import Dense
 from repro.utils.rng import RandomState, as_rng
 
 
-# Module-level shard kernels so a thread-pool ParallelRunner can map over
-# them (and so the runner's pickling probe succeeds).
-def _shard_matvec(
-    array: CrossbarArray, voltages: np.ndarray, sample_seeds=None
-) -> np.ndarray:
-    return array.matvec(voltages, sample_seeds=sample_seeds)
-
-
-def _shard_matvec_with_current(
-    array: CrossbarArray, voltages: np.ndarray, sample_seeds=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    return array.matvec_with_current(voltages, sample_seeds=sample_seeds)
-
-
-def _shard_total_current(
-    array: CrossbarArray, voltages: np.ndarray, sample_seeds=None
-) -> np.ndarray:
-    return array.total_current(voltages, sample_seeds=sample_seeds)
-
-
-#: Host-object kernel -> self-contained program kernel.  Used when shard
-#: execution is shipped to a process pool: the job carries a picklable
-#: :class:`~repro.crossbar.shard.ShardProgram` instead of the live array.
-_PROGRAM_KERNELS = {
-    _shard_matvec: run_shard_matvec,
-    _shard_matvec_with_current: run_shard,
-    _shard_total_current: run_shard_total_current,
-}
-
-
 class CrossbarTile:
-    """One dense layer implemented on a crossbar.
+    """One dense layer implemented on a grid of crossbar arrays.
+
+    The layer's weight matrix (bias column included) is programmed once —
+    one mapping pass, one programming-noise draw, one static-non-ideality
+    pass.  On the default 1x1 grid that programmed array is the tile's only
+    physical array.  On a larger grid the weight scale is pinned to the full
+    matrix, and the programmed conductances are partitioned into
+    ``row_shards x col_shards`` independent sub-arrays, each with its own
+    read-noise/measurement-noise stream (they are distinct physical tiles).
 
     Parameters
     ----------
@@ -95,6 +65,9 @@ class CrossbarTile:
         The trained :class:`~repro.nn.layers.Dense` layer to map.  Layers with
         a bias are mapped by adding one extra input column driven at a
         constant voltage of 1.
+    sharding:
+        The :class:`~repro.crossbar.mapping.ShardingSpec` grid geometry
+        (default: a single array).
     mapping:
         Conductance mapping; defaults to the ideal min-power mapping.
     nonidealities:
@@ -113,6 +86,7 @@ class CrossbarTile:
         self,
         layer: Dense,
         *,
+        sharding: ShardingSpec = UNSHARDED,
         mapping: Optional[ConductanceMapping] = None,
         nonidealities: Optional[NonidealityConfig] = None,
         dac: Optional[DAC] = None,
@@ -122,10 +96,15 @@ class CrossbarTile:
         dtype="float64",
         batch_invariant: bool = False,
     ):
+        if not isinstance(sharding, ShardingSpec):
+            raise TypeError(
+                f"sharding must be a ShardingSpec, got {type(sharding).__name__}"
+            )
         self.layer = layer
+        self.sharding = sharding
         self.activation: Activation = get_activation(layer.activation)
         self._has_bias_column = bool(layer.use_bias)
-        self._engine_opts = {
+        engine_opts = {
             "backend": backend,
             "dtype": dtype,
             "batch_invariant": batch_invariant,
@@ -135,31 +114,54 @@ class CrossbarTile:
         if self._has_bias_column:
             weights = np.concatenate([weights, layer.bias[:, np.newaxis]], axis=1)
 
-        self._build_engine(weights, mapping, nonidealities, random_state)
-        self.dac = dac if dac is not None else DAC()
-        self.adc = adc
-
-        # Scale factor converting output currents back to the digital domain.
-        self._current_to_logical = 1.0 / self._conductance_scale
-
-    # ----------------------------------------------------------------- engine
-
-    def _build_engine(
-        self,
-        weights: np.ndarray,
-        mapping: Optional[ConductanceMapping],
-        nonidealities: Optional[NonidealityConfig],
-        random_state: RandomState,
-    ) -> None:
-        """Program the layer onto physical hardware (one array by default)."""
-        self.array = CrossbarArray(
+        mapping = mapping if mapping is not None else ConductanceMapping()
+        if not sharding.is_trivial:
+            # Pin the weight scale to the full matrix so every shard converts
+            # currents with the same factor the single-array placement uses.
+            mapping = replace(mapping, weight_scale=mapping.resolve_weight_scale(weights))
+        rng = as_rng(random_state)
+        programmed = CrossbarArray(
             weights,
             mapping=mapping,
             nonidealities=nonidealities,
-            random_state=random_state,
-            **self._engine_opts,
+            random_state=rng,
+            **engine_opts,
         )
-        self._conductance_scale = self.array.mapping.conductance_per_unit_weight(weights)
+        # Scale factor converting output currents back to the digital domain.
+        self._current_to_logical = 1.0 / mapping.conductance_per_unit_weight(weights)
+
+        if sharding.is_trivial:
+            self.shards: List[List[CrossbarArray]] = [[programmed]]
+            self._col_slices = [slice(None)]
+        else:
+            row_sections, col_sections = sharding.shard_sections(*weights.shape)
+            # array_split sections are contiguous index ranges; basic slices
+            # give copy-free views of the batch in the per-shard hot path.
+            self._col_slices = [
+                slice(int(cols[0]), int(cols[-1]) + 1) for cols in col_sections
+            ]
+            # The shard generators are drawn after programming, so the
+            # programmed devices match a single array built from the same seed.
+            seeds = rng.integers(0, 2**63 - 1, size=sharding.n_shards)
+            self.shards = [
+                [
+                    CrossbarArray.from_conductances(
+                        programmed.g_plus[np.ix_(rows, cols)],
+                        programmed.g_minus[np.ix_(rows, cols)],
+                        mapping=mapping,
+                        nonidealities=nonidealities,
+                        reference_weights=weights[np.ix_(rows, cols)],
+                        random_state=np.random.default_rng(
+                            int(seeds[r * len(col_sections) + c])
+                        ),
+                        **engine_opts,
+                    )
+                    for c, cols in enumerate(col_sections)
+                ]
+                for r, rows in enumerate(row_sections)
+            ]
+        self.dac = dac if dac is not None else DAC()
+        self.adc = adc
 
     # ----------------------------------------------------------- properties
 
@@ -174,50 +176,50 @@ class CrossbarTile:
         return self.layer.n_outputs
 
     @property
-    def sharding(self) -> ShardingSpec:
-        """The logical-to-physical placement of this layer (1x1 by default)."""
-        return UNSHARDED
-
-    @property
     def n_physical_tiles(self) -> int:
         """Number of physical crossbar arrays implementing the layer."""
-        return 1
-
-    @property
-    def shard_shapes(self) -> List[Tuple[int, int]]:
-        """``(rows, cols)`` of every physical array, row-major shard order."""
-        return [self.array.shape]
+        return self.sharding.n_shards
 
     @property
     def physical_arrays(self) -> List[CrossbarArray]:
         """Every physical :class:`CrossbarArray`, row-major shard order."""
-        return [self.array]
+        return [array for row in self.shards for array in row]
 
-    def shard_programs(self) -> List[ShardProgram]:
-        """Picklable snapshots of the programmed state, row-major shard order.
-
-        A single-array tile yields exactly one
-        :class:`~repro.crossbar.shard.ShardProgram` — the same self-contained
-        unit of physics a sharded group ships to worker processes.
-        """
-        return [ShardProgram.from_array(self.array)]
+    @property
+    def shard_shapes(self) -> List[Tuple[int, int]]:
+        """``(rows, cols)`` of every physical array, row-major shard order."""
+        return [array.shape for array in self.physical_arrays]
 
     @property
     def column_conductance_sums(self) -> np.ndarray:
-        """Per-logical-input column conductance sums (bias column excluded)."""
-        sums = self.array.column_conductance_sums
+        """Per-logical-input column conductance sums (bias column excluded),
+        reassembled from the shard grid."""
+        columns = []
+        for c in range(len(self._col_slices)):
+            sums = self.shards[0][c].column_conductance_sums
+            for row in self.shards[1:]:
+                sums = sums + row[c].column_conductance_sums
+            columns.append(sums)
+        sums = np.concatenate(columns)
         if self._has_bias_column:
             return sums[:-1]
         return sums
 
     @property
     def n_array_operations(self) -> int:
-        """Analogue traversals of the underlying array (fused ops count once)."""
-        return self.array.n_operations
+        """Analogue traversals summed over the physical arrays (fused ops
+        count once)."""
+        return sum(array.n_operations for array in self.physical_arrays)
+
+    @property
+    def n_array_realizations(self) -> int:
+        """Physical conductance reads summed over the physical arrays."""
+        return sum(array.n_realizations for array in self.physical_arrays)
 
     def reset_operation_counters(self) -> None:
         """Reset the operation/realization counters of every physical array."""
-        self.array.reset_counters()
+        for array in self.physical_arrays:
+            array.reset_counters()
 
     # -------------------------------------------------------------- compute
 
@@ -240,25 +242,46 @@ class CrossbarTile:
             currents = self.adc.convert(currents)
         return currents * self._current_to_logical
 
-    def pre_activation_batch(
-        self, batch: np.ndarray, *, sample_seeds=None
-    ) -> np.ndarray:
-        """Analogue MVM for a ``(B, n_inputs)`` batch; always returns 2-D."""
-        return self._to_logical(
-            self.array.matvec(self._line_voltages(batch), sample_seeds=sample_seeds)
-        )
+    def _traverse(
+        self, batch: np.ndarray, sample_seeds=None, *, want_currents: bool = True
+    ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
+        """Layer outputs + per-shard supply currents, one traversal per shard.
 
-    def pre_activation(self, inputs: np.ndarray) -> np.ndarray:
-        """Analogue MVM result converted back to the logical weight domain."""
-        single = np.asarray(inputs).ndim == 1
-        logical = self.pre_activation_batch(inputs)
-        return logical[0] if single else logical
+        Returns ``(outputs (B, n_outputs), shard_currents)`` for a
+        ``(B, n_inputs)`` batch, with one ``(B,)`` current per shard in
+        row-major order (``None`` entries without ``want_currents``, which
+        skips the rail measurement).  Row-shard outputs are concatenated and
+        column-shard partial sums reduced in ``sharding.reduction`` order.
+        The per-row ``sample_seeds`` are shared by every shard — each shard
+        derives its own noise streams from them via its distinct
+        :attr:`CrossbarArray.noise_tag`.
+        """
+        voltages = self._line_voltages(batch)
+        if len(self._col_slices) == 1:
+            slices = [voltages]
+        else:
+            slices = [voltages[:, cols] for cols in self._col_slices]
+        blocks, currents = [], []
+        for row in self.shards:
+            partials = []
+            for array, shard_voltages in zip(row, slices):
+                outputs, totals = array._traverse(
+                    shard_voltages, sample_seeds, want_totals=want_currents
+                )
+                partials.append(outputs)
+                currents.append(totals)
+            blocks.append(reduce_partial_sums(partials, self.sharding.reduction))
+        outputs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        return self.activation.forward(self._to_logical(outputs)), currents
+
+    def reduce_shard_currents(self, shard_currents: Sequence[np.ndarray]) -> np.ndarray:
+        """Layer total current: partial-sum reduction over the shard rails."""
+        return reduce_partial_sums(shard_currents, self.sharding.reduction)
 
     def forward_batch(self, batch: np.ndarray, *, sample_seeds=None) -> np.ndarray:
         """Layer output for a ``(B, n_inputs)`` batch; always returns 2-D."""
-        return self.activation.forward(
-            self.pre_activation_batch(batch, sample_seeds=sample_seeds)
-        )
+        outputs, _ = self._traverse(batch, sample_seeds, want_currents=False)
+        return outputs
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Layer output ``f(W u)`` computed through the crossbar."""
@@ -269,38 +292,17 @@ class CrossbarTile:
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)
 
-    def forward_with_power_batch(
-        self, batch: np.ndarray, *, sample_seeds=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused layer output + supply current for a ``(B, n_inputs)`` batch.
-
-        One array traversal produces both observables; returns
-        ``(outputs (B, n_outputs), total_currents (B,))``.
-        """
-        voltages = self._line_voltages(batch)
-        currents, totals = self.array.matvec_with_current(
-            voltages, sample_seeds=sample_seeds
-        )
-        outputs = self.activation.forward(self._to_logical(currents))
-        return outputs, np.atleast_1d(totals)
-
     def forward_with_power_shards(
         self, batch: np.ndarray, *, sample_seeds=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Fused layer output + per-physical-tile supply currents.
 
-        The uniform interface the accelerator drives: returns
-        ``(outputs (B, n_outputs), shard_currents (B, n_physical_tiles))``.
-        A single-array tile has exactly one current column.
+        The interface the accelerator drives: returns
+        ``(outputs (B, n_outputs), shard_currents)`` with one ``(B,)``
+        current per physical tile, row-major; every shard's output and
+        current come from the same conductance realization.
         """
-        outputs, totals = self.forward_with_power_batch(
-            batch, sample_seeds=sample_seeds
-        )
-        return outputs, totals[:, np.newaxis]
-
-    def reduce_shard_currents(self, shard_currents: np.ndarray) -> np.ndarray:
-        """Layer total current from the per-shard current columns."""
-        return shard_currents[:, 0]
+        return self._traverse(batch, sample_seeds)
 
     def forward_with_power(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Fused :meth:`forward` + :meth:`total_current` in a single pass.
@@ -311,431 +313,26 @@ class CrossbarTile:
         the same conductance realization.
         """
         single = np.asarray(inputs).ndim == 1
-        outputs, totals = self.forward_with_power_batch(inputs)
+        outputs, shard_currents = self._traverse(inputs)
+        totals = self.reduce_shard_currents(shard_currents)
         if single:
             return outputs[0], float(totals[0])
         return outputs, totals
 
     def total_current(self, inputs: np.ndarray, *, sample_seeds=None) -> np.ndarray:
-        """The tile's power side channel for each input (Eq. 5)."""
-        single = np.asarray(inputs).ndim == 1
-        voltages = self._line_voltages(inputs)
-        currents = self.array.total_current(voltages, sample_seeds=sample_seeds)
-        currents = np.atleast_1d(currents)
-        return float(currents[0]) if single else currents
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CrossbarTile(n_inputs={self.n_inputs}, n_outputs={self.n_outputs}, "
-            f"activation={self.activation.name!r})"
-        )
-
-
-class ShardedTileGroup(CrossbarTile):
-    """One dense layer sharded across a grid of physical crossbar tiles.
-
-    The layer's weight matrix (bias column included) is programmed exactly as
-    a single tile would program it — one mapping pass with the full-matrix
-    weight scale, one programming-noise draw, one static-non-ideality pass —
-    and the resulting conductance matrices are partitioned into
-    ``row_shards x col_shards`` physical sub-arrays.  Each sub-array is an
-    independent :class:`~repro.crossbar.array.CrossbarArray` with its own
-    read-noise/measurement-noise stream (they are distinct physical tiles),
-    driven through the fused :meth:`CrossbarArray.matvec_with_current` path.
-
-    Per batch, every shard is traversed exactly once: row-shard outputs are
-    concatenated, column-shard partial sums are reduced in
-    ``sharding.reduction`` order, and each shard's supply current is kept as
-    an individually observable column (the multi-rail power model of the
-    paper's hardware discussion).  With ideal devices the computation is the
-    same exact arithmetic as the single tile's, so the placements agree
-    bit-for-bit when no rounding occurs and to float-reduction precision
-    (~1e-12) otherwise.
-
-    Parameters
-    ----------
-    layer / mapping / nonidealities / dac / adc / random_state:
-        As for :class:`CrossbarTile`.
-    sharding:
-        The :class:`~repro.crossbar.mapping.ShardingSpec` grid geometry.
-    runner:
-        Optional :class:`~repro.experiments.runner.ParallelRunner` used to
-        execute shard kernels concurrently.  ``thread`` runners map the
-        host-object kernels directly (shared address space; bit-identical to
-        serial — each shard's operations happen in the same order on the
-        same array, results are collected in shard order).  ``process``
-        runners ship self-contained
-        :class:`~repro.crossbar.shard.ShardProgram` snapshots to the worker
-        pool instead: seeded and deterministic execution is bitwise
-        identical to the serial path (the program kernels are pure
-        functions), unseeded stochastic execution receives a fresh per-call
-        seed drawn from the host shard's own generator.  Construction
-        verifies up front that the programs can actually cross the address
-        space and raises
-        :class:`~repro.crossbar.shard.NonPicklableShardError` for
-        device-resident backend state (e.g. cupy operands).
-    """
-
-    def __init__(
-        self,
-        layer: Dense,
-        sharding: ShardingSpec,
-        *,
-        mapping: Optional[ConductanceMapping] = None,
-        nonidealities: Optional[NonidealityConfig] = None,
-        dac: Optional[DAC] = None,
-        adc: Optional[ADC] = None,
-        runner=None,
-        random_state: RandomState = None,
-        backend=None,
-        dtype="float64",
-        batch_invariant: bool = False,
-    ):
-        if not isinstance(sharding, ShardingSpec):
-            raise TypeError(
-                f"sharding must be a ShardingSpec, got {type(sharding).__name__}"
-            )
-        self._sharding = sharding
-        self._runner = runner
-        super().__init__(
-            layer,
-            mapping=mapping,
-            nonidealities=nonidealities,
-            dac=dac,
-            adc=adc,
-            random_state=random_state,
-            backend=backend,
-            dtype=dtype,
-            batch_invariant=batch_invariant,
-        )
-        if runner is not None and getattr(runner, "mode", None) == "process":
-            # Capability check, not a mode check: process execution is legal
-            # whenever the programmed state can cross the address space.
-            self.shard_programs()[0].require_picklable()
-
-    # ----------------------------------------------------------------- engine
-
-    def _build_engine(
-        self,
-        weights: np.ndarray,
-        mapping: Optional[ConductanceMapping],
-        nonidealities: Optional[NonidealityConfig],
-        random_state: RandomState,
-    ) -> None:
-        """Program the full matrix once, then slice it into the shard grid."""
-        mapping = mapping if mapping is not None else ConductanceMapping()
-        rng = as_rng(random_state)
-
-        # Pin the weight scale to the full matrix so every shard converts
-        # currents with the same factor the single-tile placement would use.
-        scale = mapping.resolve_weight_scale(weights)
-        shard_mapping = replace(mapping, weight_scale=scale)
-        self._conductance_scale = shard_mapping.conductance_per_unit_weight(weights)
-
-        # One programming pass — bitwise the same devices as a single tile
-        # built from the same seed (same rng stream for programming noise,
-        # quantization and static non-idealities).
-        programmed = CrossbarArray(
-            weights,
-            mapping=shard_mapping,
-            nonidealities=nonidealities,
-            random_state=rng,
-            **self._engine_opts,
-        )
-
-        row_sections, col_sections = self._sharding.shard_sections(*weights.shape)
-        self._row_sections = row_sections
-        self._col_sections = col_sections
-        # array_split sections are contiguous index ranges; basic slices give
-        # copy-free views of the batch in the per-shard hot path.
-        self._col_slices = [
-            slice(int(cols[0]), int(cols[-1]) + 1) for cols in col_sections
-        ]
-        # Integer seed material first, generators second — the exact draws
-        # spawn_rngs(rng, n) performs, but keeping the plain-int seeds lets a
-        # ShardProgram reconstruct each shard's generator start state in a
-        # worker process bit-exactly.
-        shard_seeds = [
-            int(seed)
-            for seed in rng.integers(0, 2**63 - 1, size=self._sharding.n_shards)
-        ]
-        shard_rngs = [np.random.default_rng(seed) for seed in shard_seeds]
-        self._shard_seeds = shard_seeds
-        self._shard_programs: Optional[List[ShardProgram]] = None
-        self.shards: List[List[CrossbarArray]] = []
-        for r, rows in enumerate(row_sections):
-            row_arrays = []
-            for c, cols in enumerate(col_sections):
-                index = r * len(col_sections) + c
-                row_arrays.append(
-                    CrossbarArray.from_conductances(
-                        programmed.g_plus[np.ix_(rows, cols)],
-                        programmed.g_minus[np.ix_(rows, cols)],
-                        mapping=shard_mapping,
-                        nonidealities=nonidealities,
-                        reference_weights=weights[np.ix_(rows, cols)],
-                        random_state=shard_rngs[index],
-                        **self._engine_opts,
-                    )
-                )
-            self.shards.append(row_arrays)
-        # No monolithic array exists for this layer; CrossbarTile methods that
-        # would touch one are all overridden below.
-        self.array = None
-
-    # ----------------------------------------------------------- properties
-
-    @property
-    def sharding(self) -> ShardingSpec:
-        return self._sharding
-
-    @property
-    def n_physical_tiles(self) -> int:
-        return self._sharding.n_shards
-
-    @property
-    def shard_shapes(self) -> List[Tuple[int, int]]:
-        return [array.shape for row in self.shards for array in row]
-
-    @property
-    def physical_arrays(self) -> List[CrossbarArray]:
-        return [array for row in self.shards for array in row]
-
-    def shard_programs(self) -> List[ShardProgram]:
-        """Picklable snapshots of every shard, row-major order (cached).
-
-        The conductance matrices are static after programming, so the
-        snapshots are built once on first use.  Each program carries the
-        shard's own host-derived integer seed — the exact value its live
-        generator was started from — which keeps the seeded noise path
-        bit-identical no matter which address space executes the kernel.
-        """
-        if self._shard_programs is None:
-            self._shard_programs = [
-                ShardProgram.from_array(array, seed=seed)
-                for array, seed in zip(self.physical_arrays, self._shard_seeds)
-            ]
-        return self._shard_programs
-
-    @property
-    def column_conductance_sums(self) -> np.ndarray:
-        """Full-layer column sums reassembled from the shard grid."""
-        columns = []
-        for c in range(len(self._col_sections)):
-            sums = self.shards[0][c].column_conductance_sums
-            for r in range(1, len(self._row_sections)):
-                sums = sums + self.shards[r][c].column_conductance_sums
-            columns.append(sums)
-        sums = np.concatenate(columns)
-        if self._has_bias_column:
-            return sums[:-1]
-        return sums
-
-    @property
-    def n_array_operations(self) -> int:
-        return sum(array.n_operations for row in self.shards for array in row)
-
-    @property
-    def n_array_realizations(self) -> int:
-        """Summed physical conductance reads across all shards."""
-        return sum(array.n_realizations for row in self.shards for array in row)
-
-    def reset_operation_counters(self) -> None:
-        for row in self.shards:
-            for array in row:
-                array.reset_counters()
-
-    # -------------------------------------------------------------- compute
-
-    def _split_columns(self, voltages: np.ndarray) -> List[np.ndarray]:
-        if len(self._col_slices) == 1:
-            return [voltages]
-        return [voltages[:, cols] for cols in self._col_slices]
-
-    def _map_shards(
-        self, kernel, voltage_slices: Sequence[np.ndarray], sample_seeds=None
-    ) -> List[List]:
-        """Apply ``kernel(array, voltages, sample_seeds)`` to every shard.
-
-        Returns results as a ``[row][col]`` grid.  With a runner attached the
-        kernels execute on its pool: thread mode maps the host objects
-        directly (shared address space), process mode ships self-contained
-        :class:`~repro.crossbar.shard.ShardProgram` jobs instead (see
-        :meth:`_offload_shards`).  Results are collected in shard order
-        either way, so the grid is independent of the execution schedule.
-        The per-row ``sample_seeds`` are shared by every shard — each shard
-        derives its own noise streams from them via its distinct
-        :attr:`CrossbarArray.noise_tag`.
-        """
-        n_rows = len(self._row_sections)
-        n_cols = len(self._col_sections)
-        if self._runner is not None and getattr(self._runner, "mode", None) == "process":
-            flat = self._offload_shards(kernel, voltage_slices, sample_seeds)
-        else:
-            jobs = [
-                (self.shards[r][c], voltage_slices[c], sample_seeds)
-                for r in range(n_rows)
-                for c in range(n_cols)
-            ]
-            if self._runner is None:
-                flat = [
-                    kernel(array, voltages, seeds) for array, voltages, seeds in jobs
-                ]
-            else:
-                flat = self._runner.map(kernel, jobs)
-        return [flat[r * n_cols : (r + 1) * n_cols] for r in range(n_rows)]
-
-    def _offload_shards(
-        self, kernel, voltage_slices: Sequence[np.ndarray], sample_seeds
-    ) -> List:
-        """Execute the shard grid as picklable programs on a process pool.
-
-        Each job carries the shard's :class:`ShardProgram` rather than the
-        live array, so workers need nothing from this address space.  Seeded
-        and deterministic calls are pure functions of the job — bitwise
-        identical to host execution.  An unseeded *stochastic* call needs
-        fresh noise: the dispatcher draws a per-call ``rng_seed`` from the
-        host shard's own generator, keeping all RNG statefulness host-side
-        (statistically fresh draws, exactly one host draw per traversal).
-        Host operation counters advance here too — workers are stateless and
-        the counters describe the physical array, wherever the kernel ran.
-        """
-        program_kernel = _PROGRAM_KERNELS[kernel]
-        programs = self.shard_programs()
-        n_cols = len(self._col_sections)
-        jobs = []
-        for index, (program, array) in enumerate(
-            zip(programs, self.physical_arrays)
-        ):
-            voltages = voltage_slices[index % n_cols]
-            rng_seed = None
-            if sample_seeds is None and not program.is_deterministic:
-                rng_seed = int(array._rng.integers(0, 2**63 - 1))
-            realizations = (
-                voltages.shape[0]
-                if sample_seeds is not None and array.device.read_noise > 0
-                else 1
-            )
-            array.record_offloaded_traversal(realizations=realizations)
-            jobs.append((program, voltages, sample_seeds, rng_seed))
-        return self._runner.map(program_kernel, jobs)
-
-    def _reduce_rows(self, grid: List[List[np.ndarray]]) -> np.ndarray:
-        """Reduce column-shard partials per row shard, concatenate row outputs."""
-        reduced = [
-            reduce_partial_sums(row, self._sharding.reduction) for row in grid
-        ]
-        return np.concatenate([np.atleast_2d(block) for block in reduced], axis=1)
-
-    def pre_activation_batch(
-        self, batch: np.ndarray, *, sample_seeds=None
-    ) -> np.ndarray:
-        voltages = self._line_voltages(batch)
-        grid = self._map_shards(
-            _shard_matvec, self._split_columns(voltages), sample_seeds
-        )
-        return self._to_logical(self._reduce_rows(grid))
-
-    def forward_with_power_shards(
-        self, batch: np.ndarray, *, sample_seeds=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused outputs + per-shard currents, one traversal per shard.
-
-        Returns ``(outputs (B, n_outputs), shard_currents (B, n_shards))``
-        with current columns in row-major shard order; every shard's output
-        and current come from the same conductance realization.
-        """
-        voltages = self._line_voltages(batch)
-        grid = self._map_shards(
-            _shard_matvec_with_current, self._split_columns(voltages), sample_seeds
-        )
-        outputs = self._reduce_rows(
-            [[pair[0] for pair in row] for row in grid]
-        )
-        shard_currents = np.stack(
-            [np.atleast_1d(pair[1]) for row in grid for pair in row], axis=1
-        )
-        outputs = self.activation.forward(self._to_logical(outputs))
-        return outputs, shard_currents
-
-    def reduce_shard_currents(self, shard_currents: np.ndarray) -> np.ndarray:
-        """Layer total current: partial-sum reduction over the shard columns."""
-        columns = [shard_currents[:, k] for k in range(shard_currents.shape[1])]
-        return reduce_partial_sums(columns, self._sharding.reduction)
-
-    def forward_with_power_batch(
-        self, batch: np.ndarray, *, sample_seeds=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        outputs, shard_currents = self.forward_with_power_shards(
-            batch, sample_seeds=sample_seeds
-        )
-        return outputs, self.reduce_shard_currents(shard_currents)
-
-    def total_current(self, inputs: np.ndarray, *, sample_seeds=None) -> np.ndarray:
-        """Summed power side channel across all shard rails.
+        """The tile's power side channel for each input (Eq. 5).
 
         Each shard's rail is measured independently (per-shard measurement
         noise); the observable is the reduction of the per-shard currents.
         """
         single = np.asarray(inputs).ndim == 1
-        voltages = self._line_voltages(inputs)
-        grid = self._map_shards(
-            _shard_total_current, self._split_columns(voltages), sample_seeds
-        )
-        partials = [np.atleast_1d(value) for row in grid for value in row]
-        currents = reduce_partial_sums(partials, self._sharding.reduction)
+        _, shard_currents = self._traverse(inputs, sample_seeds)
+        currents = self.reduce_shard_currents(shard_currents)
         return float(currents[0]) if single else currents
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardedTileGroup(n_inputs={self.n_inputs}, n_outputs={self.n_outputs}, "
-            f"grid={self._sharding.row_shards}x{self._sharding.col_shards}, "
-            f"reduction={self._sharding.reduction!r})"
+            f"CrossbarTile(n_inputs={self.n_inputs}, n_outputs={self.n_outputs}, "
+            f"activation={self.activation.name!r}, "
+            f"grid={self.sharding.row_shards}x{self.sharding.col_shards})"
         )
-
-
-def build_tile(
-    layer: Dense,
-    *,
-    sharding: Optional[ShardingSpec] = None,
-    mapping: Optional[ConductanceMapping] = None,
-    nonidealities: Optional[NonidealityConfig] = None,
-    dac: Optional[DAC] = None,
-    adc: Optional[ADC] = None,
-    runner=None,
-    random_state: RandomState = None,
-    backend=None,
-    dtype="float64",
-    batch_invariant: bool = False,
-) -> CrossbarTile:
-    """Place one layer on hardware: a single tile, or a sharded tile group.
-
-    ``sharding=None`` (or a trivial 1x1 spec) builds a plain
-    :class:`CrossbarTile` with construction byte-identical to the historical
-    path; anything else builds a :class:`ShardedTileGroup`.
-    """
-    if sharding is None or sharding.is_trivial:
-        return CrossbarTile(
-            layer,
-            mapping=mapping,
-            nonidealities=nonidealities,
-            dac=dac,
-            adc=adc,
-            random_state=random_state,
-            backend=backend,
-            dtype=dtype,
-            batch_invariant=batch_invariant,
-        )
-    return ShardedTileGroup(
-        layer,
-        sharding,
-        mapping=mapping,
-        nonidealities=nonidealities,
-        dac=dac,
-        adc=adc,
-        runner=runner,
-        random_state=random_state,
-        backend=backend,
-        dtype=dtype,
-        batch_invariant=batch_invariant,
-    )

@@ -44,12 +44,6 @@ class TestIdealBehaviour:
         array = CrossbarArray(weights, random_state=0)
         np.testing.assert_allclose(array.effective_weights, weights, atol=1e-12)
 
-    def test_static_power_quadratic_in_voltage(self, rng):
-        weights = np.abs(rng.normal(size=(3, 4)))
-        array = CrossbarArray(weights, random_state=0)
-        u = rng.uniform(0, 1, size=4)
-        assert array.static_power(2 * u) == pytest.approx(4 * array.static_power(u))
-
     def test_wrong_input_size_raises(self, rng):
         array = CrossbarArray(rng.normal(size=(3, 4)), random_state=0)
         with pytest.raises(ValueError):
@@ -140,3 +134,42 @@ class TestNonidealities:
     def test_is_ideal_flag(self):
         assert NonidealityConfig().is_ideal
         assert not NonidealityConfig(wire_resistance=1.0).is_ideal
+
+
+NOISY = IDEAL_DEVICE.with_noise(read_noise=0.05)
+
+
+class TestSingleTraversal:
+    """matvec / total_current / matvec_with_current are views of one traversal."""
+
+    @pytest.mark.parametrize(
+        "device, config",
+        [
+            (IDEAL_DEVICE, NonidealityConfig()),
+            (NOISY, NonidealityConfig()),
+            (NOISY, NonidealityConfig(wire_resistance=0.5)),
+            (NOISY, NonidealityConfig(wire_resistance_ohm=1e-3)),
+            (NOISY, NonidealityConfig(current_measurement_noise=0.05)),
+        ],
+        ids=["ideal", "read-noise", "ir-drop", "wire-droop", "rail-noise"],
+    )
+    def test_seeded_views_agree_row_by_row(self, device, config, rng):
+        array = CrossbarArray(
+            rng.normal(size=(5, 9)),
+            mapping=ConductanceMapping(device=device),
+            nonidealities=config,
+            random_state=0,
+        )
+        batch = rng.uniform(0, 1, size=(4, 9))
+        seeds = np.arange(10, 14, dtype=np.uint64)
+        outputs, totals = array.matvec_with_current(batch, sample_seeds=seeds)
+        np.testing.assert_array_equal(array.matvec(batch, sample_seeds=seeds), outputs)
+        np.testing.assert_array_equal(
+            array.total_current(batch, sample_seeds=seeds), totals
+        )
+        for i in range(len(batch)):
+            row_out, row_total = array.matvec_with_current(
+                batch[i], sample_seeds=seeds[i : i + 1]
+            )
+            np.testing.assert_array_equal(row_out, outputs[i])
+            assert row_total == totals[i]

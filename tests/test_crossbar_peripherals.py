@@ -68,18 +68,6 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             model.report(np.array([1.0, 2.0]), [np.array([1.0])])
 
-    def test_combine_sums_currents(self):
-        model = PowerModel()
-        a = model.report(np.array([1.0, 2.0]))
-        b = model.report(np.array([0.5, 0.5]))
-        combined = model.combine([a, b])
-        np.testing.assert_allclose(combined.total_current, [1.5, 2.5])
-        assert combined.n_tiles == 2
-
-    def test_combine_empty_raises(self):
-        with pytest.raises(ValueError):
-            PowerModel().combine([])
-
     def test_mean_power_and_total_energy(self):
         report = PowerModel(supply_voltage=1.0, integration_time=2.0).report(
             np.array([1.0, 3.0])

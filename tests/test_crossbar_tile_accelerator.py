@@ -32,7 +32,7 @@ class TestCrossbarTile:
         layer = Dense(5, 3, activation="linear", use_bias=True, random_state=0)
         layer.set_weights(rng.normal(size=(3, 5)), bias=rng.normal(size=3))
         tile = CrossbarTile(layer, random_state=0)
-        assert tile.array.n_columns == 6
+        assert tile.physical_arrays[0].n_columns == 6
         inputs = rng.uniform(0, 1, size=(4, 5))
         np.testing.assert_allclose(tile.forward(inputs), layer.forward(inputs), atol=1e-10)
 
@@ -64,7 +64,7 @@ class TestCrossbarTile:
     def test_adc_applied_to_output(self, rng):
         layer = Dense(6, 3, activation="linear", random_state=0)
         tile = CrossbarTile(layer, adc=ADC(n_bits=2, current_range=(-1, 1)), random_state=0)
-        out = tile.pre_activation(rng.uniform(0, 1, size=(4, 6)))
+        out = tile.forward(rng.uniform(0, 1, size=(4, 6)))
         assert np.isfinite(out).all()
 
     def test_wrong_input_dimension(self, rng):
@@ -139,5 +139,6 @@ class TestCrossbarAccelerator:
         probes = np.eye(n_features)
         currents = balanced.total_current(probes)
         norms = weight_column_norms(trained_linear.weights)
-        correlation = abs(np.corrcoef(currents, norms)[0, 1])
-        assert currents.std() / currents.mean() < 1e-6 or correlation < 0.2
+        # A constant current vector leaks nothing (and has no correlation).
+        flat = currents.std() / currents.mean() < 1e-6
+        assert flat or abs(np.corrcoef(currents, norms)[0, 1]) < 0.2

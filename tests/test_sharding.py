@@ -10,10 +10,8 @@ float-reduction precision (1e-10), since a partial-sum reduction legitimately
 reassociates additions.
 """
 
-import dataclasses
 import importlib.util
 import json
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -25,25 +23,20 @@ from repro.attacks.oracle import Oracle
 from repro.crossbar import (
     CrossbarAccelerator,
     CrossbarTile,
-    NonPicklableShardError,
-    ShardProgram,
-    ShardedTileGroup,
     ShardingSpec,
-    build_tile,
     reduce_partial_sums,
-    run_shard,
 )
 from repro.crossbar.devices import IDEAL_DEVICE
 from repro.crossbar.mapping import ConductanceMapping
 from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.power import layer_rail_grid, parse_tile_label
-from repro.experiments.runner import ParallelRunner
 from repro.experiments.scenario import SCENARIOS, ScenarioSpec, get_scenario
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.sidechannel import PerShardProber
 from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
+from repro.utils.rng import derive_request_seeds
 
 pytestmark = pytest.mark.sharding
 
@@ -190,7 +183,7 @@ class TestBitIdentity:
     def test_column_conductance_sums_reassembled(self, rng):
         layer = Dense(13, 7, activation="linear", use_bias=True, random_state=0)
         single = CrossbarTile(layer, random_state=0)
-        group = ShardedTileGroup(layer, ShardingSpec.grid(3, 2), random_state=0)
+        group = CrossbarTile(layer, sharding=ShardingSpec.grid(3, 2), random_state=0)
         # Same seed => same programming pass => identical devices, so the
         # reassembled column sums are bitwise equal (pure row-sum splits).
         assert group.column_conductance_sums.shape == (13,)
@@ -305,30 +298,8 @@ class TestShardedPowerAccounting:
 
 
 class TestShardRunners:
-    def test_thread_runner_bit_identical_to_serial(self, rng):
-        layer = Dense(13, 7, activation="softmax", use_bias=True, random_state=0)
-        layer.set_weights(rng.normal(size=(7, 13)), bias=rng.normal(size=7))
-        network = Sequential([layer])
-        inputs = rng.uniform(0, 1, size=(8, 13))
-        serial = CrossbarAccelerator(
-            network, sharding=ShardingSpec.grid(2, 2), random_state=0
-        )
-        threaded = CrossbarAccelerator(
-            network,
-            sharding=ShardingSpec.grid(2, 2),
-            shard_runner=ParallelRunner(mode="thread", max_workers=4),
-            random_state=0,
-        )
-        out_serial, report_serial = serial.forward_with_power(inputs)
-        out_threaded, report_threaded = threaded.forward_with_power(inputs)
-        np.testing.assert_array_equal(out_threaded, out_serial)
-        np.testing.assert_array_equal(
-            report_threaded.per_tile_current, report_serial.per_tile_current
-        )
-
-    #: Serial/thread/process must agree bitwise for every registered preset
-    #: geometry *and* non-divisible shapes (the shard-program determinism
-    #: contract: ideal devices make the kernels pure functions).
+    #: Every registered preset geometry *and* non-divisible shapes; shards
+    #: run serially, and the wire-resistance gating tests sweep this matrix.
     PRESET_AND_UNEVEN = [
         ShardingSpec.rows(2),       # sharded-rows-2
         ShardingSpec.columns(4),    # sharded-columns-4
@@ -343,119 +314,41 @@ class TestShardRunners:
         PRESET_AND_UNEVEN,
         ids=lambda s: f"{s.row_shards}x{s.col_shards}-{s.reduction}",
     )
-    def test_process_runner_bit_identical_to_serial(self, spec, rng):
-        """Process-mode shard execution is now legal — and bit-identical."""
-        network = dyadic_network(rng)
-        inputs = dyadic_inputs(rng, 6)
-        serial = CrossbarAccelerator(network, sharding=spec, random_state=0)
-        process = CrossbarAccelerator(
-            network,
-            sharding=spec,
-            shard_runner=ParallelRunner(mode="process", max_workers=2),
-            random_state=0,
-        )
-        out_serial, report_serial = serial.forward_with_power(inputs)
-        out_process, report_process = process.forward_with_power(inputs)
-        np.testing.assert_array_equal(out_process, out_serial)
-        np.testing.assert_array_equal(
-            report_process.per_tile_current, report_serial.per_tile_current
-        )
-        np.testing.assert_array_equal(
-            process.total_current(inputs), serial.total_current(inputs)
-        )
+    def test_seeded_views_share_one_traversal(self, spec, rng):
+        """Outputs, shard rails and layer current are views of one pass.
 
-    def test_process_runner_counts_offloaded_operations(self, rng):
-        network = dyadic_network(rng)
-        accelerator = CrossbarAccelerator(
-            network,
-            sharding=ShardingSpec.grid(2, 2),
-            shard_runner=ParallelRunner(mode="process", max_workers=2),
-            random_state=0,
-        )
-        accelerator.reset_operation_counters()
-        accelerator.forward_with_power(dyadic_inputs(rng, 3))
-        assert accelerator.n_array_operations == 4
-
-    def test_non_picklable_backend_rejected_with_typed_error(self):
-        """A device-resident backend fails fast with NonPicklableShardError."""
-        layer = Dense(8, 4, random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        program = dataclasses.replace(
-            tile.shard_programs()[0], backend="cupy"
-        )
-        with pytest.raises(NonPicklableShardError, match="cupy"):
-            program.require_picklable()
-        assert issubclass(NonPicklableShardError, TypeError)
-
-    def test_capability_checked_at_group_construction(self, monkeypatch):
-        """The constructor probes the shard program, not the runner mode."""
-        layer = Dense(8, 4, random_state=0)
-        reference = CrossbarTile(layer, random_state=0).shard_programs()[0]
-        monkeypatch.setattr(
-            ShardedTileGroup,
-            "shard_programs",
-            lambda self: [dataclasses.replace(reference, backend="cupy")],
-        )
-        with pytest.raises(NonPicklableShardError, match="cupy"):
-            ShardedTileGroup(
-                layer,
-                ShardingSpec.grid(2, 2),
-                runner=ParallelRunner(mode="process"),
-                random_state=0,
-            )
-
-
-class TestShardPrograms:
-    """The frozen shard snapshot: construction, pickling, kernel parity."""
-
-    def test_pickle_round_trip_runs_identically(self, rng):
-        layer = Dense(13, 7, activation="linear", use_bias=True, random_state=0)
+        With per-row seeds every stochastic draw (read noise, rail noise) is
+        keyed on the row, so the separate views must agree bitwise with the
+        fused one, and each row must equal the same row traversed alone.
+        """
+        layer = Dense(13, 7, activation="softmax", use_bias=True, random_state=0)
         layer.set_weights(rng.normal(size=(7, 13)), bias=rng.normal(size=7))
-        tile = CrossbarTile(layer, random_state=0)
-        program = tile.shard_programs()[0]
-        program.require_picklable()  # must not raise for host numpy state
-        restored = pickle.loads(pickle.dumps(program))
-        voltages = rng.uniform(0, 1, size=(5, 14))  # physical width incl. bias
-        out_a, cur_a = run_shard(program, voltages)
-        out_b, cur_b = run_shard(restored, voltages)
-        np.testing.assert_array_equal(out_a, out_b)
-        np.testing.assert_array_equal(cur_a, cur_b)
-
-    def test_program_matches_host_array(self, rng):
-        layer = Dense(12, 6, activation="linear", random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        program = tile.shard_programs()[0]
-        voltages = rng.uniform(0, 1, size=(4, 12))
-        out_kernel, cur_kernel = run_shard(program, voltages)
-        np.testing.assert_array_equal(out_kernel, tile.array.matvec(voltages))
-        np.testing.assert_array_equal(cur_kernel, tile.array.total_current(voltages))
-
-    def test_conductances_are_frozen_copies(self, rng):
-        layer = Dense(8, 4, random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        program = tile.shard_programs()[0]
-        assert not program.g_plus.flags.writeable
-        assert not program.g_minus.flags.writeable
-        with pytest.raises(ValueError):
-            program.g_plus[0, 0] = 1.0
-
-    def test_mapping_without_weight_scale_rejected(self):
-        with pytest.raises(ValueError, match="weight_scale"):
-            ShardProgram(
-                g_plus=np.zeros((2, 2)),
-                g_minus=np.zeros((2, 2)),
-                mapping=ConductanceMapping(),
-            )
-
-    def test_sharded_group_exposes_one_program_per_shard(self, rng):
-        layer = Dense(12, 6, activation="linear", random_state=0)
-        group = ShardedTileGroup(layer, ShardingSpec.grid(2, 3), random_state=0)
-        programs = group.shard_programs()
-        assert len(programs) == 6
-        for program, array in zip(programs, group.physical_arrays):
-            np.testing.assert_array_equal(program.g_plus, array.g_plus)
-            np.testing.assert_array_equal(program.g_minus, array.g_minus)
-            assert program.is_deterministic
+        tile = CrossbarTile(
+            layer,
+            sharding=spec,
+            mapping=ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=0.05)),
+            nonidealities=NonidealityConfig(current_measurement_noise=0.05),
+            random_state=0,
+        )
+        inputs = rng.uniform(0, 1, size=(6, 13))
+        seeds = derive_request_seeds(0, 0, 6)
+        outputs, shard_currents = tile.forward_with_power_shards(
+            inputs, sample_seeds=seeds
+        )
+        assert len(shard_currents) == tile.n_physical_tiles
+        np.testing.assert_array_equal(
+            tile.forward_batch(inputs, sample_seeds=seeds), outputs
+        )
+        np.testing.assert_array_equal(
+            tile.total_current(inputs, sample_seeds=seeds),
+            tile.reduce_shard_currents(shard_currents),
+        )
+        row_out, row_currents = tile.forward_with_power_shards(
+            inputs[2:3], sample_seeds=seeds[2:3]
+        )
+        np.testing.assert_array_equal(row_out[0], outputs[2])
+        for alone, batched in zip(row_currents, shard_currents):
+            assert alone[0] == batched[2]
 
 
 class TestAcceleratorShardingArgument:
@@ -466,8 +359,10 @@ class TestAcceleratorShardingArgument:
         accelerator = CrossbarAccelerator(
             network, sharding=[ShardingSpec.grid(2, 2), None], random_state=0
         )
-        assert isinstance(accelerator.tiles[0], ShardedTileGroup)
-        assert type(accelerator.tiles[1]) is CrossbarTile
+        assert accelerator.tiles[0].sharding == ShardingSpec.grid(2, 2)
+        assert accelerator.tiles[0].shard_shapes == [(4, 6)] * 4
+        assert accelerator.tiles[1].sharding.is_trivial
+        assert accelerator.tiles[1].shard_shapes == [(3, 8)]
         assert accelerator.n_tiles == 2
         assert accelerator.n_physical_tiles == 5
         assert accelerator.tile_labels == (
@@ -487,13 +382,20 @@ class TestAcceleratorShardingArgument:
     def test_trivial_spec_builds_plain_tiles(self):
         network = Sequential([Dense(8, 4, random_state=0)])
         accelerator = CrossbarAccelerator(network, sharding=ShardingSpec(), random_state=0)
-        assert type(accelerator.tiles[0]) is CrossbarTile
+        tile = accelerator.tiles[0]
+        assert tile.sharding.is_trivial
+        assert tile.n_physical_tiles == 1
+        assert tile.shard_shapes == [(4, 8)]
 
-    def test_build_tile_factory(self):
+    def test_tile_geometry(self):
         layer = Dense(8, 4, random_state=0)
-        assert type(build_tile(layer, random_state=0)) is CrossbarTile
-        group = build_tile(layer, sharding=ShardingSpec.rows(2), random_state=0)
-        assert isinstance(group, ShardedTileGroup)
+        tile = CrossbarTile(layer, random_state=0)
+        assert tile.sharding.is_trivial
+        assert tile.n_physical_tiles == 1
+        assert tile.shard_shapes == [(4, 8)]
+        group = CrossbarTile(layer, sharding=ShardingSpec.rows(2), random_state=0)
+        assert group.sharding == ShardingSpec.rows(2)
+        assert group.n_physical_tiles == 2
         assert group.shard_shapes == [(2, 8), (2, 8)]
 
 
@@ -754,7 +656,7 @@ class TestShardedScenarios:
     def test_build_accelerator_applies_sharding(self, trained_softmax):
         spec = SCENARIOS["sharded-2x2"]
         accelerator = spec.build_accelerator(trained_softmax, random_state=0)
-        assert all(isinstance(tile, ShardedTileGroup) for tile in accelerator.tiles)
+        assert all(tile.sharding == ShardingSpec.grid(2, 2) for tile in accelerator.tiles)
         assert accelerator.n_physical_tiles == 4 * accelerator.n_tiles
 
     @pytest.mark.experiments
@@ -804,13 +706,6 @@ class TestRegressionScriptFlags:
                 "geometries": [
                     {"geometry": "grid-2x2", "single_s": 1.0, "sharded_s": 1.1, "ratio": 1.1}
                 ],
-                "process_parallel": {
-                    "geometry": "rows-4",
-                    "serial_s": 1.0,
-                    "process_s": 2.0,
-                    "speedup": 0.5,
-                    "outputs_identical": True,
-                },
             },
         }
 
@@ -822,27 +717,17 @@ class TestRegressionScriptFlags:
         failures = check.check_results(results)
         assert failures and any("sharded forward" in f for f in failures)
 
-    def test_shard_speedup_gate_fails_below_floor(self):
+    def test_legacy_process_parallel_entry_ignored(self):
+        """Records written before the shard-runner removal still pass."""
         check = self._load_script()
         results = self._passing_results()
-        results["bench_sharding"]["process_parallel"]["speedup"] = 0.01
-        failures = check.check_results(results)
-        assert failures and any("retains only" in f for f in failures)
-        # the floor is overridable (and relaxed by tolerance)
-        assert check.check_results(results, min_shard_speedup=0.005) == []
-
-    def test_shard_identity_gate(self):
-        check = self._load_script()
-        results = self._passing_results()
-        results["bench_sharding"]["process_parallel"]["outputs_identical"] = False
-        failures = check.check_results(results)
-        assert any("bit-identical" in f for f in failures)
-
-    def test_process_parallel_entry_optional(self):
-        """Legacy records without the entry must still pass (absent = unchecked)."""
-        check = self._load_script()
-        results = self._passing_results()
-        del results["bench_sharding"]["process_parallel"]
+        results["bench_sharding"]["process_parallel"] = {
+            "geometry": "rows-4",
+            "serial_s": 1.0,
+            "process_s": 10.0,
+            "speedup": 0.1,
+            "outputs_identical": True,
+        }
         assert check.check_results(results) == []
 
     def test_tolerance_relaxes_thresholds(self):

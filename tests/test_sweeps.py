@@ -90,10 +90,10 @@ class TestKnobResolution:
         assert noisy.device_read_noise == 0.2
         network = Sequential([Dense(6, 3, random_state=0)])
         accelerator = noisy.build_accelerator(network, random_state=0)
-        assert accelerator.tiles[0].array.device.read_noise == 0.2
+        assert accelerator.tiles[0].physical_arrays[0].device.read_noise == 0.2
         # the untouched base still maps onto the ideal noise-free device
         ideal = base.build_accelerator(network, random_state=0)
-        assert ideal.tiles[0].array.device.read_noise == 0.0
+        assert ideal.tiles[0].physical_arrays[0].device.read_noise == 0.0
 
     def test_apply_knob_non_dataclass_container_rejected(self):
         base = get_scenario("paper/mnist-softmax")
