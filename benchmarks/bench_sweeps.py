@@ -7,6 +7,10 @@ not degrade as the attacker's acquisition ADC gains bits, and the most
 faithful setting must leak strictly more than the most degraded one), and
 records curve + wall times into ``BENCH_engine.json`` under ``bench_sweeps``
 so ``scripts/check_bench_regression.py`` can gate on them across PRs.
+
+The serial run also counts its victim trainings (``prepare_model`` calls)
+against the distinct victims its jobs need (``ScenarioSpec.victim_key``);
+the gate fails when a victim was trained more than once.
 """
 
 import sys
@@ -18,7 +22,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_engine
 
-from repro.experiments import ParallelRunner, get_experiment
+from repro.experiments import ParallelRunner, get_experiment, resolve_scale
+from repro.experiments import runner as experiment_runner
 
 SWEEP_NAME = "sweep-adc-bits"
 
@@ -53,10 +58,36 @@ def monotone_ok(leakage_curve, *, tolerance=MONOTONE_TOLERANCE, min_rise=MIN_CUR
     return steps_ok and bool(curve[-1] - curve[0] >= min_rise)
 
 
+def _count_trainings(fn):
+    """``(fn(), prepare_model calls during it)``, starting from an empty memo."""
+    original = experiment_runner.prepare_model
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    experiment_runner.clear_victim_memo()
+    experiment_runner.prepare_model = counted
+    try:
+        return fn(), len(calls)
+    finally:
+        experiment_runner.prepare_model = original
+
+
+def _distinct_victims() -> int:
+    """Victims the jobs of :func:`_run` need, one per distinct victim key."""
+    experiment = get_experiment(SWEEP_NAME)
+    jobs = experiment.build_jobs(
+        resolve_scale("smoke"), [experiment.spec.base], base_seed=0
+    )
+    return len({job.scenario.victim_key(job.scale, job.seed) for job in jobs})
+
+
 def test_sweep_curve_and_parallel_identity(single_round, benchmark):
     """Smoke-scale knob sweep: sane leakage curve, serial vs process identical."""
     start = time.perf_counter()
-    serial = single_round(_run)
+    serial, victim_trainings = _count_trainings(lambda: single_round(_run))
     serial_s = time.perf_counter() - start
 
     runner = ParallelRunner(mode="process")
@@ -67,6 +98,7 @@ def test_sweep_curve_and_parallel_identity(single_round, benchmark):
     identical = _results_identical(serial, parallel)
     entry = serial.summary["curves"][0]
     curve_ok = monotone_ok(entry["leakage_mean"])
+    entry_victims = _distinct_victims()
     bench_engine.record_timings(
         "bench_sweeps",
         {
@@ -80,6 +112,8 @@ def test_sweep_curve_and_parallel_identity(single_round, benchmark):
             "serial_s": serial_s,
             "process_s": parallel_s,
             "results_identical": identical,
+            "victim_trainings": victim_trainings,
+            "distinct_victims": entry_victims,
         },
     )
     benchmark.extra_info["n_jobs"] = len(serial.sweep)
@@ -89,6 +123,10 @@ def test_sweep_curve_and_parallel_identity(single_round, benchmark):
         round(v, 3) for v in entry["leakage_mean"]
     ]
 
+    assert victim_trainings <= entry_victims, (
+        f"serial sweep trained {victim_trainings} victims for "
+        f"{entry_victims} distinct ones"
+    )
     assert identical, "process-pool results diverged from the serial path"
     assert curve_ok, (
         f"leakage curve is not monotonicity-sane: {entry['leakage_mean']} "

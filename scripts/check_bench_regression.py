@@ -50,8 +50,11 @@ Gated sections:
   throughput for every recorded geometry.
 * ``bench_sweeps`` — the scenario-sweep subsystem: the process-pool sweep
   must be bit-identical to the serial sweep, both wall times must be
-  recorded, and the recorded leakage curve must be monotonicity-sane
-  (leakage rises with acquisition fidelity).
+  recorded, the recorded leakage curve must be monotonicity-sane
+  (leakage rises with acquisition fidelity), and the serial run must have
+  trained each victim once: ``victim_trainings`` may not exceed
+  ``distinct_victims`` (an exact count from the victim memo, not a timing
+  floor).
 * ``bench_service`` — the async coalescing query service: serviced responses
   must have been verified bit-identical to direct seeded queries, and the
   best throughput at offered concurrency >= 8 must beat the
@@ -342,6 +345,15 @@ def _check_sweeps_section(results: dict) -> list[str]:
         failures.append(
             "bench_sweeps: process-pool results were not bit-identical "
             "to the serial sweep"
+        )
+    trainings = payload.get("victim_trainings")
+    victims = payload.get("distinct_victims")
+    if not isinstance(trainings, int) or not isinstance(victims, int):
+        failures.append("bench_sweeps recorded no victim_trainings/distinct_victims counts")
+    elif trainings > victims:
+        failures.append(
+            f"bench_sweeps: the serial sweep trained {trainings} victims for "
+            f"{victims} distinct ones (each victim must be trained once)"
         )
     if not payload.get("leakage_curve"):
         failures.append("bench_sweeps recorded no leakage curve")

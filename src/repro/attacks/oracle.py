@@ -37,6 +37,7 @@ from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.datasets.transforms import one_hot
 from repro.nn.network import Sequential
 from repro.sidechannel.measurement import QueryBudgetExceeded
+from repro.utils.results import compact_repr
 from repro.utils.rng import RandomState, as_rng, sample_stream
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -46,7 +47,7 @@ _TOTAL_CHANNEL = 0
 _PER_TILE_CHANNEL = 1
 
 
-@dataclass
+@dataclass(repr=False)
 class OracleResponse:
     """What the oracle returned for a batch of queries.
 
@@ -79,6 +80,8 @@ class OracleResponse:
     output_mode: str
     per_tile_power: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
+
+    __repr__ = compact_repr
 
     @property
     def n_queries(self) -> int:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.results import compact_repr
 from repro.utils.validation import check_positive
 
 #: The accelerator's tile-label grammar: ``layer<i>`` for unsharded layers,
@@ -76,7 +77,7 @@ def layer_rail_grid(
     return (row_shards, col_shards), columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PowerReport:
     """Power-channel observations for a batch of inputs.
 
@@ -102,6 +103,8 @@ class PowerReport:
     energy: np.ndarray
     per_tile_current: np.ndarray
     tile_labels: Optional[Tuple[str, ...]] = None
+
+    __repr__ = compact_repr
 
     def __post_init__(self) -> None:
         for name in ("total_current", "power", "energy"):

@@ -18,8 +18,9 @@ protocol:
 :meth:`Experiment.run` is the shared template: build jobs, execute them
 through an :class:`~repro.executor.Executor` (serial, process pool, or the
 distributed work queue — bit-identical under every backend, because every
-job is seeded up front and results are assembled in submission order),
-assemble.
+job is seeded up front and results are assembled in job order),
+assemble.  Jobs reach the executor grouped by the victim they train, so the
+victim memo of :mod:`repro.experiments.runner` trains each victim once.
 """
 
 from __future__ import annotations
@@ -330,7 +331,16 @@ def execute_jobs(
     on_progress=None,
     cancel=None,
 ) -> List[RunResult]:
-    """Run every job through an :class:`~repro.executor.Executor`, in order.
+    """Run every job through an :class:`~repro.executor.Executor`.
+
+    The executor receives the jobs stably grouped by
+    :meth:`~repro.experiments.scenario.ScenarioSpec.victim_key` (first
+    appearance order), so consecutive jobs share one trained victim and the
+    one-entry victim memo of :mod:`repro.experiments.runner` trains each
+    victim once per process or thread.  The returned results are in the
+    order of ``jobs``.  Progress events count the same jobs and chunks in
+    the grouped order, and a work-queue journal fingerprints the grouped
+    grid.
 
     ``executor`` is an :class:`~repro.executor.Executor` instance, a name
     understood by :func:`~repro.executor.resolve_executor` (``"serial"``,
@@ -351,9 +361,29 @@ def execute_jobs(
 
     executor = coerce_executor(executor, runner, owner="execute_jobs()")
     executor = resolve_executor(executor)
-    return executor.submit_jobs(
-        jobs, run_job=run_job, on_progress=on_progress, cancel=cancel
+    order = victim_grouped_order(jobs)
+    grouped = executor.submit_jobs(
+        [jobs[index] for index in order],
+        run_job=run_job,
+        on_progress=on_progress,
+        cancel=cancel,
     )
+    results: List[RunResult] = [None] * len(jobs)
+    for index, result in zip(order, grouped):
+        results[index] = result
+    return results
+
+
+def victim_grouped_order(jobs: Sequence[Job]) -> List[int]:
+    """Indices of ``jobs`` stably grouped by the victim each one trains.
+
+    Groups appear in first-job order and keep job order inside.
+    """
+    groups: Dict[Tuple, List[int]] = {}
+    for index, job in enumerate(jobs):
+        key = job.scenario.victim_key(job.scale, job.seed)
+        groups.setdefault(key, []).append(index)
+    return [index for members in groups.values() for index in members]
 
 
 def group_results_by_scenario(

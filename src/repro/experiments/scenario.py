@@ -16,6 +16,7 @@ defence studies the ROADMAP calls for.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -327,13 +328,43 @@ class ScenarioSpec:
 
     # -------------------------------------------------------------- builders
 
+    def victim_key(self, scale: ExperimentScale, seed: int) -> Tuple:
+        """Everything the victim :meth:`build_victim` trains depends on.
+
+        Hardware, instrument and service knobs are absent: scenarios that
+        differ only in those share one trained victim.
+        """
+        return (
+            self.dataset,
+            self.activation,
+            self.defense,
+            self.defense_strength,
+            scale.n_train,
+            scale.n_test,
+            scale.train_epochs,
+            seed,
+        )
+
     def build_victim(self, dataset, scale: ExperimentScale, *, random_state: int):
         """Train the victim model this scenario prescribes.
 
         Returns a :class:`~repro.experiments.runner.TrainedModel`.  Training-
         time defences are applied here; hardware knobs only affect
-        :meth:`build_accelerator`.
+        :meth:`build_accelerator`.  When ``dataset`` is the thread's
+        memoised :func:`~repro.experiments.runner.prepare_dataset` result,
+        the last victim with the same :meth:`victim_key` is served instead
+        of retrained; its weights are read-only.
         """
+        from repro.experiments.runner import memoised_victim
+
+        seeded = isinstance(random_state, numbers.Integral)
+        return memoised_victim(
+            self.victim_key(scale, int(random_state)) if seeded else None,
+            dataset,
+            lambda: self._train_victim(dataset, scale, random_state=random_state),
+        )
+
+    def _train_victim(self, dataset, scale: ExperimentScale, *, random_state: int):
         from repro.experiments.runner import TrainedModel, prepare_model
 
         if self.defense == "norm-regularizer":

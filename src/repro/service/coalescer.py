@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.service.config import ServiceConfig
+from repro.utils.results import compact_repr
 from repro.utils.rng import derive_request_seeds, sample_stream
 
 #: Stream-path domain tag for the rail ledger's dummy-draw (noise-budget)
@@ -185,7 +186,7 @@ class ServiceStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TickTrace:
     """The physical rail observable of one dispatched tick.
 
@@ -231,6 +232,8 @@ class TickTrace:
     per_tile_power: Optional[np.ndarray] = None
     tile_labels: Optional[Tuple[str, ...]] = None
     bank: Optional[str] = None
+
+    __repr__ = compact_repr
 
     def visible_to(self, tenant: Optional[str]) -> bool:
         """Whether ``tenant``'s physical probe can observe this tick's rail."""

@@ -54,9 +54,10 @@ import numpy as np
 
 from repro.service.coalescer import QueryService, TickTrace
 from repro.sidechannel.estimators import estimate_column_sums_ridge
+from repro.utils.results import compact_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CoResidentTrace:
     """Everything the co-resident attacker recorded during one attack run.
 
@@ -76,6 +77,8 @@ class CoResidentTrace:
     ticks: Tuple[TickTrace, ...]
     rows_by_tick: Dict[int, np.ndarray]
     victim_rows_by_tick: Dict[int, int] = field(default_factory=dict)
+
+    __repr__ = compact_repr
 
     @property
     def n_mixed_ticks(self) -> int:

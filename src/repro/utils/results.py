@@ -7,7 +7,7 @@ serialisable to plain JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterator, List, Mapping
 
 import numpy as np
@@ -24,6 +24,28 @@ def _to_jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_to_jsonable(item) for item in value]
     return value
+
+
+def compact_repr(obj) -> str:
+    """A dataclass repr whose length does not grow with its payload.
+
+    Arrays show as dtype and shape, containers as type and length, anything
+    else as its own repr cut to 60 characters.  Array-carrying results use
+    it as ``__repr__``, so no logging, error or teardown path formats their
+    arrays (``asyncio.run``'s teardown formats a finished task's result).
+    """
+    parts = []
+    for spec_field in fields(obj):
+        value = getattr(obj, spec_field.name)
+        if isinstance(value, np.ndarray):
+            text = f"<{value.dtype} array {value.shape}>"
+        elif isinstance(value, (dict, list, tuple, set)):
+            text = f"<{type(value).__name__} of {len(value)}>"
+        else:
+            text = repr(value)
+            text = text if len(text) <= 60 else text[:57] + "..."
+        parts.append(f"{spec_field.name}={text}")
+    return f"{type(obj).__name__}({', '.join(parts)})"
 
 
 @dataclass

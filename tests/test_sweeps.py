@@ -465,6 +465,8 @@ class TestSweepRegressionGate:
                 "serial_s": 1.0,
                 "process_s": 0.6,
                 "results_identical": True,
+                "victim_trainings": 2,
+                "distinct_victims": 2,
             },
         }
 
@@ -494,6 +496,20 @@ class TestSweepRegressionGate:
         failures = check.check_results(results)
         assert any("serial_s" in f for f in failures)
         assert any("no leakage curve" in f for f in failures)
+
+    def test_retrained_victim_fails(self):
+        check = self._load_script()
+        results = self._passing_results()
+        results["bench_sweeps"]["victim_trainings"] = 3
+        failures = check.check_results(results)
+        assert any("trained 3 victims for 2 distinct" in f for f in failures)
+
+    def test_missing_training_counts_fail(self):
+        check = self._load_script()
+        results = self._passing_results()
+        del results["bench_sweeps"]["victim_trainings"]
+        failures = check.check_results(results)
+        assert any("victim_trainings" in f for f in failures)
 
     def test_section_optional(self):
         check = self._load_script()
