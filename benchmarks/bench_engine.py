@@ -16,13 +16,6 @@ hot path:
   the probe vectors themselves — this PR only folded the separate baseline
   query into the same call — so this comparison quantifies the value of
   batch submission as such, not a seed-vs-now delta.
-* **Compute backends** — one entry per backend available on this machine
-  (numpy always; torch/cupy when installed): the fused engine routed through
-  the :mod:`repro.backend` kernels vs :func:`reference_query`, a verbatim
-  re-implementation of the pre-backend host-numpy hot path.  The numpy
-  backend must show no regression versus those historical kernels
-  (``--min-backend-ratio`` in ``check_bench_regression.py``); absent
-  optional backends are recorded as skipped, never failed.
 
 Results are written to ``BENCH_engine.json`` at the repository root; other
 benchmarks (``bench_probing``, ``bench_figure5``) merge their before/after
@@ -31,14 +24,12 @@ timings into the same file via :func:`record_timings`, and
 below the legacy baseline.
 """
 
-import argparse
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend import BACKEND_NAMES, available_backends
 from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.attacks.oracle import Oracle
 from repro.nn.layers import Dense
@@ -55,16 +46,12 @@ DEFAULT_BATCH_SIZES = (1, 16, 128, 512)
 # --------------------------------------------------------------- construction
 
 
-def build_accelerator(
-    n_inputs=256, n_outputs=10, *, seed=0, backend=None, dtype="float64"
-):
+def build_accelerator(n_inputs=256, n_outputs=10, *, seed=0):
     """An ideal single-layer crossbar accelerator with random weights."""
     network = Sequential(
         [Dense(n_inputs, n_outputs, activation="softmax", random_state=seed)]
     )
-    return CrossbarAccelerator(
-        network, random_state=seed, backend=backend, dtype=dtype
-    )
+    return CrossbarAccelerator(network, random_state=seed)
 
 
 # ------------------------------------------------------------- legacy engine
@@ -108,61 +95,6 @@ def fused_query(accelerator, inputs):
     return np.atleast_2d(outputs), np.atleast_1d(report.total_current)
 
 
-def _reference_matvec_with_current(array, voltages):
-    """Verbatim pre-backend ``CrossbarArray.matvec_with_current`` (unseeded).
-
-    Same validation, same cached-state read, same operation counting, same
-    host BLAS products, same measurement-noise hook — only the backend
-    indirection is absent, so timing this against the live method isolates
-    exactly what the port added.
-    """
-    batch, single = array._validate_batch(voltages)
-    state = array._realize_state()
-    array._n_operations += 1
-    outputs = batch @ state.effective.T
-    totals = batch @ state.column_sums
-    noise = array.nonidealities.current_measurement_noise
-    if noise > 0:
-        totals = totals * (
-            1.0 + array._rng.normal(0.0, noise, size=totals.shape)
-        )
-    if single:
-        return outputs[0], float(totals[0])
-    return outputs, totals
-
-
-def reference_query(accelerator, inputs):
-    """The pre-backend fused engine, re-implemented verbatim on host numpy.
-
-    Replicates the full ``forward_with_power`` stack as it existed before
-    the pluggable-backend port — the accelerator batch handling, the
-    per-tile fused traversal (via :func:`_reference_matvec_with_current`),
-    the shard-current bookkeeping, and the power report — so timing it
-    against :func:`fused_query` measures the cost of routing the same
-    arithmetic through an :class:`~repro.backend.ArrayBackend` (and, for
-    optional backends, the benefit of running it elsewhere).  Only
-    single-array (unsharded) tiles are supported, matching the benchmark
-    accelerator.
-    """
-    activations, single = accelerator._as_batch(inputs)
-    per_tile_currents = []
-    layer_currents = []
-    for tile in accelerator.tiles:
-        voltages = tile._line_voltages(activations)
-        currents, totals = _reference_matvec_with_current(tile.physical_arrays[0], voltages)
-        activations = tile.activation.forward(tile._to_logical(currents))
-        shard_currents = np.atleast_1d(totals)[:, np.newaxis]
-        per_tile_currents.extend(
-            shard_currents[:, k] for k in range(shard_currents.shape[1])
-        )
-        layer_currents.append(shard_currents[:, 0])
-    total = np.sum(layer_currents, axis=0)
-    report = accelerator.power_model.report(
-        total, per_tile_currents, labels=accelerator.tile_labels
-    )
-    return np.atleast_2d(activations), np.atleast_1d(report.total_current)
-
-
 # ------------------------------------------------------------------- timing
 
 
@@ -173,23 +105,6 @@ def _best_time(fn, *args, repeats=5):
         start = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _best_loop_time(fn, *args, repeats=5, inner=1):
-    """Best-of-``repeats`` *per-call* time, averaging ``inner`` calls per shot.
-
-    The fused-vs-legacy comparisons measure multi-x structural speedups, so
-    single-shot best-of timing is fine; the per-backend rows gate ratios
-    within a few percent of 1.0, where scheduler jitter on one ~50us call
-    swamps the signal.  Looping amortises the jitter below the gate width.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn(*args)
-        best = min(best, (time.perf_counter() - start) / inner)
     return best
 
 
@@ -255,99 +170,6 @@ def run_probing_benchmark(accelerator, *, repeats=5, seed=0):
     }
 
 
-def run_backend_benchmark(
-    *,
-    n_inputs=256,
-    n_outputs=10,
-    batch_sizes=DEFAULT_BATCH_SIZES,
-    repeats=5,
-    seed=0,
-    backends=None,
-    dtype="float64",
-):
-    """One fused-vs-reference timing entry per available compute backend.
-
-    ``backends=None`` benchmarks everything importable on this machine
-    (numpy always); names absent from that probe are listed under
-    ``"skipped"`` so a machine without torch/cupy records a complete,
-    gate-passing result.  The numpy/float64 entry additionally *asserts*
-    bitwise equality between the backend-routed fused query and the
-    pre-backend host kernels — the port's no-regression contract.
-    """
-    names = tuple(backends) if backends else available_backends()
-    entries = []
-    for name in names:
-        accelerator = build_accelerator(
-            n_inputs, n_outputs, seed=seed, backend=name, dtype=dtype
-        )
-        rng = np.random.default_rng(seed)
-        rows = []
-        for batch_size in batch_sizes:
-            inputs = rng.uniform(0.0, 1.0, size=(batch_size, n_inputs))
-            fused_out, fused_power = fused_query(accelerator, inputs)
-            ref_out, ref_power = reference_query(accelerator, inputs)
-            if name == "numpy" and dtype == "float64":
-                np.testing.assert_array_equal(fused_out, ref_out)
-                np.testing.assert_array_equal(fused_power, ref_power)
-            else:
-                tol = 1e-4 if dtype == "float32" else 1e-9
-                np.testing.assert_allclose(fused_out, ref_out, rtol=tol, atol=tol)
-                np.testing.assert_allclose(
-                    fused_power, ref_power, rtol=tol, atol=tol
-                )
-            # Interleave the two paths' timing windows (looping inside each,
-            # alternating which goes first) so transient load and CPU
-            # frequency ramps hit both alike: the gated quantity is a ratio
-            # within a few percent of 1.0, far below what back-to-back
-            # single-shot windows can resolve.
-            inner = max(4, 512 // int(batch_size))
-            _best_loop_time(fused_query, accelerator, inputs, repeats=1, inner=inner)
-            _best_loop_time(
-                reference_query, accelerator, inputs, repeats=1, inner=inner
-            )
-            fused_s = reference_s = float("inf")
-            for repeat in range(repeats):
-                pair = [
-                    ("fused", fused_query),
-                    ("reference", reference_query),
-                ]
-                if repeat % 2:
-                    pair.reverse()
-                for kind, fn in pair:
-                    elapsed = _best_loop_time(
-                        fn, accelerator, inputs, repeats=1, inner=inner
-                    )
-                    if kind == "fused":
-                        fused_s = min(fused_s, elapsed)
-                    else:
-                        reference_s = min(reference_s, elapsed)
-            rows.append(
-                {
-                    "batch_size": int(batch_size),
-                    "fused_s": fused_s,
-                    "reference_s": reference_s,
-                    "speedup_vs_reference": reference_s / fused_s,
-                    "fused_queries_per_s": batch_size / fused_s,
-                }
-            )
-        entries.append(
-            {
-                "backend": str(name),
-                "device": accelerator.backend.device,
-                "dtype": str(dtype),
-                "rows": rows,
-                "peak_speedup_vs_reference": max(
-                    row["speedup_vs_reference"] for row in rows
-                ),
-            }
-        )
-    recorded = {entry["backend"] for entry in entries}
-    return {
-        "entries": entries,
-        "skipped": [n for n in BACKEND_NAMES if n not in recorded],
-    }
-
-
 def run_engine_benchmark(
     *,
     n_inputs=256,
@@ -355,8 +177,6 @@ def run_engine_benchmark(
     batch_sizes=DEFAULT_BATCH_SIZES,
     repeats=5,
     seed=0,
-    backends=None,
-    backend_dtype="float64",
 ):
     """Full engine benchmark; returns the structure stored in BENCH_engine.json."""
     accelerator = build_accelerator(n_inputs, n_outputs, seed=seed)
@@ -377,15 +197,6 @@ def run_engine_benchmark(
             accelerator, batch_sizes=batch_sizes, repeats=repeats, seed=seed
         ),
         "probing": run_probing_benchmark(accelerator, repeats=repeats, seed=seed),
-        "backends": run_backend_benchmark(
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            batch_sizes=batch_sizes,
-            repeats=repeats,
-            seed=seed,
-            backends=backends,
-            dtype=backend_dtype,
-        ),
     }
 
 
@@ -422,10 +233,6 @@ def test_engine_throughput(single_round, benchmark):
             row["speedup"], 2
         )
     benchmark.extra_info["probing/speedup"] = round(results["probing"]["speedup"], 2)
-    for entry in results["backends"]["entries"]:
-        benchmark.extra_info[f"backend={entry['backend']}/peak_vs_reference"] = round(
-            entry["peak_speedup_vs_reference"], 2
-        )
 
     # A power-exposed oracle query must traverse each tile exactly once.
     assert results["array_ops_per_power_query_batch"] == 1
@@ -437,25 +244,8 @@ def test_engine_throughput(single_round, benchmark):
     assert results["probing"]["speedup"] >= 1.0
 
 
-def main(argv=None):  # pragma: no cover - console entry point
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        action="append",
-        choices=("numpy", "torch", "cupy"),
-        help="backend(s) for the per-backend section (repeatable; "
-        "default: every backend available on this machine)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default="float64",
-        choices=("float32", "float64"),
-        help="kernel dtype for the per-backend section (default: float64)",
-    )
-    args = parser.parse_args(argv)
-    results = run_engine_benchmark(
-        backends=args.backend, backend_dtype=args.dtype
-    )
+def main():  # pragma: no cover - console entry point
+    results = run_engine_benchmark()
     record_timings("engine", results)
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nresults merged into {RESULTS_PATH}")

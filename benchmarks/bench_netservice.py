@@ -62,7 +62,7 @@ N_HIDDEN_LAYERS = 2
 MIN_NET_SPEEDUP = 1.3
 
 
-def build_oracle(*, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="float64"):
+def build_oracle(*, n_inputs=256, n_outputs=10, seed=0):
     layers = [Dense(n_inputs, HIDDEN_WIDTH, activation="relu", random_state=seed)]
     for index in range(N_HIDDEN_LAYERS - 1):
         layers.append(
@@ -81,9 +81,7 @@ def build_oracle(*, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="flo
             random_state=seed + N_HIDDEN_LAYERS,
         )
     )
-    accelerator = CrossbarAccelerator(
-        Sequential(layers), random_state=seed, backend=backend, dtype=dtype
-    )
+    accelerator = CrossbarAccelerator(Sequential(layers), random_state=seed)
     return Oracle(accelerator, expose_power=True, random_state=seed)
 
 
@@ -92,11 +90,11 @@ def make_requests(n_inputs, *, seed=0):
     return rng.uniform(0.0, 1.0, size=(N_REQUESTS, 1, n_inputs))
 
 
-def check_equivalence(address, requests, *, n_inputs, seed, backend, dtype):
+def check_equivalence(address, requests, *, n_inputs, seed):
     """Wire responses must be bit-identical to direct seeded queries."""
     with NetClient(address, tenant="equivalence") as client:
         responses = [client.query(request) for request in requests[:16]]
-    direct = build_oracle(n_inputs=n_inputs, seed=seed, backend=backend, dtype=dtype)
+    direct = build_oracle(n_inputs=n_inputs, seed=seed)
     for request, response in zip(requests, responses):
         seeds = derive_request_seeds(
             response.metadata["base_seed"],
@@ -168,18 +166,14 @@ def run_offered_load(address, requests, workers):
     return elapsed, mode
 
 
-def run_netservice_benchmark(
-    *, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="float64"
-):
+def run_netservice_benchmark(*, n_inputs=256, n_outputs=10, seed=0):
     """Full benchmark; returns the structure stored in BENCH_engine.json."""
     requests = make_requests(n_inputs, seed=seed)
-    oracle = build_oracle(
-        n_inputs=n_inputs, n_outputs=n_outputs, seed=seed, backend=backend, dtype=dtype
-    )
+    oracle = build_oracle(n_inputs=n_inputs, n_outputs=n_outputs, seed=seed)
     with serve_in_thread(oracle, NET_CONFIG) as handle:
         address = handle.address
         responses_identical = check_equivalence(
-            address, requests, n_inputs=n_inputs, seed=seed, backend=backend, dtype=dtype
+            address, requests, n_inputs=n_inputs, seed=seed
         )
         one_per_connection_s = run_one_per_connection(address, requests)
         one_per_connection_qps = N_REQUESTS / one_per_connection_s
@@ -215,8 +209,6 @@ def run_netservice_benchmark(
             "max_batch": NET_CONFIG.service.max_batch,
             "max_wait_ms": NET_CONFIG.service.max_wait_ms,
             "seed": int(seed),
-            "backend": str(backend) if backend else "numpy",
-            "dtype": str(dtype),
         },
         "responses_identical": bool(responses_identical),
         "one_per_connection_s": one_per_connection_s,
@@ -249,24 +241,8 @@ def test_netservice_throughput(single_round, benchmark):
     )
 
 
-def main(argv=None):  # pragma: no cover - console entry point
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "torch", "cupy", "auto"),
-        help="compute backend driving the oracle hardware (default: numpy)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default="float64",
-        choices=("float32", "float64"),
-        help="kernel dtype (default: float64)",
-    )
-    args = parser.parse_args(argv)
-    results = run_netservice_benchmark(backend=args.backend, dtype=args.dtype)
+def main():  # pragma: no cover - console entry point
+    results = run_netservice_benchmark()
     bench_engine.record_timings("bench_netservice", results)
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nresults merged into {bench_engine.RESULTS_PATH}")

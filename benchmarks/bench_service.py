@@ -39,10 +39,8 @@ SERVICE_CONFIG = ServiceConfig(max_batch=64, max_wait_ms=2.0)
 MIN_SPEEDUP = 2.0
 
 
-def build_oracle(*, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="float64"):
-    accelerator = bench_engine.build_accelerator(
-        n_inputs, n_outputs, seed=seed, backend=backend, dtype=dtype
-    )
+def build_oracle(*, n_inputs=256, n_outputs=10, seed=0):
+    accelerator = bench_engine.build_accelerator(n_inputs, n_outputs, seed=seed)
     return Oracle(accelerator, expose_power=True, random_state=seed)
 
 
@@ -86,17 +84,10 @@ def run_service(oracle, requests, concurrency):
     return asyncio.run(run())
 
 
-def check_equivalence(*, n_inputs=32, n_rows=24, seed=0, backend=None, dtype="float64"):
-    """Serviced responses must be bit-identical to direct seeded queries.
-
-    The bit-identity contract holds *within* any single backend (all seeded
-    noise is generated host-side from the request seeds), so the check runs
-    under whatever backend the benchmark is driving.
-    """
+def check_equivalence(*, n_inputs=32, n_rows=24, seed=0):
+    """Serviced responses must be bit-identical to direct seeded queries."""
     requests = make_requests(n_inputs, seed=seed)[:n_rows]
-    serviced_oracle = build_oracle(
-        n_inputs=n_inputs, seed=seed, backend=backend, dtype=dtype
-    )
+    serviced_oracle = build_oracle(n_inputs=n_inputs, seed=seed)
 
     async def run():
         async with QueryService(serviced_oracle, SERVICE_CONFIG) as service:
@@ -107,9 +98,7 @@ def check_equivalence(*, n_inputs=32, n_rows=24, seed=0, backend=None, dtype="fl
             return responses, seeds
 
     responses, seeds = asyncio.run(run())
-    direct_oracle = build_oracle(
-        n_inputs=n_inputs, seed=seed, backend=backend, dtype=dtype
-    )
+    direct_oracle = build_oracle(n_inputs=n_inputs, seed=seed)
     for request, response, request_seeds in zip(requests, responses, seeds):
         reference = direct_oracle.query(request, seeds=request_seeds)
         np.testing.assert_array_equal(response.outputs, reference.outputs)
@@ -117,28 +106,18 @@ def check_equivalence(*, n_inputs=32, n_rows=24, seed=0, backend=None, dtype="fl
     return True
 
 
-def run_service_benchmark(
-    *, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="float64"
-):
+def run_service_benchmark(*, n_inputs=256, n_outputs=10, seed=0):
     """Full benchmark; returns the structure stored in BENCH_engine.json."""
-    responses_identical = check_equivalence(seed=seed, backend=backend, dtype=dtype)
+    responses_identical = check_equivalence(seed=seed)
 
     requests = make_requests(n_inputs, seed=seed)
-    direct_oracle = build_oracle(
-        n_inputs=n_inputs, n_outputs=n_outputs, seed=seed, backend=backend, dtype=dtype
-    )
+    direct_oracle = build_oracle(n_inputs=n_inputs, n_outputs=n_outputs, seed=seed)
     _, direct_s = run_direct(direct_oracle, requests)
     direct_qps = N_REQUESTS / direct_s
 
     rows = []
     for concurrency in CONCURRENCY_LEVELS:
-        oracle = build_oracle(
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            seed=seed,
-            backend=backend,
-            dtype=dtype,
-        )
+        oracle = build_oracle(n_inputs=n_inputs, n_outputs=n_outputs, seed=seed)
         responses, elapsed, stats = run_service(oracle, requests, concurrency)
         assert all(response is not None for response in responses)
         rows.append(
@@ -160,8 +139,6 @@ def run_service_benchmark(
             "max_batch": SERVICE_CONFIG.max_batch,
             "max_wait_ms": SERVICE_CONFIG.max_wait_ms,
             "seed": int(seed),
-            "backend": str(backend) if backend else "numpy",
-            "dtype": str(dtype),
         },
         "responses_identical": bool(responses_identical),
         "direct_s": direct_s,
@@ -196,24 +173,8 @@ def test_service_throughput(single_round, benchmark):
     )
 
 
-def main(argv=None):  # pragma: no cover - console entry point
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "torch", "cupy", "auto"),
-        help="compute backend driving the oracle hardware (default: numpy)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default="float64",
-        choices=("float32", "float64"),
-        help="kernel dtype (default: float64)",
-    )
-    args = parser.parse_args(argv)
-    results = run_service_benchmark(backend=args.backend, dtype=args.dtype)
+def main():  # pragma: no cover - console entry point
+    results = run_service_benchmark()
     bench_engine.record_timings("bench_service", results)
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nresults merged into {bench_engine.RESULTS_PATH}")

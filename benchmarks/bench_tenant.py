@@ -47,10 +47,8 @@ MAX_WAIT_MS = 2.0
 MAX_TENANT_OVERHEAD = 1.5
 
 
-def build_oracle(*, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="float64"):
-    accelerator = bench_engine.build_accelerator(
-        n_inputs, n_outputs, seed=seed, backend=backend, dtype=dtype
-    )
+def build_oracle(*, n_inputs=256, n_outputs=10, seed=0):
+    accelerator = bench_engine.build_accelerator(n_inputs, n_outputs, seed=seed)
     return Oracle(accelerator, expose_power=True, random_state=seed)
 
 
@@ -95,12 +93,10 @@ def run_placement(oracle, requests, placement):
     return asyncio.run(run())
 
 
-def check_equivalence(*, n_inputs=32, n_rows=24, seed=0, backend=None, dtype="float64"):
+def check_equivalence(*, n_inputs=32, n_rows=24, seed=0):
     """Partitioned responses must be bit-identical to direct seeded queries."""
     requests = make_requests(n_inputs, seed=seed)[:n_rows]
-    serviced_oracle = build_oracle(
-        n_inputs=n_inputs, seed=seed, backend=backend, dtype=dtype
-    )
+    serviced_oracle = build_oracle(n_inputs=n_inputs, seed=seed)
 
     async def run():
         async with QueryService(
@@ -118,9 +114,7 @@ def check_equivalence(*, n_inputs=32, n_rows=24, seed=0, backend=None, dtype="fl
             return [response for _, response in results], seeds
 
     responses, seeds = asyncio.run(run())
-    direct_oracle = build_oracle(
-        n_inputs=n_inputs, seed=seed, backend=backend, dtype=dtype
-    )
+    direct_oracle = build_oracle(n_inputs=n_inputs, seed=seed)
     for request, response, request_seeds in zip(requests, responses, seeds):
         reference = direct_oracle.query(request, seeds=request_seeds)
         np.testing.assert_array_equal(response.outputs, reference.outputs)
@@ -128,23 +122,15 @@ def check_equivalence(*, n_inputs=32, n_rows=24, seed=0, backend=None, dtype="fl
     return True
 
 
-def run_tenant_benchmark(
-    *, n_inputs=256, n_outputs=10, seed=0, backend=None, dtype="float64"
-):
+def run_tenant_benchmark(*, n_inputs=256, n_outputs=10, seed=0):
     """Full benchmark; returns the structure stored in BENCH_engine.json."""
-    responses_identical = check_equivalence(seed=seed, backend=backend, dtype=dtype)
+    responses_identical = check_equivalence(seed=seed)
     requests = make_requests(n_inputs, seed=seed)
 
     rows = []
     elapsed_by_placement = {}
     for placement in ("shared", "partitioned"):
-        oracle = build_oracle(
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            seed=seed,
-            backend=backend,
-            dtype=dtype,
-        )
+        oracle = build_oracle(n_inputs=n_inputs, n_outputs=n_outputs, seed=seed)
         elapsed, stats, mixed_ticks = run_placement(oracle, requests, placement)
         elapsed_by_placement[placement] = elapsed
         rows.append(
@@ -168,8 +154,6 @@ def run_tenant_benchmark(
             "max_batch": int(MAX_BATCH),
             "max_wait_ms": float(MAX_WAIT_MS),
             "seed": int(seed),
-            "backend": str(backend) if backend else "numpy",
-            "dtype": str(dtype),
         },
         "responses_identical": bool(responses_identical),
         "placements": rows,
@@ -205,24 +189,8 @@ def test_tenant_placement_throughput(single_round, benchmark):
     )
 
 
-def main(argv=None):  # pragma: no cover - console entry point
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "torch", "cupy", "auto"),
-        help="compute backend driving the oracle hardware (default: numpy)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default="float64",
-        choices=("float32", "float64"),
-        help="kernel dtype (default: float64)",
-    )
-    args = parser.parse_args(argv)
-    results = run_tenant_benchmark(backend=args.backend, dtype=args.dtype)
+def main():  # pragma: no cover - console entry point
+    results = run_tenant_benchmark()
     bench_engine.record_timings("bench_tenant", results)
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nresults merged into {bench_engine.RESULTS_PATH}")

@@ -13,7 +13,6 @@ non-zero when any gate fails::
                                              [--max-sharded-ratio 1.2]
                                              [--min-service-speedup 2.0]
                                              [--min-net-speedup 1.3]
-                                             [--min-backend-ratio 0.95]
                                              [--min-executor-speedup 0.15]
                                              [--max-tenant-overhead 1.5]
 
@@ -30,14 +29,6 @@ Gated sections:
   ``--min-speedup`` bounds every individual batch size, ``--min-peak-speedup``
   the best one (the fused-engine acceptance criterion is a >= 2x peak speedup
   on power-exposed queries against an ideal crossbar).
-* ``engine.backends`` — per-compute-backend timings (when recorded): a numpy
-  entry must be present (the always-available reference) and every recorded
-  backend's best
-  batch-size ratio vs the pre-backend host kernels must stay above
-  ``--min-backend-ratio`` (peak, not per-row: the ratio sits within a few
-  percent of 1.0, below per-row timer noise on shared runners).  Backends
-  listed as skipped (torch/cupy not installed on the bench machine) never
-  fail the gate.
 * ``bench_probing`` — the batched prober must not be slower than the
   per-column reference mode (``--min-probing-speedup``).
 * ``bench_figure5_mnist`` / ``bench_figure5_cifar`` — must have been recorded
@@ -98,7 +89,6 @@ DEFAULT_THRESHOLDS = {
     "max_sharded_ratio": 1.2,
     "min_service_speedup": 2.0,
     "min_net_speedup": 1.3,
-    "min_backend_ratio": 0.95,
     "min_executor_speedup": 0.15,
     "max_tenant_overhead": 1.5,
 }
@@ -145,7 +135,6 @@ def check_results(
     max_sharded_ratio = thresholds["max_sharded_ratio"]
     min_service_speedup = thresholds["min_service_speedup"]
     min_net_speedup = thresholds["min_net_speedup"]
-    min_backend_ratio = thresholds["min_backend_ratio"]
     min_executor_speedup = thresholds["min_executor_speedup"]
     max_tenant_overhead = thresholds["max_tenant_overhead"]
 
@@ -195,57 +184,6 @@ def check_results(
             f"power-exposed oracle query performed {ops} array traversals "
             "per batch (expected exactly 1)"
         )
-    failures.extend(_check_backend_entries(engine, min_backend_ratio))
-    return failures
-
-
-def recorded_backends(results: dict) -> list[str]:
-    """Backend names with a recorded per-backend entry (for reports)."""
-    engine = results.get("engine") or {}
-    payload = engine.get("backends") or {}
-    return sorted(
-        {
-            str(entry.get("backend"))
-            for entry in payload.get("entries", [])
-            if entry.get("backend")
-        }
-    )
-
-
-def _check_backend_entries(engine: dict, min_backend_ratio: float) -> list[str]:
-    """Gate the per-compute-backend timings inside the engine section.
-
-    Machines without the optional torch/cupy backends must pass: absent
-    entries are tolerated (they appear under ``"skipped"``), only the
-    always-available numpy entry is mandatory, and every entry that *was*
-    recorded must keep its best batch-size ratio vs the pre-backend host
-    kernels above the floor.  An engine section with no ``backends`` key at
-    all is a legacy record and — like every other absent section — is not
-    checked; fresh ``bench_engine`` runs always write one.
-    """
-    payload = engine.get("backends")
-    if payload is None:
-        return []
-    failures: list[str] = []
-    entries = payload.get("entries", [])
-    if not any(entry.get("backend") == "numpy" for entry in entries):
-        failures.append(
-            "engine backends section has no numpy entry (the always-available "
-            "reference backend must be benchmarked)"
-        )
-    for entry in entries:
-        name = entry.get("backend")
-        rows = entry.get("rows", [])
-        if not rows:
-            failures.append(f"backend {name!r} entry recorded no timing rows")
-            continue
-        peak = max(row.get("speedup_vs_reference", 0.0) for row in rows)
-        if peak < min_backend_ratio:
-            failures.append(
-                f"backend {name!r} ({entry.get('dtype')}) best ratio vs the "
-                f"pre-backend kernels is {peak:.2f} "
-                f"(gate {min_backend_ratio:.2f})"
-            )
     return failures
 
 
@@ -568,11 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_THRESHOLDS["min_net_speedup"],
     )
     parser.add_argument(
-        "--min-backend-ratio",
-        type=float,
-        default=DEFAULT_THRESHOLDS["min_backend_ratio"],
-    )
-    parser.add_argument(
         "--min-executor-speedup",
         type=float,
         default=DEFAULT_THRESHOLDS["min_executor_speedup"],
@@ -593,7 +526,6 @@ def main(argv: list[str] | None = None) -> int:
         "max_sharded_ratio": args.max_sharded_ratio,
         "min_service_speedup": args.min_service_speedup,
         "min_net_speedup": args.min_net_speedup,
-        "min_backend_ratio": args.min_backend_ratio,
         "min_executor_speedup": args.min_executor_speedup,
         "max_tenant_overhead": args.max_tenant_overhead,
     }
@@ -608,7 +540,6 @@ def main(argv: list[str] | None = None) -> int:
                 tolerance=args.tolerance,
                 thresholds=effective_thresholds(overrides, args.tolerance),
                 sections=[],
-                backends=[],
             )
         return 2
     results = json.loads(args.path.read_text())
@@ -621,7 +552,6 @@ def main(argv: list[str] | None = None) -> int:
             tolerance=args.tolerance,
             thresholds=effective_thresholds(overrides, args.tolerance),
             sections=sorted(results),
-            backends=recorded_backends(results),
         )
     if failures:
         print("bench regression check FAILED:")
@@ -632,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _write_report(path, *, passed, failures, tolerance, thresholds, sections, backends):
+def _write_report(path, *, passed, failures, tolerance, thresholds, sections):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
@@ -643,7 +573,6 @@ def _write_report(path, *, passed, failures, tolerance, thresholds, sections, ba
                 "tolerance": tolerance,
                 "effective_thresholds": thresholds,
                 "checked_sections": sections,
-                "backends": backends,
             },
             indent=2,
             sort_keys=True,

@@ -33,7 +33,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.crossbar.adc_dac import ADC, DAC
 from repro.crossbar.mapping import UNSHARDED, ConductanceMapping, ShardingSpec
 from repro.crossbar.nonidealities import NonidealityConfig
@@ -87,13 +86,6 @@ class CrossbarAccelerator:
         or a per-layer sequence of specs/``None``.
     random_state:
         Seed; each tile receives an independent child generator.
-    backend / dtype / batch_invariant:
-        Compute-backend knobs shared by every tile: a backend name
-        (``"numpy"``/``"torch"``/``"cupy"``/``"auto"``) or instance, the
-        kernel dtype (``"float64"`` reference, ``"float32"`` fast path), and
-        the opt-in batch-invariant einsum kernels for unseeded queries.  The
-        backend is resolved **once** here and the shared instance handed to
-        every physical array.
     """
 
     def __init__(
@@ -107,17 +99,11 @@ class CrossbarAccelerator:
         power_model: Optional[PowerModel] = None,
         sharding: Union[None, ShardingSpec, Sequence[Optional[ShardingSpec]]] = None,
         random_state: RandomState = None,
-        backend=None,
-        dtype="float64",
-        batch_invariant: bool = False,
     ):
         if not network.layers:
             raise ValueError("cannot build an accelerator from an empty network")
         self.network = network
         self.power_model = power_model if power_model is not None else PowerModel()
-        self.backend = get_backend(backend)
-        self.dtype = self.backend.dtype_name(self.backend.dtype(dtype))
-        self.batch_invariant = bool(batch_invariant)
         layer_sharding = _resolve_layer_sharding(sharding, len(network.layers))
         rngs = spawn_rngs(random_state, len(network.layers))
         self.tiles: List[CrossbarTile] = [
@@ -129,9 +115,6 @@ class CrossbarAccelerator:
                 dac=dac,
                 adc=adc,
                 random_state=rng,
-                backend=self.backend,
-                dtype=self.dtype,
-                batch_invariant=self.batch_invariant,
             )
             for layer, rng, spec in zip(network.layers, rngs, layer_sharding)
         ]

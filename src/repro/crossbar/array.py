@@ -33,32 +33,14 @@ read.  Three properties of that state drive the engine:
 Measurement noise (``current_measurement_noise``) is applied *after* the
 cached dot product, so repeated total-current reads remain independently
 noisy even when the effective state is cached.
-
-Compute backends
-----------------
-All hot-path math goes through a pluggable
-:class:`~repro.backend.ArrayBackend` (``backend="numpy"|"torch"|"cupy"|
-"auto"``).  The cached effective-state operands are kept *device-resident* —
-one host→device transfer per program/invalidate, not per query — while the
-public methods keep accepting and returning host numpy arrays.  Seeded noise
-is always generated host-side from the stateless counter-keyed streams and
-shipped to the device, so within any one backend the seeded path stays a
-bitwise pure function of ``(inputs, seeds)``; the numpy/float64 default
-performs exactly the historical operations and is bit-identical to the
-pre-backend engine.  ``dtype="float32"`` selects the fast path (documented
-~1e-6 relative tolerance vs the float64 reference), and
-``batch_invariant=True`` routes the *unseeded* path through the same
-fixed-reduction-order einsum kernel family as the seeded path, trading BLAS
-throughput for bitwise batch-size invariance without seeds.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.crossbar.devices import NVMDeviceModel
 from repro.crossbar.mapping import ConductanceMapping
 from repro.crossbar.nonidealities import NonidealityConfig
@@ -77,18 +59,13 @@ class _EffectiveState(NamedTuple):
 
     ``g_plus`` / ``g_minus`` are the *programmed* arrays the state was built
     from (identity-checked on cache lookup); ``effective`` and ``column_sums``
-    are the host-side attenuated differential matrix and conductance sums,
-    and ``effective_dev`` / ``column_sums_dev`` their device-resident
-    counterparts in the backend's compute dtype (the same objects on the
-    numpy/float64 reference path — no copy is made).
+    are the attenuated differential matrix and conductance sums.
     """
 
     g_plus: np.ndarray
     g_minus: np.ndarray
     effective: np.ndarray
     column_sums: np.ndarray
-    effective_dev: object
-    column_sums_dev: object
 
 
 class CrossbarArray:
@@ -117,18 +94,6 @@ class CrossbarArray:
         Optional non-ideal effects.
     random_state:
         Seed for programming noise, stuck devices and read noise.
-    backend:
-        Compute backend for the hot-path kernels: ``None``/``"numpy"`` (the
-        bit-exact reference), ``"torch"``/``"cupy"`` (optional device
-        backends), ``"auto"`` (best available), or an
-        :class:`~repro.backend.ArrayBackend` instance.
-    dtype:
-        Compute dtype, ``"float64"`` (reference) or ``"float32"`` (fast
-        path, ~1e-6 relative tolerance).
-    batch_invariant:
-        Route the *unseeded* path through the seeded path's fixed-shape
-        einsum kernels so unseeded results are bitwise batch-size invariant
-        (slower than BLAS; default off).
     """
 
     def __init__(
@@ -138,9 +103,6 @@ class CrossbarArray:
         mapping: Optional[ConductanceMapping] = None,
         nonidealities: Optional[NonidealityConfig] = None,
         random_state: RandomState = None,
-        backend: Union[None, str, ArrayBackend] = None,
-        dtype: Union[str, np.dtype] = "float64",
-        batch_invariant: bool = False,
     ):
         weights = check_matrix(weights, "weights")
         self.mapping = mapping if mapping is not None else ConductanceMapping()
@@ -149,7 +111,6 @@ class CrossbarArray:
         )
         self._rng = as_rng(random_state)
         self._reference_weights = weights.copy()
-        self._init_backend(backend, dtype, batch_invariant)
         self._state_cache: Optional[_EffectiveState] = None
         self._n_operations = 0
         self._n_realizations = 0
@@ -157,12 +118,6 @@ class CrossbarArray:
 
         self.g_plus, self.g_minus = self.mapping.map(weights, random_state=self._rng)
         self._apply_static_nonidealities()
-
-    def _init_backend(self, backend, dtype, batch_invariant) -> None:
-        self.backend = get_backend(backend)
-        self._dtype = self.backend.dtype(dtype)
-        self.dtype = self.backend.dtype_name(self._dtype)
-        self.batch_invariant = bool(batch_invariant)
 
     @classmethod
     def from_conductances(
@@ -174,9 +129,6 @@ class CrossbarArray:
         nonidealities: Optional[NonidealityConfig] = None,
         reference_weights: Optional[np.ndarray] = None,
         random_state: RandomState = None,
-        backend: Union[None, str, ArrayBackend] = None,
-        dtype: Union[str, np.dtype] = "float64",
-        batch_invariant: bool = False,
     ) -> "CrossbarArray":
         """Build an array from already-programmed conductance matrices.
 
@@ -210,7 +162,6 @@ class CrossbarArray:
             nonidealities if nonidealities is not None else NonidealityConfig()
         )
         array._rng = as_rng(random_state)
-        array._init_backend(backend, dtype, batch_invariant)
         array.g_plus = g_plus
         array.g_minus = g_minus
         if reference_weights is None:
@@ -227,8 +178,8 @@ class CrossbarArray:
 
         Runs the full programming path — mapping, programming noise, static
         non-idealities — on ``weights`` using the array's own generator, and
-        drops the cached effective state (including the device-resident
-        operands) so the next operation realises the new devices.
+        drops the cached effective state so the next operation realises the
+        new devices.
         """
         weights = check_matrix(weights, "weights")
         self._reference_weights = weights.copy()
@@ -310,11 +261,11 @@ class CrossbarArray:
     # ------------------------------------------------------------- dynamics
 
     def invalidate_state_cache(self) -> None:
-        """Drop the cached effective state (and its device-resident operands).
+        """Drop the cached effective state.
 
         Required after mutating ``g_plus`` / ``g_minus`` *in place*; rebinding
         either attribute to a new array is detected automatically.  The next
-        operation re-realises the state and pays one host→device transfer.
+        operation re-realises the state.
         """
         self._state_cache = None
 
@@ -405,18 +356,10 @@ class CrossbarArray:
                 and cache.g_minus is self.g_minus
             ):
                 return cache
-        effective, column_sums = self._effective(*self._read_conductances(self._rng))
-        # One host->device transfer per realization; with a deterministic
-        # device the state is cached, so the operands stay device-resident
-        # until program()/invalidate_state_cache() and every query pays only
-        # the batch transfer.  On numpy/float64 asarray is a no-copy view.
         state = _EffectiveState(
             self.g_plus,
             self.g_minus,
-            effective,
-            column_sums,
-            self.backend.asarray(effective, self._dtype),
-            self.backend.asarray(column_sums, self._dtype),
+            *self._effective(*self._read_conductances(self._rng)),
         )
         self._n_realizations += 1
         if deterministic:
@@ -443,7 +386,7 @@ class CrossbarArray:
         return seeds
 
     def _rail_factors(self, n_rows: int, seeds) -> Optional[np.ndarray]:
-        """Host-side multiplicative rail-noise factors, ``None`` when noise-free.
+        """Multiplicative rail-noise factors, ``None`` when noise-free.
 
         Unseeded factors come from the array's own generator; seeded ones
         from each row's ``(seed, noise_tag, rail channel)`` stream.
@@ -469,14 +412,13 @@ class CrossbarArray:
 
         Unseeded, the effective state is read through the array's own
         generator (and cached when read-noise free), and the products run on
-        BLAS ``matmul`` — or, with :attr:`batch_invariant`, on the seeded
-        path's einsum kernels.  With ``sample_seeds`` every stochastic effect
+        BLAS ``matmul``.  With ``sample_seeds`` every stochastic effect
         — read-noise conductance realizations and rail measurement noise — is
         drawn from a stream derived from ``(row seed, noise_tag, channel)``
         instead, making row ``i``'s observables a pure function of
         ``(batch[i], sample_seeds[i])``: independent of batch composition and
         of any previous operation.  A seeded noisy device realises one read
-        per row, host-side; a read-noise-free one reuses the cached state.
+        per row; a read-noise-free one reuses the cached state.
         """
         seeds = None
         if sample_seeds is not None:
@@ -493,35 +435,31 @@ class CrossbarArray:
                     outputs[i] = effective @ row
                 if want_totals:
                     totals[i] = row @ column_sums
-            # Host-side physics per row, so the rail noise stays host-side too.
             factors = self._rail_factors(len(batch), seeds) if want_totals else None
             if factors is not None:
                 totals = totals * factors
             return outputs, totals
 
         state = self._realize_state()
-        vb = self.backend.asarray(batch, self._dtype)
         # einsum, not BLAS matmul, whenever rows must not depend on their
         # batch: its per-row reduction order is independent of the batch size
         # (BLAS gemm/gemv pick different kernels per shape and break that).
-        einsum = seeds is not None or self.batch_invariant
         outputs = totals = None
         if want_outputs:
-            outputs = self.backend.to_numpy(
-                self.backend.einsum("ij,kj->ik", vb, state.effective_dev)
-                if einsum
-                else self.backend.matmul(vb, state.effective_dev.T)
+            outputs = (
+                np.matmul(batch, state.effective.T)
+                if seeds is None
+                else np.einsum("ij,kj->ik", batch, state.effective)
             )
         if want_totals:
             totals = (
-                self.backend.einsum("ij,j->i", vb, state.column_sums_dev)
-                if einsum
-                else self.backend.matmul(vb, state.column_sums_dev)
+                np.matmul(batch, state.column_sums)
+                if seeds is None
+                else np.einsum("ij,j->i", batch, state.column_sums)
             )
             factors = self._rail_factors(len(batch), seeds)
             if factors is not None:
-                totals = totals * self.backend.asarray(factors, self._dtype)
-            totals = self.backend.to_numpy(totals)
+                totals = totals * factors
         return outputs, totals
 
     def matvec(

@@ -76,10 +76,6 @@ class CrossbarTile:
         Converter models; ``None`` means ideal converters.
     random_state:
         Seed for stochastic hardware effects.
-    backend / dtype / batch_invariant:
-        Compute-backend knobs forwarded to every physical
-        :class:`~repro.crossbar.array.CrossbarArray` (see that class);
-        converters and activations stay host-side.
     """
 
     def __init__(
@@ -92,9 +88,6 @@ class CrossbarTile:
         dac: Optional[DAC] = None,
         adc: Optional[ADC] = None,
         random_state: RandomState = None,
-        backend=None,
-        dtype="float64",
-        batch_invariant: bool = False,
     ):
         if not isinstance(sharding, ShardingSpec):
             raise TypeError(
@@ -104,11 +97,6 @@ class CrossbarTile:
         self.sharding = sharding
         self.activation: Activation = get_activation(layer.activation)
         self._has_bias_column = bool(layer.use_bias)
-        engine_opts = {
-            "backend": backend,
-            "dtype": dtype,
-            "batch_invariant": batch_invariant,
-        }
 
         weights = layer.weights
         if self._has_bias_column:
@@ -125,7 +113,6 @@ class CrossbarTile:
             mapping=mapping,
             nonidealities=nonidealities,
             random_state=rng,
-            **engine_opts,
         )
         # Scale factor converting output currents back to the digital domain.
         self._current_to_logical = 1.0 / mapping.conductance_per_unit_weight(weights)
@@ -154,7 +141,6 @@ class CrossbarTile:
                         random_state=np.random.default_rng(
                             int(seeds[r * len(col_sections) + c])
                         ),
-                        **engine_opts,
                     )
                     for c, cols in enumerate(col_sections)
                 ]

@@ -83,20 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="DEPRECATED alias of --executor",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "torch", "cupy", "auto"),
-        help="compute backend for the crossbar kernels (overrides every "
-        "selected scenario; default: keep each scenario's own setting)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default=None,
-        choices=("float32", "float64"),
-        help="kernel dtype (float64 = bit-exact reference, float32 = fast "
-        "path; overrides every selected scenario)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -228,18 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     scenarios = args.scenarios
     if scenarios:
         scenarios = [get_scenario(name) for name in scenarios]
-    if args.backend or args.dtype:
-        overrides = {}
-        if args.backend:
-            overrides["backend"] = args.backend
-        if args.dtype:
-            overrides["dtype"] = args.dtype
-        from repro.experiments.scenario import resolve_scenarios
-
-        scenarios = [
-            spec.with_overrides(**overrides)
-            for spec in resolve_scenarios(scenarios)
-        ]
 
     executor = _build_executor(args)
     executor_name = executor.name if executor is not None else "serial"

@@ -52,6 +52,8 @@ _ACTIVATIONS = ("linear", "softmax")
 
 #: Defence identifiers accepted by :attr:`ScenarioSpec.defense`.
 _DEFENSES = ("norm-regularizer", "rebalance", "power-noise")
+#: Defences applied while training the victim (the rest act on the hardware).
+_TRAINING_DEFENSES = ("norm-regularizer", "rebalance")
 
 #: Wire-physics knobs a dict-form ``sharding`` value may carry alongside the
 #: grid geometry; they are folded into :attr:`ScenarioSpec.nonidealities`.
@@ -153,16 +155,6 @@ class ScenarioSpec:
         :class:`~repro.service.facade.BatchingOracle`).  The service changes
         *how* queries reach the hardware — never the physics — and serviced
         responses are bit-identical to direct seeded queries.
-    backend:
-        Compute backend running the accelerator's hot-path kernels:
-        ``"numpy"`` (the bit-exact reference and default), ``"torch"`` /
-        ``"cupy"`` (optional accelerator backends), or ``"auto"`` (best
-        available).  Like the service, the backend changes *where* the
-        arithmetic runs — never the physics; within any single backend the
-        seeded measurement path stays bit-identical.
-    dtype:
-        Kernel dtype: ``"float64"`` (reference) or ``"float32"`` (fast path,
-        ~1e-6 relative tolerance vs the reference).
     description:
         One-line human-readable summary for listings.
     """
@@ -182,8 +174,6 @@ class ScenarioSpec:
     defense_strength: float = 0.0
     sharding: Optional[ShardingSpec] = None
     service: Optional[ServiceConfig] = None
-    backend: str = "numpy"
-    dtype: str = "float64"
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -245,17 +235,6 @@ class ScenarioSpec:
                 f"service must be a ServiceConfig or None, "
                 f"got {type(self.service).__name__}"
             )
-        from repro.backend import BACKEND_NAMES, SUPPORTED_DTYPES
-
-        if self.backend not in BACKEND_NAMES + ("auto",):
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES + ('auto',)}, "
-                f"got {self.backend!r}"
-            )
-        if self.dtype not in SUPPORTED_DTYPES:
-            raise ValueError(
-                f"dtype must be one of {SUPPORTED_DTYPES}, got {self.dtype!r}"
-            )
 
     # ------------------------------------------------------------- utilities
 
@@ -283,8 +262,6 @@ class ScenarioSpec:
             and self.defense is None
             and (self.sharding is None or self.sharding.is_trivial)
             and self.service is None
-            and self.backend == "numpy"
-            and self.dtype == "float64"
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -331,14 +308,17 @@ class ScenarioSpec:
     def victim_key(self, scale: ExperimentScale, seed: int) -> Tuple:
         """Everything the victim :meth:`build_victim` trains depends on.
 
-        Hardware, instrument and service knobs are absent: scenarios that
-        differ only in those share one trained victim.
+        Hardware, instrument and service knobs are absent, and so is the
+        inference-time ``"power-noise"`` defence (it only wraps the
+        accelerator): scenarios that differ only in those share one trained
+        victim.
         """
+        trained = self.defense in _TRAINING_DEFENSES
         return (
             self.dataset,
             self.activation,
-            self.defense,
-            self.defense_strength,
+            self.defense if trained else None,
+            self.defense_strength if trained else 0.0,
             scale.n_train,
             scale.n_test,
             scale.train_epochs,
@@ -437,8 +417,6 @@ class ScenarioSpec:
             adc=adc,
             sharding=self.sharding,
             random_state=random_state,
-            backend=self.backend,
-            dtype=self.dtype,
         )
         if self.defense == "power-noise":
             return PowerNoiseDefense(

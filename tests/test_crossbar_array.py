@@ -173,3 +173,171 @@ class TestSingleTraversal:
             )
             np.testing.assert_array_equal(row_out, outputs[i])
             assert row_total == totals[i]
+
+
+class TestEffectiveStateCache:
+    """The realised state lives exactly as long as the programmed conductances."""
+
+    def test_state_is_cached_until_invalidated(self, rng):
+        array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
+        state = array._realize_state()
+        assert array._realize_state() is state
+        array.invalidate_state_cache()
+        assert array._realize_state() is not state
+
+    def test_program_drops_state_and_changes_results(self, rng):
+        array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
+        inputs = rng.uniform(0, 1, size=(9, 16))
+        before = array.matvec(inputs)
+        state = array._realize_state()
+        array.program(rng.normal(size=(5, 16)))
+        rebuilt = array._realize_state()
+        assert rebuilt is not state
+        after = array.matvec(inputs)
+        assert not np.array_equal(after, before)
+        np.testing.assert_allclose(after, inputs @ rebuilt.effective.T, rtol=1e-12)
+
+    def test_seeded_einsum_agrees_with_unseeded_blas(self, rng):
+        array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
+        inputs = rng.uniform(0, 1, size=(9, 16))
+        seeds = np.arange(len(inputs), dtype=np.uint64)
+        np.testing.assert_allclose(
+            array.matvec(inputs, sample_seeds=seeds), array.matvec(inputs), rtol=1e-12
+        )
+
+    def test_invalidated_state_is_rebuilt_bit_for_bit(self, rng):
+        """A read-noise-free read is deterministic: the rebuilt state is equal."""
+        array = CrossbarArray(
+            rng.normal(size=(5, 16)),
+            nonidealities=NonidealityConfig(wire_resistance_ohm=1e-3),
+            random_state=0,
+        )
+        state = array._realize_state()
+        array.invalidate_state_cache()
+        rebuilt = array._realize_state()
+        np.testing.assert_array_equal(rebuilt.effective, state.effective)
+        np.testing.assert_array_equal(rebuilt.column_sums, state.column_sums)
+
+    def test_cached_state_is_one_realization(self, rng):
+        array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
+        inputs = rng.uniform(0, 1, size=(3, 16))
+        for _ in range(4):
+            array.matvec_with_current(inputs)
+        assert array.n_operations == 4
+        assert array.n_realizations == 1
+
+    def test_read_noise_realizes_every_traversal(self, rng):
+        array = CrossbarArray(
+            rng.normal(size=(5, 16)),
+            mapping=ConductanceMapping(device=NOISY),
+            random_state=0,
+        )
+        inputs = rng.uniform(0, 1, size=(3, 16))
+        first = array.matvec(inputs)
+        second = array.matvec(inputs)
+        assert array.n_realizations == 2
+        assert array._state_cache is None
+        assert not np.array_equal(first, second)
+
+
+#: Read-noise-free physics: every traversal reads the one cached state.
+DETERMINISTIC_PHYSICS = [
+    NonidealityConfig(),
+    NonidealityConfig(wire_resistance=0.5),
+    NonidealityConfig(wire_resistance_ohm=1e-3),
+    NonidealityConfig(stuck_at_off_fraction=0.1, stuck_at_on_fraction=0.05),
+    NonidealityConfig(temperature_drift=0.05),
+]
+DETERMINISTIC_IDS = ["ideal", "ir-drop", "wire-droop", "stuck", "drift"]
+
+
+class TestFloat64Engine:
+    """The engine computes Eq. 3 and Eq. 5 as float64 numpy products."""
+
+    @pytest.mark.parametrize("config", DETERMINISTIC_PHYSICS, ids=DETERMINISTIC_IDS)
+    def test_seeded_einsum_agrees_with_unseeded_blas(self, config, rng):
+        array = CrossbarArray(
+            rng.normal(size=(5, 16)), nonidealities=config, random_state=0
+        )
+        inputs = rng.uniform(0, 1, size=(9, 16))
+        seeds = np.arange(len(inputs), dtype=np.uint64)
+        seeded_out, seeded_total = array.matvec_with_current(inputs, sample_seeds=seeds)
+        out, total = array.matvec_with_current(inputs)
+        np.testing.assert_allclose(seeded_out, out, rtol=1e-12)
+        np.testing.assert_allclose(seeded_total, total, rtol=1e-12)
+
+    @pytest.mark.parametrize("config", DETERMINISTIC_PHYSICS, ids=DETERMINISTIC_IDS)
+    def test_unseeded_views_are_the_blas_products(self, config, rng):
+        """matvec / total_current / the fused call are one matmul each."""
+        array = CrossbarArray(
+            rng.normal(size=(5, 16)), nonidealities=config, random_state=0
+        )
+        inputs = rng.uniform(0, 1, size=(9, 16))
+        outputs, totals = array.matvec_with_current(inputs)
+        state = array._realize_state()
+        np.testing.assert_array_equal(outputs, np.matmul(inputs, state.effective.T))
+        np.testing.assert_array_equal(totals, np.matmul(inputs, state.column_sums))
+        np.testing.assert_array_equal(array.matvec(inputs), outputs)
+        np.testing.assert_array_equal(array.total_current(inputs), totals)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+    def test_inputs_are_read_as_float64(self, dtype, rng):
+        array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
+        inputs = rng.integers(0, 4, size=(6, 16)).astype(dtype)
+        reference = inputs.astype(np.float64)
+        outputs, totals = array.matvec_with_current(inputs)
+        assert outputs.dtype == np.float64 and totals.dtype == np.float64
+        np.testing.assert_array_equal(outputs, array.matvec(reference))
+        np.testing.assert_array_equal(totals, array.total_current(reference))
+
+    def test_float32_conductances_are_stored_as_float64(self, rng):
+        programmed = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
+        mapping = ConductanceMapping(weight_scale=1.0)
+        wide = CrossbarArray.from_conductances(
+            programmed.g_plus, programmed.g_minus, mapping=mapping
+        )
+        narrow = CrossbarArray.from_conductances(
+            programmed.g_plus.astype(np.float32),
+            programmed.g_minus.astype(np.float32),
+            mapping=mapping,
+        )
+        state = narrow._realize_state()
+        assert state.effective.dtype == np.float64
+        assert state.column_sums.dtype == np.float64
+        inputs = rng.uniform(0, 1, size=(4, 16))
+        np.testing.assert_allclose(narrow.matvec(inputs), wide.matvec(inputs), rtol=1e-6)
+
+
+class TestNoEngineKnobs:
+    """No constructor of the engine takes a backend or dtype knob."""
+
+    @staticmethod
+    def _constructors():
+        from repro.crossbar.accelerator import CrossbarAccelerator
+        from repro.crossbar.tile import CrossbarTile
+        from repro.nn.layers import Dense
+        from repro.nn.network import Sequential
+
+        weights = np.random.default_rng(0).normal(size=(3, 4))
+        layer = Dense(4, 3, activation="softmax", random_state=0)
+        return {
+            "array": lambda **kw: CrossbarArray(weights, **kw),
+            "from_conductances": lambda **kw: CrossbarArray.from_conductances(
+                np.ones((3, 4)),
+                np.ones((3, 4)),
+                mapping=ConductanceMapping(weight_scale=1.0),
+                **kw,
+            ),
+            "tile": lambda **kw: CrossbarTile(layer, **kw),
+            "accelerator": lambda **kw: CrossbarAccelerator(Sequential([layer]), **kw),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["array", "from_conductances", "tile", "accelerator"]
+    )
+    def test_removed_knobs_are_rejected(self, name):
+        build = self._constructors()[name]
+        build(random_state=0)
+        for knob, value in (("backend", "numpy"), ("dtype", "float64")):
+            with pytest.raises(TypeError, match=knob):
+                build(random_state=0, **{knob: value})

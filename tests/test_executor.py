@@ -626,9 +626,10 @@ class TestStrictFromDict:
 
         payload = get_scenario("paper/mnist-linear").to_dict()
         assert ScenarioSpec.from_dict(dict(payload)).name == "paper/mnist-linear"
-        payload["read_nosie"] = 0.1
-        with pytest.raises(ValueError, match="unknown ScenarioSpec fields.*read_nosie"):
-            ScenarioSpec.from_dict(payload)
+        # a typo, and the removed compute-backend knobs of older payloads
+        for key, value in (("read_nosie", 0.1), ("backend", "numpy"), ("dtype", "float64")):
+            with pytest.raises(ValueError, match=f"unknown ScenarioSpec fields.*{key}"):
+                ScenarioSpec.from_dict({**payload, key: value})
 
     def test_experiment_scale_round_trips_and_rejects_unknown_keys(self, tiny_scale):
         payload = tiny_scale.to_dict()

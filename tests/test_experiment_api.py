@@ -73,6 +73,21 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             spec.with_overrides(activation="tanh")
 
+    @pytest.mark.parametrize("knob, value", [("backend", "numpy"), ("dtype", "float64")])
+    def test_engine_knobs_are_not_fields(self, knob, value):
+        """The engine is float64 numpy: no scenario selects a backend or dtype."""
+        spec = get_scenario("paper/mnist-softmax")
+        with pytest.raises(TypeError, match=knob):
+            spec.with_overrides(**{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            ScenarioSpec.from_dict({**spec.to_dict(), knob: value})
+
+    def test_serialised_scenarios_round_trip_without_engine_keys(self):
+        for name in list_scenarios():
+            payload = SCENARIOS[name].to_dict()
+            assert not {"backend", "dtype"} & set(payload)
+            assert ScenarioSpec.from_dict(payload) == SCENARIOS[name]
+
     def test_get_scenario_unknown(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             get_scenario("no-such-scenario")
@@ -507,6 +522,15 @@ class TestCLI:
 
         with pytest.raises(KeyError):
             main(["figure99", "--scale", "smoke"])
+
+    @pytest.mark.parametrize("flag, value", [("--backend", "numpy"), ("--dtype", "float64")])
+    def test_engine_flags_are_rejected(self, flag, value, capsys):
+        from repro.experiments.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["table1", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_unknown_scenario_fails_fast(self):
         from repro.experiments.cli import main

@@ -730,6 +730,37 @@ class TestRegressionScriptFlags:
         }
         assert check.check_results(results) == []
 
+    def test_legacy_backends_entry_ignored(self):
+        """Records written with a compute-backend section still pass."""
+        check = self._load_script()
+        results = self._passing_results()
+        results["engine"]["backends"] = {
+            "entries": [
+                {
+                    "backend": "numpy",
+                    "dtype": "float64",
+                    "rows": [{"batch_size": 16, "speedup_vs_reference": 0.1}],
+                    "peak_speedup_vs_reference": 0.1,
+                }
+            ],
+            "skipped": ["torch"],
+        }
+        assert check.check_results(results) == []
+
+    def test_thresholds_gate_no_backend_ratio(self):
+        """Every threshold gates a recorded section; none compares backends."""
+        check = self._load_script()
+        assert sorted(check.DEFAULT_THRESHOLDS) == [
+            "max_sharded_ratio",
+            "max_tenant_overhead",
+            "min_executor_speedup",
+            "min_net_speedup",
+            "min_peak_speedup",
+            "min_probing_speedup",
+            "min_service_speedup",
+            "min_speedup",
+        ]
+
     def test_tolerance_relaxes_thresholds(self):
         check = self._load_script()
         results = self._passing_results()

@@ -70,8 +70,8 @@ def trainings(monkeypatch):
     return calls
 
 
-def _sweep_jobs(base="paper/mnist-linear"):
-    experiment = get_experiment("sweep-adc-bits")
+def _sweep_jobs(name="sweep-adc-bits", base="paper/mnist-linear"):
+    experiment = get_experiment(name)
     return experiment, experiment.build_jobs(TINY, resolve_scenarios([base]), base_seed=0)
 
 
@@ -107,8 +107,17 @@ def _assert_same(results_a, results_b):
 
 
 class TestVictimMemo:
-    def test_sweep_trains_one_victim_per_seed(self, trainings):
-        experiment, jobs = _sweep_jobs()
+    @pytest.mark.parametrize(
+        "name, base",
+        [
+            ("sweep-adc-bits", "paper/mnist-linear"),
+            # an inference-time defence only wraps the accelerator, so every
+            # strength attacks the same trained victim
+            ("sweep-power-noise-defense", "power-noise-defense"),
+        ],
+    )
+    def test_sweep_trains_one_victim_per_seed(self, trainings, name, base):
+        experiment, jobs = _sweep_jobs(name, base)
         assert len(jobs) == 5 * TINY.n_runs
         warm = execute_jobs(jobs, run_job=experiment.run_job)
         assert len(trainings) == TINY.n_runs
@@ -122,12 +131,17 @@ class TestVictimMemo:
         model = scenario.build_victim(dataset, TINY, random_state=3)
         assert runner.prepare_dataset(scenario.dataset, TINY, random_state=3) is dataset
         assert scenario.build_victim(dataset, TINY, random_state=3) is model
-        # a hardware knob is not part of the key; a training knob is
+        # hardware knobs and the inference-time defence are not part of the
+        # key; training knobs and training-time defences are
         noisy = scenario.with_overrides(adc_bits=4, measurement_noise=0.1)
         assert noisy.build_victim(dataset, TINY, random_state=3) is model
+        power_noise = scenario.with_overrides(defense="power-noise", defense_strength=2.0)
+        assert power_noise.build_victim(dataset, TINY, random_state=3) is model
         softmax = scenario.with_overrides(activation="softmax")
         assert softmax.build_victim(dataset, TINY, random_state=3) is not model
-        assert len(trainings) == 2
+        rebalanced = scenario.with_overrides(defense="rebalance", defense_strength=0.5)
+        assert rebalanced.build_victim(dataset, TINY, random_state=3) is not model
+        assert len(trainings) == 3
 
     def test_caller_supplied_dataset_bypasses_memo(self, trainings):
         scenario = get_scenario("paper/mnist-linear")
@@ -304,8 +318,15 @@ class TestJournalsFromUngroupedRuns:
         assert executor.stats["workers_spawned"] == 0
         assert [r.metadata for r in resumed] == [r.metadata for r in old]
 
-    def test_refuses_when_grouping_reorders(self, tmp_path):
-        _, jobs = _sweep_jobs()
+    @pytest.mark.parametrize(
+        "name, base",
+        [
+            ("sweep-adc-bits", "paper/mnist-linear"),
+            ("sweep-power-noise-defense", "power-noise-defense"),
+        ],
+    )
+    def test_refuses_when_grouping_reorders(self, tmp_path, name, base):
+        _, jobs = _sweep_jobs(name, base)
         assert victim_grouped_order(jobs) != list(range(len(jobs)))
         self._old_journal(tmp_path / "old.jsonl", jobs)
         executor = QueueExecutor(n_workers=2, chunk_size=1, resume=tmp_path / "old.jsonl")
