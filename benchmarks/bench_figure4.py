@@ -1,15 +1,20 @@
 """Benchmark regenerating Figure 4 (power-guided single-pixel attacks)."""
 
-from repro.experiments.figure4 import format_figure4, run_figure4
+from repro.experiments import get_experiment
 
 
 def test_figure4(single_round, benchmark):
     """Figure 4: test accuracy vs attack strength for the five strategies."""
-    result = single_round(run_figure4, "bench")
+    experiment = get_experiment("figure4")
+    result = single_round(experiment.run, "bench")
     print()
-    print(format_figure4(result))
+    print(experiment.format_result(result))
 
-    for (dataset, activation), curves in result.curves.items():
+    curves_by_config = {
+        (entry["dataset"], entry["activation"]): entry["curves"]
+        for entry in result.summary["curves"]
+    }
+    for (dataset, activation), curves in curves_by_config.items():
         for label, curve in curves.items():
             benchmark.extra_info[f"{dataset}/{activation}/{label}/final"] = round(
                 float(curve[-1]), 3
@@ -19,7 +24,7 @@ def test_figure4(single_round, benchmark):
     # the white-box worst case is the lowest accuracy, power-guided attacks
     # beat the random-pixel baseline.
     for activation in ("linear", "softmax"):
-        curves = result.curves[("mnist-like", activation)]
+        curves = curves_by_config[("mnist-like", activation)]
         final = {label: curve[-1] for label, curve in curves.items()}
         assert final["Worst"] <= min(final["+"], final["-"], final["RD"]) + 1e-9
         assert final["+"] < final["RP"]

@@ -67,7 +67,7 @@ def main() -> None:
     print(get_experiment("table1").format_result(results["table1"]))
     print(
         "   (run any subset at any scale — python -m repro.experiments --help; "
-        "pass ParallelRunner(mode='process') to use every core.)"
+        "pass executor='process' to use every core.)"
     )
 
 

@@ -22,7 +22,6 @@ from repro.executor.base import (
     ExecutorEvent,
     PoolExecutor,
     SerialExecutor,
-    coerce_executor,
     resolve_executor,
 )
 from repro.executor.chunking import Chunk, chunk_jobs, grid_fingerprint
@@ -56,7 +55,6 @@ __all__ = [
     "SerialExecutor",
     "WorkerConnectionLost",
     "chunk_jobs",
-    "coerce_executor",
     "grid_fingerprint",
     "read_journal",
     "resolve_executor",

@@ -8,9 +8,7 @@ in-process serial, one host's process/thread pool, or the distributed work
 queue (bit-identical results under every backend) — and assemble an
 :class:`~repro.experiments.base.ExperimentResult`.  The registry
 (:func:`get_experiment` / :func:`run_experiments`) plus the CLI
-(``python -m repro.experiments``) run any subset at any scale; the historical
-``run_*`` / ``format_*`` entry points remain as deprecated wrappers over
-:mod:`repro.experiments.compat`.
+(``python -m repro.experiments``) run any subset at any scale.
 """
 
 from repro.crossbar.mapping import ShardingSpec
@@ -24,13 +22,7 @@ from repro.experiments.config import (
     SWEEP_PRESET_GRIDS,
     resolve_scale,
 )
-from repro.experiments.runner import (
-    ParallelRunner,
-    prepare_model,
-    prepare_dataset,
-    run_multi_seed,
-    TrainedModel,
-)
+from repro.experiments.runner import prepare_model, prepare_dataset, TrainedModel
 from repro.experiments.base import Experiment, ExperimentResult, Job, execute_jobs
 from repro.experiments.scenario import (
     PAPER_SCENARIOS,
@@ -57,10 +49,6 @@ from repro.experiments.sweep import (
     resolve_knob,
     swept_field,
 )
-from repro.experiments.table1 import run_table1, format_table1, Table1Result
-from repro.experiments.figure3 import run_figure3, format_figure3, Figure3Result
-from repro.experiments.figure4 import run_figure4, format_figure4, Figure4Result
-from repro.experiments.figure5 import run_figure5, format_figure5, Figure5Result
 from repro.experiments.service_demo import ServiceAttackExperiment
 from repro.experiments.reporting import (
     format_curves_with_spread,
@@ -79,10 +67,8 @@ __all__ = [
     "ShardingSpec",
     "resolve_scale",
     "ServiceAttackExperiment",
-    "ParallelRunner",
     "prepare_model",
     "prepare_dataset",
-    "run_multi_seed",
     "TrainedModel",
     "Experiment",
     "ExperimentResult",
@@ -107,18 +93,6 @@ __all__ = [
     "get_sweep",
     "resolve_knob",
     "swept_field",
-    "run_table1",
-    "format_table1",
-    "Table1Result",
-    "run_figure3",
-    "format_figure3",
-    "Figure3Result",
-    "run_figure4",
-    "format_figure4",
-    "Figure4Result",
-    "run_figure5",
-    "format_figure5",
-    "Figure5Result",
     "format_table",
     "format_series",
     "format_curves_with_spread",

@@ -11,7 +11,7 @@ protocol:
   :class:`~repro.utils.results.RunResult` — it must be implemented so that
   ``run_job(job)`` is picklable (delegate to a module-level function), which
   lets every pipeline run its jobs on a
-  :class:`~repro.experiments.runner.ParallelRunner` process pool;
+  :class:`~repro.executor.PoolExecutor` process pool;
 * :meth:`Experiment.assemble` folds the ordered job results into an
   :class:`ExperimentResult`.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.experiments.config import ExperimentScale, resolve_scale
 from repro.experiments.scenario import ScenarioSpec, resolve_scenarios
@@ -149,9 +149,8 @@ class Experiment(ABC):
         """Expand a scale and scenario list into independent jobs.
 
         The default expansion is the common scenario x seed grid (seeds
-        derived once via :func:`seeds_for_runs`, shared by every scenario,
-        exactly like the historical ``run_multi_seed`` path); experiments
-        with a different job shape override this.  Overrides may accept
+        derived once via :func:`seeds_for_runs`, shared by every scenario);
+        experiments with a different job shape override this.  Overrides may accept
         extra keyword options (forwarded from :meth:`run`); unknown options
         raise :class:`TypeError` rather than being silently ignored.
         """
@@ -252,7 +251,6 @@ class Experiment(ABC):
         *,
         scenarios=None,
         executor=None,
-        runner=None,
         base_seed: int = 0,
         **options,
     ) -> ExperimentResult:
@@ -271,11 +269,6 @@ class Experiment(ABC):
             or ``None`` for the in-process serial path.  Results are
             bit-identical under every backend (every job is seeded up front,
             results are collected in job order).
-        runner:
-            Deprecated alias: a
-            :class:`~repro.experiments.runner.ParallelRunner`, mapped onto a
-            :class:`~repro.executor.PoolExecutor`.  Pass ``executor=``
-            instead.
         base_seed:
             Root of the deterministic per-job seed derivation.
         options:
@@ -283,9 +276,6 @@ class Experiment(ABC):
             unknown names raise :class:`ValueError` here, naming the
             experiment and its accepted options.
         """
-        from repro.executor import coerce_executor
-
-        executor = coerce_executor(executor, runner, owner=f"{self.name}.run()")
         self._validate_run_options(options)
         scale = resolve_scale(scale)
         scenarios = resolve_scenarios(scenarios)
@@ -326,7 +316,6 @@ def execute_jobs(
     jobs: Sequence[Job],
     *,
     executor=None,
-    runner=None,
     run_job=None,
     on_progress=None,
     cancel=None,
@@ -345,9 +334,7 @@ def execute_jobs(
     ``executor`` is an :class:`~repro.executor.Executor` instance, a name
     understood by :func:`~repro.executor.resolve_executor` (``"serial"``,
     ``"process"``, ``"thread"``, ``"queue"``), or ``None`` for the
-    in-process serial path.  ``runner`` is the deprecated spelling (a
-    :class:`~repro.experiments.runner.ParallelRunner`), mapped onto a
-    :class:`~repro.executor.PoolExecutor`.
+    in-process serial path.
 
     When ``run_job`` (a module-level picklable function) is given, workers
     receive it directly with each job, so user-registered experiments work
@@ -357,9 +344,8 @@ def execute_jobs(
     registry.  ``on_progress`` / ``cancel`` are forwarded to the executor
     (see :mod:`repro.executor.base`).
     """
-    from repro.executor import coerce_executor, resolve_executor
+    from repro.executor import resolve_executor
 
-    executor = coerce_executor(executor, runner, owner="execute_jobs()")
     executor = resolve_executor(executor)
     order = victim_grouped_order(jobs)
     grouped = executor.submit_jobs(

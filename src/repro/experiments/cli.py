@@ -24,7 +24,6 @@ carries pickles.  Keep coordinators on loopback and reach them through SSH
 tunnels (``ssh -L 7070:127.0.0.1:7070 coordinator-host``); binding a
 non-loopback address requires an explicit key and warns.
 
-``--mode`` is the deprecated spelling of ``--executor``.
 ``scripts/run_experiments.py`` is a thin wrapper around the same entry point.
 """
 
@@ -33,12 +32,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from typing import List, Optional
 
 from repro.experiments.config import SCALES
 from repro.experiments.registry import get_experiment, list_experiments, run_experiments
-from repro.experiments.runner import ParallelRunner
 from repro.experiments.scenario import SCENARIOS, get_scenario, list_scenarios
 
 
@@ -75,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTOR_NAMES,
         help="execution backend: serial (default), process/thread (one "
         "host's pool), queue (distributed work queue; see --serve/--connect)",
-    )
-    parser.add_argument(
-        "--mode",
-        default=None,
-        choices=ParallelRunner.VALID_MODES,
-        help="DEPRECATED alias of --executor",
     )
     parser.add_argument(
         "--workers",
@@ -160,13 +151,6 @@ def _build_executor(args):
     from repro.executor import QueueExecutor, resolve_executor
 
     name = args.executor
-    if args.mode is not None:
-        if name is not None:
-            raise SystemExit("pass --executor or the deprecated --mode, not both")
-        warnings.warn(
-            "--mode is deprecated; use --executor", DeprecationWarning, stacklevel=2
-        )
-        name = args.mode
     if name in (None, "serial"):
         return None
     if name == "queue":

@@ -11,19 +11,17 @@ the two maps, and the spatial smoothness of each map (to quantify the
 The pipeline is a registered :class:`~repro.experiments.base.Experiment`
 (``"figure3"``): each scenario is one picklable job (the figure uses a single
 deterministic seed), so a multi-scenario sweep runs on a
-:class:`~repro.experiments.runner.ParallelRunner` process pool with results
+:class:`~repro.executor.PoolExecutor` process pool with results
 bit-identical to the serial path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.correlation import pearson_correlation
-from repro.analysis.sensitivity import SensitivityMaps, sensitivity_norm_maps, spatial_smoothness
+from repro.analysis.sensitivity import sensitivity_norm_maps, spatial_smoothness
 from repro.experiments.base import Experiment, ExperimentResult, Job
-from repro.experiments.compat import deprecated_formatter, legacy_collision, run_legacy
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import register
 from repro.experiments.reporting import format_table, has_non_paper_scenarios
@@ -48,20 +46,7 @@ SUMMARY_KEYS = (
 )
 
 
-@dataclass
-class Figure3Result:
-    """Maps and summary statistics for all panels."""
-
-    scale_name: str
-    maps: Dict[Tuple[str, str], SensitivityMaps] = field(default_factory=dict)
-    summaries: Dict[Tuple[str, str], Dict[str, float]] = field(default_factory=dict)
-
-    def panel(self, dataset: str, activation: str) -> SensitivityMaps:
-        """The map pair for one configuration."""
-        return self.maps[(dataset, activation)]
-
-
-def _run_figure3_job(job: Job) -> RunResult:
+def _figure3_job(job: Job) -> RunResult:
     """Produce the map pair and summary statistics for one scenario."""
     scenario, scale, seed = job.scenario, job.scale, job.seed
     dataset = prepare_dataset(scenario.dataset, scale, random_state=seed)
@@ -122,7 +107,7 @@ class Figure3Experiment(Experiment):
             for scenario in scenarios
         ]
 
-    run_job = staticmethod(_run_figure3_job)
+    run_job = staticmethod(_figure3_job)
 
     def assemble(
         self,
@@ -193,97 +178,3 @@ class Figure3Experiment(Experiment):
 
 
 register(Figure3Experiment)
-
-
-def _legacy_result(result: ExperimentResult) -> Figure3Result:
-    """Adapt an :class:`ExperimentResult` to the historical result type.
-
-    The legacy :class:`Figure3Result` is keyed by (dataset, activation), so
-    scenario selections where two scenarios share that pair cannot be
-    represented — they raise rather than silently overwriting each other.
-    """
-    output = Figure3Result(scale_name=result.scale_name)
-    for run in result.sweep:
-        key = (run.metadata.get("dataset"), run.metadata.get("activation"))
-        if key in output.maps:
-            raise legacy_collision("figure3", key)
-        output.maps[key] = SensitivityMaps(
-            sensitivity=run.arrays["sensitivity_map"],
-            column_norms=run.arrays["norm_map"],
-            map_shape=tuple(run.metadata.get("map_shape", run.arrays["norm_map"].shape)),
-            channel=run.metadata.get("channel"),
-        )
-        output.summaries[key] = {key_: run.metrics[key_] for key_ in SUMMARY_KEYS}
-    return output
-
-
-def run_figure3(
-    scale="bench", *, base_seed: int = 0, runner=None, scenarios=None
-) -> Figure3Result:
-    """DEPRECATED: reproduce the data behind Figure 3 (legacy-shaped result).
-
-    Use ``get_experiment("figure3").run(...)`` for scenario-keyed results;
-    this wrapper delegates through :func:`repro.experiments.compat.run_legacy`
-    and emits a :class:`DeprecationWarning`.
-    """
-    return run_legacy(
-        "figure3",
-        _legacy_result,
-        wrapper="run_figure3()",
-        scale=scale,
-        scenarios=scenarios,
-        runner=runner,
-        base_seed=base_seed,
-    )
-
-
-def _format_figure3(result: Figure3Result) -> str:
-    """Render the per-panel summary statistics as a table."""
-    headers = [
-        "Panels",
-        "Dataset",
-        "Activation",
-        "Corr(sens, 1-norm)",
-        "Smoothness(sens)",
-        "Smoothness(1-norm)",
-        "Victim acc",
-    ]
-    rows = []
-    for (dataset, activation), summary in result.summaries.items():
-        panels = PANEL_LABELS.get((dataset, activation), ("?", "?"))
-        rows.append(
-            [
-                f"({panels[0]},{panels[1]})",
-                dataset,
-                activation,
-                float(summary["map_correlation"]),
-                float(summary["sensitivity_smoothness"]),
-                float(summary["norm_smoothness"]),
-                float(summary["victim_test_accuracy"]),
-            ]
-        )
-    return format_table(
-        headers,
-        rows,
-        title=(
-            f"Figure 3 reproduction (scale={result.scale_name}) — correlation between "
-            "mean-sensitivity and 1-norm maps; lower smoothness = smoother map"
-        ),
-        float_precision=3,
-    )
-
-
-#: DEPRECATED public spelling of :func:`_format_figure3`.
-format_figure3 = deprecated_formatter(
-    _format_figure3, "get_experiment('figure3').format_result(...)"
-)
-
-
-def main() -> None:  # pragma: no cover - console entry point
-    """Run the Figure 3 reproduction at bench scale and print the summary."""
-    result = _legacy_result(Figure3Experiment().run("bench"))
-    print(_format_figure3(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

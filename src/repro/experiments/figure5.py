@@ -16,16 +16,17 @@ The pipeline is a registered :class:`~repro.experiments.base.Experiment`
 (``"figure5"``): each (row, seed) cell is one picklable job — the per-seed
 λ x query-count sweep stays inside the job so every stochastic component is
 derived from the job's seed alone — and the whole figure runs on a
-:class:`~repro.experiments.runner.ParallelRunner` process pool with results
+:class:`~repro.executor.PoolExecutor` process pool with results
 bit-identical to the serial path.  Rows are derived from the scenario list
 (unique datasets x both observation modes) or passed explicitly via the
-legacy ``rows`` option.
+``rows`` option; :meth:`Figure5Row.from_summary` rebuilds one row's curves
+from ``result.summary["rows"]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from repro.analysis.statistics import independent_ttest
 from repro.attacks.oracle import Oracle
 from repro.attacks.surrogate import SurrogateAttack, SurrogateConfig
 from repro.experiments.base import Experiment, ExperimentResult, Job
-from repro.experiments.compat import deprecated_formatter, legacy_collision, run_legacy
-from repro.experiments.config import ExperimentScale, resolve_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import register
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import ParallelRunner, prepare_dataset
+from repro.experiments.runner import prepare_dataset
 from repro.experiments.scenario import ScenarioSpec
 from repro.utils.results import RunResult
 from repro.utils.rng import seeds_for_runs
@@ -51,13 +51,6 @@ ROW_LABELS: Dict[Tuple[str, str], str] = {
 }
 
 OUTPUT_MODES: Tuple[str, ...] = ("label", "raw")
-
-DEFAULT_ROWS: Tuple[Tuple[str, str], ...] = (
-    ("mnist-like", "label"),
-    ("mnist-like", "raw"),
-    ("cifar-like", "label"),
-    ("cifar-like", "raw"),
-)
 
 #: FGSM ε applied to the oracle (0.1 in the paper).
 DEFAULT_ATTACK_STRENGTH = 0.1
@@ -76,6 +69,33 @@ class Figure5Row:
     #: adversarial_accuracy[lambda][query index] -> list over runs
     adversarial_accuracy: Dict[float, List[List[float]]] = field(default_factory=dict)
     oracle_clean_accuracy: float = 0.0
+
+    @classmethod
+    def from_summary(cls, entry: Mapping[str, Any]) -> "Figure5Row":
+        """Rebuild one row from its ``result.summary["rows"]`` entry."""
+        query_counts = tuple(int(q) for q in entry["query_counts"])
+        lambdas = tuple(float(lam) for lam in entry["power_loss_weights"])
+        row = cls(
+            dataset=entry["dataset"],
+            output_mode=entry["output_mode"],
+            query_counts=query_counts,
+            power_loss_weights=lambdas,
+            surrogate_accuracy={lam: [[] for _ in query_counts] for lam in lambdas},
+            adversarial_accuracy={lam: [[] for _ in query_counts] for lam in lambdas},
+        )
+        for surrogate, adversarial in zip(
+            entry["surrogate_accuracy"], entry["adversarial_accuracy"]
+        ):
+            for lam_index, lam in enumerate(lambdas):
+                for query_index in range(len(query_counts)):
+                    row.surrogate_accuracy[lam][query_index].append(
+                        float(surrogate[lam_index][query_index])
+                    )
+                    row.adversarial_accuracy[lam][query_index].append(
+                        float(adversarial[lam_index][query_index])
+                    )
+        row.oracle_clean_accuracy = float(np.mean(entry["clean_accuracies"]))
+        return row
 
     def mean_surrogate_curve(self, power_loss_weight: float) -> List[float]:
         """Mean surrogate accuracy vs queries for one λ (left panel curve)."""
@@ -121,18 +141,6 @@ class Figure5Row:
         return improvements
 
 
-@dataclass
-class Figure5Result:
-    """All requested rows of Figure 5."""
-
-    scale_name: str
-    rows: Dict[Tuple[str, str], Figure5Row] = field(default_factory=dict)
-
-    def row(self, dataset: str, output_mode: str) -> Figure5Row:
-        """One row of the figure."""
-        return self.rows[(dataset, output_mode)]
-
-
 def _sweep_row_cells(
     victim,
     dataset,
@@ -169,7 +177,7 @@ def _sweep_row_cells(
     return cells
 
 
-def _run_figure5_job(job: Job) -> RunResult:
+def _figure5_job(job: Job) -> RunResult:
     """One (row, seed) job: the full λ x query-count sweep for one victim.
 
     The victim is the linear-output single-layer network (Section IV uses
@@ -282,7 +290,7 @@ class Figure5Experiment(Experiment):
             for run_index, seed in enumerate(seeds)
         ]
 
-    run_job = staticmethod(_run_figure5_job)
+    run_job = staticmethod(_figure5_job)
 
     def assemble(
         self,
@@ -331,7 +339,7 @@ class Figure5Experiment(Experiment):
         """Render every row as three text panels (scenario-keyed, collision-free)."""
         sections = []
         for entry in result.summary.get("rows", []):
-            row = _row_from_summary_entry(entry)
+            row = Figure5Row.from_summary(entry)
             label = ROW_LABELS.get(
                 (row.dataset, row.output_mode), f"{row.dataset}/{row.output_mode}"
             )
@@ -343,100 +351,6 @@ class Figure5Experiment(Experiment):
 
 
 register(Figure5Experiment)
-
-
-def _row_from_summary_entry(entry) -> Figure5Row:
-    """Rebuild one :class:`Figure5Row` from its summary-dict form."""
-    query_counts = tuple(int(q) for q in entry["query_counts"])
-    lambdas = tuple(float(lam) for lam in entry["power_loss_weights"])
-    row = Figure5Row(
-        dataset=entry["dataset"],
-        output_mode=entry["output_mode"],
-        query_counts=query_counts,
-        power_loss_weights=lambdas,
-        surrogate_accuracy={lam: [[] for _ in query_counts] for lam in lambdas},
-        adversarial_accuracy={lam: [[] for _ in query_counts] for lam in lambdas},
-    )
-    for surrogate, adversarial in zip(
-        entry["surrogate_accuracy"], entry["adversarial_accuracy"]
-    ):
-        for lam_index, lam in enumerate(lambdas):
-            for query_index in range(len(query_counts)):
-                row.surrogate_accuracy[lam][query_index].append(
-                    float(surrogate[lam_index][query_index])
-                )
-                row.adversarial_accuracy[lam][query_index].append(
-                    float(adversarial[lam_index][query_index])
-                )
-    row.oracle_clean_accuracy = float(np.mean(entry["clean_accuracies"]))
-    return row
-
-
-def _legacy_result(result: ExperimentResult) -> Figure5Result:
-    """Adapt an :class:`ExperimentResult` to the historical result type.
-
-    The legacy :class:`Figure5Result` is keyed by (dataset, output_mode), so
-    scenario selections where two scenarios share a dataset cannot be
-    represented — they raise rather than silently overwriting each other.
-    """
-    output = Figure5Result(scale_name=result.scale_name)
-    for entry in result.summary.get("rows", []):
-        row = _row_from_summary_entry(entry)
-        key = (row.dataset, row.output_mode)
-        if key in output.rows:
-            raise legacy_collision("figure5", key, "row")
-        output.rows[key] = row
-    return output
-
-
-def run_figure5(
-    scale="bench",
-    *,
-    rows: Optional[Sequence[Tuple[str, str]]] = None,
-    base_seed: int = 0,
-    attack_strength: float = DEFAULT_ATTACK_STRENGTH,
-    runner: Optional["ParallelRunner"] = None,
-    scenarios=None,
-) -> Figure5Result:
-    """Reproduce Figure 5 (legacy-shaped result).
-
-    Parameters
-    ----------
-    scale:
-        Size preset or :class:`ExperimentScale`.
-    rows:
-        Which (dataset, output_mode) rows to run; defaults to all four.
-    attack_strength:
-        FGSM ε applied to the oracle (0.1 in the paper).
-    runner:
-        Optional :class:`~repro.experiments.runner.ParallelRunner`; the
-        independent (row, seed) jobs are then executed on its worker pool
-        (bit-identical results, wall-clock scales with cores).
-    scenarios:
-        Optional scenario selection (defaults to the paper configurations).
-        With explicit ``rows``, each row's dataset is paired with the first
-        scenario for that dataset (its hardware/defence stack applies), or
-        with an ideal ad-hoc scenario when none matches.
-
-    DEPRECATED: use ``get_experiment("figure5").run(...)`` for scenario-keyed
-    results; this wrapper delegates through
-    :func:`repro.experiments.compat.run_legacy` and emits a
-    :class:`DeprecationWarning`.
-    """
-    scale = resolve_scale(scale)
-    if rows is None and scenarios is None:
-        rows = DEFAULT_ROWS
-    return run_legacy(
-        "figure5",
-        _legacy_result,
-        wrapper="run_figure5()",
-        scale=scale,
-        scenarios=scenarios,
-        runner=runner,
-        base_seed=base_seed,
-        rows=rows,
-        attack_strength=attack_strength,
-    )
 
 
 def _format_row(row: Figure5Row, label: str) -> List[str]:
@@ -482,32 +396,3 @@ def _format_row(row: Figure5Row, label: str) -> List[str]:
         improvement_lines.append(f"  lambda={lam:g}: {rendered}")
     sections.append("\n".join(improvement_lines))
     return sections
-
-
-def _format_figure5(result: Figure5Result) -> str:
-    """Render every requested row as three text panels."""
-    sections = []
-    for (dataset, output_mode), row in result.rows.items():
-        label = ROW_LABELS.get((dataset, output_mode), f"{dataset}/{output_mode}")
-        sections.extend(_format_row(row, label))
-    return "\n\n".join(sections)
-
-
-#: DEPRECATED public spelling of :func:`_format_figure5`.
-format_figure5 = deprecated_formatter(
-    _format_figure5, "get_experiment('figure5').format_result(...)"
-)
-
-
-def main() -> None:  # pragma: no cover - console entry point
-    """Run the MNIST rows of Figure 5 at bench scale and print them."""
-    result = _legacy_result(
-        Figure5Experiment().run(
-            "bench", rows=(("mnist-like", "label"), ("mnist-like", "raw"))
-        )
-    )
-    print(_format_figure5(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -40,9 +40,8 @@ def register(experiment: Union[Experiment, type]) -> Experiment:
     re-registering an experiment with an equal
     :meth:`~repro.experiments.base.Experiment.registration_fingerprint` is a
     no-op returning the existing instance (this happens legitimately when an
-    experiment module is executed as a script — ``python -m
-    repro.experiments.table1`` imports the module once through the package
-    and once as ``__main__``).
+    experiment module is imported twice, e.g. once through the package and
+    once as ``__main__``).
     """
     instance = experiment() if isinstance(experiment, type) else experiment
     if not isinstance(instance, Experiment):
@@ -122,7 +121,6 @@ def run_experiments(
     scale="bench",
     *,
     executor=None,
-    runner=None,
     scenarios=None,
     base_seed: int = 0,
     output_dir=None,
@@ -144,10 +142,6 @@ def run_experiments(
         paths is shared by more than one experiment, each experiment reads
         and writes its own derived file (``run.jsonl`` ->
         ``run.<experiment>.jsonl``) — one journal describes one job grid.
-    runner:
-        Deprecated alias: a
-        :class:`~repro.experiments.runner.ParallelRunner`, mapped onto a
-        :class:`~repro.executor.PoolExecutor`.  Pass ``executor=`` instead.
     scenarios:
         Scenario preset names / :class:`ScenarioSpec` instances shared by all
         selected experiments; ``None`` selects the paper configurations.
@@ -162,9 +156,6 @@ def run_experiments(
     -------
     dict mapping experiment name -> :class:`ExperimentResult`, in run order.
     """
-    from repro.executor import coerce_executor
-
-    executor = coerce_executor(executor, runner, owner="run_experiments()")
     if names is None:
         names = list_experiments()
     scale = resolve_scale(scale)

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: dataset/model preparation and multi-seed runs.
+"""Shared experiment plumbing: dataset and victim-model preparation.
 
 Every job of a hardware-knob sweep trains the same few victims: the knobs
 change the crossbar, never the weights.  :func:`prepare_dataset` and
@@ -9,27 +9,14 @@ generated, so at most one of each is alive per thread, and
 :func:`~repro.experiments.base.execute_jobs` runs jobs grouped by victim so
 the one entry hits.  Memoised arrays are read-only: a job that writes into
 a shared dataset or weight matrix fails instead of corrupting the next job.
-
-Multi-seed sweeps are embarrassingly parallel — every run receives an
-independent, deterministically derived seed — so :class:`ParallelRunner` can
-execute them on a :mod:`concurrent.futures` worker pool (processes by
-default) without changing any result: the derived seeds, the per-run RNG
-streams and the order results are assembled in are identical to the serial
-path.  Figure/table sweeps therefore scale with cores simply by passing a
-runner to :func:`run_multi_seed` (or to ``run_figure5``).
 """
 
 from __future__ import annotations
 
-import math
 import numbers
-import os
-import pickle
 import threading
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
@@ -37,8 +24,6 @@ from repro.datasets import Dataset, load_dataset
 from repro.experiments.config import ExperimentScale
 from repro.nn.network import SingleLayerNetwork
 from repro.nn.trainer import train_single_layer
-from repro.utils.results import RunResult, SweepResult
-from repro.utils.rng import seeds_for_runs
 
 
 @dataclass
@@ -148,144 +133,3 @@ def prepare_model(
         test_accuracy=test_accuracy,
         train_accuracy=train_accuracy,
     )
-
-
-def _call_star(payload: Tuple[Callable, tuple]):
-    """Top-level helper so worker invocations survive process-pool pickling."""
-    fn, args = payload
-    return fn(*args)
-
-
-class ParallelRunner:
-    """Executes independent seed-runs on a :mod:`concurrent.futures` pool.
-
-    Parameters
-    ----------
-    mode:
-        ``"process"`` (default) uses a :class:`ProcessPoolExecutor`,
-        ``"thread"`` a :class:`ThreadPoolExecutor`, and ``"serial"`` opts out
-        of parallelism entirely (useful for debugging and for callables that
-        cannot be pickled).
-    max_workers:
-        Worker-pool size; ``None`` uses the executor default (CPU count).
-
-    Determinism: the runner only distributes calls whose seeds were derived
-    up front, and collects results in submission order, so a parallel sweep
-    is bit-identical to its serial counterpart.  Process mode falls back to
-    serial execution (with a warning) when the callable or a representative
-    (first) argument tuple cannot be pickled — e.g. closures over local
-    state.  The probe is O(1) in the sweep size, so a heterogeneous
-    ``args_list`` whose *later* entries are unpicklable is the caller's
-    responsibility and surfaces as an error from the pool.
-
-    Scheduling: process mode submits jobs in **chunks** — one contiguous
-    block per worker — instead of one pickled round-trip per job.  Sweep
-    jobs are short (tens of milliseconds) and numerous, so per-job IPC
-    dominated the pool's wall clock (measured ~1.5x *slower* than serial for
-    51 short jobs on a small machine); chunking amortises the pickling and
-    queue traffic over ``len(jobs) / n_workers`` calls while preserving
-    result order.  The pool is also never wider than the job list.
-    """
-
-    VALID_MODES = ("process", "thread", "serial")
-
-    def __init__(self, *, mode: str = "process", max_workers: Optional[int] = None):
-        mode = str(mode).lower()
-        if mode not in self.VALID_MODES:
-            raise ValueError(f"mode must be one of {self.VALID_MODES}, got {mode!r}")
-        self.mode = mode
-        self.max_workers = max_workers
-
-    # ------------------------------------------------------------------ api
-
-    def map(self, fn: Callable, args_list: Sequence[tuple]) -> List:
-        """Apply ``fn(*args)`` to every argument tuple, preserving order."""
-        args_list = [tuple(args) for args in args_list]
-        mode = self.mode
-        if mode == "process" and not self._picklable(fn, args_list):
-            warnings.warn(
-                "ParallelRunner: callable or arguments are not picklable; "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            mode = "serial"
-        if mode == "serial" or len(args_list) <= 1:
-            return [fn(*args) for args in args_list]
-        executor_cls = (
-            ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-        )
-        workers = self.resolve_workers(len(args_list))
-        payloads = [(fn, args) for args in args_list]
-        map_kwargs = {}
-        if mode == "process":
-            map_kwargs["chunksize"] = self.chunksize(len(args_list))
-        with executor_cls(max_workers=workers) as executor:
-            return list(executor.map(_call_star, payloads, **map_kwargs))
-
-    def resolve_workers(self, n_jobs: int) -> int:
-        """The actual pool width for ``n_jobs`` (never wider than the jobs)."""
-        workers = self.max_workers or os.cpu_count() or 1
-        return max(1, min(workers, n_jobs))
-
-    def chunksize(self, n_jobs: int) -> int:
-        """Process-mode chunk size: one contiguous block per worker."""
-        return max(1, math.ceil(n_jobs / self.resolve_workers(n_jobs)))
-
-    def run_multi_seed(
-        self,
-        name: str,
-        run_fn: Callable[[int, int], RunResult],
-        *,
-        n_runs: int,
-        base_seed: Optional[int] = 0,
-    ) -> SweepResult:
-        """Parallel drop-in for :func:`run_multi_seed` (same results, ordered)."""
-        return run_multi_seed(
-            name, run_fn, n_runs=n_runs, base_seed=base_seed, runner=self
-        )
-
-    @staticmethod
-    def _picklable(fn: Callable, args_list: Sequence[tuple]) -> bool:
-        """Probe process-pool compatibility cheaply.
-
-        Only ``fn`` and a single representative argument tuple are pickled —
-        serialising the whole ``args_list`` would cost O(total payload) per
-        sweep just to answer a yes/no question, and every job of a sweep
-        shares the same callable and argument types.
-        """
-        sample = args_list[0] if args_list else ()
-        try:
-            pickle.dumps((fn, sample))
-        except Exception:
-            return False
-        return True
-
-
-def run_multi_seed(
-    name: str,
-    run_fn: Callable[[int, int], RunResult],
-    *,
-    n_runs: int,
-    base_seed: Optional[int] = 0,
-    runner: Optional[ParallelRunner] = None,
-) -> SweepResult:
-    """Run ``run_fn(run_index, seed)`` for ``n_runs`` independent seeds.
-
-    The derived seeds are deterministic in ``base_seed`` so the whole sweep is
-    reproducible, while every run receives an independent stream.  Passing a
-    :class:`ParallelRunner` executes the runs on a worker pool; results are
-    assembled in run order either way, so the sweep is identical to a serial
-    one.
-    """
-    sweep = SweepResult(name=name, metadata={"n_runs": n_runs, "base_seed": base_seed})
-    seeds: List[int] = seeds_for_runs(base_seed, n_runs)
-    if runner is None:
-        results = [run_fn(run_index, seed) for run_index, seed in enumerate(seeds)]
-    else:
-        results = runner.map(run_fn, list(enumerate(seeds)))
-    for run_index, (seed, result) in enumerate(zip(seeds, results)):
-        result.metadata.setdefault("seed", seed)
-        result.metadata.setdefault("run_index", run_index)
-        sweep.add(result)
-    return sweep

@@ -15,13 +15,12 @@ invariant to that scale).
 
 The pipeline is a registered :class:`~repro.experiments.base.Experiment`
 (``"table1"``): each scenario x seed cell is one picklable job, so the whole
-sweep runs on a :class:`~repro.experiments.runner.ParallelRunner` process
-pool with results bit-identical to the serial path.
+sweep runs on a :class:`~repro.executor.PoolExecutor` process pool with
+results bit-identical to the serial path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.correlation import sensitivity_norm_correlations
@@ -31,7 +30,6 @@ from repro.experiments.base import (
     Job,
     group_results_by_scenario,
 )
-from repro.experiments.compat import deprecated_formatter, legacy_collision, run_legacy
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import register
 from repro.experiments.reporting import format_table, has_non_paper_scenarios
@@ -75,23 +73,7 @@ METRIC_KEYS = (
 )
 
 
-@dataclass
-class Table1Result:
-    """Aggregated Table I reproduction results."""
-
-    scale_name: str
-    rows: List[Dict[str, object]] = field(default_factory=list)
-    sweeps: Dict[Tuple[str, str], SweepResult] = field(default_factory=dict)
-
-    def row_for(self, dataset: str, activation: str) -> Dict[str, object]:
-        """Return the aggregated row for one configuration."""
-        for row in self.rows:
-            if row["dataset"] == dataset and row["activation"] == activation:
-                return row
-        raise KeyError(f"no row for ({dataset}, {activation})")
-
-
-def _run_table1_job(job: Job) -> RunResult:
+def _table1_job(job: Job) -> RunResult:
     """Train one victim under ``job.scenario`` and compute both correlations."""
     scenario, scale, seed = job.scenario, job.scale, job.seed
     dataset = prepare_dataset(scenario.dataset, scale, random_state=seed)
@@ -127,7 +109,7 @@ class Table1Experiment(Experiment):
     name = "table1"
     description = "Sensitivity vs leaked column-1-norm correlations (Table I)"
 
-    run_job = staticmethod(_run_table1_job)
+    run_job = staticmethod(_table1_job)
 
     def assemble(
         self,
@@ -166,109 +148,41 @@ class Table1Experiment(Experiment):
         return assembled
 
     def format_result(self, result: ExperimentResult) -> str:
-        """Render from the scenario-keyed summary rows (collision-free).
-
-        The legacy adapter is deliberately bypassed: it raises when two
-        scenarios share a (dataset, activation) pair, which is a perfectly
-        valid selection for the scenario-keyed result being formatted here.
-        """
-        rows = [dict(row) for row in result.summary.get("rows", [])]
-        return _format_table1(Table1Result(scale_name=result.scale_name, rows=rows))
+        """Render the summary rows next to the paper's reported values."""
+        summary_rows = result.summary.get("rows", [])
+        with_scenario = has_non_paper_scenarios(summary_rows)
+        headers = (["Scenario"] if with_scenario else []) + [
+            "Dataset",
+            "Activation",
+            "MeanCorr(train)",
+            "MeanCorr(test)",
+            "CorrOfMean(train)",
+            "CorrOfMean(test)",
+            "Paper MeanCorr(test)",
+            "Paper CorrOfMean(test)",
+        ]
+        rows = []
+        for row in summary_rows:
+            paper = row.get("paper")
+            rows.append(
+                ([row.get("scenario", "-")] if with_scenario else [])
+                + [
+                    row["dataset"],
+                    row["activation"],
+                    float(row["mean_correlation_train"]),
+                    float(row["mean_correlation_test"]),
+                    float(row["correlation_of_mean_train"]),
+                    float(row["correlation_of_mean_test"]),
+                    float(paper["mean_correlation_test"]) if paper else "-",
+                    float(paper["correlation_of_mean_test"]) if paper else "-",
+                ]
+            )
+        return format_table(
+            headers,
+            rows,
+            title=f"Table I reproduction (scale={result.scale_name})",
+            float_precision=2,
+        )
 
 
 register(Table1Experiment)
-
-
-def _legacy_result(result: ExperimentResult) -> Table1Result:
-    """Adapt an :class:`ExperimentResult` to the historical result type.
-
-    The legacy per-configuration ``sweeps`` are keyed by (dataset,
-    activation); scenario selections where two scenarios share that pair
-    would merge their runs (corrupting per-configuration statistics), so
-    they raise instead — the scenario-keyed ``rows`` remain exact either way.
-    """
-    output = Table1Result(scale_name=result.scale_name)
-    output.rows = [dict(row) for row in result.summary.get("rows", [])]
-    scenario_for_key: Dict[Tuple[str, str], str] = {}
-    for run in result.sweep:
-        key = (run.metadata.get("dataset"), run.metadata.get("activation"))
-        scenario = str(run.metadata.get("scenario"))
-        if scenario_for_key.setdefault(key, scenario) != scenario:
-            raise legacy_collision("table1", key, "configuration")
-        if key not in output.sweeps:
-            output.sweeps[key] = SweepResult(name=run.name)
-        output.sweeps[key].add(run)
-    return output
-
-
-def run_table1(
-    scale="bench", *, base_seed: int = 0, runner=None, scenarios=None
-) -> Table1Result:
-    """DEPRECATED: reproduce Table I (legacy-shaped result).
-
-    Use ``get_experiment("table1").run(...)`` for scenario-keyed results;
-    this wrapper delegates through :func:`repro.experiments.compat.run_legacy`
-    and emits a :class:`DeprecationWarning`.
-    """
-    return run_legacy(
-        "table1",
-        _legacy_result,
-        wrapper="run_table1()",
-        scale=scale,
-        scenarios=scenarios,
-        runner=runner,
-        base_seed=base_seed,
-    )
-
-
-def _format_table1(result: Table1Result) -> str:
-    """Render the reproduction next to the paper's reported values."""
-    with_scenario = has_non_paper_scenarios(result.rows)
-    headers = (["Scenario"] if with_scenario else []) + [
-        "Dataset",
-        "Activation",
-        "MeanCorr(train)",
-        "MeanCorr(test)",
-        "CorrOfMean(train)",
-        "CorrOfMean(test)",
-        "Paper MeanCorr(test)",
-        "Paper CorrOfMean(test)",
-    ]
-    rows = []
-    for row in result.rows:
-        paper = row.get("paper")
-        rows.append(
-            ([row.get("scenario", "-")] if with_scenario else [])
-            + [
-                row["dataset"],
-                row["activation"],
-                float(row["mean_correlation_train"]),
-                float(row["mean_correlation_test"]),
-                float(row["correlation_of_mean_train"]),
-                float(row["correlation_of_mean_test"]),
-                float(paper["mean_correlation_test"]) if paper else "-",
-                float(paper["correlation_of_mean_test"]) if paper else "-",
-            ]
-        )
-    return format_table(
-        headers,
-        rows,
-        title=f"Table I reproduction (scale={result.scale_name})",
-        float_precision=2,
-    )
-
-
-#: DEPRECATED public spelling of :func:`_format_table1`.
-format_table1 = deprecated_formatter(
-    _format_table1, "get_experiment('table1').format_result(...)"
-)
-
-
-def main() -> None:  # pragma: no cover - console entry point
-    """Run the Table I reproduction at bench scale and print it."""
-    result = _legacy_result(Table1Experiment().run("bench"))
-    print(_format_table1(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

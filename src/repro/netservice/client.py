@@ -281,7 +281,11 @@ class NetClient:
         return int(self._handshake()["n_outputs"])
 
     def stats(self) -> Dict[str, Any]:
-        """Server-side stats: per-tenant counters + service coalescing stats."""
+        """Server-side stats: per-tenant counters + service coalescing stats.
+
+        A tenant's undefined ``coalescing_factor`` (no successful tick yet)
+        reads as ``None``: frames carry no NaN.
+        """
         header, _ = self._roundtrip({"type": "stats"})
         return {"tenants": header.get("tenants", {}), "service": header.get("service", {})}
 

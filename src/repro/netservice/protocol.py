@@ -76,18 +76,29 @@ def encode_frame(
     header = dict(header)
     descriptors, chunks = _array_descriptors(arrays or {})
     header["arrays"] = descriptors
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    try:
+        # allow_nan=False: the decoder rejects NaN/Infinity, so never send them
+        text = json.dumps(header, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise ProtocolError(f"frame header is not finite JSON: {exc}") from None
+    header_bytes = text.encode("utf-8")
     return b"".join(
         [_PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, len(header_bytes)), header_bytes]
         + chunks
     )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def _decode_header(raw: bytes) -> Dict[str, Any]:
     try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError included
         raise ProtocolError(f"frame header is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("frame header is nested too deeply") from None
     if not isinstance(header, dict):
         raise ProtocolError(
             f"frame header must be a JSON object, got {type(header).__name__}"
@@ -105,9 +116,13 @@ def _payload_length(descriptors, max_frame_bytes: int) -> Tuple[list, int]:
         try:
             name = descriptor["name"]
             dtype = str(descriptor["dtype"])
-            shape = tuple(int(n) for n in descriptor["shape"])
+            shape = tuple(descriptor["shape"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ProtocolError(f"malformed array descriptor {descriptor!r}: {exc}") from None
+        if not isinstance(name, str):
+            raise ProtocolError(f"array name must be a string, got {name!r}")
+        if not all(type(n) is int for n in shape):  # bool and float excluded
+            raise ProtocolError(f"array {name!r} shape must be integers, got {shape}")
         if dtype not in _WIRE_DTYPES:
             raise ProtocolError(f"array {name!r} has non-wire dtype {dtype!r}")
         if any(n < 0 for n in shape):

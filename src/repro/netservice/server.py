@@ -41,6 +41,7 @@ Design points, each carrying one acceptance criterion:
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
@@ -102,7 +103,8 @@ class TenantServiceStats:
         exactly when clients retry.  A tenant that has received requests
         but has no successful tick yet (every dispatch failed, or all are
         still queued) reports ``nan`` — "no traversal to amortise over" —
-        rather than a misleading ``0.0``.
+        rather than a misleading ``0.0``; a ``stats`` wire response carries
+        it as ``null``.
         """
         if self.n_ticks:
             return self.n_requests / self.n_ticks
@@ -186,6 +188,15 @@ def _json_safe_metadata(metadata: dict) -> dict:
         if isinstance(value, (str, int, float, bool, list, type(None))):
             safe[key] = value
     return safe
+
+
+def _finite_or_null(counters: dict) -> dict:
+    """Wire form of a stats dict: frames carry no NaN, so an undefined
+    ratio (``coalescing_factor`` before a tenant's first tick) is null."""
+    return {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in counters.items()
+    }
 
 
 class NetworkQueryService:
@@ -572,7 +583,10 @@ class NetworkQueryService:
                         {
                             "type": "response",
                             "status": "ok",
-                            "tenants": self.stats(),
+                            "tenants": {
+                                name: _finite_or_null(counters)
+                                for name, counters in self.stats().items()
+                            },
                             "service": self.service.stats.to_dict(),
                         },
                         None,

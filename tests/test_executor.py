@@ -18,20 +18,18 @@ from repro.executor import (
     EXECUTOR_NAMES,
     CancelToken,
     ExecutionCancelled,
-    Executor,
     JournalMismatchError,
     JournalWriter,
     PoolExecutor,
     QueueExecutor,
     SerialExecutor,
     chunk_jobs,
-    coerce_executor,
     grid_fingerprint,
     read_journal,
     resolve_executor,
 )
 from repro.executor.journal import result_from_wire, result_to_wire
-from repro.experiments import ExperimentScale, ParallelRunner
+from repro.experiments import ExperimentScale
 from repro.experiments.registry import get_experiment, list_experiments, run_experiments
 from repro.experiments.scenario import ScenarioSpec, resolve_scenarios
 from repro.experiments.sweep import SweepSpec
@@ -204,10 +202,10 @@ class TestJournal:
             read_journal(path)
 
 
-# -------------------------------------------------- resolution / deprecation
+# --------------------------------------------------------------- resolution
 
 
-class TestResolveAndCoerce:
+class TestResolveExecutor:
     def test_names_resolve_to_executors(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
         assert isinstance(resolve_executor("serial"), SerialExecutor)
@@ -227,23 +225,6 @@ class TestResolveAndCoerce:
         with pytest.raises(ValueError, match="existing"):
             resolve_executor(executor, max_workers=2)
 
-    def test_coerce_rejects_both(self):
-        with pytest.raises(ValueError, match="not both"):
-            coerce_executor(SerialExecutor(), ParallelRunner(mode="serial"), owner="x()")
-
-    def test_coerce_runner_warns_and_wraps(self):
-        runner = ParallelRunner(mode="serial")
-        with pytest.warns(DeprecationWarning, match="runner= is deprecated"):
-            executor = coerce_executor(None, runner, owner="x()")
-        assert isinstance(executor, PoolExecutor)
-        assert executor.runner is runner
-
-    def test_coerce_runner_silent_for_legacy_wrappers(self, recwarn):
-        executor = coerce_executor(
-            None, ParallelRunner(mode="serial"), owner="x()", warn=False
-        )
-        assert isinstance(executor, PoolExecutor)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
 class TestSerialExecutor:
@@ -264,7 +245,7 @@ class TestSerialExecutor:
         with pytest.raises(ExecutionCancelled):
             SerialExecutor().submit_jobs(jobs, run_job=experiment.run_job, cancel=token)
         with pytest.raises(ExecutionCancelled):
-            PoolExecutor(runner=ParallelRunner(mode="serial")).submit_jobs(
+            PoolExecutor(mode="thread").submit_jobs(
                 jobs, run_job=experiment.run_job, cancel=token
             )
 
@@ -602,19 +583,12 @@ class TestWorkerCLI:
         assert args.workers == 3
         assert args.chunk_size == 2
 
-    def test_experiments_cli_mode_is_deprecated_alias(self):
-        from repro.experiments.cli import _build_executor, build_parser
+    def test_experiments_cli_rejects_mode(self, capsys):
+        from repro.experiments.cli import build_parser
 
-        args = build_parser().parse_args(["figure3", "--mode", "process"])
-        with pytest.warns(DeprecationWarning, match="--mode is deprecated"):
-            executor = _build_executor(args)
-        assert isinstance(executor, PoolExecutor)
-
-        both = build_parser().parse_args(
-            ["figure3", "--executor", "serial", "--mode", "process"]
-        )
-        with pytest.raises(SystemExit, match="not both"):
-            _build_executor(both)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure3", "--mode", "process"])
+        assert "--mode" in capsys.readouterr().err
 
 
 # ------------------------------------------------ strict config validation
@@ -650,40 +624,11 @@ class TestStrictFromDict:
             SweepSpec.from_dict(payload)
 
 
-# -------------------------------------------------------- legacy wrappers
+# ------------------------------------------------------------ run spellings
 
 
-class TestLegacyWrappers:
-    def test_run_wrappers_warn_and_adapt(self, tiny_scale):
-        from repro.experiments import run_table1
-
-        with pytest.warns(DeprecationWarning, match="run_table1.*deprecated"):
-            legacy = run_table1(tiny_scale, scenarios=["paper/mnist-linear"])
-        assert legacy.scale_name == "tiny"
-        assert legacy.rows and legacy.rows[0]["dataset"] == "mnist-like"
-
-    def test_format_wrappers_warn(self, tiny_scale):
-        import warnings
-
-        from repro.experiments import format_figure3, run_figure3
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_figure3(tiny_scale, scenarios=["paper/mnist-linear"])
-        with pytest.warns(DeprecationWarning, match="format_figure3.*deprecated"):
-            text = format_figure3(legacy)
-        assert "Figure 3 reproduction" in text
-
-    def test_runner_kwarg_still_works_with_warning(self, tiny_scale):
-        experiment = get_experiment("figure3")
-        serial = experiment.run(tiny_scale, scenarios=["paper/mnist-linear"])
-        with pytest.warns(DeprecationWarning, match="runner= is deprecated"):
-            via_runner = experiment.run(
-                tiny_scale,
-                scenarios=["paper/mnist-linear"],
-                runner=ParallelRunner(mode="serial"),
-            )
-        assert_results_identical(serial, via_runner)
+class TestRunSpellings:
+    """``executor=`` is the one way to pick a backend; ``PoolExecutor`` the one pool."""
 
     def test_run_accepts_executor_instances_and_names(self, tiny_scale):
         experiment = get_experiment("figure3")
@@ -694,3 +639,35 @@ class TestLegacyWrappers:
             tiny_scale, scenarios=["paper/mnist-linear"], executor="serial"
         )
         assert_results_identical(serial, named)
+
+    def test_run_rejects_runner_option(self, tiny_scale):
+        with pytest.raises(ValueError, match=r"unknown run\(\) options \['runner'\]"):
+            get_experiment("figure3").run(
+                tiny_scale, scenarios=["paper/mnist-linear"], runner=object()
+            )
+
+    def test_execute_jobs_and_run_experiments_reject_runner(self, tiny_scale):
+        from repro.experiments.base import execute_jobs
+
+        _, jobs = _figure3_jobs(tiny_scale)
+        with pytest.raises(TypeError, match="runner"):
+            execute_jobs(jobs, runner=object())
+        with pytest.raises(TypeError, match="runner"):
+            run_experiments(["figure3"], tiny_scale, runner=object())
+
+    @pytest.mark.parametrize("mode", ["serial", "gpu"])
+    def test_pool_modes_are_process_and_thread(self, mode):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            PoolExecutor(mode=mode)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["run_table1", "format_figure5", "ParallelRunner", "run_multi_seed", "coerce_executor"],
+    )
+    def test_removed_names_are_gone(self, name):
+        import repro.executor
+        import repro.experiments
+        import repro.experiments.runner
+
+        for module in (repro.experiments, repro.experiments.runner, repro.executor):
+            assert not hasattr(module, name)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.crossbar.nonidealities import NonidealityConfig
+from repro.executor import PoolExecutor
 from repro.experiments import (
     PAPER_SCENARIOS,
     ExperimentResult,
-    ParallelRunner,
     ScenarioSpec,
     get_experiment,
     get_scenario,
@@ -329,19 +329,19 @@ class TestPicklabilityProbe:
         """Regression: _picklable must not pickle the whole args_list (O(data))."""
         args_list = [(_CountsPickles(),) for _ in range(16)]
         _CountsPickles.pickled = 0
-        assert ParallelRunner._picklable(pow, args_list)
+        assert PoolExecutor._picklable(pow, args_list)
         assert _CountsPickles.pickled == 1
 
     def test_probe_empty_args_list(self):
-        assert ParallelRunner._picklable(pow, [])
+        assert PoolExecutor._picklable(pow, [])
 
     def test_probe_rejects_unpicklable_fn(self):
-        assert not ParallelRunner._picklable(lambda x: x, [(1,)])
+        assert not PoolExecutor._picklable(lambda x: x, [(1,)])
 
     def test_process_mode_still_falls_back_for_unpicklable_fn(self):
-        runner = ParallelRunner(mode="process")
+        executor = PoolExecutor(mode="process")
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            values = runner.map(lambda x: x + 1, [(1,), (2,)])
+            values = executor.map(lambda x: x + 1, [(1,), (2,)])
         assert values == [2, 3]
 
 
@@ -375,16 +375,16 @@ class TestSerialProcessEquivalence:
     """Acceptance: every registered experiment is bit-identical serial vs process."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ParallelRunner(mode="process", max_workers=2)
+    def pool(self):
+        return PoolExecutor(mode="process", max_workers=2)
 
     @pytest.mark.parametrize("name", ["table1", "figure3", "figure4", "figure5"])
-    def test_experiment_parallel_matches_serial(self, name, fast_scale, runner):
+    def test_experiment_parallel_matches_serial(self, name, fast_scale, pool):
         experiment = get_experiment(name)
         scenarios = ["paper/mnist-softmax"]
         serial = experiment.run(fast_scale, scenarios=scenarios, base_seed=0)
         parallel = experiment.run(
-            fast_scale, scenarios=scenarios, runner=runner, base_seed=0
+            fast_scale, scenarios=scenarios, executor=pool, base_seed=0
         )
         _assert_results_identical(serial, parallel)
 
@@ -453,21 +453,12 @@ class TestRunExperimentsEndToEnd:
         assert result.metadata["scenario"] == "paper/mnist-softmax"
         assert result.metadata["seed"] == job.seed
 
-    def test_legacy_adapters_reject_configuration_collisions(self, fast_scale):
-        """Regression: legacy (dataset, activation)-keyed results must not
-        silently merge/overwrite two scenarios sharing that configuration."""
-        from repro.experiments import run_figure3, run_table1
-
+    def test_shared_configuration_stays_scenario_keyed(self, fast_scale):
+        """Two scenarios sharing a (dataset, activation) pair keep separate
+        panels and rows, and format_result names both."""
         scenarios = ["paper/mnist-softmax", "high-read-noise"]  # both mnist/softmax
-        with pytest.raises(ValueError, match="scenario-keyed"):
-            run_figure3(fast_scale, scenarios=scenarios)
-        with pytest.raises(ValueError, match="scenario-keyed"):
-            run_table1(fast_scale, scenarios=scenarios)
-        # the Experiment API itself handles the same selection fine
         result = get_experiment("figure3").run(fast_scale, scenarios=scenarios)
         assert [p["scenario"] for p in result.summary["panels"]] == scenarios
-        # ... including formatting: table1's format_result must not route
-        # through the collision-raising legacy adapter
         t1 = get_experiment("table1").run(fast_scale, scenarios=scenarios)
         text = get_experiment("table1").format_result(t1)
         assert "high-read-noise" in text and "Scenario" in text

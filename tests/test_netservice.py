@@ -14,6 +14,7 @@ The acceptance properties:
   error, never a hang.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -40,6 +41,7 @@ from repro.netservice.protocol import (
     PROTOCOL_VERSION,
     _PREAMBLE,
     encode_frame,
+    read_frame,
     read_frame_sync,
     send_frame_sync,
 )
@@ -90,6 +92,66 @@ def _replay_seeds(response):
         response.metadata["request_id"],
         len(response.queries),
     )
+
+
+def _raw_frame(header_json: str, payload: bytes = b"") -> bytes:
+    """A frame around a hand-written (possibly hostile) JSON header."""
+    header_bytes = header_json.encode("utf-8")
+    return (
+        _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, len(header_bytes))
+        + header_bytes
+        + payload
+    )
+
+
+def _descriptor_frame(name: str, shape: str) -> bytes:
+    """A query frame with one float64 descriptor and one row of payload."""
+    header = (
+        '{"type":"query","arrays":[{"name":%s,"dtype":"float64","shape":%s}]}'
+        % (name, shape)
+    )
+    return _raw_frame(header, bytes(8))
+
+
+#: Headers that once escaped the decoder untyped or were silently accepted.
+MALFORMED_FRAMES = {
+    "unhashable-name": _descriptor_frame("[1]", "[1]"),
+    "infinite-shape": _descriptor_frame('"inputs"', "[Infinity]"),
+    "deep-nesting": _raw_frame('{"x":' + "[" * 100_000 + "]" * 100_000 + "}"),
+    "float-shape": _descriptor_frame('"inputs"', "[1.7]"),
+    "bool-shape": _descriptor_frame('"inputs"', "[true]"),
+    "nan-constant": _raw_frame('{"type":"ping","x":NaN}'),
+}
+
+
+def _read_sync(frame: bytes):
+    left, right = socket.socketpair()
+
+    def send():
+        try:
+            left.sendall(frame)
+        except OSError:
+            pass  # the reader gave up early
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
+    try:
+        return read_frame_sync(right)
+    finally:
+        right.close()
+        sender.join(timeout=10)
+        left.close()
+        assert not sender.is_alive(), "sender thread hung"
+
+
+def _read_async(frame: bytes):
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await read_frame(reader)
+
+    return asyncio.run(run())
 
 
 class TestProtocol:
@@ -153,6 +215,11 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="dtype"):
             encode_frame({"type": "x"}, {"bad": np.zeros(3, dtype=np.complex128)})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_header_rejected_at_encode(self, value):
+        with pytest.raises(ProtocolError, match="not finite JSON"):
+            encode_frame({"type": "stats", "x": value})
+
     def test_overflowing_shape_rejected_as_protocol_error(self):
         # An adversarial descriptor whose element count would wrap an int64
         # product to ~0 must still hit the size bound as a ProtocolError —
@@ -173,6 +240,13 @@ class TestProtocol:
         finally:
             left.close()
             right.close()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_malformed_header_raises_protocol_error(self, case):
+        """Both decoders reject each hostile header with ProtocolError only."""
+        for read in (_read_sync, _read_async):
+            with pytest.raises(ProtocolError):
+                read(MALFORMED_FRAMES[case])
 
 
 class TestWireBitIdentity:
@@ -310,6 +384,8 @@ class TestFaultTolerance:
                 assert client.n_retries == 0
                 stats = client.stats()
         assert stats["tenants"]["bad"]["rows_charged"] == 0
+        # no successful tick: the undefined ratio travels as null, not NaN
+        assert stats["tenants"]["bad"]["coalescing_factor"] is None
 
     def test_unserialisable_response_reports_remote_error(self):
         """A response the server cannot serialise must still answer the
@@ -576,6 +652,19 @@ class TestBackpressureAndDrain:
             assert header["code"] == "service-closed"
         finally:
             sock.close()
+
+    def test_malformed_frames_get_an_error_frame(self):
+        """A frame the decoder rejects is answered, not dropped silently."""
+        with serve_in_thread(_oracle("paper/mnist-softmax"), _config()) as handle:
+            for case, frame in sorted(MALFORMED_FRAMES.items()):
+                sock = socket.create_connection(handle.address, timeout=30)
+                try:
+                    sock.sendall(frame)
+                    header, _ = read_frame_sync(sock)
+                finally:
+                    sock.close()
+                assert header["status"] == "error", case
+                assert header["code"] == "protocol", case
 
     def test_unknown_request_type_reports_protocol_error(self):
         with serve_in_thread(_oracle("paper/mnist-softmax"), _config()) as handle:

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from repro.crossbar.mapping import ShardingSpec
+from repro.executor import PoolExecutor
 from repro.experiments import (
     PAPER_SCENARIOS,
     SCENARIOS,
     SWEEP_PRESET_GRIDS,
     SWEEPS,
     ExperimentResult,
-    ParallelRunner,
     ScenarioSpec,
     SweepExperiment,
     SweepSpec,
@@ -345,10 +345,10 @@ class TestSweepExecution:
         assert curve[-1] - curve[0] >= 0.05
         assert curve[-1] > 0.99  # the ideal instrument sees the full leak
 
-    def test_process_runner_bit_identical(self, adc_result, sweep_scale):
+    def test_process_pool_bit_identical(self, adc_result, sweep_scale):
         parallel = get_experiment("sweep-adc-bits").run(
             sweep_scale,
-            runner=ParallelRunner(mode="process", max_workers=2),
+            executor=PoolExecutor(mode="process", max_workers=2),
             base_seed=0,
         )
         _assert_results_identical(adc_result, parallel)
