@@ -47,6 +47,10 @@ DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 _WIRE_DTYPES = frozenset(
     {"float64", "float32", "int64", "int32", "uint64", "bool"}
 )
+#: Wire name of each native-byte-order wire dtype.  A dict lookup is ~50x
+#: cheaper than ``str(dtype)``; ``dtype.name`` is not used because it reads
+#: ``float64`` for a big-endian ``>f8`` array too.
+_WIRE_NAMES = {np.dtype(name): name for name in _WIRE_DTYPES}
 
 
 def _array_descriptors(arrays: Mapping[str, np.ndarray]):
@@ -55,10 +59,10 @@ def _array_descriptors(arrays: Mapping[str, np.ndarray]):
     chunks = []
     for name, array in arrays.items():
         array = np.ascontiguousarray(array)
-        dtype = str(array.dtype)
-        if dtype not in _WIRE_DTYPES:
+        dtype = _WIRE_NAMES.get(array.dtype)
+        if dtype is None:
             raise ProtocolError(
-                f"array {name!r} has non-wire dtype {dtype!r}; "
+                f"array {name!r} has non-wire dtype {str(array.dtype)!r}; "
                 f"allowed: {sorted(_WIRE_DTYPES)}"
             )
         descriptors.append(

@@ -6,7 +6,8 @@ serving many concurrent attacker queries efficiently means *coalescing* them
 into fused traversals.  This package provides:
 
 * :class:`~repro.service.coalescer.QueryService` — the asyncio request queue:
-  concurrent ``submit(inputs)`` calls are coalesced per tick (``max_batch``
+  concurrent ``submit(inputs)`` calls (each one ``enqueue`` step, then an
+  await of the request's future) are coalesced per tick (``max_batch``
   rows / ``max_wait_ms`` hold time, bounded-queue backpressure) into one
   fused ``forward_with_power`` traversal, and per-request response slices are
   scattered back to the awaiting futures.

@@ -10,10 +10,11 @@ the fused result are scattered back to the awaiting futures.
 
 Correctness rests on per-request derived RNG streams: every submitted request
 receives a sequence number, from which one ``uint64`` seed per input row is
-derived (:func:`~repro.utils.rng.derive_request_seeds`) and passed down the
-measurement path as ``seeds``.  Each row's noise — conductance read noise,
-rail measurement noise, defence draws, instrument noise — is then a pure
-function of the row's seed, so a response is **bit-identical** whether the
+derived (the values of :func:`~repro.utils.rng.derive_request_seeds`, kept as
+Python ints per request and assembled into one array per tick) and passed
+down the measurement path as ``seeds``.  Each row's noise — conductance read
+noise, rail measurement noise, defence draws, instrument noise — is then a
+pure function of the row's seed, so a response is **bit-identical** whether the
 request ran alone, coalesced with strangers, or bypassed the service entirely
 via ``backend(inputs, seeds=service.seeds_for(request_id, n_rows))``.
 
@@ -39,13 +40,19 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.service.config import ServiceConfig
 from repro.utils.results import compact_repr
-from repro.utils.rng import derive_request_seeds, sample_stream
+from repro.utils.rng import (
+    derive_request_seeds,
+    mix_base_seed,
+    request_row_seeds,
+    sample_stream,
+)
 
 #: Stream-path domain tag for the rail ledger's dummy-draw (noise-budget)
 #: defence.  Distinct from the oracle (2), instrument (3) and averaging (5)
@@ -245,7 +252,10 @@ class _Pending:
     """One submitted request waiting for its tick."""
 
     inputs: np.ndarray
-    seeds: np.ndarray
+    #: One seed per row: Python ints from the service, or any sequence of
+    #: ``uint64`` values; :meth:`QueryService._dispatch` builds the tick's
+    #: seed array from them.
+    seeds: Sequence[int]
     future: asyncio.Future
     #: Optional observer called with the (1-based) tick index the request was
     #: served in — the hook the networked front-end uses for per-tenant
@@ -295,6 +305,7 @@ class QueryService:
         self._queue: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
         self._request_counter = 0
+        self._base_mix = mix_base_seed(self.config.base_seed)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -366,6 +377,30 @@ class QueryService:
         _, response = await self.submit_traced(inputs)
         return response
 
+    async def enqueue(
+        self, inputs: np.ndarray, *, on_dispatch=None, tenant: Optional[str] = None
+    ) -> Tuple[int, asyncio.Future]:
+        """Queue one request; return ``(request_id, future)`` once it is queued.
+
+        The one enqueue path behind :meth:`submit` and :meth:`submit_traced`.
+        It awaits only the ``max_pending`` backpressure, never the response,
+        so a single coroutine can queue many requests and await their
+        futures afterwards without a task per request.  The future resolves
+        to the request's slice of its tick (or that tick's exception).
+        ``on_dispatch`` and ``tenant`` are as for :meth:`submit_traced`.
+        """
+        if not self.started:
+            await self.start()
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        if len(inputs) == 0:
+            raise ValueError("cannot submit an empty request")
+        request_id = self._request_counter
+        self._request_counter += 1
+        seeds = request_row_seeds(self._base_mix, request_id, len(inputs))
+        future = asyncio.get_running_loop().create_future()
+        await self._queue.put(_Pending(inputs, seeds, future, on_dispatch, tenant))
+        return request_id, future
+
     async def submit_traced(
         self, inputs: np.ndarray, *, on_dispatch=None, tenant: Optional[str] = None
     ):
@@ -381,16 +416,9 @@ class QueryService:
         the rail ledger; it never affects the response itself (seeds depend
         only on the sequence number, so tenancy preserves bit-identity).
         """
-        if not self.started:
-            await self.start()
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if len(inputs) == 0:
-            raise ValueError("cannot submit an empty request")
-        request_id = self._request_counter
-        self._request_counter += 1
-        seeds = self.seeds_for(request_id, len(inputs))
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Pending(inputs, seeds, future, on_dispatch, tenant))
+        request_id, future = await self.enqueue(
+            inputs, on_dispatch=on_dispatch, tenant=tenant
+        )
         return request_id, await future
 
     # ------------------------------------------------------------- dispatch
@@ -520,7 +548,11 @@ class QueryService:
             # Batch assembly is part of the failure envelope: a request with
             # mismatched width must fail its tick, not kill the worker.
             inputs = np.concatenate([pending.inputs for pending in live])
-            seeds = np.concatenate([pending.seeds for pending in live])
+            seeds = np.fromiter(
+                chain.from_iterable(pending.seeds for pending in live),
+                dtype=np.uint64,
+                count=len(inputs),
+            )
             fused = self.backend.run(inputs, seeds)
         except Exception as exc:  # shared-bus semantics: the tick fails whole
             self.stats.n_failed_ticks += 1

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -188,11 +189,13 @@ async def run_coresident_attack(
 ) -> CoResidentTrace:
     """Drive one co-residency round through a started :class:`QueryService`.
 
-    Victim traffic and attacker probes are submitted as interleaved
+    Victim traffic and attacker probes are enqueued as interleaved
     single-row requests (the attacker times its probes against the victim's
-    request stream), all awaited concurrently so the coalescer ticks them
-    according to its placement policy.  Returns the attacker's view: the
-    bank-filtered rail ledger plus the per-tick known-row sums.
+    request stream) by this one coroutine, under the service's backpressure,
+    and their futures are awaited afterwards, so the coalescer ticks them
+    according to its placement policy without a task per request.  Returns
+    the attacker's view: the bank-filtered rail ledger plus the per-tick
+    known-row sums.
 
     The service is *not* stopped — callers own its lifecycle — and the
     ledger is read after every response resolved, so each submitted row is
@@ -203,13 +206,6 @@ async def run_coresident_attack(
     ledger_start = len(service.tick_trace)
 
     tick_of: Dict[Tuple[str, int], int] = {}
-
-    def _recorder(tenant: str, index: int):
-        def on_dispatch(tick_id: int) -> None:
-            tick_of[(tenant, index)] = tick_id
-
-        return on_dispatch
-
     # Interleave ``ratio`` probes ahead of every victim row (the attacker's
     # flooding strategy: under shared placement this dilutes each tick down
     # to ~one victim row, pinning fine-grained equations; under tenant-
@@ -228,16 +224,22 @@ async def run_coresident_attack(
     while cursor < len(probe_inputs):
         requests.append((attacker, cursor, probe_inputs[cursor]))
         cursor += 1
-    await asyncio.gather(
-        *(
-            service.submit_traced(
-                row[np.newaxis, :],
-                tenant=tenant,
-                on_dispatch=_recorder(tenant, index),
-            )
-            for tenant, index, row in requests
+    futures = []
+    for tenant, index, row in requests:
+        _, future = await service.enqueue(
+            row[np.newaxis, :],
+            tenant=tenant,
+            on_dispatch=partial(tick_of.__setitem__, (tenant, index)),
         )
-    )
+        futures.append(future)
+    try:
+        for future in futures:
+            await future
+    except Exception:
+        # A failed tick fails the round; read every other request's outcome
+        # first so no future's error goes unretrieved.
+        await asyncio.gather(*futures, return_exceptions=True)
+        raise
 
     ticks = visible_ticks(service.tick_trace[ledger_start:], attacker)
     visible_ids = {tick.tick_id for tick in ticks}

@@ -215,6 +215,27 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="dtype"):
             encode_frame({"type": "x"}, {"bad": np.zeros(3, dtype=np.complex128)})
 
+    @pytest.mark.parametrize("dtype", [">f8", ">i8", ">u8"])
+    def test_non_native_byte_order_rejected_at_encode(self, dtype):
+        # Sending these under their native wire name would flip every value.
+        with pytest.raises(ProtocolError, match="non-wire dtype"):
+            encode_frame({"type": "x"}, {"bad": np.zeros(3, dtype=dtype)})
+
+    def test_wire_dtype_frames_are_unchanged(self):
+        arrays = {
+            name: np.arange(6).reshape(2, 3).astype(name)
+            for name in ("float64", "float32", "int64", "int32", "uint64", "bool")
+        }
+        frame = encode_frame({"type": "x"}, arrays)
+        header_len = _PREAMBLE.unpack(frame[: _PREAMBLE.size])[2]
+        header = json.loads(frame[_PREAMBLE.size : _PREAMBLE.size + header_len])
+        assert header["arrays"] == [
+            {"name": name, "dtype": name, "shape": [2, 3]} for name in arrays
+        ]
+        assert frame[_PREAMBLE.size + header_len :] == b"".join(
+            array.tobytes() for array in arrays.values()
+        )
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_header_rejected_at_encode(self, value):
         with pytest.raises(ProtocolError, match="not finite JSON"):

@@ -106,6 +106,38 @@ class TestServiceVsDirectEquivalence:
         assert stats["n_requests"] == len(requests)
         assert stats["n_ticks"] < len(requests)  # coalescing actually happened
 
+    @pytest.mark.parametrize("base_seed", [0, -1, 2**64 + 3])
+    def test_mixed_tick_matches_seeds_for(self, base_seed):
+        """One tick of 1-row and 3-row requests, queued from one coroutine.
+
+        The tick's seed array is assembled from per-request ints; it must
+        equal the ``seeds_for`` reference, including where ``base_seed``
+        needs masking into 64 bits.
+        """
+        requests = _requests(sizes=(1, 3, 1, 3, 1))
+        config = ServiceConfig(max_batch=64, max_wait_ms=10_000, base_seed=base_seed)
+
+        async def run():
+            async with QueryService(_oracle("high-read-noise"), config) as service:
+                queued = [await service.enqueue(request) for request in requests]
+                responses = [await future for _, future in queued]
+                seeds = [
+                    service.seeds_for(request_id, len(request))
+                    for (request_id, _), request in zip(queued, requests)
+                ]
+                return [rid for rid, _ in queued], responses, seeds, service.stats
+
+        request_ids, responses, seeds, stats = asyncio.run(run())
+        assert request_ids == list(range(len(requests)))
+        assert stats.n_ticks == 1
+        assert stats.n_rows == sum(len(request) for request in requests)
+        direct = _oracle("high-read-noise")
+        for request, response, request_seeds in zip(requests, responses, seeds):
+            reference = direct.query(request, seeds=request_seeds)
+            np.testing.assert_array_equal(response.outputs, reference.outputs)
+            np.testing.assert_array_equal(response.power, reference.power)
+            np.testing.assert_array_equal(response.labels, reference.labels)
+
     @pytest.mark.parametrize("name", list_scenarios())
     def test_measurement_readings_bit_identical(self, name):
         requests = _requests()

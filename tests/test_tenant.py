@@ -15,6 +15,9 @@ module pins both:
 """
 
 import asyncio
+import gc
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -39,6 +42,7 @@ from repro.sidechannel.coresident import (
     run_coresident_attack,
     visible_ticks,
 )
+from repro.sidechannel.measurement import QueryBudgetExceeded
 from repro.utils.rng import derive_request_seeds
 
 pytestmark = pytest.mark.tenant
@@ -496,6 +500,28 @@ class TestCoResidentAttackMechanics:
         )
         assert coarse.n_equations < fine.n_equations
 
+    def test_exhausted_budget_fails_the_round_and_reads_every_error(self, caplog):
+        """A failed tick fails the attack, and no request's error goes unread."""
+        oracle = _oracle(query_budget=12)  # three ticks of four rows
+        config = _config(placement="shared", max_batch=4, max_wait_ms=10_000)
+
+        async def drive():
+            async with QueryService(oracle, config) as service:
+                await run_coresident_attack(service, _rows(8, seed=5), _rows(24, seed=6))
+
+        def failed():
+            try:
+                asyncio.run(drive())
+            except QueryBudgetExceeded:
+                return True
+            return False
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            assert failed()
+            gc.collect()
+        assert oracle.queries_used == 12
+        assert "never retrieved" not in caplog.text
+
     def test_noise_budget_degrades_recovery(self):
         clean = self._attack(_config(placement="shared", max_batch=4))
         jammed = self._attack(
@@ -505,6 +531,72 @@ class TestCoResidentAttackMechanics:
         clean_corr = np.corrcoef(clean.column_norms, truth)[0, 1]
         jammed_corr = np.corrcoef(jammed.column_norms, truth)[0, 1]
         assert jammed_corr < clean_corr
+
+
+#: sha256 of each co-resident ledger's ``(tenants, tenant_rows, rail_power)``
+#: below, keyed ``(placement, max_pending)``: tick composition and the rail
+#: observable are pinned bit for bit, including when ``max_pending`` is far
+#: smaller than the attacker's burst.
+LEDGER_DIGESTS = {
+    ("shared", 4): "d39b771c0570efecbb74fb42e995e68796b35980a98940a15089004ea0c3b009",
+    ("shared", 256): "d39b771c0570efecbb74fb42e995e68796b35980a98940a15089004ea0c3b009",
+    ("partitioned", 4): "d60390dfe495f937b938516aa672ea71fbc0ef66976b5b4cdba30a6633614ca5",
+    ("partitioned", 256): "d60390dfe495f937b938516aa672ea71fbc0ef66976b5b4cdba30a6633614ca5",
+    ("tile-isolated", 4): "d60390dfe495f937b938516aa672ea71fbc0ef66976b5b4cdba30a6633614ca5",
+    ("tile-isolated", 256): "d60390dfe495f937b938516aa672ea71fbc0ef66976b5b4cdba30a6633614ca5",
+}
+
+
+def _ledger_digest(ledger) -> str:
+    digest = hashlib.sha256()
+    for tick in ledger:
+        digest.update(repr((tick.tenants, tuple(tick.tenant_rows.items()))).encode())
+        digest.update(np.float64(tick.rail_power).tobytes())
+    return digest.hexdigest()
+
+
+class TestCoResidentLedgerUnderBackpressure:
+    """A flood of 7 probes per victim row, through a queue of 4 or 256."""
+
+    N_VICTIM = 32
+    RATIO = 7
+
+    def _run(self, placement, max_pending):
+        victim_inputs = _rows(self.N_VICTIM, seed=5)
+        probe_inputs = _rows(self.RATIO * self.N_VICTIM, seed=6)
+        # A round that outlives max_wait_ms dispatches its groups under-full;
+        # a generous bound keeps the pinned composition independent of host
+        # speed (rounds still end early once the flood is fully queued).
+        config = _config(
+            placement=placement, max_pending=max_pending, max_wait_ms=10_000
+        )
+
+        async def drive():
+            async with QueryService(_oracle(), config) as service:
+                trace = await run_coresident_attack(
+                    service, victim_inputs, probe_inputs
+                )
+            return service.tick_trace, trace
+
+        return asyncio.run(drive())
+
+    @pytest.mark.parametrize("max_pending", (4, 256))
+    @pytest.mark.parametrize("placement", ("shared", "partitioned", "tile-isolated"))
+    def test_tick_composition_is_pinned(self, placement, max_pending):
+        ledger, trace = self._run(placement, max_pending)
+        assert len(ledger) == (self.RATIO + 1) * self.N_VICTIM // 8
+        assert all(tick.rows == 8 for tick in ledger)
+        victim_ticks = [tick for tick in ledger if "victim" in tick.tenant_rows]
+        if placement == "shared":
+            assert len(victim_ticks) == len(ledger)
+            assert all(tick.tenant_rows["victim"] == 1 for tick in ledger)
+        else:
+            assert all(len(tick.tenants) == 1 for tick in ledger)
+            assert len(victim_ticks) == self.N_VICTIM // 8
+            assert all(tick.tenant_rows["victim"] == 8 for tick in victim_ticks)
+        mounted = estimate_victim_norms(trace, N_FEATURES).mounted
+        assert mounted is (placement != "tile-isolated")
+        assert _ledger_digest(ledger) == LEDGER_DIGESTS[(placement, max_pending)]
 
 
 class TestExperimentRegistration:
