@@ -43,6 +43,11 @@ _PREAMBLE = struct.Struct("!2sBI")
 #: memory.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Most dimensions one wire array may have: numpy's own limit is 32 on
+#: numpy 1 and 64 on numpy 2, and the protocol must not depend on which one
+#: a peer runs.
+MAX_ARRAY_DIMS = 32
+
 #: dtypes allowed on the wire (everything the oracle/measurement path emits).
 _WIRE_DTYPES = frozenset(
     {"float64", "float32", "int64", "int32", "uint64", "bool"}
@@ -125,6 +130,11 @@ def _payload_length(descriptors, max_frame_bytes: int) -> Tuple[list, int]:
             raise ProtocolError(f"malformed array descriptor {descriptor!r}: {exc}") from None
         if not isinstance(name, str):
             raise ProtocolError(f"array name must be a string, got {name!r}")
+        if len(shape) > MAX_ARRAY_DIMS:
+            raise ProtocolError(
+                f"array {name!r} has {len(shape)} dimensions "
+                f"(at most {MAX_ARRAY_DIMS} on the wire)"
+            )
         if not all(type(n) is int for n in shape):  # bool and float excluded
             raise ProtocolError(f"array {name!r} shape must be integers, got {shape}")
         if dtype not in _WIRE_DTYPES:
@@ -132,8 +142,8 @@ def _payload_length(descriptors, max_frame_bytes: int) -> Tuple[list, int]:
         if any(n < 0 for n in shape):
             raise ProtocolError(f"array {name!r} has negative shape {shape}")
         # Python-int arithmetic: an adversarial shape like [2**32, 2**32]
-        # must hit this bound, not wrap to a tiny nbytes and blow up later
-        # in reshape (outside the ProtocolError handling).
+        # must hit this bound before any payload is read, not wrap to a
+        # tiny nbytes.
         nbytes = np.dtype(dtype).itemsize * math.prod(shape)
         total += nbytes
         if total > max_frame_bytes:
@@ -151,7 +161,10 @@ def _assemble(header: Dict[str, Any], parsed, payload: bytes):
         segment = payload[offset : offset + nbytes]
         # .copy() yields an owned, writable array: request inputs flow into
         # the oracle path, responses outlive the receive buffer.
-        arrays[name] = np.frombuffer(segment, dtype=dtype).reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(segment, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # a shape numpy rejects, e.g. [0, 2**40, 2**40]
+            raise ProtocolError(f"array {name!r} has unusable shape: {exc}") from None
         offset += nbytes
     header.pop("arrays", None)
     return header, arrays

@@ -61,6 +61,7 @@ from repro.netservice.protocol import (
     read_frame,
 )
 from repro.service.coalescer import QueryService
+from repro.service.facade import LoopRuntime
 
 #: Tenant name used when a request frame does not carry one.
 DEFAULT_TENANT = "default"
@@ -650,26 +651,22 @@ class NetworkQueryService:
 class ServerHandle:
     """A running :class:`NetworkQueryService` on a private event-loop thread.
 
-    The synchronous analogue of the PR 5 facades, for tests, benchmarks and
+    The synchronous analogue of the service facades, built on the same
+    :class:`~repro.service.facade.LoopRuntime`, for tests, benchmarks and
     the CLI demo: ``address`` is connectable immediately, ``close()`` drains
-    gracefully.  All interaction with the server object hops through its
-    loop, so cross-thread use is safe.
+    gracefully (idempotent and thread-safe).  All interaction with the
+    server object hops through its loop, so cross-thread use is safe.
     """
 
     def __init__(self, target, config: Optional[NetServiceConfig] = None):
-        import threading
-
-        self.loop = asyncio.new_event_loop()
-        self.server = NetworkQueryService(target, config)
-        self._thread = threading.Thread(
-            target=self.loop.run_forever, name="repro-netservice", daemon=True
+        self._runtime = LoopRuntime(
+            NetworkQueryService(target, config), name="repro-netservice"
         )
-        self._thread.start()
-        self._closed = False
-        self._call(self.server.start())
+        self.loop = self._runtime.loop
+        self.server = self._runtime.service
 
     def _call(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
+        return self._runtime.call(coro)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -702,15 +699,8 @@ class ServerHandle:
         self.loop.call_soon_threadsafe(arm)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if not self._thread.is_alive():
-            return
-        self._call(self.server.stop())
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join()
-        self.loop.close()
+        """Drain and stop the server and its loop thread (idempotent)."""
+        self._runtime.close()
 
     def __enter__(self) -> "ServerHandle":
         return self

@@ -38,7 +38,6 @@ tenant-facing results stay bit-identical under every policy.
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -46,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.service.config import ServiceConfig
+from repro.service.errors import ServiceClosedError
 from repro.utils.results import compact_repr
 from repro.utils.rng import (
     derive_request_seeds,
@@ -305,6 +305,10 @@ class QueryService:
         self._queue: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
         self._request_counter = 0
+        #: Enqueues inside ``Queue.put`` (blocked on backpressure or about
+        #: to return); :meth:`stop` waits for them before cancelling.
+        self._n_putting = 0
+        self._stopping = False
         self._base_mix = mix_base_seed(self.config.base_seed)
 
     # ------------------------------------------------------------ lifecycle
@@ -322,31 +326,35 @@ class QueryService:
         return self
 
     async def stop(self) -> None:
-        """Dispatch any still-queued requests, then cancel the worker.
+        """Serve every queued request, then cancel the worker.
 
-        After the worker is cancelled, anything that raced into the queue —
-        e.g. a facade ``query`` from another thread overlapping ``close()``
-        — is dispatched here as final ticks, so no submitted request is ever
-        stranded with an unresolved future.
+        While ``stop`` runs, :meth:`enqueue` raises
+        :class:`~repro.service.errors.ServiceClosedError` (before taking a
+        sequence number).  ``stop`` waits until the queue is empty and no
+        enqueue is blocked on backpressure, then cancels the worker; the
+        cancelled round dispatches the groups it holds.  Every request
+        queued before ``stop`` is therefore served in ordinary ticks, and
+        none is stranded.  A later submit starts a fresh worker.
+
+        ``stop`` also completes when called from a task that caught its own
+        cancellation (the ``serve`` CLI's Ctrl-C path); only a cancellation
+        of ``stop`` itself interrupts it.
         """
         if self._worker is None:
             return
-        while self._queue is not None and not self._queue.empty():
-            await asyncio.sleep(0)
-        self._worker.cancel()
+        self._stopping = True
         try:
-            await self._worker
-        except asyncio.CancelledError:
-            pass
-        self._worker = None
-        while self._queue is not None and not self._queue.empty():
-            tick = []
-            while True:
-                try:
-                    tick.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self._dispatch_batch(tick)
+            while (self._n_putting or not self._queue.empty()) and not self._worker.done():
+                await asyncio.sleep(0)
+            self._worker.cancel()
+            # wait() does not re-raise the worker's CancelledError, so it
+            # cannot be mistaken for a cancellation of the caller.
+            await asyncio.wait({self._worker})
+            if not self._worker.cancelled():
+                self._worker.result()  # surface a crashed worker
+            self._worker = None
+        finally:
+            self._stopping = False
 
     async def __aenter__(self) -> "QueryService":
         return await self.start()
@@ -388,7 +396,11 @@ class QueryService:
         futures afterwards without a task per request.  The future resolves
         to the request's slice of its tick (or that tick's exception).
         ``on_dispatch`` and ``tenant`` are as for :meth:`submit_traced`.
+        Raises :class:`~repro.service.errors.ServiceClosedError` while
+        :meth:`stop` runs.
         """
+        if self._stopping:
+            raise ServiceClosedError("the service is stopping")
         if not self.started:
             await self.start()
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -398,7 +410,11 @@ class QueryService:
         self._request_counter += 1
         seeds = request_row_seeds(self._base_mix, request_id, len(inputs))
         future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Pending(inputs, seeds, future, on_dispatch, tenant))
+        self._n_putting += 1
+        try:
+            await self._queue.put(_Pending(inputs, seeds, future, on_dispatch, tenant))
+        finally:
+            self._n_putting -= 1
         return request_id, future
 
     async def submit_traced(
@@ -425,110 +441,59 @@ class QueryService:
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
-        if self.config.placement == "shared":
-            while True:
-                await self._coalesce_shared(loop)
         while True:
-            await self._coalesce_grouped(loop)
+            await self._round(loop)
 
-    async def _coalesce_shared(self, loop) -> None:
-        """One shared-placement round: a single mixed tick of a whole drain."""
-        first = await self._queue.get()
-        tick = [first]
-        rows = len(first.inputs)
-        deadline = loop.time() + self.config.max_wait_ms / 1000.0
-        try:
-            while rows < self.config.max_batch:
-                # Greedily drain whatever is already queued.  When the
-                # queue runs dry, give the scheduler one pass so every
-                # ready submitter can enqueue; if that pass produces
-                # nothing new the offered load is fully coalesced —
-                # dispatch immediately rather than idling out the
-                # deadline (which only bounds genuinely trickling
-                # arrivals, e.g. cross-thread submitters).
-                try:
-                    pending = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    if loop.time() >= deadline:
-                        break
-                    await asyncio.sleep(0)
-                    if self._queue.empty():
-                        break
-                    continue
-                tick.append(pending)
-                rows += len(pending.inputs)
-        except asyncio.CancelledError:
-            # Never strand a held-open tick on shutdown.
-            self._dispatch(tick)
-            raise
-        self._dispatch(tick)
+    async def _round(self, loop) -> None:
+        """One coalescing round; the same loop serves every placement.
 
-    async def _coalesce_grouped(self, loop) -> None:
-        """One tenant-grouped round (``partitioned`` / ``tile-isolated``).
-
-        Rows accumulate into per-tenant groups; the ``max_batch`` budget
-        applies *per group*, and a group that fills dispatches immediately
-        as its own tick while the other tenants' groups keep coalescing.
-        This keeps same-tenant rows riding together under interleaved
-        arrivals: a tenant flooding the service cannot force another
-        tenant's rows to dispatch in small, fine-grained ticks — its own
-        full groups peel off instead.  The drain-round semantics (greedy
-        drain, dispatch-early when the offered load is fully coalesced,
-        ``max_wait_ms`` bounding trickling arrivals) match the shared path.
+        Requests join groups: one group under ``shared`` placement, one per
+        tenant under ``partitioned`` / ``tile-isolated``.  A group dispatches
+        as its own tick as soon as its rows reach ``max_batch``, while the
+        other groups keep coalescing, so a tenant flooding the service peels
+        off its own full ticks instead of forcing another tenant's rows out
+        in small ones.  The queue is drained greedily; when it runs dry the
+        round gives the scheduler one pass so every ready submitter can
+        enqueue.  The round ends when (a) that pass brings nothing new (the
+        offered load is fully coalesced), (b) the queue runs dry after
+        ``max_wait_ms`` (trickling arrivals, e.g. cross-thread submitters),
+        or (c) a fill leaves no group open.  Open groups then dispatch
+        under-full, in first-arrival order — also when the round is
+        cancelled, so :meth:`stop` never strands a held-open tick.
         """
-        first = await self._queue.get()
-        groups: "OrderedDict[Optional[str], List[_Pending]]" = OrderedDict()
+        max_batch = self.config.max_batch
+        by_tenant = self.config.placement != "shared"
+        groups: Dict[Optional[str], List[_Pending]] = {}
         group_rows: Dict[Optional[str], int] = {}
-
-        def absorb(pending: _Pending) -> None:
-            key = pending.tenant
-            groups.setdefault(key, []).append(pending)
-            group_rows[key] = group_rows.get(key, 0) + len(pending.inputs)
-            if group_rows[key] >= self.config.max_batch:
-                self._dispatch(groups.pop(key))
-                del group_rows[key]
-
-        absorb(first)
+        pending = await self._queue.get()
         deadline = loop.time() + self.config.max_wait_ms / 1000.0
         try:
             while True:
-                try:
-                    pending = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    if loop.time() >= deadline:
+                key = pending.tenant if by_tenant else None
+                rows = group_rows.get(key, 0) + len(pending.inputs)
+                if rows >= max_batch:
+                    tick = groups.pop(key, [])
+                    group_rows.pop(key, None)
+                    tick.append(pending)
+                    self._dispatch(tick)
+                    if not groups:
+                        return
+                else:
+                    groups.setdefault(key, []).append(pending)
+                    group_rows[key] = rows
+                while True:
+                    try:
+                        pending = self._queue.get_nowait()
                         break
-                    await asyncio.sleep(0)
-                    if self._queue.empty():
-                        break
-                    continue
-                absorb(pending)
-        except asyncio.CancelledError:
-            # Never strand held-open groups on shutdown.
-            for group in groups.values():
-                self._dispatch(group)
-            raise
-        for group in groups.values():
-            self._dispatch(group)
-
-    def _dispatch_batch(self, batch: List[_Pending]) -> None:
-        """Apply the placement policy to one drained round of requests.
-
-        ``shared`` dispatches the round as a single mixed tick (status quo).
-        ``partitioned`` / ``tile-isolated`` group the round by tenant —
-        first-arrival order, each group a tick of its own — so a fused
-        traversal never carries rows from two tenants.  Groups other than
-        the one that filled its ``max_batch`` budget may dispatch under-full
-        (the same dispatch-early semantics the shared policy applies to a
-        whole round).
-        """
-        if self.config.placement == "shared":
-            self._dispatch(batch)
-            return
-        groups: "OrderedDict[Optional[str], List[_Pending]]" = OrderedDict()
-        for pending in batch:
-            groups.setdefault(pending.tenant, []).append(pending)
-        for group in groups.values():
-            self._dispatch(group)
+                    except asyncio.QueueEmpty:
+                        if loop.time() >= deadline:
+                            return
+                        await asyncio.sleep(0)
+                        if self._queue.empty():
+                            return
+        finally:
+            for tick in groups.values():
+                self._dispatch(tick)
 
     def _dispatch(self, tick: List[_Pending]) -> None:
         """One fused traversal for the tick; scatter slices to the futures."""

@@ -36,17 +36,20 @@ class ServiceConfig:
     Attributes
     ----------
     max_batch:
-        Row budget per fused traversal: a tick dispatches as soon as the
-        coalesced rows reach this count.  A single oversized request still
-        runs as one fused call (it is never split).
+        Row budget per fused traversal.  Each coalescing round collects
+        requests into groups (one group under ``shared`` placement, one per
+        tenant otherwise), and a group dispatches as its own tick as soon as
+        its rows reach this count.  A single oversized request still runs as
+        one fused call (it is never split).
     max_wait_ms:
-        Upper bound on how long a tick holds the first pending request open
-        for company before dispatching under-full.  The service dispatches
-        *early* whenever a scheduler pass brings no new submissions (the
-        offered load is fully coalesced), so this bound is only reached
-        under genuinely trickling arrivals — e.g. cross-thread submitters.
-        ``0`` dispatches whatever is queued immediately (pure greedy
-        coalescing).
+        Upper bound on how long a round holds its first request open for
+        company.  A round ends when a scheduler pass brings no new
+        submissions (the offered load is fully coalesced), when the queue
+        runs dry after this bound, or when a filled group leaves no group
+        open; its open groups then dispatch under-full.  The bound is
+        therefore only reached under genuinely trickling arrivals — e.g.
+        cross-thread submitters.  ``0`` dispatches whatever is queued
+        immediately (pure greedy coalescing).
     max_pending:
         Bound of the request queue; :meth:`QueryService.submit` applies
         backpressure (awaits) while the queue is full.

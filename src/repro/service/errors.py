@@ -14,7 +14,13 @@ class ServiceClosedError(RuntimeError):
     Raised by the synchronous facades (:class:`~repro.service.facade.
     BatchingOracle` / :class:`~repro.service.facade.BatchingMeasurement`)
     when ``query``/``measure`` is called after ``close()``, and by
-    :class:`~repro.netservice.client.NetClient` after its ``close()``.  It is
-    a *terminal* error: the caller holds a dead handle, and no retry against
-    the same handle can succeed.
+    :class:`~repro.netservice.client.NetClient` after its ``close()``.  For
+    those it is a *terminal* error: the caller holds a dead handle, and no
+    retry against the same handle can succeed.
+
+    :meth:`~repro.service.coalescer.QueryService.enqueue` (and so ``submit``
+    / ``submit_traced``) also raises it while
+    :meth:`~repro.service.coalescer.QueryService.stop` runs, before the
+    request takes a sequence number.  A :class:`QueryService` itself can be
+    submitted to again once ``stop()`` has returned.
     """

@@ -24,45 +24,45 @@ from repro.service.coalescer import QueryService, ServiceStats
 from repro.service.errors import ServiceClosedError
 
 
-class _FacadeRuntime:
-    """A daemon thread running one event loop with one started QueryService."""
+class LoopRuntime:
+    """A daemon thread running one event loop with one started service.
 
-    def __init__(self, target, config: Optional[ServiceConfig]):
+    ``service`` is anything with ``start()`` / ``stop()`` coroutines — a
+    :class:`QueryService` here, a
+    :class:`~repro.netservice.server.NetworkQueryService` behind
+    :class:`~repro.netservice.server.ServerHandle`.  :meth:`call` runs a
+    coroutine on the loop and blocks for its result.
+    """
+
+    def __init__(self, service, name: str):
         self.loop = asyncio.new_event_loop()
-        self.service = QueryService(target, config)
+        self.service = service
         self._closed = False
         self._close_lock = threading.Lock()
         self._thread = threading.Thread(
-            target=self.loop.run_forever, name="repro-query-service", daemon=True
+            target=self.loop.run_forever, name=name, daemon=True
         )
         self._thread.start()
-        self._call(self.service.start())
+        self.call(service.start())
 
-    def _call(self, coro):
+    def call(self, coro):
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def submit(self, inputs):
-        if self._closed:
-            raise ServiceClosedError(
-                "this facade has been closed; build a new "
-                "BatchingOracle/BatchingMeasurement to submit further queries"
-            )
-        return self._call(self.service.submit(inputs))
-
     def close(self) -> None:
-        # Idempotent and race-safe: the first caller drains and tears down,
-        # every later (or concurrent) caller returns once teardown is done.
+        """Stop the service, then the loop and its thread (idempotent)."""
+        # Race-safe: the first caller drains and tears down, every later
+        # (or concurrent) caller returns once teardown is done.
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
             if not self._thread.is_alive():
                 return
-            self._call(self.service.stop())
+            self.call(self.service.stop())
             self.loop.call_soon_threadsafe(self.loop.stop)
             self._thread.join()
             self.loop.close()
@@ -74,7 +74,9 @@ class _BatchingFacade:
     def __init__(self, target, config: Optional[ServiceConfig] = None):
         self.target = target
         self.config = config if config is not None else ServiceConfig()
-        self._runtime = _FacadeRuntime(target, self.config)
+        self._runtime = LoopRuntime(
+            QueryService(target, self.config), name="repro-query-service"
+        )
 
     @property
     def closed(self) -> bool:
@@ -95,6 +97,14 @@ class _BatchingFacade:
     def close(self) -> None:
         """Stop the service and its event-loop thread (idempotent)."""
         self._runtime.close()
+
+    def _submit(self, inputs):
+        if self._runtime.closed:
+            raise ServiceClosedError(
+                "this facade has been closed; build a new "
+                "BatchingOracle/BatchingMeasurement to submit further queries"
+            )
+        return self._runtime.call(self.service.submit(inputs))
 
     def __enter__(self):
         return self
@@ -126,7 +136,7 @@ class BatchingOracle(_BatchingFacade):
 
     def query(self, inputs: np.ndarray):
         """Submit one request and block for its coalesced response."""
-        return self._runtime.submit(inputs)
+        return self._submit(inputs)
 
     # -------------------------------------------------- oracle passthroughs
 
@@ -181,7 +191,7 @@ class BatchingMeasurement(_BatchingFacade):
         single 1-D input returns a scalar, a batch returns a ``(B,)`` array.
         """
         single = np.asarray(inputs).ndim == 1
-        readings = self._runtime.submit(inputs)
+        readings = self._submit(inputs)
         return float(readings[0]) if single else readings
 
     # --------------------------------------------- measurement passthroughs

@@ -22,12 +22,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.oracle import Oracle
 from repro.experiments.scenario import SCENARIOS, list_scenarios
 from repro.netservice import (
     NetClient,
     NetServiceConfig,
+    NetworkQueryService,
     ProtocolError,
     QueryBudgetExceeded,
     ServiceClosedError,
@@ -44,6 +47,7 @@ from repro.netservice.protocol import (
     read_frame,
     read_frame_sync,
     send_frame_sync,
+    write_frame,
 )
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
@@ -121,6 +125,8 @@ MALFORMED_FRAMES = {
     "float-shape": _descriptor_frame('"inputs"', "[1.7]"),
     "bool-shape": _descriptor_frame('"inputs"', "[true]"),
     "nan-constant": _raw_frame('{"type":"ping","x":NaN}'),
+    "too-many-dims": _descriptor_frame('"inputs"', json.dumps([1] * 65)),
+    "zero-axis-overflow": _descriptor_frame('"inputs"', json.dumps([0, 2**40, 2**40])),
 }
 
 
@@ -268,6 +274,50 @@ class TestProtocol:
         for read in (_read_sync, _read_async):
             with pytest.raises(ProtocolError):
                 read(MALFORMED_FRAMES[case])
+
+
+#: Any JSON value, for the fields of a hostile array descriptor.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+_SHAPES = _JSON_VALUES | st.lists(st.integers(-1, 3) | _JSON_VALUES, max_size=80)
+_DESCRIPTORS = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=8) | _JSON_VALUES,
+        "dtype": st.sampled_from(["float64", "int32", "bool"]) | _JSON_VALUES,
+        "shape": _SHAPES,
+    }
+)
+_FUZZ_MAX_FRAME_BYTES = 8192
+
+
+class TestDecoderFuzz:
+    """Whatever descriptors a frame carries, the decoder raises only ProtocolError."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(descriptors=st.lists(_DESCRIPTORS, min_size=1, max_size=3))
+    @example(descriptors=[{"name": "inputs", "dtype": "float64", "shape": [1] * 65}])
+    def test_only_protocol_error_escapes(self, descriptors):
+        header = json.dumps({"type": "query", "arrays": descriptors})
+        # Enough payload for any frame the size bound admits, so a frame the
+        # decoder accepts never waits on bytes that do not come.  A longer
+        # header is rejected from the preamble alone, so the truncated send
+        # always fits the socket buffer.
+        frame = _raw_frame(header, bytes(_FUZZ_MAX_FRAME_BYTES))
+        left, right = socket.socketpair()
+        right.settimeout(10)  # a decoder that hangs fails, not blocks
+        try:
+            left.sendall(frame[: _PREAMBLE.size + 2 * _FUZZ_MAX_FRAME_BYTES])
+            try:
+                read_frame_sync(right, max_frame_bytes=_FUZZ_MAX_FRAME_BYTES)
+            except ProtocolError:
+                pass
+        finally:
+            left.close()
+            right.close()
 
 
 class TestWireBitIdentity:
@@ -673,6 +723,47 @@ class TestBackpressureAndDrain:
             assert header["code"] == "service-closed"
         finally:
             sock.close()
+
+    def test_stop_completes_in_a_task_that_caught_its_own_cancel(self):
+        """The ``serve`` CLI's Ctrl-C path: the main task swallows its own
+        cancellation, then ``async with`` stops the server from that task.
+        The drain must still finish: the queued request is answered with
+        the typed error, the transport closes and the stopped event is set."""
+        config = _config(scheduler_window=1)
+        inputs = {"inputs": np.ones((1, N_FEATURES))}
+
+        async def run():
+            server = NetworkQueryService(_oracle("paper/mnist-softmax"), config)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            write_frame(writer, {"type": "query", "tenant": "t", "key": "k0"}, inputs)
+            await writer.drain()
+            served, _ = await asyncio.wait_for(read_frame(reader), timeout=10)
+            server.pause_scheduling()
+            write_frame(writer, {"type": "query", "tenant": "t", "key": "k1"}, inputs)
+            await writer.drain()
+            deadline = time.monotonic() + 10
+            while not server._tenants["t"].queue and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            asyncio.current_task().cancel()
+            try:
+                await asyncio.sleep(10)
+            except asyncio.CancelledError:
+                pass
+            await server.stop()
+            drained, _ = await asyncio.wait_for(read_frame(reader), timeout=10)
+            tail = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            return server, served, drained, tail
+
+        server, served, drained, tail = asyncio.run(run())
+        assert served["status"] == "ok"
+        assert drained["status"] == "error"
+        assert drained["code"] == "service-closed"
+        assert tail == b""  # the server closed the transport
+        assert not server.started
+        assert server._stopped_event.is_set()
 
     def test_malformed_frames_get_an_error_frame(self):
         """A frame the decoder rejects is answered, not dropped silently."""

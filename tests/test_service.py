@@ -326,6 +326,100 @@ class TestServiceMechanics:
         assert len(second.outputs) == 1
         assert backend.calls == 1  # one fused traversal, not one per request
 
+    @pytest.mark.parametrize("placement", ["shared", "partitioned", "tile-isolated"])
+    def test_stop_under_backpressure_serves_every_request_in_bounded_ticks(
+        self, placement
+    ):
+        """stop() with submitters blocked on a full queue serves all of them
+        in ticks of at most max_batch rows and leaves the queue empty."""
+        oracle = _oracle("paper/mnist-softmax")
+        config = ServiceConfig(max_batch=2, max_pending=8, placement=placement)
+
+        async def run():
+            service = QueryService(oracle, config)
+            await service.start()
+            tasks = [
+                asyncio.ensure_future(
+                    service.submit_traced(
+                        np.full((1, N_FEATURES), 0.5), tenant=f"t{i % 2}"
+                    )
+                )
+                for i in range(64)
+            ]
+            for _ in range(3):
+                await asyncio.sleep(0)
+            await asyncio.wait_for(service.stop(), timeout=10)
+            done, pending = await asyncio.wait(tasks, timeout=10)
+            for task in pending:
+                task.cancel()
+            return service, done, pending
+
+        service, done, pending = asyncio.run(run())
+        assert not pending, f"{len(pending)} of 64 requests never resolved"
+        request_ids = sorted(task.result()[0] for task in done)
+        assert request_ids == list(range(64))
+        assert service._queue.empty()
+        assert service.stats.n_requests == 64
+        assert service.stats.max_tick_rows <= config.max_batch
+        if placement != "shared":
+            assert all(len(tick.tenants) == 1 for tick in service.tick_trace)
+
+    def test_enqueue_during_stop_raises_and_takes_no_request_id(self):
+        oracle = _oracle("paper/mnist-softmax")
+        config = ServiceConfig(max_batch=2, max_pending=2)
+        inputs = np.full((1, N_FEATURES), 0.5)
+
+        async def run():
+            service = QueryService(oracle, config)
+            await service.start()
+            tasks = [
+                asyncio.ensure_future(service.submit_traced(inputs)) for _ in range(6)
+            ]
+            await asyncio.sleep(0)  # ids 0-5 taken; four submitters blocked
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0)
+            assert not stopping.done()  # still draining the blocked submitters
+            with pytest.raises(ServiceClosedError, match="stopping"):
+                await service.enqueue(inputs)
+            await asyncio.wait_for(stopping, timeout=10)
+            served = await asyncio.wait_for(asyncio.gather(*tasks), timeout=10)
+            assert not service.started
+            # The rejected enqueue consumed no id; a later submit restarts
+            # the worker and continues the sequence.
+            request_id, _ = await asyncio.wait_for(
+                service.submit_traced(inputs), timeout=10
+            )
+            await service.stop()
+            return [rid for rid, _ in served], request_id
+
+        served_ids, next_id = asyncio.run(run())
+        assert served_ids == list(range(6))
+        assert next_id == 6
+
+    def test_stop_completes_in_a_task_that_caught_its_own_cancel(self):
+        """stop() from a task that swallowed its own cancellation (the serve
+        CLI's Ctrl-C path) still serves the queue and stops the worker."""
+        oracle = _oracle("paper/mnist-softmax")
+        inputs = np.full((1, N_FEATURES), 0.5)
+
+        async def run():
+            service = QueryService(oracle, ServiceConfig(max_batch=2))
+            futures = [(await service.enqueue(inputs))[1] for _ in range(5)]
+            asyncio.current_task().cancel()
+            try:
+                await asyncio.sleep(10)
+            except asyncio.CancelledError:
+                pass
+            await service.stop()
+            return service, futures
+
+        service, futures = asyncio.run(run())
+        assert all(future.done() and not future.cancelled() for future in futures)
+        assert all(future.exception() is None for future in futures)
+        assert not service.started
+        assert service.stats.n_requests == 5
+        assert service.stats.max_tick_rows <= 2
+
 
 class TestBatchingOracleFacade:
     """The sync drop-in front-end existing attacks can use unchanged."""
