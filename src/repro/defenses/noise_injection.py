@@ -76,6 +76,11 @@ class PowerNoiseDefense:
         return self.target.predict_labels(inputs)
 
     @property
+    def n_inputs(self) -> int:
+        """Input dimensionality of the wrapped target."""
+        return self.target.n_inputs
+
+    @property
     def n_outputs(self) -> int:
         """Output dimensionality of the wrapped target."""
         return self.target.n_outputs

@@ -1,14 +1,8 @@
-"""Length-prefixed message frames for the work-queue wire.
+"""Pickle message frames of the work-queue wire.
 
-Same preamble idiom as :mod:`repro.netservice.protocol` — magic, version,
-big-endian payload length::
-
-    +-------+---------+----------------+------------------------+
-    | magic | version | body length    |   body (pickle)        |
-    | b"RQ" | 1 byte  | uint32 big-end |   bl bytes             |
-    +-------+---------+----------------+------------------------+
-
-— but the body is a **pickle**, not JSON+arrays: leases carry frozen
+Each frame is the shared preamble of :mod:`repro.utils.framing` (magic
+``b"RQ"``, whose length field counts the whole body) followed by one body —
+a **pickle**, not the netservice's JSON+arrays: leases carry frozen
 :class:`~repro.experiments.base.Job` values (nested frozen dataclasses) and
 results carry :class:`~repro.utils.results.RunResult` objects, both of which
 pickle round-trips bit-exactly for free.
@@ -51,7 +45,6 @@ import hmac
 import os
 import pickle
 import socket
-import struct
 from typing import Any, Dict, Union
 
 from repro.executor.errors import (
@@ -59,10 +52,11 @@ from repro.executor.errors import (
     QueueProtocolError,
     WorkerConnectionLost,
 )
+from repro.utils.framing import Wire
 
 MAGIC = b"RQ"
 PROTOCOL_VERSION = 1
-_PREAMBLE = struct.Struct("!2sBI")
+_WIRE = Wire(MAGIC, PROTOCOL_VERSION, QueueProtocolError, WorkerConnectionLost)
 
 #: Environment variable carrying the shared auth key to worker processes.
 AUTH_ENV_VAR = "REPRO_QUEUE_AUTH"
@@ -86,57 +80,19 @@ def encode_message(message: Dict[str, Any]) -> bytes:
             f"queue messages must be dicts with a 'type' key, got {type(message).__name__}"
         )
     body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, len(body)) + body
-
-
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes from a blocking socket or raise."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except socket.timeout:
-            raise
-        except (ConnectionError, BrokenPipeError, OSError) as exc:
-            raise WorkerConnectionLost(f"connection lost mid-frame: {exc}") from exc
-        if not chunk:
-            raise WorkerConnectionLost(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    return _WIRE.preamble(len(body)) + body
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Send one message over a blocking socket."""
-    frame = encode_message(message)
-    try:
-        sock.sendall(frame)
-    except socket.timeout:
-        raise
-    except (ConnectionError, BrokenPipeError, OSError) as exc:
-        raise WorkerConnectionLost(f"connection lost while sending: {exc}") from exc
+    _WIRE.sendall(sock, encode_message(message))
 
 
 def recv_message(
     sock: socket.socket, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> Dict[str, Any]:
     """Read one message from a blocking socket."""
-    raw = _recv_exactly(sock, _PREAMBLE.size)
-    magic, version, body_len = _PREAMBLE.unpack(raw)
-    if magic != MAGIC:
-        raise QueueProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if version != PROTOCOL_VERSION:
-        raise QueueProtocolError(
-            f"unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-        )
-    if body_len > max_frame_bytes:
-        raise QueueProtocolError(
-            f"frame body length {body_len} exceeds max_frame_bytes={max_frame_bytes}"
-        )
-    body = _recv_exactly(sock, body_len)
+    body = _WIRE.read_frame(sock, max_frame_bytes)
     try:
         message = pickle.loads(body)
     except Exception as exc:  # pickle raises a zoo of exception types
@@ -175,24 +131,14 @@ def server_authenticate(sock: socket.socket, key: Union[str, bytes]) -> None:
     """
     material = normalize_auth_key(key)
     nonce_s = os.urandom(_NONCE_BYTES)
-    try:
-        sock.sendall(AUTH_MAGIC + bytes([PROTOCOL_VERSION]) + nonce_s)
-        reply = _recv_exactly(sock, _NONCE_BYTES + _DIGEST_BYTES)
-    except socket.timeout:
-        raise
-    except (ConnectionError, BrokenPipeError, OSError) as exc:
-        raise WorkerConnectionLost(f"connection lost during auth: {exc}") from exc
+    _WIRE.sendall(sock, AUTH_MAGIC + bytes([PROTOCOL_VERSION]) + nonce_s)
+    reply = _WIRE.recv_exactly(sock, _NONCE_BYTES + _DIGEST_BYTES)
     nonce_c, answer = reply[:_NONCE_BYTES], reply[_NONCE_BYTES:]
     if not hmac.compare_digest(answer, _digest(material, _CLIENT_SALT, nonce_s)):
         raise QueueAuthError(
             "peer failed the shared-key challenge (wrong or missing auth key)"
         )
-    try:
-        sock.sendall(_digest(material, _SERVER_SALT, nonce_c))
-    except socket.timeout:
-        raise
-    except (ConnectionError, BrokenPipeError, OSError) as exc:
-        raise WorkerConnectionLost(f"connection lost during auth: {exc}") from exc
+    _WIRE.sendall(sock, _digest(material, _SERVER_SALT, nonce_c))
 
 
 def client_authenticate(sock: socket.socket, key: Union[str, bytes]) -> None:
@@ -203,7 +149,7 @@ def client_authenticate(sock: socket.socket, key: Union[str, bytes]) -> None:
     lease from a peer that cannot (raises :class:`QueueAuthError`).
     """
     material = normalize_auth_key(key)
-    challenge = _recv_exactly(sock, len(AUTH_MAGIC) + 1 + _NONCE_BYTES)
+    challenge = _WIRE.recv_exactly(sock, len(AUTH_MAGIC) + 1 + _NONCE_BYTES)
     if challenge[: len(AUTH_MAGIC)] != AUTH_MAGIC:
         raise QueueAuthError(
             "coordinator did not open with an auth challenge "
@@ -216,13 +162,8 @@ def client_authenticate(sock: socket.socket, key: Union[str, bytes]) -> None:
         )
     nonce_s = challenge[len(AUTH_MAGIC) + 1 :]
     nonce_c = os.urandom(_NONCE_BYTES)
-    try:
-        sock.sendall(nonce_c + _digest(material, _CLIENT_SALT, nonce_s))
-    except socket.timeout:
-        raise
-    except (ConnectionError, BrokenPipeError, OSError) as exc:
-        raise WorkerConnectionLost(f"connection lost during auth: {exc}") from exc
-    proof = _recv_exactly(sock, _DIGEST_BYTES)
+    _WIRE.sendall(sock, nonce_c + _digest(material, _CLIENT_SALT, nonce_s))
+    proof = _WIRE.recv_exactly(sock, _DIGEST_BYTES)
     if not hmac.compare_digest(proof, _digest(material, _SERVER_SALT, nonce_c)):
         raise QueueAuthError(
             "coordinator failed to prove knowledge of the shared auth key; "

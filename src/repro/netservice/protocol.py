@@ -1,11 +1,13 @@
-"""Length-prefixed JSON+binary frame protocol of the networked service.
+"""JSON+binary frame body of the networked service's wire.
 
-One frame carries one request or one response::
+One frame carries one request or one response.  After the shared preamble
+of :mod:`repro.utils.framing` (magic ``b"RN"``, whose length field counts
+the header only) come the header and the array bytes::
 
-    +-------+---------+----------------+--------------------+---------------+
-    | magic | version | header length  |   header (JSON)    |  array bytes  |
-    | b"RN" | 1 byte  | uint32 big-end |   utf-8, hl bytes  | concatenated  |
-    +-------+---------+----------------+--------------------+---------------+
+    +--------------------+---------------+
+    |   header (JSON)    |  array bytes  |
+    |   utf-8            | concatenated  |
+    +--------------------+---------------+
 
 The header is a small JSON object (request type, tenant, idempotency key,
 status, error code, ...).  ndarray payloads are **not** JSON-encoded: the
@@ -17,7 +19,9 @@ depends on it — at zero serialisation cost beyond one contiguity copy.
 
 Both a blocking-socket codec (client side) and an asyncio-streams codec
 (server side) are provided over the same byte layout; every malformed or
-oversized frame raises :class:`~repro.netservice.errors.ProtocolError`.
+oversized frame raises :class:`~repro.netservice.errors.ProtocolError`, and
+a dropped blocking socket raises
+:class:`~repro.netservice.errors.ConnectionLostError`.
 """
 
 from __future__ import annotations
@@ -25,17 +29,16 @@ from __future__ import annotations
 import json
 import math
 import socket
-import struct
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.netservice.errors import ConnectionLostError, ProtocolError
+from repro.utils.framing import PREAMBLE as _PREAMBLE, Wire
 
-#: Frame preamble: magic, protocol version, header length.
 MAGIC = b"RN"
 PROTOCOL_VERSION = 1
-_PREAMBLE = struct.Struct("!2sBI")
+_WIRE = Wire(MAGIC, PROTOCOL_VERSION, ProtocolError, ConnectionLostError)
 
 #: Default ceiling on one frame's total size (header + arrays).  Large
 #: enough for a few thousand coalesced float64 rows, small enough that a
@@ -91,10 +94,7 @@ def encode_frame(
     except ValueError as exc:
         raise ProtocolError(f"frame header is not finite JSON: {exc}") from None
     header_bytes = text.encode("utf-8")
-    return b"".join(
-        [_PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, len(header_bytes)), header_bytes]
-        + chunks
-    )
+    return b"".join([_WIRE.preamble(len(header_bytes)), header_bytes] + chunks)
 
 
 def _reject_constant(name: str):
@@ -170,23 +170,6 @@ def _assemble(header: Dict[str, Any], parsed, payload: bytes):
     return header, arrays
 
 
-def _check_preamble(raw: bytes, max_frame_bytes: int) -> int:
-    magic, version, header_len = _PREAMBLE.unpack(raw)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {version} (this build speaks "
-            f"{PROTOCOL_VERSION})"
-        )
-    if header_len > max_frame_bytes:
-        raise ProtocolError(
-            f"frame header length {header_len} exceeds "
-            f"max_frame_bytes={max_frame_bytes}"
-        )
-    return header_len
-
-
 # ------------------------------------------------------------ asyncio codec
 
 
@@ -195,13 +178,12 @@ async def read_frame(
 ):
     """Read one frame from an :class:`asyncio.StreamReader`.
 
-    Returns ``(header, arrays)``.  Raises :class:`ConnectionLostError` on a
-    clean EOF *between* frames is left to the caller: an EOF before any
-    preamble byte raises ``asyncio.IncompleteReadError`` with zero partial
-    bytes, which the caller treats as a normal disconnect.
+    Returns ``(header, arrays)``.  An EOF surfaces as the stream's
+    ``asyncio.IncompleteReadError``; telling a clean disconnect between
+    frames (zero partial bytes) from a truncated frame is left to the caller.
     """
     raw = await reader.readexactly(_PREAMBLE.size)
-    header_len = _check_preamble(raw, max_frame_bytes)
+    header_len = _WIRE.check_preamble(raw, max_frame_bytes)
     header = _decode_header(await reader.readexactly(header_len))
     parsed, total = _payload_length(header.get("arrays", []), max_frame_bytes)
     payload = await reader.readexactly(total) if total else b""
@@ -216,47 +198,20 @@ def write_frame(writer, header, arrays=None) -> None:
 # ----------------------------------------------------------- blocking codec
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes from a blocking socket or raise."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except (ConnectionError, BrokenPipeError, OSError) as exc:
-            if isinstance(exc, socket.timeout):
-                raise
-            raise ConnectionLostError(f"connection lost mid-frame: {exc}") from exc
-        if not chunk:
-            raise ConnectionLostError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def send_frame_sync(
     sock: socket.socket,
     header: Dict[str, Any],
     arrays: Optional[Mapping[str, np.ndarray]] = None,
 ) -> None:
     """Send one frame over a blocking socket."""
-    try:
-        sock.sendall(encode_frame(header, arrays))
-    except socket.timeout:
-        raise
-    except (ConnectionError, BrokenPipeError, OSError) as exc:
-        raise ConnectionLostError(f"connection lost while sending: {exc}") from exc
+    _WIRE.sendall(sock, encode_frame(header, arrays))
 
 
 def read_frame_sync(
     sock: socket.socket, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ):
     """Read one frame from a blocking socket; returns ``(header, arrays)``."""
-    raw = _recv_exactly(sock, _PREAMBLE.size)
-    header_len = _check_preamble(raw, max_frame_bytes)
-    header = _decode_header(_recv_exactly(sock, header_len))
+    header = _decode_header(_WIRE.read_frame(sock, max_frame_bytes))
     parsed, total = _payload_length(header.get("arrays", []), max_frame_bytes)
-    payload = _recv_exactly(sock, total) if total else b""
+    payload = _WIRE.recv_exactly(sock, total)
     return _assemble(header, parsed, payload)

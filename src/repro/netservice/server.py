@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -88,11 +88,20 @@ class TenantServiceStats:
     n_deduped: int = 0
     rows_served: int = 0
     rows_charged: int = 0
-    tick_ids: Set[int] = field(default_factory=set)
+    n_ticks: int = 0
+    #: 1-based id of the last tick counted (0: none yet).
+    last_tick_id: int = 0
 
-    @property
-    def n_ticks(self) -> int:
-        return len(self.tick_ids)
+    def record_tick(self, tick_id: int) -> None:
+        """Count a fused tick the tenant joined (its ``on_dispatch`` hook).
+
+        Called once per dispatched request; ticks dispatch in increasing
+        id order, so a repeat of the last id is a batch-mate of the same
+        tick and counts once.
+        """
+        if tick_id != self.last_tick_id:
+            self.last_tick_id = tick_id
+            self.n_ticks += 1
 
     @property
     def coalescing_factor(self) -> float:
@@ -209,7 +218,9 @@ class NetworkQueryService:
         An :class:`~repro.attacks.oracle.Oracle`, a
         :class:`~repro.sidechannel.measurement.PowerMeasurement`, or a
         pre-built service backend adapter — whatever
-        :class:`~repro.service.coalescer.QueryService` accepts.
+        :class:`~repro.service.coalescer.QueryService` accepts, as long as
+        its target reports ``n_inputs``: a query of any other row width
+        fails alone at dispatch instead of failing the tick it would share.
     config:
         The :class:`~repro.netservice.config.NetServiceConfig` policy.
 
@@ -226,6 +237,8 @@ class NetworkQueryService:
     def __init__(self, target, config: Optional[NetServiceConfig] = None):
         self.config = config if config is not None else NetServiceConfig()
         self.service = QueryService(target, self.config.service)
+        #: Row width the served target accepts.
+        self._n_inputs = int(self.service.backend.n_inputs)
         self._tenants: Dict[str, _TenantState] = {}
         for tenant in self.config.tenants:
             self._tenants[tenant.name] = _TenantState(tenant)
@@ -407,6 +420,13 @@ class NetworkQueryService:
                     "server is draining for shutdown; the request was not "
                     "charged — retry against the restarted service"
                 )
+            width = request.inputs.shape[1]
+            if width != self._n_inputs:
+                # Fails here, alone: fused into a tick, the mismatch would
+                # fail every other tenant's batch-mates with it.
+                raise ValueError(
+                    f"expected inputs with {self._n_inputs} features, got {width}"
+                )
             budget = state.policy.query_budget
             if budget is not None and state.stats.rows_charged + request.rows > budget:
                 raise QueryBudgetExceeded(
@@ -421,7 +441,7 @@ class NetworkQueryService:
             # submitted every row — not just that some row arrived.
             request_id, result = await self.service.submit_traced(
                 request.inputs,
-                on_dispatch=state.stats.tick_ids.add,
+                on_dispatch=state.stats.record_tick,
                 tenant=state.policy.name,
             )
             state.stats.n_requests += 1
@@ -665,9 +685,6 @@ class ServerHandle:
         self.loop = self._runtime.loop
         self.server = self._runtime.service
 
-    def _call(self, coro):
-        return self._runtime.call(coro)
-
     @property
     def address(self) -> Tuple[str, int]:
         return self.server.address
@@ -676,13 +693,13 @@ class ServerHandle:
         async def snapshot():
             return self.server.stats()
 
-        return self._call(snapshot())
+        return self._runtime.call(snapshot())
 
     def service_stats(self) -> Dict[str, Any]:
         async def snapshot():
             return self.server.service.stats.to_dict()
 
-        return self._call(snapshot())
+        return self._runtime.call(snapshot())
 
     def pause_scheduling(self) -> None:
         self.loop.call_soon_threadsafe(self.server.pause_scheduling)

@@ -104,6 +104,11 @@ class OracleBackend:
         return None if labels is None else tuple(labels)
 
     @property
+    def n_inputs(self) -> int:
+        """Row width the served target accepts."""
+        return self.oracle.target.n_inputs
+
+    @property
     def queries_used(self) -> int:
         return self.oracle.queries_used
 
@@ -131,6 +136,11 @@ class MeasurementBackend:
 
     def tile_labels(self, fused) -> Optional[Tuple[str, ...]]:
         return None
+
+    @property
+    def n_inputs(self) -> int:
+        """Row width the served target accepts."""
+        return self.measurement.target.n_inputs
 
     @property
     def queries_used(self) -> int:

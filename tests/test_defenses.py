@@ -148,6 +148,12 @@ class TestPowerNoiseDefense:
             defense.predict_labels(inputs), accelerator.predict_labels(inputs)
         )
 
+    def test_reports_wrapped_dimensions(self, accelerator):
+        """The networked server reads ``n_inputs`` to reject wrong-width rows."""
+        defense = PowerNoiseDefense(accelerator, random_state=0)
+        assert defense.n_inputs == accelerator.n_inputs
+        assert defense.n_outputs == accelerator.n_outputs
+
     def test_power_observable_randomised(self, accelerator, mnist_small):
         defense = PowerNoiseDefense(accelerator, random_state=0)
         u = mnist_small.test_inputs[0]

@@ -8,11 +8,15 @@ resumed from a truncated journal.
 """
 
 import json
+import pickle
 import socket
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.executor import (
     EXECUTOR_NAMES,
@@ -21,14 +25,18 @@ from repro.executor import (
     JournalMismatchError,
     JournalWriter,
     PoolExecutor,
+    QueueAuthError,
     QueueExecutor,
+    QueueProtocolError,
     SerialExecutor,
+    WorkerConnectionLost,
     chunk_jobs,
     grid_fingerprint,
     read_journal,
     resolve_executor,
 )
 from repro.executor.journal import result_from_wire, result_to_wire
+from repro.executor import protocol as queue_protocol
 from repro.experiments import ExperimentScale
 from repro.experiments.registry import get_experiment, list_experiments, run_experiments
 from repro.experiments.scenario import ScenarioSpec, resolve_scenarios
@@ -501,6 +509,94 @@ class TestAuth:
         monkeypatch.delenv("REPRO_QUEUE_AUTH", raising=False)
         code = run_worker("127.0.0.1", 1, max_connect_attempts=1)
         assert code == EXIT_AUTH_FAILED
+
+
+# --------------------------------------------------------------- wire fuzz
+
+#: Any JSON-like value; the queue fuzz only ever unpickles prefixes of its
+#: pickles — never random bytes, since unpickling those executes code.
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+_QUEUE_FUZZ_MAX_FRAME_BYTES = 4096
+_QUEUE_WIRE_ERRORS = (QueueAuthError, QueueProtocolError, WorkerConnectionLost)
+
+
+def _fed_socket(data: bytes):
+    """``(feeder, sock)``: ``sock`` reads ``data`` and then EOF.
+
+    The feeder's write half is shut down, so a reader that wants more bytes
+    than were fed ends typed instead of waiting out the timeout.
+    """
+    feeder, sock = socket.socketpair()
+    sock.settimeout(5.0)
+    feeder.sendall(data)
+    feeder.shutdown(socket.SHUT_WR)
+    return feeder, sock
+
+
+class TestQueueWireFuzz:
+    """Whatever a peer sends, only the queue's typed wire errors escape."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        magic=st.just(queue_protocol.MAGIC) | st.binary(min_size=2, max_size=2),
+        version=st.just(queue_protocol.PROTOCOL_VERSION) | st.integers(0, 255),
+        length=st.integers(0, 2 * _QUEUE_FUZZ_MAX_FRAME_BYTES) | st.just(2**32 - 1),
+        value=_JSON_LIKE,
+        cut=st.integers(0, 1 << 12),
+    )
+    @example(
+        magic=queue_protocol.MAGIC,
+        version=queue_protocol.PROTOCOL_VERSION,
+        length=_QUEUE_FUZZ_MAX_FRAME_BYTES + 1,
+        value=None,
+        cut=0,
+    )
+    def test_recv_message_raises_only_typed_errors(self, magic, version, length, value, cut):
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)[:cut]
+        preamble = struct.pack("!2sBI", magic, version, length)
+        feeder, sock = _fed_socket(preamble + body)
+        try:
+            queue_protocol.recv_message(sock, max_frame_bytes=_QUEUE_FUZZ_MAX_FRAME_BYTES)
+        except _QUEUE_WIRE_ERRORS as exc:
+            if (
+                magic != queue_protocol.MAGIC
+                or version != queue_protocol.PROTOCOL_VERSION
+                or length > _QUEUE_FUZZ_MAX_FRAME_BYTES
+            ):
+                # a bad preamble is rejected before any body byte is read
+                assert isinstance(exc, QueueProtocolError)
+            elif length > len(body):
+                assert isinstance(exc, WorkerConnectionLost)
+        finally:
+            feeder.close()
+            sock.close()
+
+    @settings(deadline=None)
+    @given(reply=st.binary(max_size=80))
+    def test_server_handshake_raises_only_typed_errors(self, reply):
+        feeder, sock = _fed_socket(reply)
+        try:
+            with pytest.raises(_QUEUE_WIRE_ERRORS):
+                queue_protocol.server_authenticate(sock, "fuzz-key")
+        finally:
+            feeder.close()
+            sock.close()
+
+    @settings(deadline=None)
+    @given(reply=st.binary(max_size=80))
+    def test_client_handshake_raises_only_typed_errors(self, reply):
+        feeder, sock = _fed_socket(reply)
+        try:
+            with pytest.raises(_QUEUE_WIRE_ERRORS):
+                queue_protocol.client_authenticate(sock, "fuzz-key")
+        finally:
+            feeder.close()
+            sock.close()
 
 
 # ------------------------------------------- multi-experiment journal scoping

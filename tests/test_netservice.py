@@ -458,6 +458,45 @@ class TestFaultTolerance:
         # no successful tick: the undefined ratio travels as null, not NaN
         assert stats["tenants"]["bad"]["coalescing_factor"] is None
 
+    def test_wrong_width_request_fails_alone(self):
+        """One tenant's wrong-width request must not poison the tick it
+        would share: its batch-mate from another tenant is served as if
+        alone, and only the offender gets an (uncharged) remote error."""
+        config = _config(service=ServiceConfig(max_batch=2, max_wait_ms=50))
+        request = np.full((1, N_FEATURES), 0.25)
+        with serve_in_thread(_oracle("paper/mnist-softmax"), config) as handle:
+            handle.pause_scheduling()
+            sockets = {}
+            try:
+                for tenant, width in (("mallory", N_FEATURES - 1), ("bob", N_FEATURES)):
+                    sock = socket.create_connection(handle.address, timeout=30)
+                    sockets[tenant] = sock
+                    send_frame_sync(
+                        sock,
+                        {"type": "query", "tenant": tenant, "key": f"{tenant}-1"},
+                        {"inputs": request[:, :width]},
+                    )
+                time.sleep(0.3)  # let both frames be admitted into the queues
+                handle.resume_scheduling()
+                responses = {
+                    tenant: read_frame_sync(sock) for tenant, sock in sockets.items()
+                }
+            finally:
+                for sock in sockets.values():
+                    sock.close()
+            stats = handle.stats()
+        mallory, _ = responses["mallory"]
+        assert mallory["status"] == "error"
+        assert mallory["code"] == "remote-error"
+        assert stats["mallory"]["rows_charged"] == 0
+        bob, bob_arrays = responses["bob"]
+        assert bob["status"] == "ok"
+        seeds = derive_request_seeds(bob["base_seed"], bob["request_id"], 1)
+        reference = _oracle("paper/mnist-softmax").query(request, seeds=seeds)
+        np.testing.assert_array_equal(bob_arrays["outputs"], reference.outputs)
+        np.testing.assert_array_equal(bob_arrays["power"], reference.power)
+        assert stats["bob"]["rows_charged"] == 1
+
     def test_unserialisable_response_reports_remote_error(self):
         """A response the server cannot serialise must still answer the
         client with a typed error frame, not die as an unhandled task."""
@@ -615,7 +654,7 @@ class TestBackpressureAndDrain:
                             for state in handle.server._tenants.values()
                         )
 
-                    return handle._call(count())
+                    return handle._runtime.call(count())
 
                 deadline = time.time() + 5
                 while admitted() < 2 and time.time() < deadline:
@@ -705,7 +744,7 @@ class TestBackpressureAndDrain:
             async def hold_window():
                 await handle.server._window.acquire()
 
-            handle._call(hold_window())
+            handle._runtime.call(hold_window())
             send_frame_sync(
                 sock,
                 {"type": "query", "tenant": "stuck", "key": "window-1"},

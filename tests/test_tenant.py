@@ -324,7 +324,8 @@ class TestTenantStatsCoalescingFactor:
         stats.n_received = 7
         stats.n_requests = 4
         stats.n_deduped = 3
-        stats.tick_ids.update({3, 9})
+        stats.record_tick(3)
+        stats.record_tick(9)
         # 4 dispatched requests over 2 ticks; the 3 cache hits never joined
         # a tick and must not inflate the factor to 3.5
         assert stats.coalescing_factor == 2.0
