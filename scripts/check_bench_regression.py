@@ -67,6 +67,13 @@ Gated sections:
   coalesce (factor > 1), and the partitioned wall time must stay within
   ``--max-tenant-overhead`` (default 1.5x) of the shared placement on the
   two-tenant workload.
+* ``bench_cold_start`` — import footprint of each process entry point
+  (experiments, netservice server, executor): no entry point may load any
+  ``scipy*`` module (an exact count, gated at 0), and each median
+  ``max_rss_mb`` must stay within :data:`COLD_START_RSS_CEILING` (relaxed by
+  ``--tolerance``) of ``committed_max_rss_mb``, the value the file held
+  before the benchmark re-recorded it (the committed one in a fresh
+  checkout).
 
 Sections other than ``engine`` are only checked when present, so a partial
 benchmark run stays usable; ``engine`` is always required.
@@ -92,6 +99,12 @@ DEFAULT_THRESHOLDS = {
     "min_executor_speedup": 0.15,
     "max_tenant_overhead": 1.5,
 }
+
+
+#: Ceiling on a cold start's peak RSS relative to its committed value.  The
+#: recorded median of five interpreters moves by about 0.1% between runs; a
+#: module-level ``import scipy`` would add over 60%.
+COLD_START_RSS_CEILING = 1.02
 
 
 def effective_thresholds(thresholds: dict, tolerance: float) -> dict:
@@ -148,6 +161,7 @@ def check_results(
     failures.extend(_check_netservice_section(results, min_net_speedup))
     failures.extend(_check_executor_section(results, min_executor_speedup))
     failures.extend(_check_tenant_section(results, max_tenant_overhead))
+    failures.extend(_check_cold_start_section(results, tolerance))
     engine = results.get("engine")
     if engine is None:
         return failures + [
@@ -458,6 +472,36 @@ def _check_tenant_section(results: dict, max_tenant_overhead: float) -> list[str
             f"partitioned placement costs {overhead:.2f}x the shared wall "
             f"time (gate {max_tenant_overhead:.2f}x)"
         )
+    return failures
+
+
+def _check_cold_start_section(results: dict, tolerance: float) -> list[str]:
+    """Gate the import footprint recorded by benchmarks/bench_cold_start.py."""
+    payload = results.get("bench_cold_start")
+    if payload is None:
+        return []
+    rows = payload.get("entry_points") or {}
+    if not rows:
+        return ["bench_cold_start recorded no entry points"]
+    ceiling = COLD_START_RSS_CEILING * (1.0 + tolerance)
+    failures: list[str] = []
+    for name, row in sorted(rows.items()):
+        if row.get("scipy_modules") != 0:
+            failures.append(
+                f"bench_cold_start: importing {name!r} loaded "
+                f"{row.get('scipy_modules')!r} scipy modules (expected 0)"
+            )
+        rss, committed = row.get("max_rss_mb"), row.get("committed_max_rss_mb")
+        if not all(isinstance(v, (int, float)) and v > 0 for v in (rss, committed)):
+            failures.append(
+                f"bench_cold_start {name!r} has no positive max_rss_mb / "
+                "committed_max_rss_mb"
+            )
+        elif rss > committed * ceiling:
+            failures.append(
+                f"cold start of {name!r} peaks at {rss:.1f} MB, over "
+                f"{ceiling:.2f}x the committed {committed:.1f} MB"
+            )
     return failures
 
 

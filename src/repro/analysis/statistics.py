@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_probability, check_vector
 
@@ -74,6 +73,10 @@ def independent_ttest(
         # difference in constants as "not testable" rather than significant.
         statistic, p_value = 0.0, 1.0
     else:
+        # Imported lazily: figure5 is the only caller, and importing
+        # scipy.stats costs more than the rest of the package together.
+        from scipy import stats
+
         statistic, p_value = stats.ttest_ind(sample_a, sample_b, equal_var=equal_variance)
         statistic = float(statistic)
         p_value = float(p_value)

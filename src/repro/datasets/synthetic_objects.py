@@ -26,7 +26,12 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.datasets.transforms import flatten_images, one_hot
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
 
 
 class SyntheticObjectsGenerator:
@@ -68,15 +73,9 @@ class SyntheticObjectsGenerator:
         self.image_size = check_positive_int(image_size, "image_size")
         self.n_classes = check_positive_int(n_classes, "n_classes")
         self.n_gratings = check_positive_int(n_gratings, "n_gratings")
-        if texture_strength <= 0:
-            raise ValueError(f"texture_strength must be > 0, got {texture_strength}")
-        if noise_level < 0:
-            raise ValueError(f"noise_level must be >= 0, got {noise_level}")
-        if phase_jitter < 0:
-            raise ValueError(f"phase_jitter must be >= 0, got {phase_jitter}")
-        self.texture_strength = float(texture_strength)
-        self.noise_level = float(noise_level)
-        self.phase_jitter = float(phase_jitter)
+        self.texture_strength = check_positive(texture_strength, "texture_strength")
+        self.noise_level = check_non_negative(noise_level, "noise_level")
+        self.phase_jitter = check_non_negative(phase_jitter, "phase_jitter")
         rng = as_rng(random_state)
         self._grating_params = self._build_grating_params(rng)
 
@@ -116,6 +115,7 @@ class SyntheticObjectsGenerator:
         """Draw ``n_samples`` images of class ``cls`` as ``(B, H, W, 3)``."""
         if not 0 <= cls < self.n_classes:
             raise ValueError(f"class index {cls} out of range [0, {self.n_classes})")
+        n_samples = check_non_negative_int(n_samples, "n_samples")
         size = self.image_size
         images = np.empty((n_samples, size, size, 3), dtype=float)
         for i in range(n_samples):

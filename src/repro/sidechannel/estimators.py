@@ -12,7 +12,6 @@ regression for under-determined / noisy query sets.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.validation import check_matrix, check_non_negative, check_vector
 
@@ -50,6 +49,9 @@ def estimate_column_sums_nonnegative(
     queries: np.ndarray, currents: np.ndarray
 ) -> np.ndarray:
     """Non-negative least-squares estimate (conductance sums cannot be negative)."""
+    # Imported here so scipy stays off the import path of everything else.
+    from scipy import optimize
+
     queries, currents = _validate(queries, currents)
     solution, _ = optimize.nnls(queries, currents)
     return solution

@@ -63,17 +63,25 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_positive(value: float, name: str) -> float:
-    """Validate a strictly positive scalar."""
+def check_finite(value: float, name: str) -> float:
+    """Validate a finite scalar (rejects NaN and +/-inf)."""
     value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_positive(value: float, name: str) -> float:
+    """Validate a finite, strictly positive scalar."""
+    value = check_finite(value, name)
     if not value > 0.0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Validate a scalar >= 0."""
-    value = float(value)
+    """Validate a finite scalar >= 0."""
+    value = check_finite(value, name)
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import available_datasets, load_dataset
-from repro.datasets.synthetic_digits import SyntheticDigitsGenerator, load_mnist_like
+from repro.datasets.synthetic_digits import (
+    SyntheticDigitsGenerator,
+    gaussian_blur,
+    load_mnist_like,
+    shift_images,
+)
 from repro.datasets.synthetic_objects import SyntheticObjectsGenerator, load_cifar_like
 
 
@@ -60,6 +65,20 @@ class TestSyntheticDigits:
         with pytest.raises(ValueError):
             generator.sample_class(10, 1, rng)
 
+    @pytest.mark.parametrize("name", ["brush_sigma", "deformation", "noise_level"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SyntheticDigitsGenerator(**{name: value})
+
+    def test_sample_class_count_validated(self, rng):
+        generator = SyntheticDigitsGenerator(image_size=9, random_state=0)
+        assert generator.sample_class(0, 0, rng).shape == (0, 9, 9)
+        with pytest.raises(ValueError, match="n_samples"):
+            generator.sample_class(0, -1, rng)
+        with pytest.raises(TypeError, match="n_samples"):
+            generator.sample_class(0, 2.0, rng)
+
     def test_prototypes_are_distinct(self):
         generator = SyntheticDigitsGenerator(random_state=0)
         flattened = generator.prototypes.reshape(10, -1)
@@ -105,10 +124,95 @@ class TestSyntheticObjects:
         with pytest.raises(ValueError):
             SyntheticObjectsGenerator(phase_jitter=-1)
 
+    @pytest.mark.parametrize("name", ["texture_strength", "noise_level", "phase_jitter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SyntheticObjectsGenerator(**{name: value})
+
+    def test_sample_class_count_validated(self, rng):
+        generator = SyntheticObjectsGenerator(image_size=8, random_state=0)
+        assert generator.sample_class(0, 0, rng).shape == (0, 8, 8, 3)
+        with pytest.raises(ValueError, match="n_samples"):
+            generator.sample_class(0, -1, rng)
+
     def test_class_texture_bounds(self):
         generator = SyntheticObjectsGenerator(random_state=0)
         with pytest.raises(ValueError):
             generator.class_texture(11, np.zeros(3))
+
+
+def _scipy_sample_class(generator, cls, n_samples, rng):
+    """The digit sampler as it was written against ``scipy.ndimage.shift``."""
+    from scipy.ndimage import shift as ndi_shift
+
+    images = np.empty((n_samples, generator.image_size, generator.image_size))
+    for i in range(n_samples):
+        offsets = rng.normal(0.0, generator.deformation, size=2)
+        image = ndi_shift(
+            generator.prototypes[cls], offsets, order=1, mode="constant", cval=0.0
+        )
+        image = rng.uniform(0.8, 1.2) * image
+        image = image + rng.normal(0.0, generator.noise_level, size=image.shape)
+        images[i] = np.clip(image, 0.0, 1.0)
+    return images
+
+
+class TestScipyBitIdentity:
+    """The numpy blur and shift reproduce ``scipy.ndimage`` bit for bit.
+
+    scipy is imported inside each test: it is a test-time reference only and
+    must stay off the library's import path.
+    """
+
+    SHAPES = [(n, n) for n in range(1, 9)] + [(1, 8), (8, 1), (3, 5), (5, 17), (28, 28)]
+
+    @staticmethod
+    def _offsets(rng, shape):
+        height, width = shape
+        integers = rng.integers(-3, 4, size=(8, 2)).astype(float)
+        return np.concatenate(
+            [
+                np.zeros((1, 2)),
+                integers,
+                rng.integers(-9, 10, size=(8, 2)) * 0.5,
+                integers + 1e-12,
+                integers - 1e-12,
+                rng.normal(0.0, 1.5, size=(16, 2)),
+                # Entirely outside the image on one axis: all zeros.
+                [[height + 0.25, 0.0], [0.0, -width - 0.5], [-height, width]],
+            ]
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shift_matches_ndimage(self, shape):
+        from scipy.ndimage import shift as ndi_shift
+
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        image = rng.random(shape)
+        offsets = self._offsets(rng, shape)
+        shifted = shift_images(image, offsets)
+        assert shifted.shape == (len(offsets), *shape)
+        for offset, got in zip(offsets, shifted):
+            expected = ndi_shift(image, offset, order=1, mode="constant", cval=0.0)
+            assert got.tobytes() == expected.tobytes(), offset
+        assert not shifted[-3:].any()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("sigma", [0.8, 2.0])
+    def test_blur_matches_ndimage(self, shape, sigma):
+        from scipy.ndimage import gaussian_filter
+
+        image = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+        expected = gaussian_filter(image, sigma=sigma)
+        assert gaussian_blur(image, sigma).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("deformation", [0.0, 1.0, 6.0])
+    def test_sample_class_matches_scipy_sampler(self, deformation):
+        generator = SyntheticDigitsGenerator(deformation=deformation, random_state=0)
+        got = generator.sample_class(3, 40, np.random.default_rng(11))
+        expected = _scipy_sample_class(generator, 3, 40, np.random.default_rng(11))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSeparabilityContrast:

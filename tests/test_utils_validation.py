@@ -87,6 +87,13 @@ class TestScalarChecks:
         with pytest.raises(ValueError):
             check_non_negative(-1e-9, "x")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalars_rejected(self, value):
+        with pytest.raises(ValueError, match="x must be finite"):
+            check_positive(value, "x")
+        with pytest.raises(ValueError, match="x must be finite"):
+            check_non_negative(value, "x")
+
     def test_in_range(self):
         assert check_in_range(0.5, "x", 0, 1) == 0.5
         with pytest.raises(ValueError):
