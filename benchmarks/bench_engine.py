@@ -61,7 +61,7 @@ def legacy_power_trace(accelerator, inputs, *, cached=False):
     """The seed engine's power trace: two array ops per tile (current+forward).
 
     The seed engine had no effective-state cache — every array operation
-    recomputed ``(G+ - G-) * attenuation`` from scratch — so the faithful
+    recomputed ``G+ - G-`` from scratch — so the faithful
     baseline invalidates the cache before each operation.  ``cached=True``
     keeps the cache, isolating the pass-fusion win from the caching win.
     """

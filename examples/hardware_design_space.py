@@ -57,7 +57,7 @@ def main() -> None:
             nonidealities=NonidealityConfig(stuck_at_off_fraction=0.05)
         ),
         "ideal + IR drop (wire R)": dict(
-            nonidealities=NonidealityConfig(wire_resistance=0.05)
+            nonidealities=NonidealityConfig(wire_resistance_ohm=1e-3)
         ),
     }
 

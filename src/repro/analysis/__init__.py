@@ -14,13 +14,7 @@ from repro.analysis.sensitivity import (
 )
 from repro.analysis.statistics import (
     independent_ttest,
-    significance_marker,
     TTestResult,
-)
-from repro.analysis.aggregation import (
-    aggregate_runs,
-    Aggregate,
-    mean_and_std,
 )
 
 __all__ = [
@@ -33,9 +27,5 @@ __all__ = [
     "sensitivity_norm_maps",
     "SensitivityMaps",
     "independent_ttest",
-    "significance_marker",
     "TTestResult",
-    "aggregate_runs",
-    "Aggregate",
-    "mean_and_std",
 ]

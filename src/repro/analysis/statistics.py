@@ -87,10 +87,3 @@ def independent_ttest(
         alpha=alpha,
         mean_difference=float(np.mean(sample_a) - np.mean(sample_b)),
     )
-
-
-def significance_marker(
-    sample_a: np.ndarray, sample_b: np.ndarray, *, alpha: float = 0.05
-) -> str:
-    """Convenience wrapper returning the '*' / ' ' marker directly."""
-    return independent_ttest(sample_a, sample_b, alpha=alpha).marker()

@@ -3,7 +3,7 @@
 This package contains the paper's primary contribution: evasion attacks that
 exploit the crossbar power side channel.
 
-* :mod:`repro.attacks.fgsm` — white-box FGSM / FGV gradient attacks (Eq. 2).
+* :mod:`repro.attacks.fgsm` — white-box FGSM gradient attack (Eq. 2).
 * :mod:`repro.attacks.single_pixel` — power-guided single-pixel attacks
   (Figure 4: RP, +, −, RD, Worst).
 * :mod:`repro.attacks.multi_pixel` — the top-N extension discussed in
@@ -15,7 +15,7 @@ exploit the crossbar power side channel.
 """
 
 from repro.attacks.base import Attack, AttackResult
-from repro.attacks.fgsm import FastGradientSignMethod, FastGradientValueMethod, fgsm_perturbation
+from repro.attacks.fgsm import FastGradientSignMethod, fgsm_perturbation
 from repro.attacks.oracle import Oracle, OracleResponse
 from repro.attacks.single_pixel import SinglePixelAttack, SinglePixelStrategy
 from repro.attacks.multi_pixel import MultiPixelAttack
@@ -25,17 +25,12 @@ from repro.attacks.surrogate import (
     SurrogateAttack,
     SurrogateAttackResult,
 )
-from repro.attacks.evaluation import (
-    accuracy_under_attack,
-    attack_success_rate,
-    strength_sweep,
-)
+from repro.attacks.evaluation import accuracy_under_attack
 
 __all__ = [
     "Attack",
     "AttackResult",
     "FastGradientSignMethod",
-    "FastGradientValueMethod",
     "fgsm_perturbation",
     "Oracle",
     "OracleResponse",
@@ -47,6 +42,4 @@ __all__ = [
     "SurrogateAttack",
     "SurrogateAttackResult",
     "accuracy_under_attack",
-    "attack_success_rate",
-    "strength_sweep",
 ]

@@ -1,8 +1,8 @@
-"""Attack-evaluation helpers: accuracy under attack and strength sweeps."""
+"""Attack evaluation: victim accuracy under attack."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -11,12 +11,6 @@ from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.nn.network import Sequential
 
 Victim = Union[Sequential, CrossbarAccelerator]
-
-
-def _victim_labels(victim: Victim, inputs: np.ndarray) -> np.ndarray:
-    if isinstance(victim, CrossbarAccelerator):
-        return victim.predict_labels(inputs)
-    return victim.predict_labels(inputs)
 
 
 def accuracy_under_attack(
@@ -34,53 +28,6 @@ def accuracy_under_attack(
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     result = attack.attack(inputs, targets, strength)
-    predicted = _victim_labels(victim, result.adversarial_inputs)
+    predicted = victim.predict_labels(result.adversarial_inputs)
     true_labels = np.argmax(targets, axis=1)
     return float(np.mean(predicted == true_labels))
-
-
-def attack_success_rate(
-    victim: Victim,
-    attack: Attack,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    strength: float,
-) -> float:
-    """Fraction of *initially correctly classified* samples that become misclassified."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    true_labels = np.argmax(targets, axis=1)
-    clean_predictions = _victim_labels(victim, inputs)
-    correct_mask = clean_predictions == true_labels
-    if not np.any(correct_mask):
-        return 0.0
-    result = attack.attack(inputs[correct_mask], targets[correct_mask], strength)
-    adversarial_predictions = _victim_labels(victim, result.adversarial_inputs)
-    flipped = adversarial_predictions != true_labels[correct_mask]
-    return float(np.mean(flipped))
-
-
-def strength_sweep(
-    victim: Victim,
-    attack_factory: Callable[[], Attack] | Attack,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    strengths: Sequence[float],
-) -> Dict[float, float]:
-    """Accuracy under attack for a range of attack strengths (Figure 4 curves).
-
-    Parameters
-    ----------
-    attack_factory:
-        Either an :class:`~repro.attacks.base.Attack` instance reused at every
-        strength, or a zero-argument callable building a fresh attack per
-        strength (useful when the attack carries random state that should be
-        re-drawn).
-    """
-    accuracies: Dict[float, float] = {}
-    for strength in strengths:
-        attack = attack_factory() if callable(attack_factory) and not isinstance(attack_factory, Attack) else attack_factory
-        accuracies[float(strength)] = accuracy_under_attack(
-            victim, attack, inputs, targets, float(strength)
-        )
-    return accuracies

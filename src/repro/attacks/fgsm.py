@@ -1,6 +1,6 @@
-"""Fast gradient sign method (FGSM) and fast gradient value (FGV) attacks.
+"""Fast gradient sign method (FGSM).
 
-These are the white-box gradient attacks of Eq. 2: one step in the direction
+This is the white-box gradient attack of Eq. 2: one step in the direction
 of increasing loss.  In the paper FGSM is used both as the "Worst" reference
 in the single-pixel experiments and as the attack crafted on the surrogate
 model in the black-box experiments (with attack strength 0.1).
@@ -68,38 +68,4 @@ class FastGradientSignMethod(Attack):
             original_inputs=inputs,
             strength=float(strength),
             metadata={"attack": "fgsm"},
-        )
-
-
-class FastGradientValueMethod(Attack):
-    """FGV attack: step along the (normalised) gradient value instead of its sign.
-
-    ``u' = u + ε · ∇_u L / max_j |∇_u L|_j`` per sample, so the largest pixel
-    change equals ε, matching the FGSM perturbation budget in ℓ∞.
-    """
-
-    def __init__(
-        self,
-        network: Sequential,
-        *,
-        loss: Optional[Loss] = None,
-        clip_range: Optional[Tuple[float, float]] = None,
-    ):
-        super().__init__(clip_range)
-        self.network = network
-        self.loss = loss
-
-    def attack(self, inputs: np.ndarray, targets: np.ndarray, strength: float) -> AttackResult:
-        check_non_negative(strength, "strength")
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        gradients = input_gradients(self.network, inputs, targets, loss=self.loss)
-        scales = np.abs(gradients).max(axis=1, keepdims=True)
-        scales[scales == 0] = 1.0
-        perturbation = strength * gradients / scales
-        adversarial = self._finalize(inputs + perturbation)
-        return AttackResult(
-            adversarial_inputs=adversarial,
-            original_inputs=inputs,
-            strength=float(strength),
-            metadata={"attack": "fgv"},
         )

@@ -7,9 +7,10 @@ non-idealities configured through
 Fused single-pass engine
 ------------------------
 Every analogue operation starts from the array's *effective state* — the
-IR-drop-attenuated differential matrix ``(G+ - G-) * a`` and the attenuated
-column conductance sums ``Σ_i (G+ + G-) * a`` — realised from one conductance
-read.  Three properties of that state drive the engine:
+differential matrix ``(G+ - G-) * d`` and the column conductance sums
+``Σ_i (G+ + G-) * d``, with ``d`` the 2-D IR-drop droop (``1`` on an ideal
+wire) — realised from one conductance read.  Three properties of that state
+drive the engine:
 
 * **Fusion.**  :meth:`matvec`, :meth:`total_current` and
   :meth:`matvec_with_current` are views of one traversal, which computes the
@@ -59,7 +60,7 @@ class _EffectiveState(NamedTuple):
 
     ``g_plus`` / ``g_minus`` are the *programmed* arrays the state was built
     from (identity-checked on cache lookup); ``effective`` and ``column_sums``
-    are the attenuated differential matrix and conductance sums.
+    are the droop-weighted differential matrix and conductance sums.
     """
 
     g_plus: np.ndarray
@@ -275,30 +276,15 @@ class CrossbarArray:
         g_minus = self.device.apply_read_noise(self.g_minus, rng)
         return g_plus, g_minus
 
-    def _ir_drop_attenuation(self, g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:
-        """First-order IR-drop attenuation per column.
-
-        Columns further from the driver (higher index) see more wire
-        resistance; the attenuation factor is
-        ``1 / (1 + R_wire * G_col_total * position)``.
-        """
-        resistance = self.nonidealities.wire_resistance
-        if resistance == 0:
-            return np.ones(self.n_columns)
-        column_g = (g_plus + g_minus).sum(axis=0)
-        positions = np.arange(1, self.n_columns + 1)
-        return 1.0 / (1.0 + resistance * column_g * positions)
-
-    def _wire_droop(
-        self, g_plus: np.ndarray, g_minus: np.ndarray
-    ) -> Optional[np.ndarray]:
+    def _wire_droop(self, total: np.ndarray) -> Optional[np.ndarray]:
         """Per-cell voltage-droop factor of the 2-D IR-drop model, or ``None``.
 
         With ``wire_resistance_ohm = R`` per unit cell, the cell at grid
         position ``(i, j)`` sees its drive voltage attenuated by the column
         wire feeding it (``i + 1`` cells deep, loaded by the column's total
         conductance) and its current attenuated along the row wire collecting
-        it (``j + 1`` cells long, loaded by the row's total conductance):
+        it (``j + 1`` cells long, loaded by the row's total conductance),
+        both taken from ``total = G+ + G-``:
 
         ``droop[i, j] = 1 / (1 + R * (G_col[j] * (i+1) + G_row[i] * (j+1)))``
 
@@ -310,7 +296,6 @@ class CrossbarArray:
         resistance = self.nonidealities.wire_resistance_ohm
         if resistance == 0:
             return None
-        total = g_plus + g_minus
         column_g = total.sum(axis=0)
         row_g = total.sum(axis=1)
         row_depth = np.arange(1, total.shape[0] + 1, dtype=float)
@@ -326,19 +311,16 @@ class CrossbarArray:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(effective, column_sums)`` of one conductance read.
 
-        Applies the wire physics — 2-D droop when ``wire_resistance_ohm`` is
-        set, then the 1-D per-column IR-drop attenuation — to the
-        differential matrix and to the column conductance sums.
+        Applies the 2-D wire droop, when ``wire_resistance_ohm`` is set, to
+        the differential matrix and to the column conductance sums.
         """
-        attenuation = self._ir_drop_attenuation(g_plus, g_minus)
-        droop = self._wire_droop(g_plus, g_minus)
+        g_diff = g_plus - g_minus
+        g_sum = g_plus + g_minus
+        droop = self._wire_droop(g_sum)
         if droop is not None:
-            g_diff = (g_plus - g_minus) * droop
-            g_sum = (g_plus + g_minus) * droop
-        else:
-            g_diff = g_plus - g_minus
-            g_sum = g_plus + g_minus
-        return g_diff * attenuation, (g_sum * attenuation).sum(axis=0)
+            g_diff = g_diff * droop
+            g_sum = g_sum * droop
+        return g_diff, g_sum.sum(axis=0)
 
     def _realize_state(self) -> _EffectiveState:
         """One physical conductance read, shared by outputs and power.

@@ -11,12 +11,10 @@ experiments depend on (see DESIGN.md section 2 for the substitution argument):
   (≈30–40% test accuracy).
 """
 
-from repro.datasets.base import Dataset, train_test_split
+from repro.datasets.base import Dataset
 from repro.datasets.transforms import (
     one_hot,
     from_one_hot,
-    normalize_minmax,
-    normalize_standard,
     flatten_images,
     unflatten_images,
     clip_to_range,
@@ -27,11 +25,8 @@ from repro.datasets.loaders import load_dataset, available_datasets, canonical_d
 
 __all__ = [
     "Dataset",
-    "train_test_split",
     "one_hot",
     "from_one_hot",
-    "normalize_minmax",
-    "normalize_standard",
     "flatten_images",
     "unflatten_images",
     "clip_to_range",

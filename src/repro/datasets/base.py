@@ -7,7 +7,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.transforms import from_one_hot, one_hot, unflatten_images
+from repro.datasets.transforms import from_one_hot, unflatten_images
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -182,37 +182,3 @@ class Dataset:
             f"Dataset(name={self.name!r}, n_train={self.n_train}, n_test={self.n_test}, "
             f"n_features={self.n_features}, n_classes={self.n_classes})"
         )
-
-
-def train_test_split(
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    *,
-    test_fraction: float = 0.2,
-    n_classes: Optional[int] = None,
-    name: str = "dataset",
-    image_shape: Optional[Tuple[int, ...]] = None,
-    feature_range: Tuple[float, float] = (0.0, 1.0),
-    random_state: RandomState = None,
-) -> Dataset:
-    """Split raw (inputs, integer labels) into a :class:`Dataset`."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    labels = np.asarray(labels, dtype=int)
-    if len(inputs) != len(labels):
-        raise ValueError("inputs and labels disagree on sample count")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = as_rng(random_state)
-    order = rng.permutation(len(inputs))
-    n_test = max(1, int(round(test_fraction * len(inputs))))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    targets = one_hot(labels, n_classes)
-    return Dataset(
-        name=name,
-        train_inputs=inputs[train_idx],
-        train_targets=targets[train_idx],
-        test_inputs=inputs[test_idx],
-        test_targets=targets[test_idx],
-        image_shape=image_shape,
-        feature_range=feature_range,
-    )

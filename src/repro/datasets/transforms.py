@@ -33,29 +33,6 @@ def from_one_hot(encoded: np.ndarray) -> np.ndarray:
     return np.argmax(encoded, axis=1)
 
 
-def normalize_minmax(
-    data: np.ndarray, low: float = 0.0, high: float = 1.0
-) -> np.ndarray:
-    """Rescale ``data`` linearly so its global min/max map to ``[low, high]``."""
-    data = np.asarray(data, dtype=float)
-    dmin, dmax = data.min(), data.max()
-    if high <= low:
-        raise ValueError(f"high ({high}) must exceed low ({low})")
-    if np.isclose(dmax, dmin):
-        return np.full_like(data, low)
-    return low + (data - dmin) * (high - low) / (dmax - dmin)
-
-
-def normalize_standard(
-    data: np.ndarray, epsilon: float = 1e-12
-) -> Tuple[np.ndarray, float, float]:
-    """Standardise to zero mean / unit variance; returns (data, mean, std)."""
-    data = np.asarray(data, dtype=float)
-    mean = float(data.mean())
-    std = float(data.std())
-    return (data - mean) / (std + epsilon), mean, std
-
-
 def flatten_images(images: np.ndarray) -> np.ndarray:
     """Flatten ``(B, H, W)`` or ``(B, H, W, C)`` images to ``(B, N)``."""
     images = np.asarray(images, dtype=float)

@@ -13,8 +13,6 @@ queue (bit-identical results under every backend) — and assemble an
 
 from repro.crossbar.mapping import ShardingSpec
 from repro.experiments.config import (
-    DatasetConfig,
-    TrainingConfig,
     ExperimentScale,
     SCALES,
     SERVICE_PRESET_CONFIGS,
@@ -57,8 +55,6 @@ from repro.experiments.reporting import (
 )
 
 __all__ = [
-    "DatasetConfig",
-    "TrainingConfig",
     "ExperimentScale",
     "SCALES",
     "SERVICE_PRESET_CONFIGS",

@@ -20,35 +20,6 @@ from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    """How to build one dataset for an experiment."""
-
-    name: str = "mnist-like"
-    n_train: int = 2000
-    n_test: int = 500
-    random_state: int = 0
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.n_train, "n_train")
-        check_positive_int(self.n_test, "n_test")
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """How to train the victim single-layer network."""
-
-    output: str = "softmax"
-    epochs: int = 30
-    learning_rate: float = 0.005
-    batch_size: int = 64
-    optimizer: str = "adam"
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.epochs, "epochs")
-        check_positive_int(self.batch_size, "batch_size")
-
-
-@dataclass(frozen=True)
 class ExperimentScale:
     """Size preset shared by all experiment pipelines.
 

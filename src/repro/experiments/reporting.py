@@ -95,13 +95,3 @@ def format_curves_with_spread(
     return format_series(
         x_label, x_values, series, title=title, float_precision=float_precision
     )
-
-
-def format_mapping(values: Dict[str, float], *, title: str | None = None) -> str:
-    """Render a flat ``name -> value`` mapping."""
-    lines = [title] if title else []
-    width = max((len(k) for k in values), default=0)
-    for key, value in values.items():
-        rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
-        lines.append(f"{key.ljust(width)}  {rendered}")
-    return "\n".join(lines)

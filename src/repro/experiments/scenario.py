@@ -57,8 +57,6 @@ _TRAINING_DEFENSES = ("norm-regularizer", "rebalance")
 
 #: Wire-physics knobs a dict-form ``sharding`` value may carry alongside the
 #: grid geometry; they are folded into :attr:`ScenarioSpec.nonidealities`.
-#: Only the 2-D IR-drop knob is accepted — the legacy 1-D ``wire_resistance``
-#: attenuation is a separate nonideality and must be set there explicitly.
 _SHARDING_WIRE_KNOBS = ("wire_resistance_ohm",)
 
 #: Geometry keys of the dict form (the :meth:`ShardingSpec.to_dict` fields).

@@ -219,8 +219,8 @@ class NetworkQueryService:
         :class:`~repro.sidechannel.measurement.PowerMeasurement`, or a
         pre-built service backend adapter — whatever
         :class:`~repro.service.coalescer.QueryService` accepts, as long as
-        its target reports ``n_inputs``: a query of any other row width
-        fails alone at dispatch instead of failing the tick it would share.
+        its target reports ``n_inputs``: a query of another row width or
+        shape fails alone at dispatch instead of failing the tick it shares.
     config:
         The :class:`~repro.netservice.config.NetServiceConfig` policy.
 
@@ -420,12 +420,12 @@ class NetworkQueryService:
                     "server is draining for shutdown; the request was not "
                     "charged — retry against the restarted service"
                 )
-            width = request.inputs.shape[1]
-            if width != self._n_inputs:
+            shape = request.inputs.shape
+            if request.inputs.ndim != 2 or shape[1] != self._n_inputs:
                 # Fails here, alone: fused into a tick, the mismatch would
                 # fail every other tenant's batch-mates with it.
                 raise ValueError(
-                    f"expected inputs with {self._n_inputs} features, got {width}"
+                    f"expected (rows, {self._n_inputs}) inputs, got shape {shape}"
                 )
             budget = state.policy.query_budget
             if budget is not None and state.stats.rows_charged + request.rows > budget:

@@ -37,7 +37,7 @@ from repro.nn.layers import Dense
 from repro.nn.network import SingleLayerNetwork, Sequential
 from repro.nn.optimizers import SGD, Momentum, Adam, Optimizer, get_optimizer
 from repro.nn.trainer import Trainer, TrainingHistory
-from repro.nn.metrics import accuracy, error_rate, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.gradients import (
     input_gradients,
     mean_sensitivity,
@@ -77,9 +77,6 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "accuracy",
-    "error_rate",
-    "confusion_matrix",
-    "top_k_accuracy",
     "input_gradients",
     "mean_sensitivity",
     "sensitivity_map",

@@ -28,33 +28,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     if pred_labels.size == 0:
         raise ValueError("cannot compute accuracy of an empty batch")
     return float(np.mean(pred_labels == true_labels))
-
-
-def error_rate(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """1 - accuracy."""
-    return 1.0 - accuracy(predictions, targets)
-
-
-def top_k_accuracy(scores: np.ndarray, targets: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose true label is among the top-k scores."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    true_labels = _as_labels(targets)
-    if k < 1 or k > scores.shape[1]:
-        raise ValueError(f"k must be in [1, {scores.shape[1]}], got {k}")
-    top_k = np.argsort(scores, axis=1)[:, -k:]
-    hits = [true_labels[i] in top_k[i] for i in range(len(true_labels))]
-    return float(np.mean(hits))
-
-
-def confusion_matrix(
-    predictions: np.ndarray, targets: np.ndarray, n_classes: int | None = None
-) -> np.ndarray:
-    """Confusion matrix ``C[i, j]`` = count of true class i predicted as j."""
-    pred_labels = _as_labels(predictions)
-    true_labels = _as_labels(targets)
-    if n_classes is None:
-        n_classes = int(max(pred_labels.max(), true_labels.max())) + 1
-    matrix = np.zeros((n_classes, n_classes), dtype=int)
-    for true, pred in zip(true_labels, pred_labels):
-        matrix[true, pred] += 1
-    return matrix

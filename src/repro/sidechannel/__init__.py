@@ -18,11 +18,7 @@ from repro.sidechannel.coresident import (
 from repro.sidechannel.measurement import PowerMeasurement, QueryBudgetExceeded
 from repro.sidechannel.probing import ColumnNormProber, ProbeResult
 from repro.sidechannel.shardprobe import PerShardProber, ShardProbeResult
-from repro.sidechannel.estimators import (
-    estimate_column_sums_least_squares,
-    estimate_column_sums_nonnegative,
-    estimate_column_sums_ridge,
-)
+from repro.sidechannel.estimators import estimate_column_sums_ridge
 from repro.sidechannel.search import (
     SearchResult,
     exhaustive_search,
@@ -43,8 +39,6 @@ __all__ = [
     "ProbeResult",
     "PerShardProber",
     "ShardProbeResult",
-    "estimate_column_sums_least_squares",
-    "estimate_column_sums_nonnegative",
     "estimate_column_sums_ridge",
     "SearchResult",
     "exhaustive_search",

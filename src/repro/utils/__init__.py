@@ -9,10 +9,9 @@ from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_in_range,
-    check_same_length,
 )
 from repro.utils.results import RunResult, SweepResult
-from repro.utils.serialization import save_json, load_json, save_npz, load_npz
+from repro.utils.serialization import save_json, save_npz, load_npz
 
 __all__ = [
     "RandomState",
@@ -25,11 +24,9 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_same_length",
     "RunResult",
     "SweepResult",
     "save_json",
-    "load_json",
     "save_npz",
     "load_npz",
 ]

@@ -9,7 +9,7 @@ experiments so that runs are reproducible individually and collectively.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -194,30 +194,3 @@ def seeds_for_runs(base_seed: Optional[int], n_runs: int) -> list[int]:
         raise ValueError(f"n_runs must be non-negative, got {n_runs}")
     seq = np.random.SeedSequence(base_seed)
     return [int(s.generate_state(1)[0]) for s in seq.spawn(n_runs)]
-
-
-def shuffled_indices(
-    n: int, rng: np.random.Generator, subset: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Return a random permutation of ``range(n)`` (or of ``subset``)."""
-    if subset is None:
-        return rng.permutation(n)
-    indices = np.asarray(list(subset), dtype=int)
-    return rng.permutation(indices)
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, population: Union[int, Iterable[int]], size: int
-) -> np.ndarray:
-    """Sample ``size`` distinct items from ``population`` (int = range)."""
-    if isinstance(population, (int, np.integer)):
-        n = int(population)
-    else:
-        population = np.asarray(list(population))
-        n = len(population)
-    if size > n:
-        raise ValueError(f"cannot sample {size} items from population of {n}")
-    idx = rng.choice(n, size=size, replace=False)
-    if isinstance(population, np.ndarray):
-        return population[idx]
-    return idx

@@ -33,13 +33,6 @@ def save_json(payload: Mapping[str, Any], path: PathLike, *, indent: int = 2) ->
     return path
 
 
-def load_json(path: PathLike) -> Dict[str, Any]:
-    """Load a JSON document written by :func:`save_json`."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def save_npz(arrays: Mapping[str, np.ndarray], path: PathLike) -> Path:
     """Save a dictionary of arrays as a compressed ``.npz`` archive."""
     path = Path(path)

@@ -6,7 +6,7 @@ API boundaries rather than deep inside numerical code.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -93,15 +93,6 @@ def check_in_range(value: float, name: str, low: float, high: float) -> float:
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     return value
-
-
-def check_same_length(a: Sequence, b: Sequence, name_a: str, name_b: str) -> None:
-    """Validate that two sequences have the same length."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} and {name_b} must have the same length, "
-            f"got {len(a)} and {len(b)}"
-        )
 
 
 def check_positive_int(value: int, name: str) -> int:

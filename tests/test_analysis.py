@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.aggregation import Aggregate, aggregate_runs, mean_and_std
 from repro.analysis.correlation import (
     correlation_of_mean,
     mean_correlation,
@@ -12,9 +11,8 @@ from repro.analysis.correlation import (
     sensitivity_norm_correlations,
 )
 from repro.analysis.sensitivity import sensitivity_norm_maps, spatial_smoothness
-from repro.analysis.statistics import independent_ttest, significance_marker
+from repro.analysis.statistics import independent_ttest
 from repro.nn.gradients import weight_column_norms
-from repro.utils.results import RunResult, SweepResult
 
 
 class TestPearson:
@@ -169,55 +167,8 @@ class TestStatistics:
         with pytest.raises(ValueError):
             independent_ttest(rng.normal(size=5), rng.normal(size=5), alpha=2.0)
 
-    def test_significance_marker_helper(self, rng):
-        a = rng.normal(5.0, 0.1, size=20)
-        b = rng.normal(0.0, 0.1, size=20)
-        assert significance_marker(a, b) == "*"
-        assert significance_marker(a, a) == " "
-
     def test_welch_variant_runs(self, rng):
         a = rng.normal(0, 1, size=10)
         b = rng.normal(0, 5, size=40)
         result = independent_ttest(a, b, equal_variance=False)
         assert 0 <= result.p_value <= 1
-
-
-class TestAggregation:
-    def test_aggregate_from_values(self):
-        aggregate = Aggregate.from_values([1.0, 2.0, 3.0])
-        assert aggregate.mean == pytest.approx(2.0)
-        assert aggregate.count == 3
-        assert "±" in aggregate.format()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Aggregate.from_values([])
-
-    def test_mean_and_std(self):
-        mean, std = mean_and_std([2.0, 4.0])
-        assert mean == pytest.approx(3.0)
-        assert std == pytest.approx(1.0)
-
-    def test_aggregate_runs_from_dicts(self):
-        runs = [{"acc": 0.5, "loss": 1.0}, {"acc": 0.7, "loss": 0.8}]
-        aggregates = aggregate_runs(runs)
-        assert aggregates["acc"].mean == pytest.approx(0.6)
-        assert aggregates["loss"].count == 2
-
-    def test_aggregate_runs_from_sweep(self):
-        sweep = SweepResult(name="s")
-        for value in (0.1, 0.3):
-            run = RunResult(name="r")
-            run.add_metric("metric", value)
-            sweep.add(run)
-        aggregates = aggregate_runs(sweep)
-        assert aggregates["metric"].mean == pytest.approx(0.2)
-
-    def test_aggregate_runs_empty(self):
-        with pytest.raises(ValueError):
-            aggregate_runs([])
-
-    def test_aggregate_selected_keys(self):
-        runs = [{"a": 1.0, "b": 2.0}]
-        aggregates = aggregate_runs(runs, metric_keys=["a"])
-        assert set(aggregates) == {"a"}

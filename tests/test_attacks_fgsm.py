@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.attacks.base import AttackResult
-from repro.attacks.fgsm import (
-    FastGradientSignMethod,
-    FastGradientValueMethod,
-    fgsm_perturbation,
-)
+from repro.attacks.fgsm import FastGradientSignMethod, fgsm_perturbation
 from repro.nn.gradients import input_gradients
 from repro.nn.metrics import accuracy
-from repro.nn.network import SingleLayerNetwork
 
 
 class TestAttackResult:
@@ -95,37 +90,3 @@ class TestFGSM:
         attack = FastGradientSignMethod(trained_linear, loss=MeanSquaredError())
         result = attack.attack(mnist_small.test_inputs[:5], mnist_small.test_targets[:5], 0.1)
         assert result.metadata["attack"] == "fgsm"
-
-
-class TestFGV:
-    def test_max_perturbation_equals_epsilon(self, trained_softmax, mnist_small):
-        attack = FastGradientValueMethod(trained_softmax)
-        result = attack.attack(mnist_small.test_inputs[:8], mnist_small.test_targets[:8], 0.25)
-        per_sample_max = np.abs(result.perturbations).max(axis=1)
-        np.testing.assert_allclose(per_sample_max, 0.25, rtol=1e-6)
-
-    def test_direction_follows_gradient(self, trained_linear, mnist_small):
-        inputs = mnist_small.test_inputs[:4]
-        targets = mnist_small.test_targets[:4]
-        gradients = input_gradients(trained_linear, inputs, targets)
-        attack = FastGradientValueMethod(trained_linear)
-        perturbation = attack.attack(inputs, targets, 0.1).perturbations
-        # same sign wherever the gradient is appreciably non-zero
-        mask = np.abs(gradients) > 1e-6
-        assert np.all(np.sign(perturbation[mask]) == np.sign(gradients[mask]))
-
-    def test_fgv_reduces_accuracy(self, trained_softmax, mnist_small):
-        attack = FastGradientValueMethod(trained_softmax)
-        result = attack.attack(mnist_small.test_inputs, mnist_small.test_targets, 0.3)
-        clean = accuracy(trained_softmax.predict(mnist_small.test_inputs), mnist_small.test_targets)
-        adv = accuracy(
-            trained_softmax.predict(result.adversarial_inputs), mnist_small.test_targets
-        )
-        assert adv < clean
-
-    def test_zero_gradient_handled(self, rng):
-        network = SingleLayerNetwork(4, 3, output="linear", random_state=0)
-        network.weights = np.zeros((3, 4))
-        attack = FastGradientValueMethod(network)
-        result = attack.attack(rng.uniform(size=(2, 4)), np.eye(3)[[0, 1]], 0.2)
-        assert np.all(np.isfinite(result.adversarial_inputs))

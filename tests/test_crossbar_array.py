@@ -1,5 +1,7 @@
 """Tests for repro.crossbar.array — Eq. 3-5 correctness and non-idealities."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,15 @@ class TestIdealBehaviour:
         assert array.n_columns == 4
 
 
+NONIDEALITY_FIELDS = [
+    "stuck_at_off_fraction",
+    "stuck_at_on_fraction",
+    "wire_resistance_ohm",
+    "current_measurement_noise",
+    "temperature_drift",
+]
+
+
 class TestNonidealities:
     def test_read_noise_makes_outputs_stochastic(self, rng):
         device = IDEAL_DEVICE.with_noise(read_noise=0.05)
@@ -91,7 +102,7 @@ class TestNonidealities:
         ideal = CrossbarArray(weights, random_state=0)
         lossy = CrossbarArray(
             weights,
-            nonidealities=NonidealityConfig(wire_resistance=0.5),
+            nonidealities=NonidealityConfig(wire_resistance_ohm=0.5),
             random_state=0,
         )
         u = np.ones(6)
@@ -127,13 +138,83 @@ class TestNonidealities:
         with pytest.raises(ValueError):
             NonidealityConfig(stuck_at_off_fraction=0.7, stuck_at_on_fraction=0.7)
         with pytest.raises(ValueError):
-            NonidealityConfig(wire_resistance=-1.0)
-        with pytest.raises(ValueError):
-            NonidealityConfig(temperature_drift=-2.0)
+            NonidealityConfig(wire_resistance_ohm=-1.0)
+        for drift in (-2.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NonidealityConfig(temperature_drift=drift)
 
     def test_is_ideal_flag(self):
         assert NonidealityConfig().is_ideal
-        assert not NonidealityConfig(wire_resistance=1.0).is_ideal
+        assert not NonidealityConfig(wire_resistance_ohm=1.0).is_ideal
+
+    def test_every_field_is_checked_for_finiteness(self):
+        assert {f.name for f in fields(NonidealityConfig)} == set(NONIDEALITY_FIELDS)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", NONIDEALITY_FIELDS)
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            NonidealityConfig(**{field: value})
+
+
+def droop_reference(total, resistance):
+    """Cell-by-cell transcription of the 2-D droop formula."""
+    n_rows, n_cols = total.shape
+    column_g = total.sum(axis=0)
+    row_g = total.sum(axis=1)
+    droop = np.empty_like(total)
+    for i in range(n_rows):
+        for j in range(n_cols):
+            load = column_g[j] * (i + 1) + row_g[i] * (j + 1)
+            droop[i, j] = 1.0 / (1.0 + resistance * load)
+    return droop
+
+
+class TestWireDroop:
+    """The 2-D IR-drop model, the only wire physics the engine has."""
+
+    @pytest.mark.parametrize("resistance", [1e-3, 0.05, 0.5])
+    def test_outputs_and_current_follow_the_droop_formula(self, resistance, rng):
+        weights = rng.normal(size=(5, 7))
+        wired = CrossbarArray(
+            weights,
+            nonidealities=NonidealityConfig(wire_resistance_ohm=resistance),
+            random_state=0,
+        )
+        droop = droop_reference(wired.g_plus + wired.g_minus, resistance)
+        u = rng.uniform(0, 1, size=7)
+        np.testing.assert_allclose(
+            wired.matvec(u), ((wired.g_plus - wired.g_minus) * droop) @ u, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            wired.total_current(np.eye(7)),
+            ((wired.g_plus + wired.g_minus) * droop).sum(axis=0),
+            rtol=1e-12,
+        )
+
+    def test_current_falls_as_resistance_grows(self, rng):
+        weights = rng.normal(size=(6, 8))
+        u = rng.uniform(0.1, 1, size=8)
+        currents = [
+            CrossbarArray(
+                weights,
+                nonidealities=NonidealityConfig(wire_resistance_ohm=resistance),
+                random_state=0,
+            ).total_current(u)
+            for resistance in (0.0, 1e-3, 1e-2, 1e-1)
+        ]
+        assert all(far < near for near, far in zip(currents, currents[1:]))
+
+    def test_columns_farther_along_the_row_wire_droop_more(self):
+        """Equal weights: every column carries the same load, so the leaked
+        column sums fall with the column's distance along the row wire."""
+        wired = CrossbarArray(
+            np.ones((4, 6)),
+            nonidealities=NonidealityConfig(wire_resistance_ohm=0.05),
+            random_state=0,
+        )
+        sums = wired.total_current(np.eye(6))
+        assert np.all(np.diff(sums) < 0)
 
 
 NOISY = IDEAL_DEVICE.with_noise(read_noise=0.05)
@@ -147,7 +228,7 @@ class TestSingleTraversal:
         [
             (IDEAL_DEVICE, NonidealityConfig()),
             (NOISY, NonidealityConfig()),
-            (NOISY, NonidealityConfig(wire_resistance=0.5)),
+            (NOISY, NonidealityConfig(wire_resistance_ohm=0.5)),
             (NOISY, NonidealityConfig(wire_resistance_ohm=1e-3)),
             (NOISY, NonidealityConfig(current_measurement_noise=0.05)),
         ],
@@ -243,7 +324,7 @@ class TestEffectiveStateCache:
 #: Read-noise-free physics: every traversal reads the one cached state.
 DETERMINISTIC_PHYSICS = [
     NonidealityConfig(),
-    NonidealityConfig(wire_resistance=0.5),
+    NonidealityConfig(wire_resistance_ohm=0.5),
     NonidealityConfig(wire_resistance_ohm=1e-3),
     NonidealityConfig(stuck_at_off_fraction=0.1, stuck_at_on_fraction=0.05),
     NonidealityConfig(temperature_drift=0.05),

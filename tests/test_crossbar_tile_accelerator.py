@@ -123,7 +123,7 @@ class TestCrossbarAccelerator:
         noisy = CrossbarAccelerator(
             trained_softmax,
             mapping=ConductanceMapping(device=IDEAL_DEVICE.with_noise(read_noise=0.05)),
-            nonidealities=NonidealityConfig(wire_resistance=0.01),
+            nonidealities=NonidealityConfig(wire_resistance_ohm=0.01),
             random_state=0,
         )
         assert noisy.fidelity(mnist_small.test_inputs[:10]) > 1e-6

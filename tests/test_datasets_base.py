@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.base import Dataset, train_test_split
+from repro.datasets.base import Dataset
 from repro.datasets.transforms import one_hot
 
 
@@ -107,21 +107,3 @@ class TestDatasetOperations:
         assert ds.query_pool(5, random_state=0).shape == (5, 12)
         # More queries than training samples returns the whole training set.
         assert ds.query_pool(10_000, random_state=0).shape == (20, 12)
-
-
-class TestTrainTestSplit:
-    def test_split_fractions(self, rng):
-        inputs = rng.uniform(size=(100, 6))
-        labels = rng.integers(0, 4, size=100)
-        ds = train_test_split(inputs, labels, test_fraction=0.25, random_state=0)
-        assert ds.n_test == 25
-        assert ds.n_train == 75
-        assert ds.n_classes == 4
-
-    def test_invalid_fraction(self, rng):
-        with pytest.raises(ValueError):
-            train_test_split(rng.uniform(size=(10, 3)), np.zeros(10, dtype=int), test_fraction=1.5)
-
-    def test_mismatched_lengths(self, rng):
-        with pytest.raises(ValueError):
-            train_test_split(rng.uniform(size=(10, 3)), np.zeros(9, dtype=int))

@@ -7,8 +7,6 @@ from repro.datasets.transforms import (
     clip_to_range,
     flatten_images,
     from_one_hot,
-    normalize_minmax,
-    normalize_standard,
     one_hot,
     unflatten_images,
 )
@@ -43,28 +41,7 @@ class TestOneHot:
             from_one_hot(np.array([1, 0]))
 
 
-class TestNormalization:
-    def test_minmax_range(self, rng):
-        data = rng.normal(size=(10, 10))
-        scaled = normalize_minmax(data, 0.0, 1.0)
-        assert scaled.min() == pytest.approx(0.0)
-        assert scaled.max() == pytest.approx(1.0)
-
-    def test_minmax_constant_input(self):
-        scaled = normalize_minmax(np.full((3, 3), 7.0), 0.0, 1.0)
-        np.testing.assert_array_equal(scaled, np.zeros((3, 3)))
-
-    def test_minmax_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            normalize_minmax(np.zeros(3), 1.0, 0.0)
-
-    def test_standard_statistics(self, rng):
-        data = rng.normal(loc=3.0, scale=2.0, size=1000)
-        standardised, mean, std = normalize_standard(data)
-        assert mean == pytest.approx(3.0, abs=0.3)
-        assert std == pytest.approx(2.0, abs=0.3)
-        assert standardised.mean() == pytest.approx(0.0, abs=1e-10)
-
+class TestClipToRange:
     def test_clip_to_range(self):
         clipped = clip_to_range(np.array([-1.0, 0.5, 2.0]), 0.0, 1.0)
         np.testing.assert_allclose(clipped, [0.0, 0.5, 1.0])

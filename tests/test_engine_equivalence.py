@@ -32,7 +32,7 @@ from repro.sidechannel.probing import ColumnNormProber
 NONIDEALITY_CONFIGS = {
     "ideal": NonidealityConfig(),
     "stuck": NonidealityConfig(stuck_at_off_fraction=0.05, stuck_at_on_fraction=0.02),
-    "ir_drop": NonidealityConfig(wire_resistance=0.01),
+    "ir_drop": NonidealityConfig(wire_resistance_ohm=0.01),
     "drift": NonidealityConfig(temperature_drift=0.02),
 }
 

@@ -108,10 +108,10 @@ class TestScenarioSpec:
 
     def test_to_dict_is_json_serialisable(self):
         spec = ScenarioSpec(
-            name="x", nonidealities=NonidealityConfig(wire_resistance=0.1)
+            name="x", nonidealities=NonidealityConfig(wire_resistance_ohm=0.1)
         )
         payload = json.dumps(spec.to_dict())
-        assert "wire_resistance" in payload
+        assert "wire_resistance_ohm" in payload
 
     def test_scenario_is_picklable_and_hashable(self):
         import pickle

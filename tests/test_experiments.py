@@ -6,16 +6,14 @@ import pytest
 from repro.experiments.config import (
     PAPER_CONFIGURATIONS,
     SCALES,
-    DatasetConfig,
     ExperimentScale,
-    TrainingConfig,
     resolve_scale,
 )
 from repro.executor import PoolExecutor
 from repro.experiments.figure4 import STRATEGIES
 from repro.experiments.figure5 import Figure5Row
 from repro.experiments.registry import get_experiment
-from repro.experiments.reporting import format_mapping, format_series, format_table
+from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import prepare_dataset, prepare_model
 from repro.experiments.table1 import PAPER_TABLE1
 from repro.utils.results import RunResult
@@ -47,14 +45,6 @@ class TestConfig:
         assert datasets == {"mnist-like", "cifar-like"}
         assert activations == {"linear", "softmax"}
 
-    def test_dataset_and_training_config_validation(self):
-        DatasetConfig()
-        TrainingConfig()
-        with pytest.raises(ValueError):
-            DatasetConfig(n_train=0)
-        with pytest.raises(ValueError):
-            TrainingConfig(epochs=0)
-
     def test_paper_scale_matches_paper_parameters(self):
         paper = SCALES["paper"]
         assert paper.n_runs == 10
@@ -78,11 +68,6 @@ class TestReporting:
         text = format_series("q", [1, 2], {"curve": [0.1, 0.2], "other": [0.3, 0.4]})
         assert "curve" in text and "other" in text
         assert len(text.splitlines()) == 4
-
-    def test_format_mapping(self):
-        text = format_mapping({"alpha": 0.5, "beta": 1.0}, title="Params")
-        assert text.splitlines()[0] == "Params"
-        assert "alpha" in text
 
 
 class TestRunner:

@@ -3,9 +3,9 @@
 Experiment workers, queue workers and the network server are fresh
 interpreters, so what they import is paid on every start (time and resident
 memory).  The paper's pipeline is numpy; scipy is loaded only by figure5's
-t-test (``analysis.statistics.independent_ttest``) and the unused nnls
-estimator, both lazily.  Each check runs in a subprocess so the test
-session's own imports cannot mask a module-level ``import scipy``.
+t-test (``analysis.statistics.independent_ttest``), lazily.  Each check runs
+in a subprocess so the test session's own imports cannot mask a
+module-level ``import scipy``.
 """
 
 import importlib.util

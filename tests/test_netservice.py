@@ -458,23 +458,28 @@ class TestFaultTolerance:
         # no successful tick: the undefined ratio travels as null, not NaN
         assert stats["tenants"]["bad"]["coalescing_factor"] is None
 
-    def test_wrong_width_request_fails_alone(self):
-        """One tenant's wrong-width request must not poison the tick it
-        would share: its batch-mate from another tenant is served as if
-        alone, and only the offender gets an (uncharged) remote error."""
+    @pytest.mark.parametrize(
+        "offending",
+        [np.full((1, N_FEATURES - 1), 0.25), np.full((1, N_FEATURES, 2), 0.25)],
+        ids=["narrow-row", "three-dims"],
+    )
+    def test_wrong_width_request_fails_alone(self, offending):
+        """One tenant's wrong-width or wrong-shape request must not poison
+        the tick it would share: its batch-mate from another tenant is served
+        as if alone, and only the offender gets an (uncharged) remote error."""
         config = _config(service=ServiceConfig(max_batch=2, max_wait_ms=50))
         request = np.full((1, N_FEATURES), 0.25)
         with serve_in_thread(_oracle("paper/mnist-softmax"), config) as handle:
             handle.pause_scheduling()
             sockets = {}
             try:
-                for tenant, width in (("mallory", N_FEATURES - 1), ("bob", N_FEATURES)):
+                for tenant, inputs in (("mallory", offending), ("bob", request)):
                     sock = socket.create_connection(handle.address, timeout=30)
                     sockets[tenant] = sock
                     send_frame_sync(
                         sock,
                         {"type": "query", "tenant": tenant, "key": f"{tenant}-1"},
-                        {"inputs": request[:, :width]},
+                        {"inputs": inputs},
                     )
                 time.sleep(0.3)  # let both frames be admitted into the queues
                 handle.resume_scheduling()

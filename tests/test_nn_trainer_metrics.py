@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.transforms import one_hot
-from repro.nn.metrics import accuracy, confusion_matrix, error_rate, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.network import SingleLayerNetwork
 from repro.nn.optimizers import Adam
 from repro.nn.trainer import Trainer, TrainingHistory, train_single_layer
@@ -26,28 +26,6 @@ class TestMetrics:
     def test_accuracy_empty_batch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
-
-    def test_error_rate_complements_accuracy(self):
-        predictions, targets = np.array([0, 1, 2, 2]), np.array([0, 1, 1, 1])
-        assert error_rate(predictions, targets) == pytest.approx(
-            1 - accuracy(predictions, targets)
-        )
-
-    def test_top_k_accuracy(self):
-        scores = np.array([[0.1, 0.5, 0.4], [0.6, 0.3, 0.1]])
-        targets = np.array([2, 1])
-        assert top_k_accuracy(scores, targets, k=1) == pytest.approx(0.0)
-        assert top_k_accuracy(scores, targets, k=2) == pytest.approx(1.0)
-
-    def test_top_k_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.array([0, 1]), k=4)
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), n_classes=3)
-        assert matrix[0, 0] == 1
-        assert matrix[2, 1] == 1
-        assert matrix.sum() == 4
 
 
 class TestTrainingHistory:

@@ -297,18 +297,19 @@ class TestShardedPowerAccounting:
         assert accelerator.n_array_operations == 0
 
 
-class TestShardRunners:
-    #: Every registered preset geometry *and* non-divisible shapes; shards
-    #: run serially, and the wire-resistance gating tests sweep this matrix.
-    PRESET_AND_UNEVEN = [
-        ShardingSpec.rows(2),       # sharded-rows-2
-        ShardingSpec.columns(4),    # sharded-columns-4
-        ShardingSpec.grid(2, 2),    # sharded-2x2
-        ShardingSpec.grid(4, 4, reduction="tree"),  # sharded-4x4-tree
-        ShardingSpec.grid(3, 2),    # non-divisible rows
-        ShardingSpec.grid(2, 3, reduction="tree"),  # non-divisible cols, tree
-    ]
+#: Every registered preset geometry *and* non-divisible shapes; shards run
+#: serially, and the wire-resistance gating tests sweep this matrix.
+PRESET_AND_UNEVEN = [
+    ShardingSpec.rows(2),       # sharded-rows-2
+    ShardingSpec.columns(4),    # sharded-columns-4
+    ShardingSpec.grid(2, 2),    # sharded-2x2
+    ShardingSpec.grid(4, 4, reduction="tree"),  # sharded-4x4-tree
+    ShardingSpec.grid(3, 2),    # non-divisible rows
+    ShardingSpec.grid(2, 3, reduction="tree"),  # non-divisible cols, tree
+]
 
+
+class TestShardRunners:
     @pytest.mark.parametrize(
         "spec",
         PRESET_AND_UNEVEN,
@@ -439,7 +440,7 @@ class TestWireResistance:
 
     @pytest.mark.parametrize(
         "spec",
-        [None] + list(TestShardRunners.PRESET_AND_UNEVEN),
+        [None] + PRESET_AND_UNEVEN,
         ids=lambda s: "mono" if s is None else f"{s.row_shards}x{s.col_shards}-{s.reduction}",
     )
     def test_zero_ohm_is_bitwise_the_old_engine(self, spec, rng):
@@ -639,7 +640,7 @@ class TestShardedScenarios:
         )
         assert spec.sharding == ShardingSpec.rows(2)
         assert spec.nonidealities.wire_resistance_ohm == 2e-3
-        # the legacy 1-D attenuation knob is NOT accepted through this form
+        # only the wire knobs are accepted: a near-miss spelling is refused
         with pytest.raises(ValueError, match="wire_resistance"):
             ScenarioSpec(name="t2", sharding={"row_shards": 2, "wire_resistance": 2e-3})
 

@@ -56,8 +56,8 @@ class TestKnobResolution:
 
     def test_direct_field_paths_pass_through(self):
         assert resolve_knob("measurement_noise") == "measurement_noise"
-        assert resolve_knob("nonidealities.wire_resistance") == (
-            "nonidealities.wire_resistance"
+        assert resolve_knob("nonidealities.wire_resistance_ohm") == (
+            "nonidealities.wire_resistance_ohm"
         )
 
     def test_swept_field_is_the_top_level_target(self):
@@ -75,11 +75,12 @@ class TestKnobResolution:
             resolve_knob("nonidealities.current_measurement_noise.std")
 
     def test_apply_knob_nested_override(self):
-        base = get_scenario("paper/mnist-softmax")
+        base = get_scenario("wired-crossbar")
         noisy = apply_knob(base, "rail.read_noise", 0.25)
         assert noisy.nonidealities.current_measurement_noise == 0.25
         # nested override preserves the rest of the nonideality config
-        assert noisy.nonidealities.wire_resistance == base.nonidealities.wire_resistance
+        assert base.nonidealities.wire_resistance_ohm > 0
+        assert noisy.nonidealities.wire_resistance_ohm == base.nonidealities.wire_resistance_ohm
 
     def test_device_read_noise_overrides_device_physics(self):
         from repro.nn.layers import Dense
@@ -231,6 +232,38 @@ class TestSweepSpec:
     def test_unknown_sweep(self):
         with pytest.raises(KeyError, match="unknown sweep"):
             get_sweep("sweep-warp-factor")
+
+    def test_nested_wire_resistance_sweep_expands(self):
+        """The README's custom sweep: a nested knob into the nonidealities."""
+        values = (0.0, 2.5e-4, 5e-4, 1e-3)
+        sweep = SweepSpec(
+            name="sweep-wire-resistance",
+            base=ScenarioSpec(name="paper/mnist-softmax"),
+            knob="nonidealities.wire_resistance_ohm",
+            values=values,
+        )
+        derived = sweep.expand()
+        assert [spec.nonidealities.wire_resistance_ohm for spec in derived] == list(values)
+        assert derived[0].nonidealities.is_ideal
+        assert not derived[-1].nonidealities.is_ideal
+
+    def test_nested_knob_values_are_validated(self):
+        base = get_scenario("paper/mnist-softmax")
+        for bad in (-1e-3, float("nan")):
+            with pytest.raises(ValueError):
+                SweepSpec(
+                    name="x",
+                    base=base,
+                    knob="nonidealities.wire_resistance_ohm",
+                    values=(0.0, bad),
+                )
+
+    def test_unknown_nested_field_rejected(self):
+        base = get_scenario("paper/mnist-softmax")
+        with pytest.raises(ValueError, match="has no field 'wire_resistance'"):
+            SweepSpec(
+                name="x", base=base, knob="nonidealities.wire_resistance", values=(0.1,)
+            )
 
 
 class TestSweepRegistration:

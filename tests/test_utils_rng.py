@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_rng,
-    choice_without_replacement,
-    seeds_for_runs,
-    shuffled_indices,
-    spawn_rngs,
-)
+from repro.utils.rng import as_rng, seeds_for_runs, spawn_rngs
 
 
 class TestAsRng:
@@ -83,26 +77,3 @@ class TestSeedsForRuns:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             seeds_for_runs(0, -2)
-
-
-class TestShuffleAndChoice:
-    def test_shuffled_indices_is_permutation(self, rng):
-        indices = shuffled_indices(10, rng)
-        assert sorted(indices.tolist()) == list(range(10))
-
-    def test_shuffled_indices_subset(self, rng):
-        subset = [3, 5, 7]
-        indices = shuffled_indices(10, rng, subset=subset)
-        assert sorted(indices.tolist()) == subset
-
-    def test_choice_without_replacement_distinct(self, rng):
-        chosen = choice_without_replacement(rng, 20, 10)
-        assert len(set(chosen.tolist())) == 10
-
-    def test_choice_without_replacement_from_iterable(self, rng):
-        chosen = choice_without_replacement(rng, [10, 20, 30, 40], 2)
-        assert set(chosen.tolist()).issubset({10, 20, 30, 40})
-
-    def test_choice_too_many_rejected(self, rng):
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, 3, 5)

@@ -12,7 +12,6 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    check_same_length,
     check_vector,
 )
 
@@ -98,11 +97,6 @@ class TestScalarChecks:
         assert check_in_range(0.5, "x", 0, 1) == 0.5
         with pytest.raises(ValueError):
             check_in_range(2.0, "x", 0, 1)
-
-    def test_same_length(self):
-        check_same_length([1, 2], [3, 4], "a", "b")
-        with pytest.raises(ValueError):
-            check_same_length([1], [3, 4], "a", "b")
 
     def test_positive_int(self):
         assert check_positive_int(3, "n") == 3
