@@ -20,12 +20,20 @@ shared one.  Results are merged into ``BENCH_engine.json`` under
 (``--max-tenant-overhead``).  Correctness guards assert that partitioned
 ticks never mixed tenants and that partitioned responses are bit-identical
 to direct seeded queries before anything is timed.
+
+The section also records the memory of one fixed-size co-resident attack
+round (:func:`~repro.sidechannel.coresident.run_coresident_attack`): the
+tracemalloc peak of the round, its inputs built beforehand.
+``committed_peak_mb`` carries the ``peak_mb`` the file held before this run
+(the committed value in a fresh checkout), and the regression script fails
+when ``peak_mb`` exceeds it by more than ``--tolerance``.
 """
 
 import asyncio
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +43,7 @@ import bench_engine
 
 from repro.attacks.oracle import Oracle
 from repro.service import QueryService, ServiceConfig
+from repro.sidechannel.coresident import run_coresident_attack
 
 N_REQUESTS = 256
 CONCURRENCY = 16
@@ -45,6 +54,13 @@ MAX_WAIT_MS = 2.0
 #: Acceptance criterion: partitioned placement may cost at most this factor
 #: of the shared-placement wall time on the two-tenant workload.
 MAX_TENANT_OVERHEAD = 1.5
+
+#: The co-resident round whose peak memory is recorded: ``ROUND_FLOOD``
+#: single-row probes ahead of each of ``ROUND_VICTIM_ROWS`` victim rows,
+#: coalesced ``ROUND_FLOOD + 1`` rows per shared tick.
+ROUND_VICTIM_ROWS = 256
+ROUND_FEATURES = 512
+ROUND_FLOOD = 7
 
 
 def build_oracle(*, n_inputs=256, n_outputs=10, seed=0):
@@ -122,8 +138,53 @@ def check_equivalence(*, n_inputs=32, n_rows=24, seed=0):
     return True
 
 
-def run_tenant_benchmark(*, n_inputs=256, n_outputs=10, seed=0):
-    """Full benchmark; returns the structure stored in BENCH_engine.json."""
+def measure_coresident_round(*, seed=0, previous=None):
+    """Traced peak memory of one co-resident round (inputs built first).
+
+    ``previous`` is the ``coresident_round`` entry being replaced; its
+    ``peak_mb`` becomes ``committed_peak_mb``.
+    """
+    rng = np.random.default_rng(seed)
+    victim_inputs = rng.uniform(0.0, 1.0, size=(ROUND_VICTIM_ROWS, ROUND_FEATURES))
+    probe_inputs = rng.uniform(
+        0.0, 1.0, size=(ROUND_FLOOD * ROUND_VICTIM_ROWS, ROUND_FEATURES)
+    )
+    oracle = build_oracle(n_inputs=ROUND_FEATURES, seed=seed)
+    # A generous max_wait_ms keeps every tick full, so the round's tick
+    # composition (and its memory) does not depend on host speed.
+    config = ServiceConfig(
+        max_batch=ROUND_FLOOD + 1, max_wait_ms=10_000.0, placement="shared"
+    )
+
+    async def run():
+        async with QueryService(oracle, config) as service:
+            return await run_coresident_attack(
+                service, victim_inputs, probe_inputs, flood_ratio=ROUND_FLOOD
+            )
+
+    tracemalloc.start()
+    try:
+        trace = asyncio.run(run())
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return {
+        "victim_rows": ROUND_VICTIM_ROWS,
+        "n_features": ROUND_FEATURES,
+        "flood_ratio": ROUND_FLOOD,
+        "max_batch": ROUND_FLOOD + 1,
+        "n_victim_ticks": trace.n_victim_ticks,
+        "sums_mb": sum(row.nbytes for row in trace.rows_by_tick.values()) / 2**20,
+        "peak_mb": peak_mb,
+        "committed_peak_mb": (previous or {}).get("peak_mb", peak_mb),
+    }
+
+
+def run_tenant_benchmark(*, n_inputs=256, n_outputs=10, seed=0, previous=None):
+    """Full benchmark; returns the structure stored in BENCH_engine.json.
+
+    ``previous`` is the ``bench_tenant`` section being replaced.
+    """
     responses_identical = check_equivalence(seed=seed)
     requests = make_requests(n_inputs, seed=seed)
 
@@ -160,12 +221,16 @@ def run_tenant_benchmark(*, n_inputs=256, n_outputs=10, seed=0):
         "partitioned_overhead": (
             elapsed_by_placement["partitioned"] / elapsed_by_placement["shared"]
         ),
+        "coresident_round": measure_coresident_round(
+            seed=seed, previous=(previous or {}).get("coresident_round")
+        ),
     }
 
 
 def test_tenant_placement_throughput(single_round, benchmark):
     """Shared vs partitioned placement throughput (records JSON)."""
-    results = single_round(run_tenant_benchmark)
+    previous = bench_engine.load_results().get("bench_tenant")
+    results = single_round(run_tenant_benchmark, previous=previous)
     bench_engine.record_timings("bench_tenant", results)
 
     for row in results["placements"]:
@@ -175,6 +240,9 @@ def test_tenant_placement_throughput(single_round, benchmark):
         )
     benchmark.extra_info["partitioned_overhead"] = round(
         results["partitioned_overhead"], 2
+    )
+    benchmark.extra_info["coresident_round/peak_mb"] = round(
+        results["coresident_round"]["peak_mb"], 2
     )
 
     assert results["responses_identical"]
@@ -190,7 +258,8 @@ def test_tenant_placement_throughput(single_round, benchmark):
 
 
 def main():  # pragma: no cover - console entry point
-    results = run_tenant_benchmark()
+    previous = bench_engine.load_results().get("bench_tenant")
+    results = run_tenant_benchmark(previous=previous)
     bench_engine.record_timings("bench_tenant", results)
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nresults merged into {bench_engine.RESULTS_PATH}")

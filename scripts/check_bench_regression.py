@@ -66,7 +66,10 @@ Gated sections:
   partitioned tick may have mixed tenants, per-tenant groups must still
   coalesce (factor > 1), and the partitioned wall time must stay within
   ``--max-tenant-overhead`` (default 1.5x) of the shared placement on the
-  two-tenant workload.
+  two-tenant workload.  The traced peak memory of one fixed-size co-resident
+  attack round (``coresident_round.peak_mb``) may not exceed
+  ``committed_peak_mb``, the value the file held before the benchmark
+  re-recorded it, by more than ``--tolerance``.
 * ``bench_cold_start`` — import footprint of each process entry point
   (experiments, netservice server, executor): no entry point may load any
   ``scipy*`` module (an exact count, gated at 0), and each median
@@ -160,7 +163,7 @@ def check_results(
     failures.extend(_check_service_section(results, min_service_speedup))
     failures.extend(_check_netservice_section(results, min_net_speedup))
     failures.extend(_check_executor_section(results, min_executor_speedup))
-    failures.extend(_check_tenant_section(results, max_tenant_overhead))
+    failures.extend(_check_tenant_section(results, max_tenant_overhead, tolerance))
     failures.extend(_check_cold_start_section(results, tolerance))
     engine = results.get("engine")
     if engine is None:
@@ -427,8 +430,11 @@ def _check_executor_section(results: dict, min_executor_speedup: float) -> list[
     return failures
 
 
-def _check_tenant_section(results: dict, max_tenant_overhead: float) -> list[str]:
-    """Gate the placement timings recorded by benchmarks/bench_tenant.py."""
+def _check_tenant_section(
+    results: dict, max_tenant_overhead: float, tolerance: float
+) -> list[str]:
+    """Gate the placement timings and the co-resident round's memory
+    recorded by benchmarks/bench_tenant.py."""
     payload = results.get("bench_tenant")
     if payload is None:
         return []
@@ -471,6 +477,18 @@ def _check_tenant_section(results: dict, max_tenant_overhead: float) -> list[str
         failures.append(
             f"partitioned placement costs {overhead:.2f}x the shared wall "
             f"time (gate {max_tenant_overhead:.2f}x)"
+        )
+    memory = payload.get("coresident_round") or {}
+    peak, committed = memory.get("peak_mb"), memory.get("committed_peak_mb")
+    if not all(isinstance(v, (int, float)) and v > 0 for v in (peak, committed)):
+        failures.append(
+            "bench_tenant recorded no positive coresident_round peak_mb / "
+            "committed_peak_mb"
+        )
+    elif peak > committed * (1.0 + tolerance):
+        failures.append(
+            f"bench_tenant: one co-resident round peaks at {peak:.2f} MB, over "
+            f"the committed {committed:.2f} MB (tolerance {tolerance:.0%})"
         )
     return failures
 

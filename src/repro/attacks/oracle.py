@@ -39,7 +39,7 @@ from repro.nn.network import Sequential
 from repro.sidechannel.measurement import QueryBudgetExceeded
 from repro.utils.results import compact_repr
 from repro.utils.rng import RandomState, as_rng, sample_stream
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import check_array, check_non_negative, check_positive_int
 
 #: Stream-path domain tag for the oracle's instrument noise.
 _ORACLE_DOMAIN = 2
@@ -280,7 +280,8 @@ class Oracle:
             ``Sequential`` targets remain subject to BLAS batch-shape
             rounding in the forward pass itself.)
         """
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        # A non-finite row has no defined response; reject it before charging.
+        inputs = np.atleast_2d(check_array(inputs, "inputs"))
         if seeds is not None:
             seeds = np.asarray(seeds, dtype=np.uint64)
             if seeds.ndim != 1 or len(seeds) != len(inputs):

@@ -131,12 +131,26 @@ def _targeting_advantage(
     return mean_attacked_accuracy(baseline) - mean_attacked_accuracy(top)
 
 
-async def _coresident_round(oracle, config, victim_inputs, probe_inputs):
+async def _coresident_round(oracle, config, victim_inputs, probe_inputs, ratio):
     """One attack round through a service owned by this job."""
     async with QueryService(oracle, config) as service:
-        trace = await run_coresident_attack(service, victim_inputs, probe_inputs)
+        trace = await run_coresident_attack(
+            service, victim_inputs, probe_inputs, flood_ratio=ratio
+        )
         stats = service.stats.to_dict()
     return trace, stats
+
+
+def _probe_rows(rng, n_victim: int, ratio: int, n_features: int):
+    """The attacker's chosen probes, drawn one ``(ratio, n_features)`` block
+    ahead of each victim row.
+
+    numpy's uniform draws do not depend on the block size, so the rows are
+    those of one ``(ratio * n_victim, n_features)`` draw, without holding
+    the whole flood at once.
+    """
+    for _ in range(n_victim):
+        yield from rng.uniform(0.0, 1.0, size=(ratio, n_features))
 
 
 def _mount_attack(scenario: ScenarioSpec, scale: ExperimentScale, seed: int):
@@ -168,13 +182,14 @@ def _mount_attack(scenario: ScenarioSpec, scale: ExperimentScale, seed: int):
         _MAX_VICTIM_ROWS_PER_TRAIN * scale.n_train,
     )
     # Victim traffic: generic in-distribution rows, known to the attacker
-    # under the profiling assumption.  Probes: the attacker's chosen inputs.
+    # under the profiling assumption.  Probes: the attacker's chosen inputs,
+    # drawn from the same stream after the victim rows as the round needs them.
     victim_inputs = rng.uniform(0.0, 1.0, size=(n_victim, n_features))
     ratio = max(1, min(config.max_batch - 1, FLOOD_RATIO))
-    probe_inputs = rng.uniform(0.0, 1.0, size=(ratio * n_victim, n_features))
+    probe_inputs = _probe_rows(rng, n_victim, ratio, n_features)
 
     trace, stats = asyncio.run(
-        _coresident_round(oracle, config, victim_inputs, probe_inputs)
+        _coresident_round(oracle, config, victim_inputs, probe_inputs, ratio)
     )
     estimate = estimate_victim_norms(trace, n_features)
 

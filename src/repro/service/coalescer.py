@@ -38,6 +38,7 @@ tenant-facing results stay bit-identical under every policy.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -407,7 +408,8 @@ class QueryService:
         to the request's slice of its tick (or that tick's exception).
         ``on_dispatch`` and ``tenant`` are as for :meth:`submit_traced`.
         Raises :class:`~repro.service.errors.ServiceClosedError` while
-        :meth:`stop` runs.
+        :meth:`stop` runs, and :class:`ValueError` for an empty request or
+        one with a NaN or infinite value.
         """
         if self._stopping:
             raise ServiceClosedError("the service is stopping")
@@ -416,6 +418,12 @@ class QueryService:
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         if len(inputs) == 0:
             raise ValueError("cannot submit an empty request")
+        # Rejected alone, before a sequence number is taken: fused into a
+        # tick, a non-finite row would poison every batch-mate's rail power.
+        # ``x . x`` is finite exactly when every entry is, unless finite
+        # entries overflow it; only then is each entry checked.
+        if not math.isfinite(np.vdot(inputs, inputs)) and not np.isfinite(inputs).all():
+            raise ValueError("inputs contains NaN or infinite values")
         request_id = self._request_counter
         self._request_counter += 1
         seeds = request_row_seeds(self._base_mix, request_id, len(inputs))

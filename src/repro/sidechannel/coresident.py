@@ -49,13 +49,15 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.service.coalescer import QueryService, TickTrace
 from repro.sidechannel.estimators import estimate_column_sums_ridge
 from repro.utils.results import compact_repr
+from repro.utils.validation import check_non_negative_int
 
 
 @dataclass(frozen=True, repr=False)
@@ -182,80 +184,103 @@ def estimate_victim_norms(
 async def run_coresident_attack(
     service: QueryService,
     victim_inputs: np.ndarray,
-    probe_inputs: np.ndarray,
+    probe_inputs: Iterable[np.ndarray],
     *,
+    flood_ratio: int,
     victim: str = "victim",
     attacker: str = "attacker",
 ) -> CoResidentTrace:
     """Drive one co-residency round through a started :class:`QueryService`.
 
     Victim traffic and attacker probes are enqueued as interleaved
-    single-row requests (the attacker times its probes against the victim's
-    request stream) by this one coroutine, under the service's backpressure,
-    and their futures are awaited afterwards, so the coalescer ticks them
-    according to its placement policy without a task per request.  Returns
-    the attacker's view: the bank-filtered rail ledger plus the per-tick
-    known-row sums.
+    single-row requests by this one coroutine, under the service's
+    backpressure: ``flood_ratio`` probes ahead of every victim row (the
+    attacker times its probes against the victim's request stream).  Under
+    shared placement the flood dilutes each tick down to ~one victim row,
+    pinning fine-grained equations; under tenant-grouped placement it peels
+    off into attacker-only ticks and buys nothing, which is exactly the
+    defence's point.
 
-    The service is *not* stopped — callers own its lifecycle — and the
-    ledger is read after every response resolved, so each submitted row is
-    attributed to exactly one dispatched tick.
+    ``probe_inputs`` is any iterable of ``(n_features,)`` rows and is drawn
+    lazily, ``flood_ratio`` rows at a time; it must supply ``flood_ratio``
+    rows per victim row (a :class:`ValueError` is raised when it runs out).
+    Each request's ``on_dispatch`` observer adds its row into its tick's
+    known-row sum as the tick dispatches, and a done-callback reads its
+    outcome, so the round holds the queued requests and one tick's
+    responses, never the whole flood.  When a tick fails, the round raises
+    the exception of the earliest-enqueued failed request once every
+    request has settled.
+
+    Returns the attacker's view: the bank-filtered rail ledger plus the
+    per-tick known-row sums.  The service is *not* stopped — callers own
+    its lifecycle.
     """
     victim_inputs = np.atleast_2d(np.asarray(victim_inputs, dtype=float))
-    probe_inputs = np.atleast_2d(np.asarray(probe_inputs, dtype=float))
+    flood_ratio = check_non_negative_int(flood_ratio, "flood_ratio")
+    probes = iter(probe_inputs)
     ledger_start = len(service.tick_trace)
 
-    tick_of: Dict[Tuple[str, int], int] = {}
-    # Interleave ``ratio`` probes ahead of every victim row (the attacker's
-    # flooding strategy: under shared placement this dilutes each tick down
-    # to ~one victim row, pinning fine-grained equations; under tenant-
-    # grouped placement the flood peels off into attacker-only ticks and
-    # buys nothing — which is exactly the defence's point).
-    n_victim = len(victim_inputs)
-    ratio = max(1, len(probe_inputs) // n_victim) if n_victim else len(probe_inputs)
-    requests = []
-    cursor = 0
-    for index in range(n_victim):
-        for _ in range(ratio):
-            if cursor < len(probe_inputs):
-                requests.append((attacker, cursor, probe_inputs[cursor]))
-                cursor += 1
-        requests.append((victim, index, victim_inputs[index]))
-    while cursor < len(probe_inputs):
-        requests.append((attacker, cursor, probe_inputs[cursor]))
-        cursor += 1
-    futures = []
-    for tenant, index, row in requests:
+    sums: Dict[int, np.ndarray] = {}
+    victim_counts: Dict[int, int] = {}
+
+    def observe(row: np.ndarray, is_victim: bool, tick_id: int) -> None:
+        # ``_dispatch`` calls observers in request order within a tick, so
+        # each sum accumulates its rows in the order they were enqueued.
+        if tick_id not in sums:
+            sums[tick_id] = np.zeros(row.shape, dtype=float)
+        sums[tick_id] += row
+        if is_victim:
+            victim_counts[tick_id] = victim_counts.get(tick_id, 0) + 1
+
+    unsettled = len(victim_inputs) * (flood_ratio + 1)
+    settled = asyncio.get_running_loop().create_future()
+    failure: Optional[Tuple[int, BaseException]] = None
+
+    def on_settled(sequence: int, future: asyncio.Future) -> None:
+        nonlocal unsettled, failure
+        # Reading the outcome retrieves it, so no failed request's error
+        # goes unreported when the round raises another request's.
+        error = asyncio.CancelledError() if future.cancelled() else future.exception()
+        if error is not None and (failure is None or sequence < failure[0]):
+            failure = (sequence, error)
+        unsettled -= 1
+        if not unsettled and not settled.done():
+            settled.set_result(None)
+
+    def requests():
+        for victim_row in victim_inputs:
+            flood = list(islice(probes, flood_ratio))
+            if len(flood) < flood_ratio:
+                raise ValueError(
+                    f"probe_inputs ran out: {flood_ratio} probes are needed "
+                    f"ahead of each of the {len(victim_inputs)} victim rows"
+                )
+            for row in flood:
+                yield attacker, np.asarray(row, dtype=float)
+            yield victim, victim_row
+
+    for sequence, (tenant, row) in enumerate(requests()):
         _, future = await service.enqueue(
             row[np.newaxis, :],
             tenant=tenant,
-            on_dispatch=partial(tick_of.__setitem__, (tenant, index)),
+            on_dispatch=partial(observe, row, tenant == victim),
         )
-        futures.append(future)
-    try:
-        for future in futures:
-            await future
-    except Exception:
-        # A failed tick fails the round; read every other request's outcome
-        # first so no future's error goes unretrieved.
-        await asyncio.gather(*futures, return_exceptions=True)
-        raise
+        future.add_done_callback(partial(on_settled, sequence))
+    if len(victim_inputs):
+        await settled
+    if failure is not None:
+        raise failure[1]
 
     ticks = visible_ticks(service.tick_trace[ledger_start:], attacker)
     visible_ids = {tick.tick_id for tick in ticks}
-    rows_by_tick: Dict[int, np.ndarray] = {}
-    victim_rows_by_tick: Dict[int, int] = {}
-    for tenant, index, row in requests:
-        tick_id = tick_of.get((tenant, index))
-        if tick_id is None or tick_id not in visible_ids:
-            continue
-        if tick_id not in rows_by_tick:
-            rows_by_tick[tick_id] = np.zeros(row.shape, dtype=float)
-        rows_by_tick[tick_id] += row
-        if tenant == victim:
-            victim_rows_by_tick[tick_id] = victim_rows_by_tick.get(tick_id, 0) + 1
     return CoResidentTrace(
         ticks=tuple(ticks),
-        rows_by_tick=rows_by_tick,
-        victim_rows_by_tick=victim_rows_by_tick,
+        rows_by_tick={
+            tick_id: row for tick_id, row in sums.items() if tick_id in visible_ids
+        },
+        victim_rows_by_tick={
+            tick_id: count
+            for tick_id, count in victim_counts.items()
+            if tick_id in visible_ids
+        },
     )

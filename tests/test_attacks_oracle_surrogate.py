@@ -65,6 +65,15 @@ class TestOracle:
         oracle.reset_counter()
         assert oracle.queries_used == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_rejected_before_charging(self, trained_linear, mnist_small, bad):
+        oracle = Oracle(trained_linear, random_state=0)
+        inputs = mnist_small.test_inputs[:3].copy()
+        inputs[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            oracle.query(inputs)
+        assert oracle.queries_used == 0
+
     def test_predict_labels_not_counted(self, trained_linear, mnist_small):
         oracle = Oracle(trained_linear, random_state=0)
         oracle.predict_labels(mnist_small.test_inputs[:5])

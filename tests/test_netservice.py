@@ -460,13 +460,19 @@ class TestFaultTolerance:
 
     @pytest.mark.parametrize(
         "offending",
-        [np.full((1, N_FEATURES - 1), 0.25), np.full((1, N_FEATURES, 2), 0.25)],
-        ids=["narrow-row", "three-dims"],
+        [
+            np.full((1, N_FEATURES - 1), 0.25),
+            np.full((1, N_FEATURES, 2), 0.25),
+            np.full((1, N_FEATURES), np.nan),
+            np.full((1, N_FEATURES), -np.inf),
+        ],
+        ids=["narrow-row", "three-dims", "nan-row", "inf-row"],
     )
     def test_wrong_width_request_fails_alone(self, offending):
-        """One tenant's wrong-width or wrong-shape request must not poison
-        the tick it would share: its batch-mate from another tenant is served
-        as if alone, and only the offender gets an (uncharged) remote error."""
+        """One tenant's wrong-width, wrong-shape or non-finite request must
+        not poison the tick it would share: its batch-mate from another
+        tenant is served as if alone, and only the offender gets an
+        (uncharged) remote error."""
         config = _config(service=ServiceConfig(max_batch=2, max_wait_ms=50))
         request = np.full((1, N_FEATURES), 0.25)
         with serve_in_thread(_oracle("paper/mnist-softmax"), config) as handle:

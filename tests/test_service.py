@@ -235,6 +235,26 @@ class TestServiceMechanics:
         with pytest.raises(ValueError, match="empty request"):
             asyncio.run(run())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_request_rejected_before_sequencing(self, bad):
+        """A NaN or infinite row fails alone: no sequence number, no charge."""
+        oracle = _oracle("paper/mnist-softmax")
+        poisoned = np.full((1, N_FEATURES), 0.25)
+        poisoned[0, 3] = bad
+
+        async def run():
+            async with QueryService(oracle) as service:
+                with pytest.raises(ValueError, match="NaN or infinite"):
+                    await service.submit(poisoned)
+                request_id, _ = await service.submit_traced(np.full((1, N_FEATURES), 0.25))
+                return request_id, service.tick_trace
+
+        request_id, ledger = asyncio.run(run())
+        assert request_id == 0
+        assert oracle.queries_used == 1
+        assert [tick.rows for tick in ledger] == [1]
+        assert np.isfinite(ledger[0].rail_power)
+
     def test_unknown_target_rejected(self):
         with pytest.raises(TypeError, match="cannot serve"):
             QueryService(object())

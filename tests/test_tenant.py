@@ -19,6 +19,7 @@ import gc
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,7 +469,7 @@ class TestCoResidentAttackMechanics:
         async def drive():
             async with QueryService(_oracle(), config) as service:
                 return await run_coresident_attack(
-                    service, victim_inputs, probe_inputs
+                    service, victim_inputs, probe_inputs, flood_ratio=n_probe_ratio
                 )
 
         trace = asyncio.run(drive())
@@ -508,7 +509,9 @@ class TestCoResidentAttackMechanics:
 
         async def drive():
             async with QueryService(oracle, config) as service:
-                await run_coresident_attack(service, _rows(8, seed=5), _rows(24, seed=6))
+                await run_coresident_attack(
+                    service, _rows(8, seed=5), _rows(24, seed=6), flood_ratio=3
+                )
 
         def failed():
             try:
@@ -556,6 +559,28 @@ def _ledger_digest(ledger) -> str:
     return digest.hexdigest()
 
 
+#: sha256 of the attacker's known-row sums below, keyed like
+#: :data:`LEDGER_DIGESTS`: every tick's ``(tick_id, victim rows)`` and summed
+#: input vector, in tick order.  Pins the summation order bit for bit.
+SUM_DIGESTS = {
+    ("shared", 4): "41f65c1444fe322fba6de5f1077a107bcaa0b37657479253ca8b5679cd499e85",
+    ("shared", 256): "41f65c1444fe322fba6de5f1077a107bcaa0b37657479253ca8b5679cd499e85",
+    ("partitioned", 4): "4a6a29a9184c17cf94ca9c60d161deaf79a34bd08b36191a70a5020e1b2a6399",
+    ("partitioned", 256): "4a6a29a9184c17cf94ca9c60d161deaf79a34bd08b36191a70a5020e1b2a6399",
+    ("tile-isolated", 4): "01e2d715cd382a4a1c3e5af2b812ae77394244118087df0cbacf275a7aaaae20",
+    ("tile-isolated", 256): "01e2d715cd382a4a1c3e5af2b812ae77394244118087df0cbacf275a7aaaae20",
+}
+
+
+def _sums_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for tick_id in sorted(trace.rows_by_tick):
+        count = trace.victim_rows_by_tick.get(tick_id, 0)
+        digest.update(repr((tick_id, count)).encode())
+        digest.update(np.asarray(trace.rows_by_tick[tick_id], dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 class TestCoResidentLedgerUnderBackpressure:
     """A flood of 7 probes per victim row, through a queue of 4 or 256."""
 
@@ -575,7 +600,7 @@ class TestCoResidentLedgerUnderBackpressure:
         async def drive():
             async with QueryService(_oracle(), config) as service:
                 trace = await run_coresident_attack(
-                    service, victim_inputs, probe_inputs
+                    service, victim_inputs, probe_inputs, flood_ratio=self.RATIO
                 )
             return service.tick_trace, trace
 
@@ -598,6 +623,125 @@ class TestCoResidentLedgerUnderBackpressure:
         mounted = estimate_victim_norms(trace, N_FEATURES).mounted
         assert mounted is (placement != "tile-isolated")
         assert _ledger_digest(ledger) == LEDGER_DIGESTS[(placement, max_pending)]
+        assert _sums_digest(trace) == SUM_DIGESTS[(placement, max_pending)]
+        assert set(trace.victim_rows_by_tick) <= set(trace.rows_by_tick)
+
+
+class TestCoResidentRoundStreaming:
+    """The round draws its probes lazily and holds no more than it must."""
+
+    N_WIDE = 512
+
+    def _round(self, victim_inputs, probe_inputs, flood_ratio, oracle=None):
+        config = _config(placement="shared", max_wait_ms=10_000)
+
+        async def drive():
+            async with QueryService(oracle or _oracle(), config) as service:
+                return await run_coresident_attack(
+                    service, victim_inputs, probe_inputs, flood_ratio=flood_ratio
+                )
+
+        return asyncio.run(drive())
+
+    def test_block_drawn_probes_equal_one_draw(self):
+        """The experiment's per-victim-row probe blocks are the values of
+        one ``(ratio * n_victim, n_features)`` draw from the same stream."""
+        from repro.experiments.cross_tenant import _probe_rows
+
+        lazy = np.array(list(_probe_rows(np.random.default_rng(7), 50, 7, 784)))
+        eager = np.random.default_rng(7).uniform(0.0, 1.0, size=(7 * 50, 784))
+        np.testing.assert_array_equal(lazy, eager)
+
+    def test_probes_are_drawn_only_as_needed(self):
+        drawn = []
+
+        def probes():
+            for row in _rows(1000, seed=6):
+                drawn.append(row)
+                yield row
+
+        self._round(_rows(16, seed=5), probes(), 3)
+        assert len(drawn) == 3 * 16
+
+    def test_exhausted_probe_iterable_raises(self):
+        with pytest.raises(ValueError, match="probe_inputs ran out"):
+            self._round(_rows(16, seed=5), _rows(3 * 16 - 1, seed=6), 3)
+
+    def test_negative_flood_ratio_rejected(self):
+        with pytest.raises(ValueError, match="flood_ratio"):
+            self._round(_rows(4, seed=5), _rows(4, seed=6), -1)
+
+    def test_round_memory_does_not_grow_with_the_flood(self):
+        """The traced peak grows with the returned sums, not with the flood."""
+        network = Sequential(
+            [Dense(self.N_WIDE, N_CLASSES, activation="softmax", random_state=0)]
+        )
+        ratio = 7
+        peaks, sum_bytes = {}, {}
+        for n_victim in (64, 256):
+            rng = np.random.default_rng(n_victim)
+            victim_inputs = rng.uniform(0.0, 1.0, size=(n_victim, self.N_WIDE))
+            probe_inputs = rng.uniform(0.0, 1.0, size=(ratio * n_victim, self.N_WIDE))
+            oracle = Oracle(network, random_state=0, expose_power=True)
+            tracemalloc.start()
+            try:
+                trace = self._round(victim_inputs, probe_inputs, ratio, oracle)
+                peaks[n_victim] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sum_bytes[n_victim] = sum(row.nbytes for row in trace.rows_by_tick.values())
+        growth = peaks[256] - peaks[64]
+        sums_growth = sum_bytes[256] - sum_bytes[64]
+        assert sums_growth > 0
+        assert growth <= 2 * sums_growth, (
+            f"peak grew {growth / 2**20:.2f} MiB for "
+            f"{sums_growth / 2**20:.2f} MiB more known-row sums"
+        )
+
+
+class TestCoResidentMemoryGate:
+    """``check_bench_regression.py`` gates the round's recorded peak memory."""
+
+    @staticmethod
+    def _check(**memory):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "scripts" / "check_bench_regression.py"
+        spec = importlib.util.spec_from_file_location("check_bench_regression_tenant", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        placements = [
+            {"placement": "shared", "elapsed_s": 0.006, "coalescing_factor": 16.0,
+             "mixed_ticks": 16},
+            {"placement": "partitioned", "elapsed_s": 0.007, "coalescing_factor": 8.0,
+             "mixed_ticks": 0},
+        ]
+        results = {
+            "engine": {
+                "oracle_query": [{"batch_size": 16, "speedup": 2.5}],
+                "array_ops_per_power_query_batch": 1,
+            },
+            "bench_tenant": {
+                "responses_identical": True,
+                "placements": placements,
+                "partitioned_overhead": 1.2,
+                "coresident_round": {"peak_mb": 2.0, "committed_peak_mb": 2.0, **memory},
+            },
+        }
+        return lambda tolerance=0.0: module.check_results(results, tolerance=tolerance)
+
+    def test_committed_peak_passes(self):
+        assert self._check()() == []
+
+    def test_peak_over_committed_fails_unless_tolerated(self):
+        check = self._check(peak_mb=2.2)
+        assert any("co-resident round peaks" in failure for failure in check())
+        assert check(tolerance=0.15) == []
+        assert check(tolerance=0.05)
+
+    def test_missing_peak_fails(self):
+        assert self._check(peak_mb=None)()
 
 
 class TestExperimentRegistration:
