@@ -29,8 +29,10 @@ from repro.attacks.oracle import Oracle, OracleResponse
 from repro.nn.losses import MeanSquaredError
 from repro.nn.metrics import accuracy
 from repro.nn.network import SingleLayerNetwork
+from repro.nn.optimizers import Adam
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import (
+    check_array,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -48,7 +50,7 @@ class SurrogateConfig:
     epochs:
         Training epochs over the query set.
     learning_rate:
-        Step size for the (full-batch) gradient descent.
+        Step size of the mini-batch Adam updates.
     batch_size:
         Mini-batch size; query sets smaller than this are trained full-batch.
     power_normalization:
@@ -61,12 +63,6 @@ class SurrogateConfig:
         normalised by their mean before the MSE, making the loss invariant to
         an unknown conductance scale of the victim hardware at the cost of a
         much weaker training signal.
-    weight_decay:
-        Optional L2 regularisation on the surrogate weights.
-    optimizer:
-        ``"adam"`` (default) or ``"sgd"``.  Adam converges far enough for the
-        power constraint to actually shape the solution within the configured
-        epoch budget.
     """
 
     power_loss_weight: float = 0.0
@@ -74,23 +70,16 @@ class SurrogateConfig:
     learning_rate: float = 0.01
     batch_size: int = 128
     power_normalization: str = "absolute"
-    weight_decay: float = 0.0
-    optimizer: str = "adam"
 
     def __post_init__(self) -> None:
         check_non_negative(self.power_loss_weight, "power_loss_weight")
         check_positive_int(self.epochs, "epochs")
         check_positive(self.learning_rate, "learning_rate")
         check_positive_int(self.batch_size, "batch_size")
-        check_non_negative(self.weight_decay, "weight_decay")
         if self.power_normalization not in ("relative", "absolute"):
             raise ValueError(
                 "power_normalization must be 'relative' or 'absolute', got "
                 f"{self.power_normalization!r}"
-            )
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(
-                f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}"
             )
 
 
@@ -155,9 +144,12 @@ class SurrogateTrainer:
             ``(Q,)`` measured total currents, or ``None`` when the attacker
             has no power access (the power term is then skipped regardless of
             λ).
+
+        Raises ``ValueError`` before the first step when the queries or
+        outputs are empty, or when any of the arrays holds NaN or ±inf.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
+        queries = np.atleast_2d(check_array(queries, "queries", allow_empty=False))
+        outputs = np.atleast_2d(check_array(outputs, "outputs", allow_empty=False))
         if queries.shape[1] != self.n_inputs:
             raise ValueError(
                 f"queries have {queries.shape[1]} features, expected {self.n_inputs}"
@@ -168,32 +160,24 @@ class SurrogateTrainer:
                 f"got {outputs.shape}"
             )
         if power is not None:
-            power = np.atleast_1d(np.asarray(power, dtype=float))
+            power = np.atleast_1d(check_array(power, "power"))
             if len(power) != len(queries):
                 raise ValueError("power measurements disagree with queries on count")
-        use_power = (
-            power is not None
-            and self.config.power_loss_weight > 0
-            and len(queries) > 0
-        )
+        config = self.config
+        use_power = power is not None and config.power_loss_weight > 0
         if use_power:
             power_target, _ = self._normalize(power)
 
         surrogate = SingleLayerNetwork(
             self.n_inputs, self.n_outputs, output="linear", random_state=self._rng
         )
-        weights = surrogate.weights
-        config = self.config
-        mse = MeanSquaredError()
+        layer = surrogate.layer
+        # Adam updates this array in place, so it always holds the current W.
+        weights = layer.weights
+        optimizer = Adam(learning_rate=config.learning_rate)
         n_queries = len(queries)
         batch_size = min(config.batch_size, n_queries)
         self.loss_history = []
-
-        # Adam moment buffers (unused when optimizer == "sgd").
-        first_moment = np.zeros_like(weights)
-        second_moment = np.zeros_like(weights)
-        adam_step = 0
-        beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
 
         for _ in range(config.epochs):
             order = self._rng.permutation(n_queries)
@@ -225,20 +209,8 @@ class SurrogateTrainer:
                         np.newaxis, :
                     ]
 
-                if config.weight_decay:
-                    grad = grad + config.weight_decay * weights
-
-                if config.optimizer == "adam":
-                    adam_step += 1
-                    first_moment = beta1 * first_moment + (1.0 - beta1) * grad
-                    second_moment = beta2 * second_moment + (1.0 - beta2) * grad**2
-                    m_hat = first_moment / (1.0 - beta1**adam_step)
-                    v_hat = second_moment / (1.0 - beta2**adam_step)
-                    weights = weights - config.learning_rate * m_hat / (
-                        np.sqrt(v_hat) + adam_eps
-                    )
-                else:
-                    weights = weights - config.learning_rate * grad
+                layer.grad_weights = grad
+                optimizer.step(surrogate)
                 epoch_out_loss += out_loss
                 epoch_power_loss += power_loss
                 n_batches += 1
@@ -254,9 +226,6 @@ class SurrogateTrainer:
                 }
             )
 
-        surrogate.weights = weights
-        # keep mse referenced for introspection/debugging of the training loss
-        self._output_loss = mse
         return surrogate
 
 

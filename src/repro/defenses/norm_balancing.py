@@ -5,8 +5,10 @@ weight matrix has (approximately) the same 1-norm, the attacker learns nothing
 useful from probing.  Two mechanisms are provided:
 
 * :class:`ColumnNormRegularizer` — a penalty ``β · Var_j(Σ_i |w_ij|)`` whose
-  gradient can be added during training, steering the model towards uniform
-  column norms while it learns.
+  gradient is added to every training step, steering the model towards
+  uniform column norms while it learns.  Pass it to
+  :func:`repro.nn.trainer.train_single_layer` (``regularizer=``), which hands
+  it to :class:`~repro.nn.trainer.Trainer`.
 * :func:`rebalance_column_norms` — a post-training projection that rescales
   each column towards the mean norm, trading accuracy for leak suppression
   without retraining.
@@ -18,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.network import Sequential, SingleLayerNetwork
+from repro.nn.network import Sequential
 from repro.utils.validation import check_in_range, check_matrix, check_non_negative
 
 
@@ -118,57 +120,3 @@ def rebalance_column_norms(
     layer.weights = weights * scale[np.newaxis, :]
     return network, scale
 
-
-def train_with_norm_balancing(
-    dataset,
-    *,
-    output: str = "softmax",
-    regularizer: Optional[ColumnNormRegularizer] = None,
-    epochs: int = 30,
-    learning_rate: float = 0.005,
-    batch_size: int = 64,
-    random_state=None,
-) -> SingleLayerNetwork:
-    """Train a single-layer victim with the column-norm penalty folded in.
-
-    This is a defence-aware variant of
-    :func:`repro.nn.trainer.train_single_layer`: after every mini-batch the
-    regularizer's gradient is applied on top of the task gradient.
-    """
-    from repro.nn.losses import CategoricalCrossEntropy
-    from repro.nn.optimizers import Adam
-    from repro.nn.trainer import Trainer
-    from repro.utils.rng import as_rng
-
-    regularizer = regularizer if regularizer is not None else ColumnNormRegularizer(0.0)
-    rng = as_rng(random_state)
-    network = SingleLayerNetwork(
-        dataset.n_features, dataset.n_classes, output=output, random_state=rng
-    )
-    trainer = Trainer(
-        network,
-        loss=network.default_loss(),
-        optimizer=Adam(learning_rate=learning_rate),
-        batch_size=batch_size,
-        random_state=rng,
-    )
-
-    inputs, targets = dataset.train_inputs, dataset.train_targets
-    for _ in range(epochs):
-        order = rng.permutation(len(inputs))
-        for start in range(0, len(inputs), batch_size):
-            idx = order[start : start + batch_size]
-            outputs = network.forward(inputs[idx], training=True)
-            if trainer._use_fused_softmax():
-                grad = CategoricalCrossEntropy.fused_softmax_gradient(outputs, targets[idx])
-                network.backward(grad, skip_last_activation=True)
-            else:
-                grad = trainer.loss.gradient(outputs, targets[idx])
-                network.backward(grad)
-            layer = network.layers[0]
-            layer.grad_weights = regularizer.apply_to_training_gradient(
-                layer.weights, layer.grad_weights
-            )
-            trainer.optimizer.step(network)
-            network.zero_gradients()
-    return network

@@ -37,10 +37,8 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from repro.executor.base import (
-    CancelToken,
     Executor,
     ExecutorEvent,
-    ProgressHook,
     emit,
 )
 from repro.executor.chunking import (

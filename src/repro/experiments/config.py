@@ -13,7 +13,7 @@ preset:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.utils.validation import check_positive_int

@@ -22,19 +22,19 @@ import numpy as np
 
 from repro.datasets import Dataset, load_dataset
 from repro.experiments.config import ExperimentScale
+from repro.nn.metrics import accuracy
 from repro.nn.network import SingleLayerNetwork
 from repro.nn.trainer import train_single_layer
 
 
 @dataclass
 class TrainedModel:
-    """A victim model together with its dataset and training diagnostics."""
+    """A victim model together with its dataset and clean test accuracy."""
 
     network: SingleLayerNetwork
     dataset: Dataset
     output: str
     test_accuracy: float
-    train_accuracy: float
 
     @property
     def n_features(self) -> int:
@@ -115,21 +115,24 @@ def prepare_model(
     output: str,
     scale: ExperimentScale,
     *,
+    regularizer=None,
     random_state: int = 0,
 ) -> TrainedModel:
-    """Train the paper's single-layer victim model on a dataset."""
-    network, trainer = train_single_layer(
+    """Train the paper's single-layer victim model on a dataset.
+
+    ``regularizer`` is an optional training-time defence (a
+    :class:`~repro.defenses.norm_balancing.ColumnNormRegularizer`).
+    """
+    network, _ = train_single_layer(
         dataset,
         output=output,
         epochs=scale.train_epochs,
+        regularizer=regularizer,
         random_state=random_state,
     )
-    _, test_accuracy = trainer.evaluate(dataset.test_inputs, dataset.test_targets)
-    _, train_accuracy = trainer.evaluate(dataset.train_inputs, dataset.train_targets)
     return TrainedModel(
         network=network,
         dataset=dataset,
         output=output,
-        test_accuracy=test_accuracy,
-        train_accuracy=train_accuracy,
+        test_accuracy=accuracy(network.predict(dataset.test_inputs), dataset.test_targets),
     )

@@ -28,6 +28,7 @@ from repro.crossbar.devices import IDEAL_DEVICE, PCM_DEVICE, RERAM_DEVICE, NVMDe
 from repro.crossbar.mapping import ConductanceMapping, MappingScheme, ShardingSpec
 from repro.crossbar.nonidealities import IDEAL_NONIDEALITIES, NonidealityConfig
 from repro.defenses.noise_injection import PowerNoiseDefense
+from repro.defenses.norm_balancing import ColumnNormRegularizer, rebalance_column_norms
 from repro.experiments.config import (
     ExperimentScale,
     PAPER_CONFIGURATIONS,
@@ -343,44 +344,22 @@ class ScenarioSpec:
         )
 
     def _train_victim(self, dataset, scale: ExperimentScale, *, random_state: int):
-        from repro.experiments.runner import TrainedModel, prepare_model
+        from repro.experiments.runner import prepare_model
 
+        regularizer = None
         if self.defense == "norm-regularizer":
-            from repro.defenses.norm_balancing import (
-                ColumnNormRegularizer,
-                train_with_norm_balancing,
-            )
-
-            network = train_with_norm_balancing(
-                dataset,
-                output=self.activation,
-                regularizer=ColumnNormRegularizer(self.defense_strength),
-                epochs=scale.train_epochs,
-                random_state=random_state,
-            )
-            return TrainedModel(
-                network=network,
-                dataset=dataset,
-                output=self.activation,
-                test_accuracy=accuracy(
-                    network.predict(dataset.test_inputs), dataset.test_targets
-                ),
-                train_accuracy=accuracy(
-                    network.predict(dataset.train_inputs), dataset.train_targets
-                ),
-            )
-
-        model = prepare_model(dataset, self.activation, scale, random_state=random_state)
+            regularizer = ColumnNormRegularizer(self.defense_strength)
+        model = prepare_model(
+            dataset,
+            self.activation,
+            scale,
+            regularizer=regularizer,
+            random_state=random_state,
+        )
         if self.defense == "rebalance":
-            from repro.defenses.norm_balancing import rebalance_column_norms
-
-            blend = min(self.defense_strength, 1.0)
-            rebalance_column_norms(model.network, blend=blend)
+            rebalance_column_norms(model.network, blend=min(self.defense_strength, 1.0))
             model.test_accuracy = accuracy(
                 model.network.predict(dataset.test_inputs), dataset.test_targets
-            )
-            model.train_accuracy = accuracy(
-                model.network.predict(dataset.train_inputs), dataset.train_targets
             )
         return model
 

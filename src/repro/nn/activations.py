@@ -71,36 +71,6 @@ class ReLU(Activation):
         return grad_output * (output > 0.0)
 
 
-class Sigmoid(Activation):
-    """Logistic sigmoid."""
-
-    name = "sigmoid"
-
-    def forward(self, pre_activation: np.ndarray) -> np.ndarray:
-        s = np.asarray(pre_activation, dtype=float)
-        out = np.empty_like(s)
-        positive = s >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-s[positive]))
-        exp_s = np.exp(s[~positive])
-        out[~positive] = exp_s / (1.0 + exp_s)
-        return out
-
-    def backward(self, grad_output: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad_output * output * (1.0 - output)
-
-
-class Tanh(Activation):
-    """Hyperbolic tangent."""
-
-    name = "tanh"
-
-    def forward(self, pre_activation: np.ndarray) -> np.ndarray:
-        return np.tanh(pre_activation)
-
-    def backward(self, grad_output: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - output**2)
-
-
 class Softmax(Activation):
     """Row-wise softmax.
 
@@ -134,7 +104,7 @@ class Softmax(Activation):
 
 
 _ACTIVATIONS: Dict[str, Type[Activation]] = {
-    cls.name: cls for cls in (Identity, ReLU, Sigmoid, Tanh, Softmax)
+    cls.name: cls for cls in (Identity, ReLU, Softmax)
 }
 _ACTIVATIONS["identity"] = Identity
 _ACTIVATIONS["none"] = Identity

@@ -107,19 +107,13 @@ def mean_sensitivity(
     return sensitivity_map(network, inputs, targets, loss=loss).mean(axis=0)
 
 
-def weight_column_norms(weights: np.ndarray, order: int = 1) -> np.ndarray:
-    """Column p-norms of a weight matrix ``(M, N)`` — shape ``(N,)``.
+def weight_column_norms(weights: np.ndarray) -> np.ndarray:
+    """Column 1-norms of a weight matrix ``(M, N)`` — shape ``(N,)``.
 
-    With ``order=1`` this is the quantity the power side channel reveals:
+    This is the quantity the power side channel reveals:
     ``G_j ∝ sum_i |w_ij|`` (Eq. 5-6 of the paper).
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2:
         raise ValueError(f"weights must be a 2-D matrix, got shape {weights.shape}")
-    if order == 1:
-        return np.abs(weights).sum(axis=0)
-    if order == 2:
-        return np.sqrt((weights**2).sum(axis=0))
-    if order == np.inf:
-        return np.abs(weights).max(axis=0)
-    raise ValueError(f"unsupported norm order {order!r}; use 1, 2 or np.inf")
+    return np.abs(weights).sum(axis=0)

@@ -1,144 +1,27 @@
-"""Weight initializers."""
+"""Weight initializers: Glorot-uniform weights and zero biases."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Tuple, Type
+from typing import Tuple
 
 import numpy as np
 
-from repro.utils.rng import RandomState, as_rng
 
-
-class Initializer(ABC):
-    """Base class for weight initializers."""
-
-    name: str = "initializer"
-
-    @abstractmethod
-    def __call__(self, shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        """Return an array of ``shape`` sampled from the initializer."""
-
-    def initialize(
-        self, shape: Tuple[int, ...], random_state: RandomState = None
-    ) -> np.ndarray:
-        """Convenience wrapper that accepts any :data:`RandomState`."""
-        return self(shape, as_rng(random_state))
-
-
-class Zeros(Initializer):
+class Zeros:
     """All-zero initialization (used for biases)."""
 
-    name = "zeros"
-
-    def __call__(self, shape, rng):
+    def __call__(self, shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return np.zeros(shape, dtype=float)
 
 
-class Constant(Initializer):
-    """Constant-valued initialization."""
-
-    name = "constant"
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-
-    def __call__(self, shape, rng):
-        return np.full(shape, self.value, dtype=float)
-
-
-class NormalInitializer(Initializer):
-    """Gaussian initialization with configurable standard deviation."""
-
-    name = "normal"
-
-    def __init__(self, stddev: float = 0.01, mean: float = 0.0):
-        if stddev < 0:
-            raise ValueError(f"stddev must be >= 0, got {stddev}")
-        self.stddev = float(stddev)
-        self.mean = float(mean)
-
-    def __call__(self, shape, rng):
-        return rng.normal(self.mean, self.stddev, size=shape)
-
-
-class UniformInitializer(Initializer):
-    """Uniform initialization in ``[low, high]``."""
-
-    name = "uniform"
-
-    def __init__(self, low: float = -0.05, high: float = 0.05):
-        if high < low:
-            raise ValueError(f"high ({high}) must be >= low ({low})")
-        self.low = float(low)
-        self.high = float(high)
-
-    def __call__(self, shape, rng):
-        return rng.uniform(self.low, self.high, size=shape)
-
-
-class XavierUniform(Initializer):
-    """Glorot/Xavier uniform initialization for (fan_out, fan_in) matrices."""
-
-    name = "xavier_uniform"
-
-    def __call__(self, shape, rng):
-        fan_out, fan_in = _fans(shape)
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-
-class XavierNormal(Initializer):
-    """Glorot/Xavier normal initialization."""
-
-    name = "xavier_normal"
-
-    def __call__(self, shape, rng):
-        fan_out, fan_in = _fans(shape)
-        stddev = np.sqrt(2.0 / (fan_in + fan_out))
-        return rng.normal(0.0, stddev, size=shape)
-
-
-class HeNormal(Initializer):
-    """He initialization suited to ReLU layers."""
-
-    name = "he_normal"
-
-    def __call__(self, shape, rng):
-        _, fan_in = _fans(shape)
-        stddev = np.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, stddev, size=shape)
-
-
-def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Return (fan_out, fan_in) for a weight shape.
+class XavierUniform:
+    """Glorot/Xavier uniform initialization for ``(fan_out, fan_in)`` matrices.
 
     Weight matrices in this library are stored as ``(outputs, inputs)`` to
     mirror the paper's ``W`` in ``y = f(W u)``.
     """
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    receptive = int(np.prod(shape[2:]))
-    return shape[0] * receptive, shape[1] * receptive
 
-
-_INITIALIZERS: Dict[str, Type[Initializer]] = {
-    cls.name: cls
-    for cls in (Zeros, NormalInitializer, UniformInitializer, XavierUniform, XavierNormal, HeNormal)
-}
-
-
-def get_initializer(name) -> Initializer:
-    """Look up an initializer by name, or pass through an instance."""
-    if isinstance(name, Initializer):
-        return name
-    if isinstance(name, type) and issubclass(name, Initializer):
-        return name()
-    key = str(name).lower()
-    if key not in _INITIALIZERS:
-        raise KeyError(
-            f"unknown initializer {name!r}; available: {sorted(_INITIALIZERS)}"
-        )
-    return _INITIALIZERS[key]()
+    def __call__(self, shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+        fan_out, fan_in = shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)

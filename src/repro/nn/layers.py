@@ -13,7 +13,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.nn.activations import Activation, get_activation
-from repro.nn.initializers import Initializer, XavierUniform, Zeros, get_initializer
+from repro.nn.initializers import XavierUniform, Zeros
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_matrix, check_positive_int
 
@@ -33,10 +33,9 @@ class Dense:
         Whether to include a bias vector.  The paper's crossbar formulation has
         no bias term, so experiments default to ``False``; the option exists
         for general use.
-    weight_initializer / bias_initializer:
-        Initializer names or instances.
     random_state:
-        Seed or generator used for initialization.
+        Seed or generator for the Glorot-uniform weights (biases start at
+        zero).
     """
 
     def __init__(
@@ -46,8 +45,6 @@ class Dense:
         *,
         activation="linear",
         use_bias: bool = False,
-        weight_initializer: Optional[Initializer] = None,
-        bias_initializer: Optional[Initializer] = None,
         random_state: RandomState = None,
     ):
         self.n_inputs = check_positive_int(n_inputs, "n_inputs")
@@ -56,16 +53,8 @@ class Dense:
         self.use_bias = bool(use_bias)
 
         rng = as_rng(random_state)
-        weight_init = (
-            get_initializer(weight_initializer)
-            if weight_initializer is not None
-            else XavierUniform()
-        )
-        bias_init = (
-            get_initializer(bias_initializer) if bias_initializer is not None else Zeros()
-        )
-        self.weights = weight_init((self.n_outputs, self.n_inputs), rng)
-        self.bias = bias_init((self.n_outputs,), rng) if self.use_bias else None
+        self.weights = XavierUniform()((self.n_outputs, self.n_inputs), rng)
+        self.bias = Zeros()((self.n_outputs,), rng) if self.use_bias else None
 
         # caches populated by forward(), consumed by backward()
         self._cache_input: Optional[np.ndarray] = None

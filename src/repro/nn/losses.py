@@ -30,14 +30,6 @@ class Loss(ABC):
     def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Gradient of the mean loss with respect to ``predictions``."""
 
-    def per_sample(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Loss value for each sample individually (shape ``(B,)``)."""
-        predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        return np.array(
-            [self.value(predictions[i : i + 1], targets[i : i + 1]) for i in range(len(predictions))]
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 

@@ -1,71 +1,27 @@
-"""Mini-batch training loop with history tracking and early stopping."""
+"""The mini-batch Adam loop every victim model trains through.
+
+:class:`Trainer` reshuffles the training set once per epoch and takes one
+Adam step per mini-batch.  An optional weight regularizer (the column-norm
+defence of :mod:`repro.defenses.norm_balancing`) adds its gradient between
+the backward pass and the step.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.nn.losses import CategoricalCrossEntropy, Loss, get_loss
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential, SingleLayerNetwork
-from repro.nn.optimizers import SGD, Optimizer, get_optimizer
+from repro.nn.optimizers import Adam
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import check_positive_int
-
-
-@dataclass
-class TrainingHistory:
-    """Per-epoch training curves."""
-
-    train_loss: List[float] = field(default_factory=list)
-    train_accuracy: List[float] = field(default_factory=list)
-    val_loss: List[float] = field(default_factory=list)
-    val_accuracy: List[float] = field(default_factory=list)
-
-    def record(
-        self,
-        train_loss: float,
-        train_accuracy: float,
-        val_loss: Optional[float] = None,
-        val_accuracy: Optional[float] = None,
-    ) -> None:
-        """Append one epoch's metrics."""
-        self.train_loss.append(float(train_loss))
-        self.train_accuracy.append(float(train_accuracy))
-        if val_loss is not None:
-            self.val_loss.append(float(val_loss))
-        if val_accuracy is not None:
-            self.val_accuracy.append(float(val_accuracy))
-
-    @property
-    def n_epochs(self) -> int:
-        """Number of completed epochs."""
-        return len(self.train_loss)
-
-    def best_epoch(self, key: str = "val_loss") -> int:
-        """Index of the best epoch (lowest loss / highest accuracy)."""
-        curve = getattr(self, key)
-        if not curve:
-            raise ValueError(f"history has no entries for {key!r}")
-        values = np.asarray(curve)
-        if key.endswith("accuracy"):
-            return int(values.argmax())
-        return int(values.argmin())
-
-    def to_dict(self) -> Dict[str, List[float]]:
-        """Plain-dict view of the curves."""
-        return {
-            "train_loss": list(self.train_loss),
-            "train_accuracy": list(self.train_accuracy),
-            "val_loss": list(self.val_loss),
-            "val_accuracy": list(self.val_accuracy),
-        }
+from repro.utils.validation import check_array, check_positive_int
 
 
 class Trainer:
-    """Trains a network with mini-batch gradient descent.
+    """Trains a network with mini-batch Adam.
 
     Parameters
     ----------
@@ -75,12 +31,14 @@ class Trainer:
         Loss name or instance.  When the network's last layer uses softmax and
         the loss is categorical cross-entropy, the numerically stable fused
         gradient path is used automatically.
-    optimizer:
-        Optimizer name or instance (default plain SGD).
+    learning_rate:
+        Adam step size.
     batch_size:
         Mini-batch size.
-    shuffle:
-        Whether to reshuffle the training set each epoch.
+    regularizer:
+        Optional penalty on the first layer's weights, e.g. a
+        :class:`~repro.defenses.norm_balancing.ColumnNormRegularizer`; its
+        ``apply_to_training_gradient`` runs on every mini-batch gradient.
     random_state:
         Seed or generator controlling shuffling.
     """
@@ -90,20 +48,17 @@ class Trainer:
         network: Sequential,
         *,
         loss="mse",
-        optimizer: Optional[Optimizer] = None,
+        learning_rate: float = 0.005,
         batch_size: int = 64,
-        shuffle: bool = True,
+        regularizer=None,
         random_state: RandomState = None,
     ):
         self.network = network
         self.loss: Loss = get_loss(loss)
-        self.optimizer: Optimizer = (
-            get_optimizer(optimizer) if optimizer is not None else SGD(learning_rate=0.05)
-        )
+        self.optimizer = Adam(learning_rate=learning_rate)
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self.shuffle = bool(shuffle)
+        self.regularizer = regularizer
         self._rng = as_rng(random_state)
-        self.history = TrainingHistory()
 
     # ------------------------------------------------------------------ api
 
@@ -114,89 +69,46 @@ class Trainer:
             and last_layer.activation.name == "softmax"
         )
 
-    def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """One optimization step on a single mini-batch; returns batch loss."""
+    def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> None:
+        """One optimization step on a single mini-batch."""
         outputs = self.network.forward(inputs, training=True)
-        loss_value = self.loss.value(outputs, targets)
         if self._use_fused_softmax():
             grad = CategoricalCrossEntropy.fused_softmax_gradient(outputs, targets)
             self.network.backward(grad, skip_last_activation=True)
         else:
             grad = self.loss.gradient(outputs, targets)
             self.network.backward(grad)
+        if self.regularizer is not None:
+            layer = self.network.layers[0]
+            layer.grad_weights = self.regularizer.apply_to_training_gradient(
+                layer.weights, layer.grad_weights
+            )
         self.optimizer.step(self.network)
         self.network.zero_gradients()
-        return loss_value
 
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray) -> Tuple[float, float]:
         """Return (loss, accuracy) on a dataset without updating parameters."""
         outputs = self.network.predict(inputs)
         return self.loss.value(outputs, targets), accuracy(outputs, targets)
 
-    def fit(
-        self,
-        inputs: np.ndarray,
-        targets: np.ndarray,
-        *,
-        epochs: int = 10,
-        validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        early_stopping_patience: Optional[int] = None,
-        min_delta: float = 0.0,
-        verbose: bool = False,
-    ) -> TrainingHistory:
-        """Train for up to ``epochs`` epochs.
+    def fit(self, inputs: np.ndarray, targets: np.ndarray, *, epochs: int = 10) -> None:
+        """Train for ``epochs`` epochs, reshuffling the samples each epoch.
 
-        Early stopping monitors validation loss when ``validation_data`` is
-        given, otherwise training loss.
+        Raises ``ValueError`` before the first step when the inputs or
+        targets are empty or hold NaN or infinite values.
         """
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
+        inputs = np.atleast_2d(check_array(inputs, "inputs", allow_empty=False))
+        targets = np.atleast_2d(check_array(targets, "targets", allow_empty=False))
         if len(inputs) != len(targets):
             raise ValueError(
                 f"inputs and targets disagree on sample count: {len(inputs)} vs {len(targets)}"
             )
         epochs = check_positive_int(epochs, "epochs")
-
-        best_monitor = np.inf
-        epochs_without_improvement = 0
-
-        for epoch in range(epochs):
-            order = (
-                self._rng.permutation(len(inputs)) if self.shuffle else np.arange(len(inputs))
-            )
-            epoch_losses = []
+        for _ in range(epochs):
+            order = self._rng.permutation(len(inputs))
             for start in range(0, len(inputs), self.batch_size):
-                batch_idx = order[start : start + self.batch_size]
-                epoch_losses.append(
-                    self.train_step(inputs[batch_idx], targets[batch_idx])
-                )
-
-            train_loss, train_acc = self.evaluate(inputs, targets)
-            val_loss = val_acc = None
-            if validation_data is not None:
-                val_loss, val_acc = self.evaluate(*validation_data)
-            self.history.record(train_loss, train_acc, val_loss, val_acc)
-
-            if verbose:  # pragma: no cover - console output
-                message = (
-                    f"epoch {epoch + 1}/{epochs} "
-                    f"loss={train_loss:.4f} acc={train_acc:.4f}"
-                )
-                if val_loss is not None:
-                    message += f" val_loss={val_loss:.4f} val_acc={val_acc:.4f}"
-                print(message)
-
-            if early_stopping_patience is not None:
-                monitor = val_loss if val_loss is not None else train_loss
-                if monitor < best_monitor - min_delta:
-                    best_monitor = monitor
-                    epochs_without_improvement = 0
-                else:
-                    epochs_without_improvement += 1
-                    if epochs_without_improvement >= early_stopping_patience:
-                        break
-
-        return self.history
+                batch = order[start : start + self.batch_size]
+                self.train_step(inputs[batch], targets[batch])
 
 
 def train_single_layer(
@@ -206,10 +118,10 @@ def train_single_layer(
     epochs: int = 30,
     learning_rate: float = 0.005,
     batch_size: int = 64,
-    optimizer: str = "adam",
+    regularizer=None,
     random_state: RandomState = None,
 ) -> Tuple[SingleLayerNetwork, Trainer]:
-    """Convenience helper: build and train the paper's single-layer model.
+    """Build and train the paper's single-layer model.
 
     Parameters
     ----------
@@ -218,10 +130,9 @@ def train_single_layer(
         one-hot targets.
     output:
         ``"linear"`` (MSE loss) or ``"softmax"`` (cross-entropy loss).
-    optimizer:
-        Optimizer name; Adam (default) converges reliably for both the MSE
-        and cross-entropy configurations across the very different input
-        dimensionalities of the two datasets.
+    regularizer:
+        Optional training-time defence folded into every step (see
+        :class:`Trainer`); ``None`` trains the undefended victim.
     """
     rng = as_rng(random_state)
     network = SingleLayerNetwork(
@@ -230,18 +141,13 @@ def train_single_layer(
         output=output,
         random_state=rng,
     )
-    loss = network.default_loss()
     trainer = Trainer(
         network,
-        loss=loss,
-        optimizer=get_optimizer(optimizer, learning_rate=learning_rate),
+        loss=network.default_loss(),
+        learning_rate=learning_rate,
         batch_size=batch_size,
+        regularizer=regularizer,
         random_state=rng,
     )
-    trainer.fit(
-        dataset.train_inputs,
-        dataset.train_targets,
-        epochs=epochs,
-        validation_data=(dataset.test_inputs, dataset.test_targets),
-    )
+    trainer.fit(dataset.train_inputs, dataset.train_targets, epochs=epochs)
     return network, trainer

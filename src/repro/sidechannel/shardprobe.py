@@ -26,7 +26,6 @@ the extra information in the per-tile channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

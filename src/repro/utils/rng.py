@@ -9,7 +9,7 @@ experiments so that runs are reproducible individually and collectively.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 

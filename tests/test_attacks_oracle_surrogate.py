@@ -100,8 +100,6 @@ class TestSurrogateConfig:
             SurrogateConfig(epochs=0)
         with pytest.raises(ValueError):
             SurrogateConfig(power_normalization="weird")
-        with pytest.raises(ValueError):
-            SurrogateConfig(optimizer="lbfgs")
 
 
 class TestSurrogateTrainer:
@@ -179,6 +177,36 @@ class TestSurrogateTrainer:
                 np.zeros((5, mnist_small.n_classes)),
                 np.zeros(3),
             )
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty", "queries must not be empty"),
+            ("nan-query", "queries contains NaN"),
+            ("inf-output", "outputs contains NaN or infinite"),
+            ("nan-power", "power contains NaN"),
+        ],
+        ids=["empty", "nan-query", "inf-output", "nan-power"],
+    )
+    def test_degenerate_data_rejected_before_training(self, case, message):
+        rng = np.random.default_rng(0)
+        queries = rng.uniform(0.0, 1.0, size=(12, 6))
+        outputs = rng.normal(size=(12, 3))
+        power = queries.sum(axis=1)
+        if case == "empty":
+            queries, outputs, power = queries[:0], outputs[:0], power[:0]
+        elif case == "nan-query":
+            queries[4, 1] = np.nan
+        elif case == "inf-output":
+            outputs[2, 0] = np.inf
+        else:
+            power[7] = np.nan
+        trainer = SurrogateTrainer(
+            6, 3, config=SurrogateConfig(power_loss_weight=0.5, epochs=3), random_state=0
+        )
+        with pytest.raises(ValueError, match=message):
+            trainer.fit(queries, outputs, power)
+        assert trainer.loss_history == []
 
 
 class TestSurrogateAttack:

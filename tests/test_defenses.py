@@ -12,9 +12,9 @@ from repro.defenses import (
     rebalance_column_norms,
     single_pixel_attack_advantage,
 )
-from repro.defenses.norm_balancing import train_with_norm_balancing
 from repro.nn.gradients import weight_column_norms
 from repro.nn.metrics import accuracy
+from repro.nn.trainer import train_single_layer
 from repro.sidechannel import ColumnNormProber, PowerMeasurement
 
 
@@ -117,14 +117,16 @@ class TestRebalanceColumnNorms:
 
 class TestTrainWithNormBalancing:
     def test_regularized_training_reduces_leakage_variance(self, mnist_small):
-        undefended = train_with_norm_balancing(
+        undefended, _ = train_single_layer(
             mnist_small,
+            output="softmax",
             regularizer=ColumnNormRegularizer(0.0),
             epochs=8,
             random_state=0,
         )
-        defended = train_with_norm_balancing(
+        defended, _ = train_single_layer(
             mnist_small,
+            output="softmax",
             regularizer=ColumnNormRegularizer(5.0),
             epochs=8,
             random_state=0,

@@ -79,7 +79,7 @@ class TestFusedMatchesSeparate:
         assert total == array.total_current(u)
 
     def test_tile_fused_equals_separate(self, rng):
-        layer = Dense(8, 5, activation="sigmoid", random_state=3)
+        layer = Dense(8, 5, activation="relu", random_state=3)
         tile = CrossbarTile(layer, random_state=0)
         batch = rng.uniform(0, 1, size=(6, 8))
         outputs, totals = tile.forward_with_power(batch)

@@ -6,13 +6,11 @@ import pytest
 from repro.nn.activations import (
     Identity,
     ReLU,
-    Sigmoid,
     Softmax,
-    Tanh,
     get_activation,
 )
 
-ALL_ACTIVATIONS = [Identity(), ReLU(), Sigmoid(), Tanh(), Softmax()]
+ALL_ACTIVATIONS = [Identity(), ReLU(), Softmax()]
 
 
 def numerical_jacobian_vector_product(activation, x, upstream, eps=1e-6):
@@ -36,21 +34,6 @@ class TestForwardValues:
     def test_relu_clips_negatives(self):
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0, 2.0]])
-
-    def test_sigmoid_range_and_midpoint(self, rng):
-        x = rng.normal(scale=5, size=(2, 6))
-        out = Sigmoid().forward(x)
-        assert np.all(out > 0) and np.all(out < 1)
-        assert Sigmoid().forward(np.array([[0.0]]))[0, 0] == pytest.approx(0.5)
-
-    def test_sigmoid_numerically_stable_for_large_inputs(self):
-        out = Sigmoid().forward(np.array([[-1000.0, 1000.0]]))
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
-
-    def test_tanh_matches_numpy(self, rng):
-        x = rng.normal(size=(2, 5))
-        np.testing.assert_allclose(Tanh().forward(x), np.tanh(x))
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.normal(size=(4, 7))
@@ -87,7 +70,7 @@ class TestBackwardGradients:
         np.testing.assert_allclose(grad, [[0.0, 1.0]])
 
     @pytest.mark.parametrize(
-        "activation", [Identity(), ReLU(), Sigmoid(), Tanh()], ids=lambda a: a.name
+        "activation", [Identity(), ReLU()], ids=lambda a: a.name
     )
     def test_derivative_non_negative(self, activation, rng):
         """The paper assumes f' >= 0 for common activations (Section III)."""
@@ -109,11 +92,11 @@ class TestRegistry:
         assert isinstance(get_activation("SOFTMAX"), Softmax)
 
     def test_lookup_passthrough_instance(self):
-        act = Sigmoid()
+        act = ReLU()
         assert get_activation(act) is act
 
     def test_lookup_by_class(self):
-        assert isinstance(get_activation(Tanh), Tanh)
+        assert isinstance(get_activation(Softmax), Softmax)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):

@@ -1,45 +1,14 @@
 """Tests for repro.nn.initializers."""
 
 import numpy as np
-import pytest
 
-from repro.nn.initializers import (
-    Constant,
-    HeNormal,
-    NormalInitializer,
-    UniformInitializer,
-    XavierNormal,
-    XavierUniform,
-    Zeros,
-    get_initializer,
-)
+from repro.nn.initializers import XavierUniform, Zeros
 
 
 class TestBasicInitializers:
     def test_zeros(self, rng):
         values = Zeros()((3, 4), rng)
         np.testing.assert_array_equal(values, np.zeros((3, 4)))
-
-    def test_constant(self, rng):
-        values = Constant(2.5)((2, 2), rng)
-        np.testing.assert_array_equal(values, np.full((2, 2), 2.5))
-
-    def test_normal_statistics(self, rng):
-        values = NormalInitializer(stddev=0.5)((200, 200), rng)
-        assert abs(values.mean()) < 0.02
-        assert abs(values.std() - 0.5) < 0.02
-
-    def test_normal_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            NormalInitializer(stddev=-1.0)
-
-    def test_uniform_bounds(self, rng):
-        values = UniformInitializer(-0.1, 0.1)((100, 100), rng)
-        assert values.min() >= -0.1 and values.max() <= 0.1
-
-    def test_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            UniformInitializer(1.0, -1.0)
 
 
 class TestVarianceScaling:
@@ -49,39 +18,10 @@ class TestVarianceScaling:
         values = XavierUniform()(shape, rng)
         assert np.all(np.abs(values) <= limit + 1e-12)
 
-    def test_xavier_normal_std(self, rng):
-        shape = (50, 150)
-        values = XavierNormal()(shape, rng)
-        expected = np.sqrt(2.0 / (50 + 150))
-        assert abs(values.std() - expected) / expected < 0.1
-
-    def test_he_normal_std(self, rng):
-        shape = (50, 200)
-        values = HeNormal()(shape, rng)
-        expected = np.sqrt(2.0 / 200)
-        assert abs(values.std() - expected) / expected < 0.1
-
-    def test_1d_shape_supported(self, rng):
-        assert XavierUniform()((7,), rng).shape == (7,)
-
 
 class TestDeterminism:
     def test_initialize_with_seed_is_deterministic(self):
         init = XavierUniform()
-        a = init.initialize((5, 5), random_state=3)
-        b = init.initialize((5, 5), random_state=3)
+        a = init((5, 5), np.random.default_rng(3))
+        b = init((5, 5), np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
-
-
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert isinstance(get_initializer("zeros"), Zeros)
-        assert isinstance(get_initializer("xavier_uniform"), XavierUniform)
-
-    def test_passthrough(self):
-        init = HeNormal()
-        assert get_initializer(init) is init
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_initializer("magic")

@@ -41,14 +41,6 @@ class TestMeanSquaredError:
         with pytest.raises(ValueError):
             MeanSquaredError().value(np.zeros((2, 3)), np.zeros((2, 4)))
 
-    def test_per_sample(self, rng):
-        loss = MeanSquaredError()
-        predictions = rng.normal(size=(5, 3))
-        targets = rng.normal(size=(5, 3))
-        per_sample = loss.per_sample(predictions, targets)
-        assert per_sample.shape == (5,)
-        assert np.mean(per_sample) == pytest.approx(loss.value(predictions, targets))
-
 
 class TestCategoricalCrossEntropy:
     def test_perfect_prediction_near_zero(self):

@@ -61,7 +61,7 @@ class TestSequential:
     def test_multilayer_backward_gradient_check(self, rng):
         """End-to-end gradient check through a two-layer network."""
         net = Sequential(
-            [Dense(5, 4, activation="tanh", random_state=0), Dense(4, 3, random_state=1)]
+            [Dense(5, 4, activation="softmax", random_state=0), Dense(4, 3, random_state=1)]
         )
         inputs = rng.normal(size=(3, 5))
         targets = rng.normal(size=(3, 3))

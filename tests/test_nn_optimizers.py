@@ -6,7 +6,7 @@ import pytest
 from repro.nn.layers import Dense
 from repro.nn.losses import MeanSquaredError
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam, Momentum, get_optimizer
+from repro.nn.optimizers import Adam
 
 
 def make_problem(rng, n_samples=50, n_inputs=6, n_outputs=3):
@@ -29,51 +29,17 @@ def run_optimizer(optimizer, inputs, targets, steps=300, seed=0):
 
 
 class TestConvergence:
-    @pytest.mark.parametrize(
-        "optimizer",
-        [SGD(learning_rate=0.05), Momentum(learning_rate=0.02), Adam(learning_rate=0.05)],
-        ids=["sgd", "momentum", "adam"],
-    )
+    @pytest.mark.parametrize("optimizer", [Adam(learning_rate=0.05)], ids=["adam"])
     def test_reduces_loss_on_linear_regression(self, optimizer, rng):
         inputs, targets, _ = make_problem(rng)
         final_loss = run_optimizer(optimizer, inputs, targets)
         assert final_loss < 1e-2
 
-    def test_sgd_single_step_direction(self, rng):
-        """One SGD step must move weights opposite to the gradient."""
-        net = Sequential([Dense(4, 2, random_state=0)])
-        inputs = rng.normal(size=(8, 4))
-        targets = rng.normal(size=(8, 2))
-        loss = MeanSquaredError()
-        outputs = net.forward(inputs, training=True)
-        net.backward(loss.gradient(outputs, targets))
-        before = net.layers[0].weights.copy()
-        gradient = net.layers[0].grad_weights.copy()
-        SGD(learning_rate=0.1).step(net)
-        np.testing.assert_allclose(net.layers[0].weights, before - 0.1 * gradient)
-
-    def test_weight_decay_shrinks_weights(self, rng):
-        net = Sequential([Dense(4, 2, random_state=0)])
-        inputs = np.zeros((4, 4))
-        targets = np.zeros((4, 2))
-        loss = MeanSquaredError()
-        before_norm = np.abs(net.layers[0].weights).sum()
-        optimizer = SGD(learning_rate=0.1, weight_decay=0.5)
-        for _ in range(10):
-            outputs = net.forward(inputs, training=True)
-            net.backward(loss.gradient(outputs, targets))
-            optimizer.step(net)
-        assert np.abs(net.layers[0].weights).sum() < before_norm
-
 
 class TestValidationAndState:
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
-            SGD(learning_rate=0.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            Momentum(momentum=1.0)
+            Adam(learning_rate=0.0)
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
@@ -84,19 +50,7 @@ class TestValidationAndState:
     def test_step_without_gradients_raises(self):
         net = Sequential([Dense(4, 2, random_state=0)])
         with pytest.raises(RuntimeError):
-            SGD().step(net)
-
-    def test_reset_clears_momentum(self, rng):
-        net = Sequential([Dense(4, 2, random_state=0)])
-        inputs, targets = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
-        loss = MeanSquaredError()
-        optimizer = Momentum(learning_rate=0.01)
-        outputs = net.forward(inputs, training=True)
-        net.backward(loss.gradient(outputs, targets))
-        optimizer.step(net)
-        assert optimizer._velocity
-        optimizer.reset()
-        assert not optimizer._velocity
+            Adam().step(net)
 
     def test_adam_reset_clears_step_count(self):
         optimizer = Adam()
@@ -114,17 +68,3 @@ class TestValidationAndState:
         Adam(learning_rate=0.1).step(net)
         assert not np.allclose(net.layers[0].bias, before)
 
-
-class TestRegistry:
-    def test_lookup_with_kwargs(self):
-        optimizer = get_optimizer("adam", learning_rate=0.123)
-        assert isinstance(optimizer, Adam)
-        assert optimizer.learning_rate == pytest.approx(0.123)
-
-    def test_passthrough(self):
-        optimizer = SGD()
-        assert get_optimizer(optimizer) is optimizer
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_optimizer("lion")

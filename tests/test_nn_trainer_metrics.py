@@ -6,8 +6,7 @@ import pytest
 from repro.datasets.transforms import one_hot
 from repro.nn.metrics import accuracy
 from repro.nn.network import SingleLayerNetwork
-from repro.nn.optimizers import Adam
-from repro.nn.trainer import Trainer, TrainingHistory, train_single_layer
+from repro.nn.trainer import Trainer, train_single_layer
 
 
 class TestMetrics:
@@ -28,29 +27,6 @@ class TestMetrics:
             accuracy(np.array([]), np.array([]))
 
 
-class TestTrainingHistory:
-    def test_record_and_best_epoch(self):
-        history = TrainingHistory()
-        history.record(1.0, 0.5, 0.9, 0.6)
-        history.record(0.5, 0.7, 0.8, 0.65)
-        history.record(0.6, 0.68, 0.85, 0.64)
-        assert history.n_epochs == 3
-        assert history.best_epoch("val_loss") == 1
-        assert history.best_epoch("val_accuracy") == 1
-        assert history.best_epoch("train_loss") == 1
-
-    def test_best_epoch_empty_raises(self):
-        with pytest.raises(ValueError):
-            TrainingHistory().best_epoch()
-
-    def test_to_dict(self):
-        history = TrainingHistory()
-        history.record(1.0, 0.5)
-        payload = history.to_dict()
-        assert payload["train_loss"] == [1.0]
-        assert payload["val_loss"] == []
-
-
 class TestTrainer:
     def _toy_dataset(self, rng, n=200, n_features=8, n_classes=3):
         weights = rng.normal(size=(n_classes, n_features))
@@ -64,7 +40,7 @@ class TestTrainer:
         trainer = Trainer(
             network,
             loss="categorical_crossentropy",
-            optimizer=Adam(learning_rate=0.05),
+            learning_rate=0.05,
             batch_size=32,
             random_state=0,
         )
@@ -85,36 +61,35 @@ class TestTrainer:
         trainer = Trainer(network, loss="mse", random_state=0)
         assert not trainer._use_fused_softmax()
 
-    def test_history_recorded_per_epoch(self, rng):
-        inputs, targets = self._toy_dataset(rng, n=60)
-        network = SingleLayerNetwork(8, 3, output="linear", random_state=0)
-        trainer = Trainer(network, loss="mse", random_state=0)
-        history = trainer.fit(inputs, targets, epochs=5)
-        assert history.n_epochs == 5
-
-    def test_validation_curve_recorded(self, rng):
-        inputs, targets = self._toy_dataset(rng, n=80)
-        network = SingleLayerNetwork(8, 3, output="linear", random_state=0)
-        trainer = Trainer(network, loss="mse", random_state=0)
-        history = trainer.fit(
-            inputs[:60], targets[:60], epochs=3, validation_data=(inputs[60:], targets[60:])
-        )
-        assert len(history.val_loss) == 3
-
-    def test_early_stopping_halts(self, rng):
-        inputs, targets = self._toy_dataset(rng, n=60)
-        network = SingleLayerNetwork(8, 3, output="linear", random_state=0)
-        trainer = Trainer(network, loss="mse", optimizer=Adam(learning_rate=1e-6), random_state=0)
-        history = trainer.fit(
-            inputs, targets, epochs=50, early_stopping_patience=2, min_delta=1.0
-        )
-        assert history.n_epochs <= 4
-
     def test_sample_count_mismatch_raises(self, rng):
         network = SingleLayerNetwork(8, 3, output="linear", random_state=0)
         trainer = Trainer(network, loss="mse", random_state=0)
         with pytest.raises(ValueError):
             trainer.fit(rng.normal(size=(10, 8)), rng.normal(size=(9, 3)), epochs=1)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty", "inputs must not be empty"),
+            ("nan-input", "inputs contains NaN"),
+            ("inf-target", "targets contains NaN or infinite"),
+        ],
+        ids=["empty", "nan-input", "inf-target"],
+    )
+    def test_degenerate_data_rejected_before_training(self, rng, case, message):
+        inputs, targets = self._toy_dataset(rng, n=20)
+        if case == "empty":
+            inputs, targets = inputs[:0], targets[:0]
+        elif case == "nan-input":
+            inputs[3, 2] = np.nan
+        else:
+            targets[5, 1] = np.inf
+        network = SingleLayerNetwork(8, 3, output="linear", random_state=0)
+        before = network.weights.copy()
+        trainer = Trainer(network, loss="mse", random_state=0)
+        with pytest.raises(ValueError, match=message):
+            trainer.fit(inputs, targets, epochs=2)
+        np.testing.assert_array_equal(network.weights, before)
 
 
 class TestTrainSingleLayerHelper:
