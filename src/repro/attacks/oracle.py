@@ -230,18 +230,6 @@ class Oracle:
                 noise[i] = stream.normal(0.0, 1.0, size=power[i].shape)
         return power + self.power_noise_std * scale * noise
 
-    def _power(self, inputs: np.ndarray, seeds=None) -> np.ndarray:
-        if self._hardware:
-            if seeds is not None:
-                power = np.atleast_1d(
-                    self.target.total_current(inputs, sample_seeds=seeds)
-                )
-            else:
-                power = np.atleast_1d(self.target.total_current(inputs))
-        else:
-            power = self._analytic_power(inputs)
-        return self._apply_power_noise(power, seeds)
-
     def _analytic_power(self, inputs: np.ndarray) -> np.ndarray:
         """Ideal-crossbar analytic power, summed over *every* layer.
 
@@ -309,7 +297,10 @@ class Oracle:
                 metadata["tile_labels"] = report.tile_labels
         else:
             raw_outputs = self._forward(inputs, seeds)
-            power = self._power(inputs, seeds) if self.expose_power else None
+            if self.expose_power:  # a software target: analytic power
+                power = self._apply_power_noise(self._analytic_power(inputs), seeds)
+            else:
+                power = None
 
         # Charge only after the traversal succeeded: a failing forward (bad
         # input width, budget-free hardware fault) must not cost the attacker.

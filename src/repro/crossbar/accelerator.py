@@ -254,7 +254,7 @@ class CrossbarAccelerator:
         )
         return (activations[0] if single else activations), report
 
-    def power_trace(self, inputs: np.ndarray, *, sample_seeds=None) -> PowerReport:
+    def power_trace(self, inputs: np.ndarray) -> PowerReport:
         """Measure the power side channel for a batch of inputs.
 
         The report contains the per-physical-tile and summed total currents
@@ -263,10 +263,10 @@ class CrossbarAccelerator:
         traversed once (not once for power and once for activations as in
         the legacy two-pass engine).
         """
-        _, report = self.forward_with_power(inputs, sample_seeds=sample_seeds)
+        _, report = self.forward_with_power(inputs)
         return report
 
-    def total_current(self, inputs: np.ndarray, *, sample_seeds=None) -> np.ndarray:
+    def total_current(self, inputs: np.ndarray) -> np.ndarray:
         """Summed total current per input (convenience wrapper).
 
         Returns
@@ -278,7 +278,7 @@ class CrossbarAccelerator:
             of tiles.
         """
         single = np.asarray(inputs).ndim == 1
-        report = self.power_trace(inputs, sample_seeds=sample_seeds)
+        report = self.power_trace(inputs)
         if single:
             return float(report.total_current[0])
         return report.total_current

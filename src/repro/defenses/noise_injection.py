@@ -131,22 +131,12 @@ class PowerNoiseDefense:
                 defended[i] += rng.exponential(self.dummy_current_scale * reference)
         return defended
 
-    def total_current(self, inputs: np.ndarray, *, sample_seeds=None) -> np.ndarray:
+    def total_current(self, inputs: np.ndarray) -> np.ndarray:
         """The defended power observable: jittered real current + dummy draw."""
         inputs = np.asarray(inputs, dtype=float)
         single = inputs.ndim == 1
-        if sample_seeds is not None:
-            real = np.atleast_1d(
-                np.asarray(
-                    self.target.total_current(inputs, sample_seeds=sample_seeds),
-                    dtype=float,
-                )
-            )
-        else:
-            real = np.atleast_1d(
-                np.asarray(self.target.total_current(inputs), dtype=float)
-            )
-        defended = self._defend(real, sample_seeds)
+        real = np.atleast_1d(np.asarray(self.target.total_current(inputs), dtype=float))
+        defended = self._defend(real)
         return float(defended[0]) if single else defended
 
     def forward_with_power(self, inputs: np.ndarray, *, sample_seeds=None):

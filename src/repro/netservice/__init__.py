@@ -4,7 +4,7 @@ One :class:`~repro.netservice.server.NetworkQueryService` puts a single
 simulated accelerator behind TCP so many client *processes* — tenants —
 share its fused traversals, with weighted-fair scheduling, per-tenant query
 budgets, and bit-identical responses (each reply carries the seed-derivation
-handle needed to replay it against a direct backend query).
+handle needed to replay it against a direct oracle query).
 :class:`~repro.netservice.client.NetClient` is the blocking client with
 idempotent retries.  Pure stdlib: asyncio streams server-side, blocking
 sockets client-side, one length-prefixed JSON+binary frame layout

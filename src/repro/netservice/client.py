@@ -1,11 +1,9 @@
 """Synchronous client of the networked query service.
 
-:class:`NetClient` mirrors the PR 5 facades
-(:class:`~repro.service.facade.BatchingOracle` /
-:class:`~repro.service.facade.BatchingMeasurement`): plain blocking
-``query`` / ``measure`` calls, one logical request per call, while the
-server coalesces rows from every connected client into shared fused
-traversals.
+:class:`NetClient` mirrors the in-process facade
+(:class:`~repro.service.facade.BatchingOracle`): a plain blocking ``query``
+call, one logical request per call, while the server coalesces rows from
+every connected client into shared fused traversals.
 
 Fault tolerance is the client's whole job:
 
@@ -20,7 +18,7 @@ Fault tolerance is the client's whole job:
 
 Responses embed the server-assigned ``request_id`` and the service
 ``base_seed`` in their metadata, so callers (and the bit-identity tests)
-can replay any wire response against a direct seeded backend query.
+can replay any wire response against a direct seeded oracle query.
 """
 
 from __future__ import annotations
@@ -202,20 +200,6 @@ class NetClient:
 
     # -------------------------------------------------------------- queries
 
-    def _submit(
-        self, inputs: np.ndarray
-    ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray], np.ndarray]:
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        header = {
-            "type": "query",
-            "tenant": self.tenant,
-            "key": uuid.uuid4().hex,
-        }
-        response_header, response_arrays = self._roundtrip(
-            header, {"inputs": inputs}
-        )
-        return response_header, response_arrays, inputs
-
     def query(self, inputs: np.ndarray):
         """Submit one oracle request; blocks for its coalesced response.
 
@@ -223,12 +207,12 @@ class NetClient:
         ``metadata`` additionally carries the server-assigned
         ``request_id`` and the service ``base_seed`` (the replay handle).
         """
-        header, arrays, inputs = self._submit(inputs)
-        if header.get("kind") != "oracle":
-            raise ProtocolError(
-                f"query() needs an oracle-backed server, got kind "
-                f"{header.get('kind')!r} — use measure()"
-            )
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        # The idempotency key is generated once; every retry resends it.
+        header, arrays = self._roundtrip(
+            {"type": "query", "tenant": self.tenant, "key": uuid.uuid4().hex},
+            {"inputs": inputs},
+        )
         from repro.attacks.oracle import OracleResponse
 
         metadata = dict(header.get("metadata", {}))
@@ -244,28 +228,7 @@ class NetClient:
             metadata=metadata,
         )
 
-    def measure(self, inputs: np.ndarray):
-        """Submit one measurement request; blocks for its readings.
-
-        Follows the :meth:`PowerMeasurement.measure` shape convention: a
-        single 1-D input returns a scalar, a batch returns a ``(B,)`` array.
-        """
-        single = np.asarray(inputs).ndim == 1
-        header, arrays, _ = self._submit(inputs)
-        if header.get("kind") != "measurement":
-            raise ProtocolError(
-                f"measure() needs a measurement-backed server, got kind "
-                f"{header.get('kind')!r} — use query()"
-            )
-        readings = arrays["readings"]
-        return float(readings[0]) if single else readings
-
     # ------------------------------------------------------------ metadata
-
-    @property
-    def kind(self) -> str:
-        """``"oracle"`` or ``"measurement"`` (connects on first use)."""
-        return str(self._handshake().get("kind"))
 
     @property
     def base_seed(self) -> int:

@@ -51,7 +51,7 @@ DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: a peer runs.
 MAX_ARRAY_DIMS = 32
 
-#: dtypes allowed on the wire (everything the oracle/measurement path emits).
+#: dtypes allowed on the wire (everything the oracle path emits).
 _WIRE_DTYPES = frozenset(
     {"float64", "float32", "int64", "int32", "uint64", "bool"}
 )

@@ -210,17 +210,15 @@ def _finite_or_null(counters: dict) -> dict:
 
 
 class NetworkQueryService:
-    """TCP front-end serving one oracle/measurement to many client processes.
+    """TCP front-end serving one oracle to many client processes.
 
     Parameters
     ----------
-    target:
-        An :class:`~repro.attacks.oracle.Oracle`, a
-        :class:`~repro.sidechannel.measurement.PowerMeasurement`, or a
-        pre-built service backend adapter — whatever
-        :class:`~repro.service.coalescer.QueryService` accepts, as long as
-        its target reports ``n_inputs``: a query of another row width or
-        shape fails alone at dispatch instead of failing the tick it shares.
+    oracle:
+        The served :class:`~repro.attacks.oracle.Oracle`.  Its target's
+        ``n_inputs`` is the row width the server admits: a query of another
+        row width or shape fails alone at dispatch instead of failing the
+        tick it shares.
     config:
         The :class:`~repro.netservice.config.NetServiceConfig` policy.
 
@@ -234,11 +232,11 @@ class NetworkQueryService:
     :func:`serve_in_thread` instead.
     """
 
-    def __init__(self, target, config: Optional[NetServiceConfig] = None):
+    def __init__(self, oracle, config: Optional[NetServiceConfig] = None):
         self.config = config if config is not None else NetServiceConfig()
-        self.service = QueryService(target, self.config.service)
+        self.service = QueryService(oracle, self.config.service)
         #: Row width the served target accepts.
-        self._n_inputs = int(self.service.backend.n_inputs)
+        self._n_inputs = int(oracle.target.n_inputs)
         self._tenants: Dict[str, _TenantState] = {}
         for tenant in self.config.tenants:
             self._tenants[tenant.name] = _TenantState(tenant)
@@ -467,22 +465,19 @@ class NetworkQueryService:
         header: Dict[str, Any] = {
             "type": "response",
             "status": "ok",
-            "kind": self.service.backend.kind,
             "request_id": int(request_id),
             "base_seed": int(self.config.service.base_seed),
+            "output_mode": result.output_mode,
+            "metadata": _json_safe_metadata(result.metadata),
         }
-        arrays: Dict[str, np.ndarray] = {}
-        if self.service.backend.kind == "oracle":
-            header["output_mode"] = result.output_mode
-            header["metadata"] = _json_safe_metadata(result.metadata)
-            arrays["outputs"] = result.outputs
-            arrays["labels"] = np.asarray(result.labels, dtype=np.int64)
-            if result.power is not None:
-                arrays["power"] = result.power
-            if result.per_tile_power is not None:
-                arrays["per_tile_power"] = result.per_tile_power
-        else:
-            arrays["readings"] = np.atleast_1d(np.asarray(result, dtype=float))
+        arrays: Dict[str, np.ndarray] = {
+            "outputs": result.outputs,
+            "labels": np.asarray(result.labels, dtype=np.int64),
+        }
+        if result.power is not None:
+            arrays["power"] = result.power
+        if result.per_tile_power is not None:
+            arrays["per_tile_power"] = result.per_tile_power
         return header, arrays
 
     async def _handle_query(self, header: dict, arrays: dict) -> Tuple[dict, dict]:
@@ -529,19 +524,15 @@ class NetworkQueryService:
         return await asyncio.shield(pending)
 
     def _hello_header(self) -> dict:
-        header: Dict[str, Any] = {
+        return {
             "type": "response",
             "status": "ok",
             "server": "repro.netservice",
             "protocol": PROTOCOL_VERSION,
-            "kind": self.service.backend.kind,
             "base_seed": int(self.config.service.base_seed),
+            "output_mode": self.service.oracle.output_mode,
+            "n_outputs": int(self.service.oracle.n_outputs),
         }
-        if self.service.backend.kind == "oracle":
-            oracle = self.service.backend.oracle
-            header["output_mode"] = oracle.output_mode
-            header["n_outputs"] = int(oracle.n_outputs)
-        return header
 
     @staticmethod
     def _error_header(exc: BaseException) -> dict:
@@ -671,16 +662,16 @@ class NetworkQueryService:
 class ServerHandle:
     """A running :class:`NetworkQueryService` on a private event-loop thread.
 
-    The synchronous analogue of the service facades, built on the same
+    The synchronous analogue of the service facade, built on the same
     :class:`~repro.service.facade.LoopRuntime`, for tests, benchmarks and
     the CLI demo: ``address`` is connectable immediately, ``close()`` drains
     gracefully (idempotent and thread-safe).  All interaction with the
     server object hops through its loop, so cross-thread use is safe.
     """
 
-    def __init__(self, target, config: Optional[NetServiceConfig] = None):
+    def __init__(self, oracle, config: Optional[NetServiceConfig] = None):
         self._runtime = LoopRuntime(
-            NetworkQueryService(target, config), name="repro-netservice"
+            NetworkQueryService(oracle, config), name="repro-netservice"
         )
         self.loop = self._runtime.loop
         self.server = self._runtime.service
@@ -727,7 +718,7 @@ class ServerHandle:
 
 
 def serve_in_thread(
-    target, config: Optional[NetServiceConfig] = None
+    oracle, config: Optional[NetServiceConfig] = None
 ) -> ServerHandle:
     """Start a :class:`NetworkQueryService` on a background thread."""
-    return ServerHandle(target, config)
+    return ServerHandle(oracle, config)

@@ -38,11 +38,6 @@ class Activation(ABC):
             Cached activation output from the forward pass.
         """
 
-    def derivative(self, pre_activation: np.ndarray) -> np.ndarray:
-        """Elementwise derivative f'(s); used by the sensitivity analysis."""
-        output = self.forward(pre_activation)
-        return self.backward(np.ones_like(output), output)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -91,16 +86,6 @@ class Softmax(Activation):
         # For each row: J = diag(y) - y y^T, so J^T g = y * (g - <g, y>).
         dot = np.sum(grad_output * output, axis=-1, keepdims=True)
         return output * (grad_output - dot)
-
-    def derivative(self, pre_activation: np.ndarray) -> np.ndarray:
-        """Diagonal of the softmax Jacobian: y_i (1 - y_i).
-
-        The paper's sensitivity bound (Eq. 8) only uses f'(s_i) as an
-        elementwise slope, for which the Jacobian diagonal is the relevant
-        quantity.
-        """
-        output = self.forward(pre_activation)
-        return output * (1.0 - output)
 
 
 _ACTIVATIONS: Dict[str, Type[Activation]] = {

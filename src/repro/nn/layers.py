@@ -8,7 +8,7 @@ that a crossbar mapping of the layer is a direct transcription of Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,24 +67,8 @@ class Dense:
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """Trainable parameters keyed by name."""
-        params = {"weights": self.weights}
-        if self.use_bias:
-            params["bias"] = self.bias
-        return params
-
-    @property
-    def gradients(self) -> Dict[str, np.ndarray]:
-        """Parameter gradients from the most recent backward pass."""
-        grads = {"weights": self.grad_weights}
-        if self.use_bias:
-            grads["bias"] = self.grad_bias
-        return grads
-
     def set_weights(self, weights: np.ndarray, bias: Optional[np.ndarray] = None) -> None:
-        """Overwrite the layer parameters (used when loading trained models)."""
+        """Overwrite the layer parameters."""
         weights = check_matrix(weights, "weights", shape=(self.n_outputs, self.n_inputs))
         self.weights = weights.astype(float).copy()
         if bias is not None:

@@ -9,15 +9,13 @@ multi-layer stacks for the paper's stated future-work direction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.nn.activations import Softmax
 from repro.nn.layers import Dense
 from repro.nn.losses import CategoricalCrossEntropy, Loss, MeanSquaredError
 from repro.utils.rng import RandomState
-from repro.utils.serialization import load_npz, save_npz
 
 
 class Sequential:
@@ -91,46 +89,6 @@ class Sequential:
         for layer in self.layers:
             layer.zero_gradients()
 
-    # ----------------------------------------------------------- parameters
-
-    @property
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """All trainable parameters keyed by ``layer{i}/{name}``."""
-        params: Dict[str, np.ndarray] = {}
-        for index, layer in enumerate(self.layers):
-            for name, value in layer.parameters.items():
-                params[f"layer{index}/{name}"] = value
-        return params
-
-    @property
-    def gradients(self) -> Dict[str, np.ndarray]:
-        """All parameter gradients keyed consistently with :attr:`parameters`."""
-        grads: Dict[str, np.ndarray] = {}
-        for index, layer in enumerate(self.layers):
-            for name, value in layer.gradients.items():
-                grads[f"layer{index}/{name}"] = value
-        return grads
-
-    def n_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return int(sum(p.size for p in self.parameters.values()))
-
-    # -------------------------------------------------------------- save/load
-
-    def save(self, path) -> None:
-        """Save all parameters to an ``.npz`` archive."""
-        save_npz(self.parameters, path)
-
-    def load(self, path) -> None:
-        """Load parameters saved by :meth:`save` into this architecture."""
-        arrays = load_npz(path)
-        for index, layer in enumerate(self.layers):
-            weights = arrays.get(f"layer{index}/weights")
-            if weights is None:
-                raise KeyError(f"archive is missing weights for layer {index}")
-            bias = arrays.get(f"layer{index}/bias")
-            layer.set_weights(weights, bias)
-
 
 class SingleLayerNetwork(Sequential):
     """The paper's model: one dense layer with linear or softmax output.
@@ -196,10 +154,6 @@ class SingleLayerNetwork(Sequential):
         if self.output_type == "softmax":
             return CategoricalCrossEntropy()
         return MeanSquaredError()
-
-    def uses_softmax(self) -> bool:
-        """True when the output activation is softmax."""
-        return isinstance(self.layer.activation, Softmax)
 
     def clone_architecture(self, random_state: RandomState = None) -> "SingleLayerNetwork":
         """Create a new, freshly initialized network with the same shape."""

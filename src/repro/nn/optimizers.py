@@ -37,11 +37,6 @@ class Adam:
         self._moments: Dict[int, Dict[str, np.ndarray]] = {}
         self._step_count = 0
 
-    def reset(self) -> None:
-        """Clear the moment buffers and the step counter."""
-        self._moments.clear()
-        self._step_count = 0
-
     def _update(self, state: Dict[str, np.ndarray], key: str, param: np.ndarray, grad: np.ndarray) -> None:
         m = self.beta1 * state.get(f"m_{key}", 0.0) + (1.0 - self.beta1) * grad
         v = self.beta2 * state.get(f"v_{key}", 0.0) + (1.0 - self.beta2) * grad**2

@@ -1,4 +1,4 @@
-"""Async coalescing query service in front of the oracle/measurement path.
+"""Async coalescing query service in front of the victim oracle.
 
 The paper trades attack efficacy against query budget, and the engine
 benchmarks show per-call overhead amortising strongly with batch size — so
@@ -9,12 +9,12 @@ into fused traversals.  This package provides:
   concurrent ``submit(inputs)`` calls (each one ``enqueue`` step, then an
   await of the request's future) are coalesced per tick (``max_batch``
   rows / ``max_wait_ms`` hold time, bounded-queue backpressure) into one
-  fused ``forward_with_power`` traversal, and per-request response slices are
-  scattered back to the awaiting futures.
-* :class:`~repro.service.facade.BatchingOracle` /
-  :class:`~repro.service.facade.BatchingMeasurement` — synchronous drop-in
-  front-ends for existing attacks, running the service on a private
-  event-loop thread.
+  fused ``Oracle.query`` traversal, and per-request response slices are
+  scattered back to the awaiting futures.  Every response carries the
+  supply-current reading (``power``) the side-channel attacks use.
+* :class:`~repro.service.facade.BatchingOracle` — a synchronous drop-in
+  :class:`~repro.attacks.oracle.Oracle` front-end for existing attacks,
+  running the service on a private event-loop thread.
 * :class:`~repro.service.config.ServiceConfig` — the frozen batching policy,
   embeddable in :class:`~repro.experiments.scenario.ScenarioSpec` presets.
 
@@ -27,27 +27,16 @@ coalesced, or through the synchronous path (see
 """
 
 from repro.service.config import PLACEMENT_POLICIES, ServiceConfig
-from repro.service.coalescer import (
-    MeasurementBackend,
-    OracleBackend,
-    QueryService,
-    ServiceStats,
-    TickTrace,
-    resolve_backend,
-)
+from repro.service.coalescer import QueryService, ServiceStats, TickTrace
 from repro.service.errors import ServiceClosedError
-from repro.service.facade import BatchingMeasurement, BatchingOracle
+from repro.service.facade import BatchingOracle
 
 __all__ = [
-    "BatchingMeasurement",
     "BatchingOracle",
-    "MeasurementBackend",
-    "OracleBackend",
     "PLACEMENT_POLICIES",
     "QueryService",
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceStats",
     "TickTrace",
-    "resolve_backend",
 ]

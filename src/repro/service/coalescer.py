@@ -1,27 +1,27 @@
 """The asyncio coalescing query service.
 
 :class:`QueryService` sits in front of an :class:`~repro.attacks.oracle.Oracle`
-or a :class:`~repro.sidechannel.measurement.PowerMeasurement` and turns many
-small concurrent :meth:`~QueryService.submit` calls into few large fused
-traversals: pending requests are coalesced per *tick* (up to
+and turns many small concurrent :meth:`~QueryService.submit` calls into few
+large fused traversals: pending requests are coalesced per *tick* (up to
 ``max_batch`` rows, holding the first request at most ``max_wait_ms`` for
-company), dispatched as **one** backend call, and the per-request slices of
-the fused result are scattered back to the awaiting futures.
+company), dispatched as **one** ``Oracle.query`` call, and the per-request
+slices of the fused :class:`~repro.attacks.oracle.OracleResponse` are
+scattered back to the awaiting futures.
 
 Correctness rests on per-request derived RNG streams: every submitted request
 receives a sequence number, from which one ``uint64`` seed per input row is
 derived (the values of :func:`~repro.utils.rng.derive_request_seeds`, kept as
 Python ints per request and assembled into one array per tick) and passed
 down the measurement path as ``seeds``.  Each row's noise — conductance read
-noise, rail measurement noise, defence draws, instrument noise — is then a
-pure function of the row's seed, so a response is **bit-identical** whether the
+noise, defence draws, the oracle's power-measurement noise — is then a pure
+function of the row's seed, so a response is **bit-identical** whether the
 request ran alone, coalesced with strangers, or bypassed the service entirely
-via ``backend(inputs, seeds=service.seeds_for(request_id, n_rows))``.
+via ``oracle.query(inputs, seeds=service.seeds_for(request_id, n_rows))``.
 
 Error semantics are those of a shared bus: if the fused traversal fails (bad
 input width, an exhausted query budget), the whole tick fails and every
 coalesced request receives the exception; nothing is charged against the
-budget (both backends charge only after a successful traversal).
+budget (the oracle charges only after a successful traversal).
 
 Multi-tenant placement: requests may carry a *tenant* identity
 (:meth:`QueryService.submit_traced`), and the
@@ -56,111 +56,9 @@ from repro.utils.rng import (
 )
 
 #: Stream-path domain tag for the rail ledger's dummy-draw (noise-budget)
-#: defence.  Distinct from the oracle (2), instrument (3) and averaging (5)
-#: domains, so the ledger noise never collides with any response-path draw.
+#: defence.  Distinct from the oracle (2) and defence (4) domains, so the
+#: ledger noise never collides with any response-path draw.
 _RAIL_DOMAIN = 7
-
-
-class OracleBackend:
-    """Adapts an :class:`~repro.attacks.oracle.Oracle` to the service protocol."""
-
-    kind = "oracle"
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-
-    def run(self, inputs: np.ndarray, seeds: np.ndarray):
-        return self.oracle.query(inputs, seeds=seeds)
-
-    def slice(self, fused, lo: int, hi: int):
-        """One request's view of the fused :class:`OracleResponse`."""
-        from repro.attacks.oracle import OracleResponse
-
-        return OracleResponse(
-            queries=fused.queries[lo:hi],
-            outputs=fused.outputs[lo:hi],
-            labels=fused.labels[lo:hi],
-            power=None if fused.power is None else fused.power[lo:hi],
-            output_mode=fused.output_mode,
-            per_tile_power=(
-                None
-                if fused.per_tile_power is None
-                else fused.per_tile_power[lo:hi]
-            ),
-            metadata=dict(fused.metadata),
-        )
-
-    def rail_currents(self, fused) -> Optional[np.ndarray]:
-        """Per-row total currents of the fused traversal (rail observable)."""
-        return None if fused.power is None else np.asarray(fused.power, dtype=float)
-
-    def per_tile_currents(self, fused) -> Optional[np.ndarray]:
-        """``(B, n_tiles)`` per-rail currents when the oracle exposes them."""
-        if fused.per_tile_power is None:
-            return None
-        return np.asarray(fused.per_tile_power, dtype=float)
-
-    def tile_labels(self, fused) -> Optional[Tuple[str, ...]]:
-        labels = fused.metadata.get("tile_labels")
-        return None if labels is None else tuple(labels)
-
-    @property
-    def n_inputs(self) -> int:
-        """Row width the served target accepts."""
-        return self.oracle.target.n_inputs
-
-    @property
-    def queries_used(self) -> int:
-        return self.oracle.queries_used
-
-
-class MeasurementBackend:
-    """Adapts a :class:`~repro.sidechannel.measurement.PowerMeasurement`."""
-
-    kind = "measurement"
-
-    def __init__(self, measurement):
-        self.measurement = measurement
-
-    def run(self, inputs: np.ndarray, seeds: np.ndarray):
-        return np.atleast_1d(self.measurement.measure(inputs, seeds=seeds))
-
-    def slice(self, fused, lo: int, hi: int):
-        return fused[lo:hi]
-
-    def rail_currents(self, fused) -> Optional[np.ndarray]:
-        """The measured readings *are* the rail currents here."""
-        return np.asarray(fused, dtype=float)
-
-    def per_tile_currents(self, fused) -> Optional[np.ndarray]:
-        return None
-
-    def tile_labels(self, fused) -> Optional[Tuple[str, ...]]:
-        return None
-
-    @property
-    def n_inputs(self) -> int:
-        """Row width the served target accepts."""
-        return self.measurement.target.n_inputs
-
-    @property
-    def queries_used(self) -> int:
-        return self.measurement.queries_used
-
-
-def resolve_backend(target):
-    """Wrap an oracle / measurement in its service backend (pass adapters through)."""
-    if hasattr(target, "run") and hasattr(target, "slice"):
-        return target
-    if hasattr(target, "query"):
-        return OracleBackend(target)
-    if hasattr(target, "measure"):
-        return MeasurementBackend(target)
-    raise TypeError(
-        f"cannot serve {type(target).__name__}: expected an Oracle-like "
-        "(.query), a PowerMeasurement-like (.measure), or a backend adapter "
-        "(.run/.slice)"
-    )
 
 
 @dataclass
@@ -169,7 +67,7 @@ class ServiceStats:
 
     ``n_dropped_requests`` counts submitted requests whose future was
     already resolved when their tick dispatched (client timeout or
-    cancellation): their rows never reach the backend, so without the
+    cancellation): their rows never reach the oracle, so without the
     counter a cancelled batch-mate would silently skew every
     fairness/coalescing assertion built on these stats.
     """
@@ -228,11 +126,11 @@ class TickTrace:
     rail_power:
         Tick total supply current — the sum of every batch-mate's per-row
         total current, plus the ``noise_budget`` dummy draw when the
-        isolation defence is armed.  ``None`` when the backend exposes no
+        isolation defence is armed.  ``None`` when the oracle exposes no
         power observable.
     per_tile_power:
         ``(n_tiles,)`` summed per-rail currents over the tick's rows (plus
-        per-rail dummy draws), when the backend exposes per-tile power.
+        per-rail dummy draws), when the oracle exposes per-tile power.
     tile_labels:
         Physical tile labels for :attr:`per_tile_power` columns.
     bank:
@@ -284,14 +182,13 @@ class _Pending:
 
 
 class QueryService:
-    """Coalesces concurrent attacker queries into fused backend traversals.
+    """Coalesces concurrent attacker queries into fused oracle traversals.
 
     Parameters
     ----------
-    target:
-        An :class:`~repro.attacks.oracle.Oracle`, a
-        :class:`~repro.sidechannel.measurement.PowerMeasurement`, or a
-        pre-built backend adapter.
+    oracle:
+        The served :class:`~repro.attacks.oracle.Oracle` (anything with its
+        ``query(inputs, *, seeds=)`` method).
     config:
         The :class:`~repro.service.config.ServiceConfig` batching policy.
 
@@ -306,8 +203,13 @@ class QueryService:
     have produced alone — see the module docstring for why.
     """
 
-    def __init__(self, target, config: Optional[ServiceConfig] = None):
-        self.backend = resolve_backend(target)
+    def __init__(self, oracle, config: Optional[ServiceConfig] = None):
+        if not hasattr(oracle, "query"):
+            raise TypeError(
+                f"cannot serve {type(oracle).__name__}: expected an Oracle-like "
+                "target (.query)"
+            )
+        self.oracle = oracle
         self.config = config if config is not None else ServiceConfig()
         self.stats = ServiceStats()
         #: Per-tick physical rail observables (:class:`TickTrace`), in
@@ -387,10 +289,8 @@ class QueryService:
     async def submit(self, inputs: np.ndarray):
         """Enqueue one request and await its slice of a fused traversal.
 
-        Returns whatever the backend returns for these rows: an
-        :class:`~repro.attacks.oracle.OracleResponse` slice for oracle
-        backends, a ``(B,)`` readings array for measurement backends.
-        Applies backpressure (awaits) while ``max_pending`` requests are
+        Returns the request's :class:`~repro.attacks.oracle.OracleResponse`
+        slice of its tick.  Applies backpressure (awaits) while ``max_pending`` requests are
         already queued.
         """
         _, response = await self.submit_traced(inputs)
@@ -519,7 +419,7 @@ class QueryService:
         for pending in tick:
             if pending.future.done():
                 # Client timeout/cancel raced the dispatch: the rows never
-                # reach the backend, and the drop must be visible in the
+                # reach the oracle, and the drop must be visible in the
                 # stats (a cancelled batch-mate would otherwise silently
                 # skew fairness and coalescing metrics).
                 self.stats.n_dropped_requests += 1
@@ -536,7 +436,7 @@ class QueryService:
                 dtype=np.uint64,
                 count=len(inputs),
             )
-            fused = self.backend.run(inputs, seeds)
+            fused = self.oracle.query(inputs, seeds=seeds)
         except Exception as exc:  # shared-bus semantics: the tick fails whole
             self.stats.n_failed_ticks += 1
             for pending in live:
@@ -548,11 +448,31 @@ class QueryService:
         self.stats.n_rows += len(inputs)
         self.stats.max_tick_rows = max(self.stats.max_tick_rows, len(inputs))
         self._record_tick(live, fused, len(inputs))
+        # Imported here, not at module level: importing the service must not
+        # load the crossbar engine.
+        from repro.attacks.oracle import OracleResponse
+
+        power, per_tile_power = fused.power, fused.per_tile_power
         offset = 0
         for pending in live:
             end = offset + len(pending.inputs)
             if not pending.future.done():
-                pending.future.set_result(self.backend.slice(fused, offset, end))
+                pending.future.set_result(
+                    OracleResponse(
+                        queries=fused.queries[offset:end],
+                        outputs=fused.outputs[offset:end],
+                        labels=fused.labels[offset:end],
+                        power=None if power is None else power[offset:end],
+                        output_mode=fused.output_mode,
+                        per_tile_power=(
+                            None
+                            if per_tile_power is None
+                            else per_tile_power[offset:end]
+                        ),
+                        # Each caller owns its response, metadata included.
+                        metadata=dict(fused.metadata),
+                    )
+                )
             if pending.on_dispatch is not None:
                 pending.on_dispatch(self.stats.n_ticks)
             offset = end
@@ -574,11 +494,13 @@ class QueryService:
                 tenants.append(pending.tenant)
                 tenant_rows[pending.tenant] = 0
             tenant_rows[pending.tenant] += len(pending.inputs)
-        rail = getattr(self.backend, "rail_currents", lambda fused: None)(fused)
-        per_tile = getattr(self.backend, "per_tile_currents", lambda fused: None)(fused)
-        labels = getattr(self.backend, "tile_labels", lambda fused: None)(fused)
-        rail_power = None if rail is None else float(np.sum(rail))
-        per_tile_power = None if per_tile is None else np.sum(per_tile, axis=0)
+        rail_power = None if fused.power is None else float(np.sum(fused.power))
+        per_tile_power = (
+            None
+            if fused.per_tile_power is None
+            else np.sum(fused.per_tile_power, axis=0)
+        )
+        labels = fused.metadata.get("tile_labels")
         if self.config.noise_budget > 0.0:
             stream = sample_stream(int(live[0].seeds[0]), _RAIL_DOMAIN, 0)
             if rail_power is not None:
@@ -598,12 +520,12 @@ class QueryService:
                 rows=rows,
                 rail_power=rail_power,
                 per_tile_power=per_tile_power,
-                tile_labels=labels,
+                tile_labels=None if labels is None else tuple(labels),
                 bank=bank,
             )
         )
 
     @property
     def queries_used(self) -> int:
-        """Queries charged by the underlying backend so far."""
-        return self.backend.queries_used
+        """Queries charged by the served oracle so far."""
+        return self.oracle.queries_used

@@ -1,7 +1,7 @@
 """Typed errors shared by the in-process service and the networked front-end.
 
 Kept in their own module so both :mod:`repro.service` (the in-process
-coalescing facades) and :mod:`repro.netservice` (the TCP front-end) can raise
+coalescing facade) and :mod:`repro.netservice` (the TCP front-end) can raise
 the *same* exception types without importing each other's machinery.
 """
 
@@ -11,10 +11,10 @@ from __future__ import annotations
 class ServiceClosedError(RuntimeError):
     """A request was issued against a service/facade that has been closed.
 
-    Raised by the synchronous facades (:class:`~repro.service.facade.
-    BatchingOracle` / :class:`~repro.service.facade.BatchingMeasurement`)
-    when ``query``/``measure`` is called after ``close()``, and by
-    :class:`~repro.netservice.client.NetClient` after its ``close()``.  For
+    Raised by the synchronous facade
+    (:class:`~repro.service.facade.BatchingOracle`) when ``query`` is called
+    after ``close()``, and by :class:`~repro.netservice.client.NetClient`
+    after its ``close()``.  For
     those it is a *terminal* error: the caller holds a dead handle, and no
     retry against the same handle can succeed.
 

@@ -1,12 +1,11 @@
-"""Synchronous facades over the async coalescing query service.
+"""The synchronous facade over the async coalescing query service.
 
 Existing attacks and experiments are plain synchronous code built against
-``Oracle.query`` / ``PowerMeasurement.measure``.  :class:`BatchingOracle` and
-:class:`BatchingMeasurement` give them the coalescing service without any
-async plumbing: each facade owns a private event-loop thread running a
-:class:`~repro.service.coalescer.QueryService`, and its blocking calls submit
-into that loop.  Calls from *multiple* threads coalesce into shared fused
-traversals; a single-threaded caller pays at most ``max_wait_ms`` extra
+``Oracle.query``.  :class:`BatchingOracle` gives them the coalescing service
+without any async plumbing: it owns a private event-loop thread running a
+:class:`~repro.service.coalescer.QueryService`, and its blocking ``query``
+submits into that loop.  Calls from *multiple* threads coalesce into shared
+fused traversals; a single-threaded caller pays at most ``max_wait_ms`` extra
 latency per query and still gets bit-identical results (per-request seed
 derivation does not depend on coalescing).
 """
@@ -68,14 +67,22 @@ class LoopRuntime:
             self.loop.close()
 
 
-class _BatchingFacade:
-    """Shared lifecycle plumbing of the two synchronous facades."""
+class BatchingOracle:
+    """Drop-in synchronous :class:`~repro.attacks.oracle.Oracle` front-end.
 
-    def __init__(self, target, config: Optional[ServiceConfig] = None):
-        self.target = target
+    Exposes the oracle surface existing attacks consume (``query``,
+    ``queries_used``, ``n_outputs``, ``output_mode``, ``predict_labels``,
+    ``accuracy``) while routing every ``query`` through the coalescing
+    service, so concurrent attacker threads share fused traversals.
+    Responses are bit-identical to ``oracle.query(inputs,
+    seeds=service.seeds_for(request_id, len(inputs)))`` for hardware targets.
+    """
+
+    def __init__(self, oracle, config: Optional[ServiceConfig] = None):
+        self.oracle = oracle
         self.config = config if config is not None else ServiceConfig()
         self._runtime = LoopRuntime(
-            QueryService(target, self.config), name="repro-query-service"
+            QueryService(oracle, self.config), name="repro-query-service"
         )
 
     @property
@@ -98,14 +105,6 @@ class _BatchingFacade:
         """Stop the service and its event-loop thread (idempotent)."""
         self._runtime.close()
 
-    def _submit(self, inputs):
-        if self._runtime.closed:
-            raise ServiceClosedError(
-                "this facade has been closed; build a new "
-                "BatchingOracle/BatchingMeasurement to submit further queries"
-            )
-        return self._runtime.call(self.service.submit(inputs))
-
     def __enter__(self):
         return self
 
@@ -118,25 +117,14 @@ class _BatchingFacade:
         except Exception:
             pass
 
-
-class BatchingOracle(_BatchingFacade):
-    """Drop-in synchronous :class:`~repro.attacks.oracle.Oracle` front-end.
-
-    Exposes the oracle surface existing attacks consume (``query``,
-    ``queries_used``, ``n_outputs``, ``output_mode``, ``predict_labels``,
-    ``accuracy``) while routing every ``query`` through the coalescing
-    service, so concurrent attacker threads share fused traversals.
-    Responses are bit-identical to ``oracle.query(inputs,
-    seeds=service.seeds_for(request_id, len(inputs)))`` for hardware targets.
-    """
-
-    def __init__(self, oracle, config: Optional[ServiceConfig] = None):
-        super().__init__(oracle, config)
-        self.oracle = oracle
-
     def query(self, inputs: np.ndarray):
         """Submit one request and block for its coalesced response."""
-        return self._submit(inputs)
+        if self._runtime.closed:
+            raise ServiceClosedError(
+                "this facade has been closed; build a new BatchingOracle to "
+                "submit further queries"
+            )
+        return self._runtime.call(self.service.submit(inputs))
 
     # -------------------------------------------------- oracle passthroughs
 
@@ -166,43 +154,3 @@ class BatchingOracle(_BatchingFacade):
     def accuracy(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Evaluation helper; not routed through the service, not counted."""
         return self.oracle.accuracy(inputs, targets)
-
-
-class BatchingMeasurement(_BatchingFacade):
-    """Drop-in synchronous :class:`PowerMeasurement` front-end.
-
-    Gives probing code (e.g.
-    :class:`~repro.sidechannel.probing.ColumnNormProber`) the coalescing
-    service behind the familiar blocking ``measure`` call.  Use a fixed
-    ``range_hint=(low, high)`` on the wrapped measurement when its
-    acquisition ADC is enabled — per-batch auto-ranging is, by definition,
-    not batch-composition-invariant, and ``"calibrate"`` mode only becomes
-    invariant after its (batch-spanning) calibration acquisition.
-    """
-
-    def __init__(self, measurement, config: Optional[ServiceConfig] = None):
-        super().__init__(measurement, config)
-        self.measurement = measurement
-
-    def measure(self, inputs: np.ndarray):
-        """Submit one measurement request and block for its readings.
-
-        Follows the :meth:`PowerMeasurement.measure` shape convention: a
-        single 1-D input returns a scalar, a batch returns a ``(B,)`` array.
-        """
-        single = np.asarray(inputs).ndim == 1
-        readings = self._submit(inputs)
-        return float(readings[0]) if single else readings
-
-    # --------------------------------------------- measurement passthroughs
-
-    @property
-    def queries_used(self) -> int:
-        return self.measurement.queries_used
-
-    @property
-    def queries_remaining(self):
-        return self.measurement.queries_remaining
-
-    def reset_counter(self) -> None:
-        self.measurement.reset_counter()

@@ -11,7 +11,7 @@ from repro.utils.validation import (
     check_in_range,
 )
 from repro.utils.results import RunResult, SweepResult
-from repro.utils.serialization import save_json, save_npz, load_npz
+from repro.utils.serialization import save_json
 
 __all__ = [
     "RandomState",
@@ -27,6 +27,4 @@ __all__ = [
     "RunResult",
     "SweepResult",
     "save_json",
-    "save_npz",
-    "load_npz",
 ]

@@ -156,32 +156,14 @@ def sample_stream(seed: int, *path: int) -> np.random.Generator:
 def seeded_noise_factors(seeds, *path: int, std: float) -> np.ndarray:
     """Per-row multiplicative noise factors ``1 + N(0, std)``, one per seed.
 
-    The backend-agnostic counter-based sampler of the seeded measurement
-    path: row ``i``'s factor is drawn from the stateless
-    :func:`sample_stream` keyed on ``(seeds[i], *path)`` — exactly the
-    stream the scalar per-row loop historically used — so the realizations
-    are a pure function of the counter-derived seeds, independent of batch
-    composition, call order, and compute backend.  Generation happens on
-    the host (seeds and streams never live on a device); array backends
-    receive the factors via one ``asarray`` transfer and apply them with an
-    elementwise multiply, which keeps the seeded path bit-identical within
-    each backend.
+    The counter-based sampler of the seeded measurement path: row ``i``'s
+    factor is drawn from the stateless :func:`sample_stream` keyed on
+    ``(seeds[i], *path)``, so the realizations are a pure function of the
+    per-row seeds, independent of batch composition and call order.
     """
     return np.array(
         [1.0 + sample_stream(int(seed), *path).normal(0.0, std) for seed in seeds]
     )
-
-
-def fold_seed(seed: int, *path: int) -> int:
-    """Derive a child ``uint64`` seed from ``seed`` and a consumer path.
-
-    Used where a per-row seed must branch again (e.g. one sub-seed per
-    repeated read of an averaging instrument) while staying in plain-integer
-    form so it can be handed onwards as a ``sample_seeds`` entry.
-    """
-    entropy = [int(seed) & _UINT64_MASK]
-    entropy.extend(int(part) & _UINT64_MASK for part in path)
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
 def seeds_for_runs(base_seed: Optional[int], n_runs: int) -> list[int]:

@@ -1,10 +1,10 @@
-"""Serialization helpers for models and experiment results."""
+"""JSON serialization of experiment results."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Mapping, Union
 
 import numpy as np
 
@@ -31,18 +31,3 @@ def save_json(payload: Mapping[str, Any], path: PathLike, *, indent: int = 2) ->
     with path.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=indent, cls=_NumpyJSONEncoder)
     return path
-
-
-def save_npz(arrays: Mapping[str, np.ndarray], path: PathLike) -> Path:
-    """Save a dictionary of arrays as a compressed ``.npz`` archive."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **{key: np.asarray(val) for key, val in arrays.items()})
-    return path
-
-
-def load_npz(path: PathLike) -> Dict[str, np.ndarray]:
-    """Load an ``.npz`` archive into a plain dictionary of arrays."""
-    path = Path(path)
-    with np.load(path) as archive:
-        return {key: archive[key] for key in archive.files}

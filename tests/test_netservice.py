@@ -3,7 +3,7 @@
 The acceptance properties:
 
 * **bit-identity over the wire** — responses served through
-  :class:`NetworkQueryService` are bit-identical to direct seeded backend
+  :class:`NetworkQueryService` are bit-identical to direct seeded oracle
   queries, for every registered scenario preset;
 * **fault tolerance** — a client survives injected lost responses and
   server restarts via idempotent retries, with correct results and no
@@ -52,7 +52,6 @@ from repro.netservice.protocol import (
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.service import ServiceConfig
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.utils.rng import derive_request_seeds
 
 pytestmark = pytest.mark.netservice
@@ -337,30 +336,6 @@ class TestWireBitIdentity:
             np.testing.assert_array_equal(response.labels, reference.labels)
             np.testing.assert_array_equal(response.power, reference.power)
 
-    def test_measurement_readings_bit_identical(self):
-        requests = _requests()
-        measurement = PowerMeasurement(
-            _target("noisy-device"), noise_std=0.05, random_state=3
-        )
-        with serve_in_thread(measurement, _config()) as handle:
-            base_seed = handle.server.config.service.base_seed
-            with NetClient(handle.address) as client:
-                readings = [client.measure(request) for request in requests]
-        direct = PowerMeasurement(_target("noisy-device"), noise_std=0.05, random_state=3)
-        for i, (request, served) in enumerate(zip(requests, readings)):
-            seeds = derive_request_seeds(base_seed, i, len(request))
-            reference = np.atleast_1d(direct.measure(request, seeds=seeds))
-            np.testing.assert_array_equal(served, reference)
-
-    def test_measurement_scalar_shape_convention(self):
-        measurement = PowerMeasurement(_target("paper/mnist-softmax"))
-        with serve_in_thread(measurement, _config()) as handle:
-            with NetClient(handle.address) as client:
-                scalar = client.measure(np.ones(N_FEATURES))
-                assert isinstance(scalar, float)
-                batch = client.measure(np.ones((3, N_FEATURES)))
-                assert batch.shape == (3,)
-
     def test_concurrent_clients_coalesce(self):
         """Multiple connections share fused traversals, rows stay their own."""
         requests = _requests((1,) * 8)
@@ -439,12 +414,6 @@ class TestFaultTolerance:
             with pytest.raises(ServiceClosedError):
                 client.query(np.ones((1, N_FEATURES)))
 
-    def test_kind_mismatch_is_terminal(self):
-        with serve_in_thread(_oracle("paper/mnist-softmax"), _config()) as handle:
-            with NetClient(handle.address) as client:
-                with pytest.raises(ProtocolError, match="use query"):
-                    client.measure(np.ones(N_FEATURES))
-
     def test_remote_failure_is_terminal_and_uncharged(self):
         from repro.netservice.errors import RemoteServiceError
 
@@ -511,17 +480,15 @@ class TestFaultTolerance:
     def test_unserialisable_response_reports_remote_error(self):
         """A response the server cannot serialise must still answer the
         client with a typed error frame, not die as an unhandled task."""
-        from repro.service.coalescer import OracleBackend
-
-        class _PoisonedBackend(OracleBackend):
-            def run(self, inputs, seeds):
-                response = super().run(inputs, seeds)
+        class _PoisonedBackend(Oracle):
+            def query(self, inputs, *, seeds=None):
+                response = super().query(inputs, seeds=seeds)
                 # passes _json_safe_metadata's shallow list check, but is
                 # not JSON-encodable — encode_frame raises at send time
                 response.metadata["poison"] = [object()]
                 return response
 
-        backend = _PoisonedBackend(_oracle("paper/mnist-softmax"))
+        backend = _PoisonedBackend(_target("paper/mnist-softmax"))
         with serve_in_thread(backend, _config()) as handle:
             sock = socket.create_connection(handle.address, timeout=30)
             try:
@@ -899,7 +866,6 @@ class TestNetServiceConfig:
     def test_handshake_metadata(self):
         with serve_in_thread(_oracle("paper/mnist-softmax"), _config()) as handle:
             with NetClient(handle.address) as client:
-                assert client.kind == "oracle"
                 assert client.output_mode == "raw"
                 assert client.n_outputs == N_CLASSES
                 assert client.base_seed == 0

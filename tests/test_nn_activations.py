@@ -69,20 +69,6 @@ class TestBackwardGradients:
         grad = act.backward(np.array([[1.0, 1.0]]), out)
         np.testing.assert_allclose(grad, [[0.0, 1.0]])
 
-    @pytest.mark.parametrize(
-        "activation", [Identity(), ReLU()], ids=lambda a: a.name
-    )
-    def test_derivative_non_negative(self, activation, rng):
-        """The paper assumes f' >= 0 for common activations (Section III)."""
-        x = rng.normal(size=(5, 5))
-        assert np.all(activation.derivative(x) >= 0)
-
-    def test_softmax_derivative_diagonal(self, rng):
-        x = rng.normal(size=(3, 4))
-        softmax = Softmax()
-        y = softmax.forward(x)
-        np.testing.assert_allclose(softmax.derivative(x), y * (1 - y))
-
 
 class TestRegistry:
     def test_lookup_by_name(self):

@@ -91,7 +91,7 @@ class TestSensitivityBound:
         outputs = network.layers[0].activation.forward(pre)
         # per-sample MSE: dL/dy_i = 2 (y_i - t_i) / M
         dl_dy = 2.0 * (outputs - targets) / targets.shape[1]
-        f_prime = network.layers[0].activation.derivative(pre)
+        f_prime = network.layers[0].activation.backward(np.ones_like(outputs), outputs)
         bound = np.abs(dl_dy * f_prime) @ np.abs(network.layers[0].weights)
         assert np.all(gradients <= bound + 1e-8)
 

@@ -32,32 +32,6 @@ class TestSequential:
         with pytest.raises(RuntimeError):
             Sequential().forward(np.zeros((1, 3)))
 
-    def test_parameters_and_gradient_keys_align(self, rng):
-        net = Sequential([Dense(4, 3, random_state=0), Dense(3, 2, random_state=1)])
-        net.forward(rng.normal(size=(2, 4)), training=True)
-        net.backward(rng.normal(size=(2, 2)))
-        assert set(net.parameters) == set(net.gradients)
-
-    def test_n_parameters(self):
-        net = Sequential([Dense(4, 3, random_state=0), Dense(3, 2, use_bias=True, random_state=1)])
-        assert net.n_parameters() == 4 * 3 + 3 * 2 + 2
-
-    def test_save_and_load_roundtrip(self, tmp_path, rng):
-        net = Sequential([Dense(4, 3, random_state=0)])
-        path = tmp_path / "model.npz"
-        net.save(path)
-        clone = Sequential([Dense(4, 3, random_state=99)])
-        clone.load(path)
-        np.testing.assert_allclose(clone.layers[0].weights, net.layers[0].weights)
-
-    def test_load_missing_layer_raises(self, tmp_path):
-        net = Sequential([Dense(4, 3, random_state=0)])
-        path = tmp_path / "model.npz"
-        net.save(path)
-        bigger = Sequential([Dense(4, 3, random_state=0), Dense(3, 2, random_state=0)])
-        with pytest.raises(KeyError):
-            bigger.load(path)
-
     def test_multilayer_backward_gradient_check(self, rng):
         """End-to-end gradient check through a two-layer network."""
         net = Sequential(
@@ -92,12 +66,10 @@ class TestSingleLayerNetwork:
     def test_linear_default_loss(self):
         net = SingleLayerNetwork(4, 3, output="linear", random_state=0)
         assert isinstance(net.default_loss(), MeanSquaredError)
-        assert not net.uses_softmax()
 
     def test_softmax_default_loss(self):
         net = SingleLayerNetwork(4, 3, output="softmax", random_state=0)
         assert isinstance(net.default_loss(), CategoricalCrossEntropy)
-        assert net.uses_softmax()
 
     def test_weights_property_roundtrip(self, rng):
         net = SingleLayerNetwork(4, 3, output="linear", random_state=0)

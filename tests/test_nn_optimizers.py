@@ -52,12 +52,6 @@ class TestValidationAndState:
         with pytest.raises(RuntimeError):
             Adam().step(net)
 
-    def test_adam_reset_clears_step_count(self):
-        optimizer = Adam()
-        optimizer._step_count = 5
-        optimizer.reset()
-        assert optimizer._step_count == 0
-
     def test_bias_updated_when_present(self, rng):
         net = Sequential([Dense(4, 2, use_bias=True, random_state=0)])
         inputs, targets = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))

@@ -1,10 +1,10 @@
-"""Tests for repro.service: coalescing, equivalence, facades, error paths.
+"""Tests for repro.service: coalescing, equivalence, facade, error paths.
 
 The acceptance property — coalesced service responses are bit-identical to
 per-request synchronous queries — is asserted for **every registered scenario
 preset** against the scenario's own hardware stack, plus the service
 machinery itself: tick formation, backpressure, shared-bus error semantics,
-query accounting, and the synchronous facades.
+query accounting, and the synchronous facade.
 """
 
 import asyncio
@@ -20,15 +20,12 @@ from repro.experiments.scenario import SCENARIOS, list_scenarios
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.service import (
-    BatchingMeasurement,
     BatchingOracle,
     QueryService,
     ServiceClosedError,
     ServiceConfig,
 )
-from repro.service.coalescer import OracleBackend
 from repro.sidechannel.measurement import PowerMeasurement, QueryBudgetExceeded
-from repro.sidechannel.probing import ColumnNormProber
 
 pytestmark = pytest.mark.service
 
@@ -46,10 +43,11 @@ def _target(name):
     return SCENARIOS[name].build_accelerator(_network(), random_state=0)
 
 
+_ORACLE_KWARGS = dict(expose_power=True, power_noise_std=0.03, random_state=7)
+
+
 def _oracle(name):
-    return Oracle(
-        _target(name), expose_power=True, power_noise_std=0.03, random_state=7
-    )
+    return Oracle(_target(name), **_ORACLE_KWARGS)
 
 
 def _requests(sizes=(1, 3, 1, 2, 5, 1, 4)):
@@ -57,19 +55,19 @@ def _requests(sizes=(1, 3, 1, 2, 5, 1, 4)):
     return [rng.uniform(0.0, 1.0, size=(n, N_FEATURES)) for n in sizes]
 
 
-class _InstrumentedBackend(OracleBackend):
-    """An oracle backend that counts (and optionally slows) traversals."""
+class _InstrumentedBackend(Oracle):
+    """An oracle that counts (and optionally slows) traversals."""
 
-    def __init__(self, oracle, delay=0.0):
-        super().__init__(oracle)
+    def __init__(self, name, delay=0.0):
+        super().__init__(_target(name), **_ORACLE_KWARGS)
         self.delay = delay
         self.calls = 0
 
-    def run(self, inputs, seeds):
+    def query(self, inputs, *, seeds=None):
         self.calls += 1
         if self.delay:
             time.sleep(self.delay)
-        return super().run(inputs, seeds)
+        return super().query(inputs, seeds=seeds)
 
 
 def _submit_all(service_target, config, requests):
@@ -137,20 +135,6 @@ class TestServiceVsDirectEquivalence:
             np.testing.assert_array_equal(response.outputs, reference.outputs)
             np.testing.assert_array_equal(response.power, reference.power)
             np.testing.assert_array_equal(response.labels, reference.labels)
-
-    @pytest.mark.parametrize("name", list_scenarios())
-    def test_measurement_readings_bit_identical(self, name):
-        requests = _requests()
-        measurement = PowerMeasurement(
-            _target(name), noise_std=0.05, random_state=3
-        )
-        responses, seeds, _ = _submit_all(
-            measurement, ServiceConfig(max_batch=8, max_wait_ms=10), requests
-        )
-        direct = PowerMeasurement(_target(name), noise_std=0.05, random_state=3)
-        for request, readings, request_seeds in zip(requests, responses, seeds):
-            reference = np.atleast_1d(direct.measure(request, seeds=request_seeds))
-            np.testing.assert_array_equal(readings, reference)
 
     def test_query_accounting_matches_direct(self):
         requests = _requests()
@@ -256,8 +240,9 @@ class TestServiceMechanics:
         assert np.isfinite(ledger[0].rail_power)
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(TypeError, match="cannot serve"):
-            QueryService(object())
+        for target in (object(), PowerMeasurement(_target("paper/mnist-softmax"))):
+            with pytest.raises(TypeError, match="cannot serve"):
+                QueryService(target)
 
     def test_seeds_for_is_deterministic(self):
         a = QueryService(_oracle("paper/mnist-softmax"), ServiceConfig(base_seed=9))
@@ -284,7 +269,7 @@ class TestServiceMechanics:
 
     def test_max_pending_one_with_slow_target_awaits_not_drops(self):
         """Backpressure at the tightest bound: every submit completes."""
-        backend = _InstrumentedBackend(_oracle("paper/mnist-softmax"), delay=0.005)
+        backend = _InstrumentedBackend("paper/mnist-softmax", delay=0.005)
 
         async def run():
             config = ServiceConfig(max_batch=1, max_wait_ms=0, max_pending=1)
@@ -301,7 +286,7 @@ class TestServiceMechanics:
     def test_stop_during_held_open_tick_dispatches_exactly_once(self):
         """stop() with a tick held open for company neither strands the
         coalesced requests nor dispatches them twice."""
-        backend = _InstrumentedBackend(_oracle("paper/mnist-softmax"))
+        backend = _InstrumentedBackend("paper/mnist-softmax")
 
         from repro.service.coalescer import _Pending
 
@@ -509,14 +494,6 @@ class TestBatchingOracleFacade:
         with pytest.raises(ServiceClosedError, match="has been closed"):
             facade.query(np.ones((1, N_FEATURES)))
 
-    def test_measurement_submit_after_close_raises_typed_error(self):
-        measurement = PowerMeasurement(_target("paper/mnist-softmax"))
-        facade = BatchingMeasurement(measurement)
-        facade.measure(np.ones(N_FEATURES))
-        facade.close()
-        with pytest.raises(ServiceClosedError):
-            facade.measure(np.ones(N_FEATURES))
-
     def test_concurrent_close_from_many_threads(self):
         facade = BatchingOracle(_oracle("paper/mnist-softmax"))
         facade.query(np.ones((1, N_FEATURES)))
@@ -601,36 +578,3 @@ class TestServiceRegressionGate:
         results = self._passing_results()
         del results["bench_service"]
         assert check.check_results(results) == []
-
-
-class TestBatchingMeasurementFacade:
-    def test_prober_through_the_service_matches_direct_replay(self):
-        """The per-column probing attack, each probe one service request."""
-        measurement = PowerMeasurement(
-            _target("noisy-device"), noise_std=0.02, random_state=5
-        )
-        with BatchingMeasurement(measurement, ServiceConfig(max_wait_ms=0)) as facade:
-            prober = ColumnNormProber(facade, N_FEATURES, batched=False)
-            probed = prober.probe_all()
-            service = facade.service
-            seeds = [service.seeds_for(i, 1) for i in range(N_FEATURES)]
-        assert probed.queries_used == N_FEATURES
-
-        direct = PowerMeasurement(
-            _target("noisy-device"), noise_std=0.02, random_state=5
-        )
-        replayed = np.array(
-            [
-                direct.measure(np.eye(N_FEATURES)[i], seeds=seeds[i])
-                for i in range(N_FEATURES)
-            ]
-        )
-        np.testing.assert_array_equal(probed.column_sums, replayed)
-
-    def test_scalar_shape_convention(self):
-        measurement = PowerMeasurement(_target("paper/mnist-softmax"))
-        with BatchingMeasurement(measurement) as facade:
-            scalar = facade.measure(np.ones(N_FEATURES))
-            assert isinstance(scalar, float)
-            batch = facade.measure(np.ones((3, N_FEATURES)))
-            assert batch.shape == (3,)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.utils.serialization import load_npz, save_json, save_npz
+from repro.utils.serialization import save_json
 
 
 class TestJson:
@@ -46,21 +46,3 @@ class TestJson:
     def test_creates_parent_directories(self, tmp_path):
         path = save_json({"x": 1}, tmp_path / "deep" / "dir" / "out.json")
         assert path.exists()
-
-
-class TestNpz:
-    def test_roundtrip(self, tmp_path):
-        arrays = {"weights": np.random.default_rng(0).normal(size=(4, 5)), "bias": np.zeros(4)}
-        path = save_npz(arrays, tmp_path / "model.npz")
-        loaded = load_npz(path)
-        assert set(loaded) == {"weights", "bias"}
-        np.testing.assert_allclose(loaded["weights"], arrays["weights"])
-
-    def test_lists_are_coerced(self, tmp_path):
-        path = save_npz({"values": [1.0, 2.0]}, tmp_path / "a.npz")
-        loaded = load_npz(path)
-        np.testing.assert_allclose(loaded["values"], [1.0, 2.0])
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_npz(tmp_path / "missing.npz")
