@@ -1,7 +1,7 @@
 """Cold-start benchmark: import time, resident memory and scipy modules per entry point.
 
-Experiment workers, work-queue workers and the network server each start a
-fresh interpreter, so what their entry point imports is paid on every start.
+Experiment pool workers and the network server each start a fresh
+interpreter, so what their entry point imports is paid on every start.
 For each entry point this benchmark spawns ``REPEATS`` fresh interpreters and
 records, into ``BENCH_engine.json`` under ``bench_cold_start``:
 

@@ -13,7 +13,6 @@ non-zero when any gate fails::
                                              [--max-sharded-ratio 1.2]
                                              [--min-service-speedup 2.0]
                                              [--min-net-speedup 1.3]
-                                             [--min-executor-speedup 0.15]
                                              [--max-tenant-overhead 1.5]
 
 ``--tolerance`` applies a uniform fractional slack to every threshold
@@ -55,12 +54,6 @@ Gated sections:
   and the best offered-load level at >= 8 worker processes must beat the
   one-request-per-connection baseline by ``--min-net-speedup`` (default
   1.3x — a single-core floor; multicore hosts measure far higher).
-* ``bench_executor`` — the distributed work-queue executor: queue results
-  must have been verified bit-identical to the serial reference, every chunk
-  must have executed, and serial/queue wall-time ratio must stay above
-  ``--min-executor-speedup`` (default 0.15 — a single-core overhead floor;
-  the queue pays worker interpreter spawn + framing on a smoke-scale grid,
-  so one core cannot beat serial; the gate only catches runaway overhead).
 * ``bench_tenant`` — the tenant-placement policies: partitioned responses
   must have been verified bit-identical to direct seeded queries, no
   partitioned tick may have mixed tenants, per-tenant groups must still
@@ -99,7 +92,6 @@ DEFAULT_THRESHOLDS = {
     "max_sharded_ratio": 1.2,
     "min_service_speedup": 2.0,
     "min_net_speedup": 1.3,
-    "min_executor_speedup": 0.15,
     "max_tenant_overhead": 1.5,
 }
 
@@ -151,7 +143,6 @@ def check_results(
     max_sharded_ratio = thresholds["max_sharded_ratio"]
     min_service_speedup = thresholds["min_service_speedup"]
     min_net_speedup = thresholds["min_net_speedup"]
-    min_executor_speedup = thresholds["min_executor_speedup"]
     max_tenant_overhead = thresholds["max_tenant_overhead"]
 
     failures: list[str] = []
@@ -162,7 +153,6 @@ def check_results(
     failures.extend(_check_sweeps_section(results))
     failures.extend(_check_service_section(results, min_service_speedup))
     failures.extend(_check_netservice_section(results, min_net_speedup))
-    failures.extend(_check_executor_section(results, min_executor_speedup))
     failures.extend(_check_tenant_section(results, max_tenant_overhead, tolerance))
     failures.extend(_check_cold_start_section(results, tolerance))
     engine = results.get("engine")
@@ -395,41 +385,6 @@ def _check_netservice_section(results: dict, min_net_speedup: float) -> list[str
     return failures
 
 
-def _check_executor_section(results: dict, min_executor_speedup: float) -> list[str]:
-    """Gate the work-queue timings recorded by benchmarks/bench_executor.py."""
-    payload = results.get("bench_executor")
-    if payload is None:
-        return []
-    failures: list[str] = []
-    if payload.get("results_identical") is not True:
-        failures.append(
-            "bench_executor: queue-executor results were not verified "
-            "bit-identical to the serial reference"
-        )
-    for key in ("serial_s", "queue_s"):
-        value = payload.get(key)
-        if not isinstance(value, (int, float)) or value <= 0:
-            failures.append(f"bench_executor has no positive {key!r} wall time")
-    stats = payload.get("stats") or {}
-    if stats.get("chunks_executed") != stats.get("chunks_total"):
-        failures.append(
-            "bench_executor: not every chunk executed "
-            f"({stats.get('chunks_executed')!r} of {stats.get('chunks_total')!r})"
-        )
-    workers = payload.get("n_workers")
-    if not isinstance(workers, int) or workers < 2:
-        failures.append(
-            f"bench_executor was not recorded with >= 2 workers (got {workers!r})"
-        )
-    speedup = payload.get("speedup")
-    if isinstance(speedup, (int, float)) and speedup < min_executor_speedup:
-        failures.append(
-            f"queue executor serial/queue ratio {speedup:.2f} is below the "
-            f"required {min_executor_speedup:.2f} (excess coordination overhead)"
-        )
-    return failures
-
-
 def _check_tenant_section(
     results: dict, max_tenant_overhead: float, tolerance: float
 ) -> list[str]:
@@ -568,11 +523,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_THRESHOLDS["min_net_speedup"],
     )
     parser.add_argument(
-        "--min-executor-speedup",
-        type=float,
-        default=DEFAULT_THRESHOLDS["min_executor_speedup"],
-    )
-    parser.add_argument(
         "--max-tenant-overhead",
         type=float,
         default=DEFAULT_THRESHOLDS["max_tenant_overhead"],
@@ -588,7 +538,6 @@ def main(argv: list[str] | None = None) -> int:
         "max_sharded_ratio": args.max_sharded_ratio,
         "min_service_speedup": args.min_service_speedup,
         "min_net_speedup": args.min_net_speedup,
-        "min_executor_speedup": args.min_executor_speedup,
         "max_tenant_overhead": args.max_tenant_overhead,
     }
 

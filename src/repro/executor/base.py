@@ -10,18 +10,15 @@ every implementation:
 * **Bit-identity** — because every job is seeded up front and executed by the
   same picklable ``run_job`` callable, any executor produces results
   bit-identical to :class:`SerialExecutor`.
-* **Hooks** — ``on_progress`` receives :class:`ExecutorEvent` notifications
-  and ``cancel`` (a :class:`CancelToken`) aborts between units of work with
-  :class:`~repro.executor.errors.ExecutionCancelled`.
 
-Three implementations ship:
+Two implementations ship, both on one host:
 
 * :class:`SerialExecutor` — in-process loop (the debugging reference).
-* :class:`PoolExecutor` — one host's :mod:`concurrent.futures`
-  process/thread pool, submitting the grid in chunks.
-* :class:`~repro.executor.queue.QueueExecutor` — a TCP work-queue
-  coordinator leasing job chunks to local or remote worker processes, with
-  retries, heartbeat-based lease recovery and a resumable JSONL journal.
+* :class:`PoolExecutor` — a :mod:`concurrent.futures` process or thread
+  pool, submitting the grid in chunks.
+
+Why there is no multi-host executor is recorded in
+``docs/adr/0001-one-host-executor.md``.
 """
 
 from __future__ import annotations
@@ -29,71 +26,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import threading
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
-
-from repro.executor.errors import ExecutionCancelled
-
-#: Signature of the ``on_progress`` hook.
-ProgressHook = Callable[["ExecutorEvent"], None]
-
-
-@dataclass(frozen=True)
-class ExecutorEvent:
-    """One progress notification from a running executor.
-
-    Attributes
-    ----------
-    kind:
-        ``"start"``, ``"job"``, ``"chunk"``, ``"requeue"``, ``"resume"`` or
-        ``"done"``.
-    completed / total:
-        Units of work finished so far / in the whole grid.  ``job`` events
-        count jobs; ``chunk``/``requeue``/``resume`` events count chunks.
-    detail:
-        Human-readable context (job label, chunk key, worker id, ...).
-    """
-
-    kind: str
-    completed: int
-    total: int
-    detail: str = ""
-
-
-class CancelToken:
-    """Thread-safe cooperative cancellation flag.
-
-    Executors poll :meth:`is_set` between units of work and raise
-    :class:`~repro.executor.errors.ExecutionCancelled`; they never interrupt
-    a job mid-flight (jobs are short and side-effect free).
-    """
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        """Request cancellation (idempotent)."""
-        self._event.set()
-
-    def is_set(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._event.is_set()
-
-    def raise_if_cancelled(self, context: str = "") -> None:
-        """Raise :class:`ExecutionCancelled` when the flag is set."""
-        if self.is_set():
-            suffix = f" ({context})" if context else ""
-            raise ExecutionCancelled(f"execution cancelled{suffix}")
-
-
-def emit(hook: Optional[ProgressHook], event: ExecutorEvent) -> None:
-    """Deliver one event to an optional progress hook (None = no-op)."""
-    if hook is not None:
-        hook(event)
 
 
 class Executor(ABC):
@@ -110,29 +46,8 @@ class Executor(ABC):
     name: str = ""
 
     @abstractmethod
-    def submit_jobs(
-        self,
-        jobs: Sequence,
-        *,
-        run_job: Optional[Callable] = None,
-        on_progress: Optional[ProgressHook] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> List:
+    def submit_jobs(self, jobs: Sequence, *, run_job: Optional[Callable] = None) -> List:
         """Execute every job and return the results in job order."""
-
-
-def _job_runner(run_job: Optional[Callable]) -> Callable:
-    """The per-job callable an executor actually invokes.
-
-    Wraps the experiment's ``run_job`` with the metadata annotation exactly
-    like the historical ``execute_jobs`` serial path, or falls back to the
-    registry-resolving trampoline.
-    """
-    from repro.experiments.base import _execute_job, _run_annotated
-
-    if run_job is None:
-        return _execute_job
-    return lambda job: _run_annotated(run_job, job)
 
 
 class SerialExecutor(Executor):
@@ -140,21 +55,12 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def submit_jobs(self, jobs, *, run_job=None, on_progress=None, cancel=None):
-        call = _job_runner(run_job)
-        total = len(jobs)
-        emit(on_progress, ExecutorEvent("start", 0, total))
-        results = []
-        for index, job in enumerate(jobs):
-            if cancel is not None:
-                cancel.raise_if_cancelled(f"after {index}/{total} jobs")
-            results.append(call(job))
-            emit(
-                on_progress,
-                ExecutorEvent("job", index + 1, total, detail=getattr(job, "label", "")),
-            )
-        emit(on_progress, ExecutorEvent("done", total, total))
-        return results
+    def submit_jobs(self, jobs, *, run_job=None):
+        from repro.experiments.base import _execute_job, _run_annotated
+
+        if run_job is None:
+            return [_execute_job(job) for job in jobs]
+        return [_run_annotated(run_job, job) for job in jobs]
 
 
 def _call_star(payload: Tuple[Callable, tuple]):
@@ -173,7 +79,7 @@ class PoolExecutor(Executor):
         ``"thread"`` a :class:`ThreadPoolExecutor`.  Serial execution is
         :class:`SerialExecutor`.
     max_workers:
-        Worker-pool size; ``None`` uses the CPU count.
+        Worker-pool size, at least 1; ``None`` uses the CPU count.
 
     Every job is seeded up front and results are collected in submission
     order, so a pooled grid is bit-identical to the serial one.  Process
@@ -190,9 +96,6 @@ class PoolExecutor(Executor):
     51 short jobs on a small machine); chunking amortises the pickling and
     queue traffic over ``len(jobs) / n_workers`` calls while preserving
     result order.  The pool is also never wider than the job list.
-
-    Per-job progress is not available from a pool ``map``; hooks receive
-    ``start`` and ``done`` events only.
     """
 
     name = "pool"
@@ -202,22 +105,20 @@ class PoolExecutor(Executor):
         mode = str(mode).lower()
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(
+                f"max_workers must be at least 1 (None uses the CPU count), "
+                f"got {max_workers!r}"
+            )
         self.mode = mode
         self.max_workers = max_workers
 
-    def submit_jobs(self, jobs, *, run_job=None, on_progress=None, cancel=None):
+    def submit_jobs(self, jobs, *, run_job=None):
         from repro.experiments.base import _execute_job, _run_annotated
 
-        if cancel is not None:
-            cancel.raise_if_cancelled("before pool submission")
-        total = len(jobs)
-        emit(on_progress, ExecutorEvent("start", 0, total))
         if run_job is None:
-            results = self.map(_execute_job, [(job,) for job in jobs])
-        else:
-            results = self.map(_run_annotated, [(run_job, job) for job in jobs])
-        emit(on_progress, ExecutorEvent("done", total, total))
-        return results
+            return self.map(_execute_job, [(job,) for job in jobs])
+        return self.map(_run_annotated, [(run_job, job) for job in jobs])
 
     def map(self, fn: Callable, args_list: Sequence[tuple]) -> List:
         """Apply ``fn(*args)`` to every argument tuple, preserving order."""
@@ -269,16 +170,15 @@ class PoolExecutor(Executor):
 
 
 #: Spellings accepted by :func:`resolve_executor` (CLI ``--executor`` values).
-EXECUTOR_NAMES = ("serial", "process", "thread", "pool", "queue")
+EXECUTOR_NAMES = ("serial", "process", "thread")
 
 
 def resolve_executor(spec, **kwargs) -> Executor:
     """Build an :class:`Executor` from a name, instance, or ``None``.
 
     ``None``/``"serial"`` give the serial reference; ``"process"`` /
-    ``"thread"`` / ``"pool"`` a :class:`PoolExecutor` of that mode; and
-    ``"queue"`` a :class:`~repro.executor.queue.QueueExecutor`.  ``kwargs``
-    are forwarded to the constructed executor; instances pass through
+    ``"thread"`` a :class:`PoolExecutor` of that mode.  ``kwargs`` are
+    forwarded to the constructed executor; instances pass through
     (``kwargs`` then must be empty).
     """
     if isinstance(spec, Executor):
@@ -293,10 +193,4 @@ def resolve_executor(spec, **kwargs) -> Executor:
         return SerialExecutor(**kwargs)
     if key in ("process", "thread"):
         return PoolExecutor(mode=key, **kwargs)
-    if key == "pool":
-        return PoolExecutor(**kwargs)
-    if key == "queue":
-        from repro.executor.queue import QueueExecutor
-
-        return QueueExecutor(**kwargs)
     raise ValueError(f"unknown executor {spec!r}; available: {EXECUTOR_NAMES}")

@@ -4,8 +4,8 @@ All pipelines follow one protocol (:class:`~repro.experiments.base.Experiment`):
 they expand an :class:`~repro.experiments.config.ExperimentScale` and a list of
 :class:`~repro.experiments.scenario.ScenarioSpec` into independent picklable
 jobs, execute them under any :class:`~repro.executor.Executor` backend —
-in-process serial, one host's process/thread pool, or the distributed work
-queue (bit-identical results under every backend) — and assemble an
+in-process serial or one host's process/thread pool (bit-identical results
+under every backend) — and assemble an
 :class:`~repro.experiments.base.ExperimentResult`.  The registry
 (:func:`get_experiment` / :func:`run_experiments`) plus the CLI
 (``python -m repro.experiments``) run any subset at any scale.

@@ -16,11 +16,11 @@ protocol:
   :class:`ExperimentResult`.
 
 :meth:`Experiment.run` is the shared template: build jobs, execute them
-through an :class:`~repro.executor.Executor` (serial, process pool, or the
-distributed work queue — bit-identical under every backend, because every
-job is seeded up front and results are assembled in job order),
-assemble.  Jobs reach the executor grouped by the victim they train, so the
-victim memo of :mod:`repro.experiments.runner` trains each victim once.
+through an :class:`~repro.executor.Executor` (serial, or a process or
+thread pool — bit-identical under every backend, because every job is
+seeded up front and results are assembled in job order), assemble.  Jobs
+reach the executor grouped by the victim they train, so the victim memo of
+:mod:`repro.experiments.runner` trains each victim once.
 """
 
 from __future__ import annotations
@@ -265,8 +265,8 @@ class Experiment(ABC):
             the four paper configurations.
         executor:
             How jobs execute: an :class:`~repro.executor.Executor` instance,
-            a name (``"serial"``, ``"process"``, ``"thread"``, ``"queue"``),
-            or ``None`` for the in-process serial path.  Results are
+            a name (``"serial"``, ``"process"``, ``"thread"``), or ``None``
+            for the in-process serial path.  Results are
             bit-identical under every backend (every job is seeded up front,
             results are collected in job order).
         base_seed:
@@ -317,8 +317,6 @@ def execute_jobs(
     *,
     executor=None,
     run_job=None,
-    on_progress=None,
-    cancel=None,
 ) -> List[RunResult]:
     """Run every job through an :class:`~repro.executor.Executor`.
 
@@ -327,33 +325,23 @@ def execute_jobs(
     appearance order), so consecutive jobs share one trained victim and the
     one-entry victim memo of :mod:`repro.experiments.runner` trains each
     victim once per process or thread.  The returned results are in the
-    order of ``jobs``.  Progress events count the same jobs and chunks in
-    the grouped order, and a work-queue journal fingerprints the grouped
-    grid.
+    order of ``jobs``.
 
     ``executor`` is an :class:`~repro.executor.Executor` instance, a name
     understood by :func:`~repro.executor.resolve_executor` (``"serial"``,
-    ``"process"``, ``"thread"``, ``"queue"``), or ``None`` for the
-    in-process serial path.
+    ``"process"``, ``"thread"``), or ``None`` for the in-process serial path.
 
     When ``run_job`` (a module-level picklable function) is given, workers
     receive it directly with each job, so user-registered experiments work
-    under any start method (``fork``/``spawn``/``forkserver``) and on
-    work-queue workers, without the worker needing to re-import and
-    re-register them; without it, jobs are resolved by name through the
-    registry.  ``on_progress`` / ``cancel`` are forwarded to the executor
-    (see :mod:`repro.executor.base`).
+    under any start method (``fork``/``spawn``/``forkserver``) without the
+    worker needing to re-import and re-register them; without it, jobs are
+    resolved by name through the registry.
     """
     from repro.executor import resolve_executor
 
     executor = resolve_executor(executor)
     order = victim_grouped_order(jobs)
-    grouped = executor.submit_jobs(
-        [jobs[index] for index in order],
-        run_job=run_job,
-        on_progress=on_progress,
-        cancel=cancel,
-    )
+    grouped = executor.submit_jobs([jobs[index] for index in order], run_job=run_job)
     results: List[RunResult] = [None] * len(jobs)
     for index, result in zip(order, grouped):
         results[index] = result

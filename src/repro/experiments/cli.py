@@ -1,28 +1,14 @@
 """Command-line front end for the unified experiment API.
 
 Run any subset of the registered experiments at any scale, under any
-executor backend (in-process serial, one host's worker pool, or the
-distributed work queue), optionally under non-default scenarios, and
-serialise the results::
+executor backend (in-process serial, or one host's process or thread pool),
+optionally under non-default scenarios, and serialise the results::
 
     python -m repro.experiments table1 figure4 --scale smoke
     python -m repro.experiments --list
     python -m repro.experiments table1 --scenarios noisy-device quantized-adc
     python -m repro.experiments sweep-adc-bits --scale smoke --executor process
-    python -m repro.experiments figure5 --executor queue --workers 4 \
-        --journal run.jsonl
-    python -m repro.experiments figure5 --executor queue --resume run.jsonl \
-        --journal run.jsonl                      # skip completed chunks
-    python -m repro.experiments figure5 --executor queue --workers 0 \
-        --serve 127.0.0.1:7070 --auth-file queue.key   # remote workers only
-    python -m repro.experiments --connect 127.0.0.1:7070 --auth-file queue.key
-
-Remote workers must hold the coordinator's shared auth key (``--auth-file``
-or the ``REPRO_QUEUE_AUTH`` environment variable): every connection passes
-an HMAC handshake before any frame is parsed, because the work-queue wire
-carries pickles.  Keep coordinators on loopback and reach them through SSH
-tunnels (``ssh -L 7070:127.0.0.1:7070 coordinator-host``); binding a
-non-loopback address requires an explicit key and warns.
+    python -m repro.experiments figure5 --executor process --workers 2
 
 ``scripts/run_experiments.py`` is a thin wrapper around the same entry point.
 """
@@ -41,8 +27,6 @@ from repro.experiments.scenario import SCENARIOS, get_scenario, list_scenarios
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.executor import EXECUTOR_NAMES
-    from repro.executor.chunking import DEFAULT_CHUNK_SIZE
-    from repro.executor.cli import parse_address
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -70,63 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default=None,
         choices=EXECUTOR_NAMES,
-        help="execution backend: serial (default), process/thread (one "
-        "host's pool), queue (distributed work queue; see --serve/--connect)",
+        help="execution backend: serial (default), or process/thread (one "
+        "host's pool)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker count: pool size for process/thread (default: CPU "
-        "count / 2), spawned worker subprocesses for queue (default: 2; "
-        "--workers 0 relies on externally attached workers)",
-    )
-    parser.add_argument(
-        "--serve",
-        type=parse_address,
-        default=None,
-        metavar="HOST:PORT",
-        help="queue executor only: coordinator bind address (default "
-        "127.0.0.1 on a free port) — remote workers attach with --connect; "
-        "non-loopback binds require --auth-file (the wire carries pickles)",
-    )
-    parser.add_argument(
-        "--auth-file",
-        default=None,
-        metavar="PATH",
-        help="file holding the work-queue shared auth key, used by both "
-        "--serve (coordinator) and --connect (worker); default: the "
-        "REPRO_QUEUE_AUTH environment variable, or an ephemeral key for "
-        "loopback-only runs",
-    )
-    parser.add_argument(
-        "--connect",
-        type=parse_address,
-        default=None,
-        metavar="HOST:PORT",
-        help="run as a WORKER attached to the coordinator at this address "
-        "(no experiments are selected; shorthand for "
-        "'python -m repro.executor worker --connect')",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=DEFAULT_CHUNK_SIZE,
-        metavar="N",
-        help=f"queue executor only: jobs per lease (default {DEFAULT_CHUNK_SIZE})",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="queue executor only: write a resumable JSONL progress journal",
-    )
-    parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help="queue executor only: replay completed chunks from a previous "
-        "journal instead of re-running them (bit-identically)",
+        help="pool size for process/thread, at least 1 (default: CPU count)",
     )
     parser.add_argument("--base-seed", type=int, default=0, help="root seed (default: 0)")
     parser.add_argument(
@@ -148,38 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_executor(args):
     """Map the parsed CLI flags onto an Executor instance (or None)."""
-    from repro.executor import QueueExecutor, resolve_executor
+    from repro.executor import resolve_executor
 
-    name = args.executor
-    if name in (None, "serial"):
+    if args.executor in (None, "serial"):
         return None
-    if name == "queue":
-        from repro.executor.cli import load_auth_key
-
-        host, port = args.serve if args.serve is not None else ("127.0.0.1", 0)
-        return QueueExecutor(
-            n_workers=2 if args.workers is None else args.workers,
-            chunk_size=args.chunk_size,
-            host=host,
-            port=port,
-            auth_key=load_auth_key(args.auth_file) if args.auth_file else None,
-            journal=args.journal,
-            resume=args.resume,
-        )
-    return resolve_executor(name, max_workers=args.workers)
+    return resolve_executor(args.executor, max_workers=args.workers)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.connect is not None:
-        from repro.executor.cli import load_auth_key
-        from repro.executor.worker import run_worker
-
-        host, port = args.connect
-        auth_key = load_auth_key(args.auth_file) if args.auth_file else None
-        return run_worker(host, port, auth_key=auth_key)
     if args.list:
         names = list_experiments()
         width = max(len(name) for name in names)
@@ -199,7 +113,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if scenarios:
         scenarios = [get_scenario(name) for name in scenarios]
 
-    executor = _build_executor(args)
+    try:
+        executor = _build_executor(args)
+    except ValueError as exc:  # e.g. --workers 0
+        parser.error(str(exc))
     executor_name = executor.name if executor is not None else "serial"
 
     start = time.perf_counter()

@@ -10,7 +10,6 @@ without any caller-side setup.
 from __future__ import annotations
 
 import importlib
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -81,41 +80,6 @@ def list_experiments() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def _derive_journal_path(path, experiment_name: str) -> Path:
-    """Per-experiment journal path: ``run.jsonl`` -> ``run.<name>.jsonl``."""
-    path = Path(path)
-    return path.with_name(f"{path.stem}.{experiment_name}{path.suffix}")
-
-
-@contextmanager
-def _scoped_journal_paths(executor, experiment_name: str, multi: bool):
-    """Give each experiment of a multi-experiment run its own journal files.
-
-    A :class:`~repro.executor.queue.QueueExecutor` journal describes exactly
-    one job grid: sharing one path across experiments would truncate each
-    previous experiment's journal on open, and a shared ``resume`` path
-    raises :class:`~repro.executor.errors.JournalMismatchError` on the
-    second grid.  A derived ``resume`` file that does not exist (the
-    previous run crashed before reaching that experiment) simply means a
-    fresh run for that experiment.
-    """
-    journal = getattr(executor, "journal", None)
-    resume = getattr(executor, "resume", None)
-    if not multi or (journal is None and resume is None):
-        yield
-        return
-    try:
-        if journal is not None:
-            executor.journal = _derive_journal_path(journal, experiment_name)
-        if resume is not None:
-            derived = _derive_journal_path(resume, experiment_name)
-            executor.resume = derived if derived.exists() else None
-        yield
-    finally:
-        executor.journal = journal
-        executor.resume = resume
-
-
 def run_experiments(
     names: Optional[Sequence[str]] = None,
     scale="bench",
@@ -136,12 +100,8 @@ def run_experiments(
         shared by all selected experiments.
     executor:
         An :class:`~repro.executor.Executor` instance or name (``"serial"``,
-        ``"process"``, ``"thread"``, ``"queue"``) shared by every selected
-        experiment; results are bit-identical under every backend.  When a
-        :class:`~repro.executor.QueueExecutor` carrying ``journal``/``resume``
-        paths is shared by more than one experiment, each experiment reads
-        and writes its own derived file (``run.jsonl`` ->
-        ``run.<experiment>.jsonl``) — one journal describes one job grid.
+        ``"process"``, ``"thread"``) shared by every selected experiment;
+        results are bit-identical under every backend.
     scenarios:
         Scenario preset names / :class:`ScenarioSpec` instances shared by all
         selected experiments; ``None`` selects the paper configurations.
@@ -160,13 +120,11 @@ def run_experiments(
         names = list_experiments()
     scale = resolve_scale(scale)
     results: Dict[str, ExperimentResult] = {}
-    multi = len(names) > 1
     for name in names:
         experiment = get_experiment(name)
-        with _scoped_journal_paths(executor, experiment.name, multi):
-            result = experiment.run(
-                scale, scenarios=scenarios, executor=executor, base_seed=base_seed
-            )
+        result = experiment.run(
+            scale, scenarios=scenarios, executor=executor, base_seed=base_seed
+        )
         results[experiment.name] = result
         if output_dir is not None:
             path = Path(output_dir) / f"{experiment.name}_{scale.name}.json"

@@ -9,9 +9,8 @@ such as ``adc.bits``, ``device.read_noise``, ``defense.power_noise_std`` or
 scenarios differing from the base in exactly the swept field.  The
 registered :class:`SweepExperiment` fans the derived scenarios out as
 scenario x seed jobs — picklable, so the whole sweep runs under any
-:class:`~repro.executor.Executor` backend (one host's process pool or the
-distributed work queue) bit-identical to the serial path — and assembles
-per-setting curves of
+:class:`~repro.executor.Executor` backend (one host's process or thread
+pool) bit-identical to the serial path — and assembles per-setting curves of
 :func:`~repro.defenses.evaluation.leakage_correlation` and
 :func:`~repro.defenses.evaluation.single_pixel_attack_advantage` with
 mean +/- std across seeds.

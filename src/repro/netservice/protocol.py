@@ -1,13 +1,13 @@
 """JSON+binary frame body of the networked service's wire.
 
-One frame carries one request or one response.  After the shared preamble
-of :mod:`repro.utils.framing` (magic ``b"RN"``, whose length field counts
-the header only) come the header and the array bytes::
+One frame carries one request or one response.  A fixed preamble (magic
+``b"RN"``, version, and a length that counts the header only) is followed
+by the header and the array bytes::
 
-    +--------------------+---------------+
-    |   header (JSON)    |  array bytes  |
-    |   utf-8            | concatenated  |
-    +--------------------+---------------+
+    +-------+---------+----------------+---------------+---------------+
+    | magic | version |     length     | header (JSON) |  array bytes  |
+    | 2 B   | 1 byte  | uint32 big-end | utf-8         | concatenated  |
+    +-------+---------+----------------+---------------+---------------+
 
 The header is a small JSON object (request type, tenant, idempotency key,
 status, error code, ...).  ndarray payloads are **not** JSON-encoded: the
@@ -21,7 +21,9 @@ Both a blocking-socket codec (client side) and an asyncio-streams codec
 (server side) are provided over the same byte layout; every malformed or
 oversized frame raises :class:`~repro.netservice.errors.ProtocolError`, and
 a dropped blocking socket raises
-:class:`~repro.netservice.errors.ConnectionLostError`.
+:class:`~repro.netservice.errors.ConnectionLostError`.  ``socket.timeout``
+passes through the blocking codec unchanged, because the client's retry
+policy keys on it.
 """
 
 from __future__ import annotations
@@ -29,16 +31,21 @@ from __future__ import annotations
 import json
 import math
 import socket
+import struct
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.netservice.errors import ConnectionLostError, ProtocolError
-from repro.utils.framing import PREAMBLE as _PREAMBLE, Wire
 
 MAGIC = b"RN"
 PROTOCOL_VERSION = 1
-_WIRE = Wire(MAGIC, PROTOCOL_VERSION, ProtocolError, ConnectionLostError)
+
+#: magic, protocol version, announced header length.
+_PREAMBLE = struct.Struct("!2sBI")
+
+#: Largest single ``recv`` call; long frames arrive in several.
+_RECV_CHUNK = 1 << 20
 
 #: Default ceiling on one frame's total size (header + arrays).  Large
 #: enough for a few thousand coalesced float64 rows, small enough that a
@@ -94,7 +101,25 @@ def encode_frame(
     except ValueError as exc:
         raise ProtocolError(f"frame header is not finite JSON: {exc}") from None
     header_bytes = text.encode("utf-8")
-    return b"".join([_WIRE.preamble(len(header_bytes)), header_bytes] + chunks)
+    preamble = _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, len(header_bytes))
+    return b"".join([preamble, header_bytes] + chunks)
+
+
+def _check_preamble(raw: bytes, max_frame_bytes: int) -> int:
+    """Validate a received preamble and return the announced header length."""
+    magic, version, length = _PREAMBLE.unpack(raw)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"unsupported protocol version {version} (this build speaks "
+            f"{PROTOCOL_VERSION})"
+        )
+    if length > max_frame_bytes:
+        raise ProtocolError(
+            f"frame length {length} exceeds max_frame_bytes={max_frame_bytes}"
+        )
+    return length
 
 
 def _reject_constant(name: str):
@@ -183,7 +208,7 @@ async def read_frame(
     frames (zero partial bytes) from a truncated frame is left to the caller.
     """
     raw = await reader.readexactly(_PREAMBLE.size)
-    header_len = _WIRE.check_preamble(raw, max_frame_bytes)
+    header_len = _check_preamble(raw, max_frame_bytes)
     header = _decode_header(await reader.readexactly(header_len))
     parsed, total = _payload_length(header.get("arrays", []), max_frame_bytes)
     payload = await reader.readexactly(total) if total else b""
@@ -198,20 +223,47 @@ def write_frame(writer, header, arrays=None) -> None:
 # ----------------------------------------------------------- blocking codec
 
 
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+    """Read exactly ``n`` bytes from a blocking socket or raise."""
+    chunks = []
+    remaining = n
+    while remaining > 0:
+        try:
+            chunk = sock.recv(min(remaining, _RECV_CHUNK))
+        except socket.timeout:
+            raise
+        except OSError as exc:
+            raise ConnectionLostError(f"connection lost mid-frame: {exc}") from exc
+        if not chunk:
+            raise ConnectionLostError(
+                f"connection closed mid-frame ({n - remaining}/{n} bytes read)"
+            )
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
 def send_frame_sync(
     sock: socket.socket,
     header: Dict[str, Any],
     arrays: Optional[Mapping[str, np.ndarray]] = None,
 ) -> None:
     """Send one frame over a blocking socket."""
-    _WIRE.sendall(sock, encode_frame(header, arrays))
+    data = encode_frame(header, arrays)
+    try:
+        sock.sendall(data)
+    except socket.timeout:
+        raise
+    except OSError as exc:
+        raise ConnectionLostError(f"connection lost while sending: {exc}") from exc
 
 
 def read_frame_sync(
     sock: socket.socket, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ):
     """Read one frame from a blocking socket; returns ``(header, arrays)``."""
-    header = _decode_header(_WIRE.read_frame(sock, max_frame_bytes))
+    header_len = _check_preamble(_recv_exactly(sock, _PREAMBLE.size), max_frame_bytes)
+    header = _decode_header(_recv_exactly(sock, header_len))
     parsed, total = _payload_length(header.get("arrays", []), max_frame_bytes)
-    payload = _WIRE.recv_exactly(sock, total)
+    payload = _recv_exactly(sock, total)
     return _assemble(header, parsed, payload)

@@ -1,6 +1,6 @@
 """scipy stays off the runtime path.
 
-Experiment workers, queue workers and the network server are fresh
+Experiment pool workers and the network server are fresh
 interpreters, so what they import is paid on every start (time and resident
 memory).  The paper's pipeline is numpy; scipy is loaded only by figure5's
 t-test (``analysis.statistics.independent_ttest``), lazily.  Each check runs

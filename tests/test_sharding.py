@@ -754,7 +754,6 @@ class TestRegressionScriptFlags:
         assert sorted(check.DEFAULT_THRESHOLDS) == [
             "max_sharded_ratio",
             "max_tenant_overhead",
-            "min_executor_speedup",
             "min_net_speedup",
             "min_peak_speedup",
             "min_probing_speedup",

@@ -19,10 +19,7 @@ import pytest
 from repro.attacks.oracle import OracleResponse
 from repro.crossbar.power import PowerReport
 from repro.datasets import load_dataset
-from repro.executor import PoolExecutor, QueueExecutor, SerialExecutor
-from repro.executor.chunking import chunk_jobs, grid_fingerprint
-from repro.executor.errors import JournalMismatchError
-from repro.executor.journal import JournalWriter
+from repro.executor import PoolExecutor
 from repro.experiments import execute_jobs, get_experiment, get_scenario
 from repro.experiments import runner
 from repro.experiments.base import victim_grouped_order
@@ -232,33 +229,19 @@ class TestGroupedExecution:
 
     def test_serial_runs_grouped_and_returns_job_order(self):
         _, jobs = _sweep_jobs()
-        events, direct_events = [], []
-        results = execute_jobs(jobs, run_job=_recording_job, on_progress=events.append)
+        results = execute_jobs(jobs, run_job=_recording_job)
         assert [result.name for result in results] == [job.label for job in jobs]
         ran = sorted(results, key=lambda result: result.metadata["call"])
         assert [result.name for result in ran] == [
             jobs[i].label for i in victim_grouped_order(jobs)
         ]
-        SerialExecutor().submit_jobs(
-            jobs, run_job=_recording_job, on_progress=direct_events.append
-        )
-        assert [(e.kind, e.completed, e.total) for e in events] == [
-            (e.kind, e.completed, e.total) for e in direct_events
-        ]
 
     @pytest.mark.parametrize("mode", ["process", "thread"])
     def test_pool_runs_grouped_and_returns_job_order(self, mode):
         _, jobs = _sweep_jobs()
-        events = []
         executor = PoolExecutor(mode=mode, max_workers=2)
-        results = execute_jobs(
-            jobs, executor=executor, run_job=_recording_job, on_progress=events.append
-        )
+        results = execute_jobs(jobs, executor=executor, run_job=_recording_job)
         assert [result.name for result in results] == [job.label for job in jobs]
-        assert [(e.kind, e.completed, e.total) for e in events] == [
-            ("start", 0, len(jobs)),
-            ("done", len(jobs), len(jobs)),
-        ]
         by_worker = {}
         for result in sorted(results, key=lambda result: result.metadata["call"]):
             by_worker.setdefault(result.metadata["worker"], []).append(
@@ -284,54 +267,6 @@ class TestGroupedExecution:
         finally:
             sys.setswitchinterval(interval)
         _assert_same(serial, threaded)
-
-
-class TestJournalsFromUngroupedRuns:
-    """A queue journal fingerprints the grid in the order it was submitted."""
-
-    @staticmethod
-    def _old_journal(path, jobs, chunk_size=1):
-        """The journal an ungrouped submission of ``jobs`` writes."""
-        chunks = chunk_jobs(jobs, chunk_size)
-        results = SerialExecutor().submit_jobs(jobs, run_job=_recording_job)
-        with JournalWriter(
-            path,
-            fingerprint=grid_fingerprint(jobs, chunk_size),
-            total_jobs=len(jobs),
-            chunk_size=chunk_size,
-            chunk_keys=[chunk.key for chunk in chunks],
-        ) as writer:
-            for chunk in chunks:
-                writer.record_chunk(chunk, results[chunk.start : chunk.stop])
-        return results
-
-    def test_resumes_when_grouping_keeps_the_order(self, tmp_path):
-        experiment = get_experiment("table1")
-        jobs = experiment.build_jobs(
-            TINY, resolve_scenarios(["paper/mnist-linear", "paper/mnist-softmax"])
-        )
-        assert len(jobs) == 2 * TINY.n_runs
-        assert victim_grouped_order(jobs) == list(range(len(jobs)))
-        old = self._old_journal(tmp_path / "old.jsonl", jobs)
-        executor = QueueExecutor(n_workers=2, chunk_size=1, resume=tmp_path / "old.jsonl")
-        resumed = execute_jobs(jobs, executor=executor, run_job=_recording_job)
-        assert executor.stats["workers_spawned"] == 0
-        assert [r.metadata for r in resumed] == [r.metadata for r in old]
-
-    @pytest.mark.parametrize(
-        "name, base",
-        [
-            ("sweep-adc-bits", "paper/mnist-linear"),
-            ("sweep-power-noise-defense", "power-noise-defense"),
-        ],
-    )
-    def test_refuses_when_grouping_reorders(self, tmp_path, name, base):
-        _, jobs = _sweep_jobs(name, base)
-        assert victim_grouped_order(jobs) != list(range(len(jobs)))
-        self._old_journal(tmp_path / "old.jsonl", jobs)
-        executor = QueueExecutor(n_workers=2, chunk_size=1, resume=tmp_path / "old.jsonl")
-        with pytest.raises(JournalMismatchError):
-            execute_jobs(jobs, executor=executor, run_job=_recording_job)
 
 
 def _tick(tick_id, n_tiles=64):
