@@ -98,7 +98,6 @@ class PoolExecutor(Executor):
     result order.  The pool is also never wider than the job list.
     """
 
-    name = "pool"
     MODES = ("process", "thread")
 
     def __init__(self, *, mode: str = "process", max_workers: Optional[int] = None):
@@ -111,6 +110,8 @@ class PoolExecutor(Executor):
                 f"got {max_workers!r}"
             )
         self.mode = mode
+        #: The pool's mode, which is also its :func:`resolve_executor` name.
+        self.name = mode
         self.max_workers = max_workers
 
     def submit_jobs(self, jobs, *, run_job=None):

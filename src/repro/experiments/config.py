@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Tuple
 
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_known_fields, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,7 @@ class ExperimentScale:
         ``ServiceConfig.from_dict``): a typo'd field in a serialised scale
         must fail loudly, not be silently dropped.
         """
-        known = {scale_field.name for scale_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ExperimentScale fields {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        check_known_fields(payload, cls)
         kwargs = dict(payload)
         for key in ("query_counts", "attack_strengths", "power_loss_weights"):
             if key in kwargs:

@@ -157,11 +157,10 @@ def _mount_attack(scenario: ScenarioSpec, scale: ExperimentScale, seed: int):
     """Train the victim, run one co-residency round, score the recovery.
 
     Returns ``(model, metrics)`` with every scalar the main experiment and
-    the tenant sweeps report.  The oracle is built directly (not through the
-    scenario's :class:`~repro.service.facade.BatchingOracle` wrapper)
-    because the job drives the :class:`QueryService` itself — the two-tenant
-    traffic pattern *is* the experiment; per-tile power is exposed whenever
-    the scenario shards layers onto tile banks.
+    the tenant sweeps report.  The job drives the :class:`QueryService`
+    itself, under the scenario's :attr:`~ScenarioSpec.service` policy — the
+    two-tenant traffic pattern *is* the experiment; per-tile power is
+    exposed whenever the scenario shards layers onto tile banks.
     """
     from repro.attacks.oracle import Oracle
 

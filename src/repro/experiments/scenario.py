@@ -42,6 +42,7 @@ from repro.nn.metrics import accuracy
 from repro.service.config import ServiceConfig
 from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
+from repro.utils.validation import check_known_fields
 
 _DEVICES: Dict[str, NVMDeviceModel] = {
     "ideal": IDEAL_DEVICE,
@@ -148,12 +149,13 @@ class ScenarioSpec:
         placement, so this axis sweeps tile geometry without changing any
         result — until non-idealities or per-tile observables enter.
     service:
-        Optional :class:`~repro.service.config.ServiceConfig`: attacker
-        queries are then driven through the async coalescing query service
-        (:meth:`build_oracle` wraps the oracle in a
-        :class:`~repro.service.facade.BatchingOracle`).  The service changes
-        *how* queries reach the hardware — never the physics — and serviced
-        responses are bit-identical to direct seeded queries.
+        Optional :class:`~repro.service.config.ServiceConfig`: the batching
+        policy of the :class:`~repro.service.coalescer.QueryService` that the
+        ``service-attack`` and ``cross-tenant-attack`` experiments build in
+        front of this scenario's oracle (``None`` there means the default
+        policy).  It changes *how* queries reach the hardware — never the
+        physics — and serviced responses are bit-identical to direct seeded
+        queries.  :meth:`build_oracle` ignores it.
     description:
         One-line human-readable summary for listings.
     """
@@ -283,14 +285,8 @@ class ScenarioSpec:
         :meth:`ServiceConfig.from_dict`): a typo'd knob in a serialised
         scenario must fail loudly, not be silently dropped.
         """
+        check_known_fields(payload, cls)
         kwargs = dict(payload)
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ScenarioSpec fields {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
         nonidealities = kwargs.get("nonidealities")
         if isinstance(nonidealities, dict):
             kwargs["nonidealities"] = NonidealityConfig(**nonidealities)
@@ -414,11 +410,9 @@ class ScenarioSpec:
     ):
         """The attacker's query interface to ``target``.
 
-        Builds an :class:`~repro.attacks.oracle.Oracle` with this scenario's
-        instrument noise; when :attr:`service` is set, wraps it in a
-        :class:`~repro.service.facade.BatchingOracle` so queries are
-        coalesced by the async service (the caller should ``close()`` the
-        facade, or use it as a context manager).
+        An :class:`~repro.attacks.oracle.Oracle` with this scenario's
+        instrument noise, for every scenario: :attr:`service` does not
+        change it.
         """
         from repro.attacks.oracle import Oracle
 
@@ -428,18 +422,13 @@ class ScenarioSpec:
             kwargs["random_state"] = np.random.default_rng(
                 [int(random_state) & 0xFFFFFFFF, 0x0AC]
             )
-        oracle = Oracle(
+        return Oracle(
             target,
             output_mode=output_mode,
             expose_power=expose_power,
             expose_per_tile_power=expose_per_tile_power,
             **kwargs,
         )
-        if self.service is None:
-            return oracle
-        from repro.service import BatchingOracle
-
-        return BatchingOracle(oracle, self.service)
 
     def build_prober(self, target, n_features: int, *, random_state: int) -> ColumnNormProber:
         """The attacker's probing stack against ``target``.

@@ -54,15 +54,14 @@ async def _serviced_probe(oracle, basis: np.ndarray, config: ServiceConfig):
 def _run_service_job(job: Job) -> RunResult:
     scenario, scale, seed = job.scenario, job.scale, job.seed
     config = scenario.service if scenario.service is not None else ServiceConfig()
-    direct_spec = scenario.with_overrides(service=None)
 
     dataset = prepare_dataset(scenario.dataset, scale, random_state=seed)
     model = scenario.build_victim(dataset, scale, random_state=seed)
     # Two identically-built victims: one behind the service, one direct.
     target_service = scenario.build_accelerator(model.network, random_state=seed)
     target_direct = scenario.build_accelerator(model.network, random_state=seed)
-    oracle_service = direct_spec.build_oracle(target_service, random_state=seed)
-    oracle_direct = direct_spec.build_oracle(target_direct, random_state=seed)
+    oracle_service = scenario.build_oracle(target_service, random_state=seed)
+    oracle_direct = scenario.build_oracle(target_direct, random_state=seed)
 
     basis = np.eye(dataset.n_features)
     responses, seeds, stats = asyncio.run(

@@ -45,6 +45,7 @@ from repro.experiments.reporting import format_curves_with_spread
 from repro.experiments.runner import prepare_dataset
 from repro.experiments.scenario import ScenarioSpec, get_scenario
 from repro.utils.results import RunResult
+from repro.utils.validation import check_known_fields
 
 #: Reader-friendly knob names (the paper's vocabulary) mapped onto
 #: :class:`ScenarioSpec` field paths.  Any field path is accepted directly;
@@ -231,13 +232,7 @@ class SweepSpec:
         ``ServiceConfig.from_dict``): a typo'd sweep-knob key must fail
         loudly, not be silently dropped.
         """
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown SweepSpec fields {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        check_known_fields(payload, cls)
         return cls(
             name=str(payload["name"]),
             base=ScenarioSpec.from_dict(payload["base"]),

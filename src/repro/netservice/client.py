@@ -1,9 +1,11 @@
 """Synchronous client of the networked query service.
 
-:class:`NetClient` mirrors the in-process facade
-(:class:`~repro.service.facade.BatchingOracle`): a plain blocking ``query``
-call, one logical request per call, while the server coalesces rows from
-every connected client into shared fused traversals.
+:class:`NetClient` is the synchronous front end of the coalescing service:
+a plain blocking ``query`` call, one logical request per call, like
+:meth:`~repro.attacks.oracle.Oracle.query`, while the server coalesces rows
+from every connected client into shared fused traversals.  Threads of one
+process that want coalesced queries each hold a client of one
+:func:`~repro.netservice.server.serve_in_thread` server.
 
 Fault tolerance is the client's whole job:
 

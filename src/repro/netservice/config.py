@@ -15,11 +15,12 @@ one object configures both sides of the wire, so presets stay coherent.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.service.config import ServiceConfig
 from repro.utils.validation import (
+    check_known_fields,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -61,13 +62,7 @@ class TenantConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TenantConfig":
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown TenantConfig fields {unknown}; expected a subset "
-                f"of {sorted(known)}"
-            )
+        check_known_fields(payload, cls)
         return cls(**dict(payload))
 
 
@@ -185,13 +180,7 @@ class NetServiceConfig:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "NetServiceConfig":
         """Strict inverse of :meth:`to_dict`; unknown keys raise."""
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown NetServiceConfig fields {unknown}; expected a "
-                f"subset of {sorted(known)}"
-            )
+        check_known_fields(payload, cls)
         kwargs = dict(payload)
         if isinstance(kwargs.get("service"), Mapping):
             kwargs["service"] = ServiceConfig.from_dict(kwargs["service"])

@@ -20,7 +20,8 @@ Terminal
     tenant's query budget is spent — re-raised as the same type the direct
     path raises, so attack code handles both identically), and
     :class:`~repro.service.errors.ServiceClosedError` (the *local* handle
-    was closed — shared with the in-process facades).
+    was closed — shared with the in-process
+    :class:`~repro.service.coalescer.QueryService`).
 """
 
 from __future__ import annotations

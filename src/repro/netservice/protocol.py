@@ -140,8 +140,14 @@ def _decode_header(raw: bytes) -> Dict[str, Any]:
     return header
 
 
-def _payload_length(descriptors, max_frame_bytes: int) -> Tuple[list, int]:
-    """Validate the descriptor list and return its total payload byte count."""
+def _payload_length(
+    descriptors, header_len: int, max_frame_bytes: int
+) -> Tuple[list, int]:
+    """Validate the descriptor list and return its total payload byte count.
+
+    The payload is bounded by what ``max_frame_bytes`` leaves after the
+    ``header_len`` header bytes, so the whole frame stays within it.
+    """
     if not isinstance(descriptors, list):
         raise ProtocolError("frame 'arrays' entry must be a list")
     total = 0
@@ -171,9 +177,10 @@ def _payload_length(descriptors, max_frame_bytes: int) -> Tuple[list, int]:
         # tiny nbytes.
         nbytes = np.dtype(dtype).itemsize * math.prod(shape)
         total += nbytes
-        if total > max_frame_bytes:
+        if header_len + total > max_frame_bytes:
             raise ProtocolError(
-                f"frame payload exceeds max_frame_bytes={max_frame_bytes}"
+                f"frame header ({header_len} B) plus payload (at least "
+                f"{total} B) exceeds max_frame_bytes={max_frame_bytes}"
             )
         parsed.append((name, dtype, shape, nbytes))
     return parsed, total
@@ -210,7 +217,9 @@ async def read_frame(
     raw = await reader.readexactly(_PREAMBLE.size)
     header_len = _check_preamble(raw, max_frame_bytes)
     header = _decode_header(await reader.readexactly(header_len))
-    parsed, total = _payload_length(header.get("arrays", []), max_frame_bytes)
+    parsed, total = _payload_length(
+        header.get("arrays", []), header_len, max_frame_bytes
+    )
     payload = await reader.readexactly(total) if total else b""
     return _assemble(header, parsed, payload)
 
@@ -264,6 +273,8 @@ def read_frame_sync(
     """Read one frame from a blocking socket; returns ``(header, arrays)``."""
     header_len = _check_preamble(_recv_exactly(sock, _PREAMBLE.size), max_frame_bytes)
     header = _decode_header(_recv_exactly(sock, header_len))
-    parsed, total = _payload_length(header.get("arrays", []), max_frame_bytes)
+    parsed, total = _payload_length(
+        header.get("arrays", []), header_len, max_frame_bytes
+    )
     payload = _recv_exactly(sock, total)
     return _assemble(header, parsed, payload)

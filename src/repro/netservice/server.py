@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
@@ -61,7 +62,6 @@ from repro.netservice.protocol import (
     read_frame,
 )
 from repro.service.coalescer import QueryService
-from repro.service.facade import LoopRuntime
 
 #: Tenant name used when a request frame does not carry one.
 DEFAULT_TENANT = "default"
@@ -662,19 +662,26 @@ class NetworkQueryService:
 class ServerHandle:
     """A running :class:`NetworkQueryService` on a private event-loop thread.
 
-    The synchronous analogue of the service facade, built on the same
-    :class:`~repro.service.facade.LoopRuntime`, for tests, benchmarks and
-    the CLI demo: ``address`` is connectable immediately, ``close()`` drains
-    gracefully (idempotent and thread-safe).  All interaction with the
-    server object hops through its loop, so cross-thread use is safe.
+    The synchronous front end for tests, benchmarks and the CLI demo:
+    ``address`` is connectable immediately, ``close()`` drains gracefully
+    (idempotent and thread-safe).  All interaction with the server object
+    hops through its loop, so cross-thread use is safe.
     """
 
     def __init__(self, oracle, config: Optional[NetServiceConfig] = None):
-        self._runtime = LoopRuntime(
-            NetworkQueryService(oracle, config), name="repro-netservice"
+        self.loop = asyncio.new_event_loop()
+        self.server = NetworkQueryService(oracle, config)
+        self._closed = False
+        self._close_lock = threading.Lock()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name="repro-netservice", daemon=True
         )
-        self.loop = self._runtime.loop
-        self.server = self._runtime.service
+        self._thread.start()
+        self.call(self.server.start())
+
+    def call(self, coro):
+        """Run ``coro`` on the server's loop and block for its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -684,13 +691,13 @@ class ServerHandle:
         async def snapshot():
             return self.server.stats()
 
-        return self._runtime.call(snapshot())
+        return self.call(snapshot())
 
     def service_stats(self) -> Dict[str, Any]:
         async def snapshot():
             return self.server.service.stats.to_dict()
 
-        return self._runtime.call(snapshot())
+        return self.call(snapshot())
 
     def pause_scheduling(self) -> None:
         self.loop.call_soon_threadsafe(self.server.pause_scheduling)
@@ -707,8 +714,19 @@ class ServerHandle:
         self.loop.call_soon_threadsafe(arm)
 
     def close(self) -> None:
-        """Drain and stop the server and its loop thread (idempotent)."""
-        self._runtime.close()
+        """Drain and stop the server, then its loop and thread (idempotent)."""
+        # Race-safe: the first caller drains and tears down, every later
+        # (or concurrent) caller returns once teardown is done.
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+            if not self._thread.is_alive():
+                return
+            self.call(self.server.stop())
+            self.loop.call_soon_threadsafe(self.loop.stop)
+            self._thread.join()
+            self.loop.close()
 
     def __enter__(self) -> "ServerHandle":
         return self

@@ -12,9 +12,9 @@ into fused traversals.  This package provides:
   fused ``Oracle.query`` traversal, and per-request response slices are
   scattered back to the awaiting futures.  Every response carries the
   supply-current reading (``power``) the side-channel attacks use.
-* :class:`~repro.service.facade.BatchingOracle` — a synchronous drop-in
-  :class:`~repro.attacks.oracle.Oracle` front-end for existing attacks,
-  running the service on a private event-loop thread.
+  Synchronous callers reach it over
+  :func:`~repro.netservice.server.serve_in_thread` and
+  :class:`~repro.netservice.client.NetClient`.
 * :class:`~repro.service.config.ServiceConfig` — the frozen batching policy,
   embeddable in :class:`~repro.experiments.scenario.ScenarioSpec` presets.
 
@@ -29,10 +29,8 @@ coalesced, or through the synchronous path (see
 from repro.service.config import PLACEMENT_POLICIES, ServiceConfig
 from repro.service.coalescer import QueryService, ServiceStats, TickTrace
 from repro.service.errors import ServiceClosedError
-from repro.service.facade import BatchingOracle
 
 __all__ = [
-    "BatchingOracle",
     "PLACEMENT_POLICIES",
     "QueryService",
     "ServiceClosedError",

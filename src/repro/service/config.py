@@ -7,10 +7,14 @@ object — the same design as :class:`~repro.experiments.scenario.ScenarioSpec`
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping
 
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import (
+    check_known_fields,
+    check_non_negative,
+    check_positive_int,
+)
 
 #: Tick-placement policies understood by the coalescer.
 #:
@@ -108,13 +112,7 @@ class ServiceConfig:
         strictness.  Missing keys keep their defaults, so older payloads
         stay loadable.
         """
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ServiceConfig fields {unknown}; expected a subset "
-                f"of {sorted(known)}"
-            )
+        check_known_fields(payload, cls)
         kwargs: Dict[str, Any] = {}
         if "max_batch" in payload:
             kwargs["max_batch"] = int(payload["max_batch"])

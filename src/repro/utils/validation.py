@@ -6,7 +6,8 @@ API boundaries rather than deep inside numerical code.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import fields
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -111,3 +112,18 @@ def check_non_negative_int(value: int, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return int(value)
+
+
+def check_known_fields(payload: Mapping, cls) -> None:
+    """Reject keys of ``payload`` that are not fields of dataclass ``cls``.
+
+    The strict half of every ``from_dict``: a typo'd key in a serialised
+    config must fail loudly, not be silently dropped.
+    """
+    known = {spec_field.name for spec_field in fields(cls)}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} fields {unknown}; "
+            f"expected a subset of {sorted(known)}"
+        )

@@ -122,6 +122,14 @@ class TestPoolWorkers:
         assert info.value.code == 2
         assert "max_workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_cli_summary_names_the_chosen_executor(self, name, monkeypatch, capsys):
+        from repro.experiments import cli
+
+        monkeypatch.setattr(cli, "run_experiments", lambda *args, **kwargs: {})
+        assert cli.main(["figure3", "--executor", name, "--workers", "1"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"({name} executor)")
+
     def test_cli_help_states_the_real_default(self):
         from repro.experiments.cli import build_parser
 

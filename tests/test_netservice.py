@@ -15,6 +15,7 @@ The acceptance properties:
 """
 
 import asyncio
+import concurrent.futures
 import json
 import socket
 import threading
@@ -129,7 +130,7 @@ MALFORMED_FRAMES = {
 }
 
 
-def _read_sync(frame: bytes):
+def _read_sync(frame: bytes, **kwargs):
     left, right = socket.socketpair()
 
     def send():
@@ -141,7 +142,7 @@ def _read_sync(frame: bytes):
     sender = threading.Thread(target=send, daemon=True)
     sender.start()
     try:
-        return read_frame_sync(right)
+        return read_frame_sync(right, **kwargs)
     finally:
         right.close()
         sender.join(timeout=10)
@@ -149,12 +150,12 @@ def _read_sync(frame: bytes):
         assert not sender.is_alive(), "sender thread hung"
 
 
-def _read_async(frame: bytes):
+def _read_async(frame: bytes, **kwargs):
     async def run():
         reader = asyncio.StreamReader()
         reader.feed_data(frame)
         reader.feed_eof()
-        return await read_frame(reader)
+        return await read_frame(reader, **kwargs)
 
     return asyncio.run(run())
 
@@ -215,6 +216,20 @@ class TestProtocol:
         finally:
             left.close()
             right.close()
+
+    def test_header_and_payload_share_one_ceiling(self):
+        """max_frame_bytes bounds header + arrays together, in both codecs:
+        a ~600 B header with ~600 B of inputs is refused at 1000."""
+        frame = encode_frame({"type": "query", "pad": "x" * 560}, {"inputs": np.zeros(75)})
+        body = len(frame) - _PREAMBLE.size
+        assert body > 1000
+        for read in (_read_sync, _read_async):
+            with pytest.raises(ProtocolError, match="max_frame_bytes"):
+                read(frame, max_frame_bytes=1000)
+            with pytest.raises(ProtocolError, match="max_frame_bytes"):
+                read(frame, max_frame_bytes=body - 1)
+            _, arrays = read(frame, max_frame_bytes=body)
+            np.testing.assert_array_equal(arrays["inputs"], np.zeros(75))
 
     def test_non_wire_dtype_rejected_at_encode(self):
         with pytest.raises(ProtocolError, match="dtype"):
@@ -632,7 +647,7 @@ class TestBackpressureAndDrain:
                             for state in handle.server._tenants.values()
                         )
 
-                    return handle._runtime.call(count())
+                    return handle.call(count())
 
                 deadline = time.time() + 5
                 while admitted() < 2 and time.time() < deadline:
@@ -722,7 +737,7 @@ class TestBackpressureAndDrain:
             async def hold_window():
                 await handle.server._window.acquire()
 
-            handle._runtime.call(hold_window())
+            handle.call(hold_window())
             send_frame_sync(
                 sock,
                 {"type": "query", "tenant": "stuck", "key": "window-1"},
@@ -809,6 +824,26 @@ class TestBackpressureAndDrain:
                 assert header["status"] == "ok"
             finally:
                 sock.close()
+
+
+class TestServerHandle:
+    """The synchronous handle's teardown: idempotent and race-safe."""
+
+    def test_close_is_idempotent(self):
+        handle = serve_in_thread(_oracle("paper/mnist-softmax"), _config())
+        with NetClient(handle.address, config=_config()) as client:
+            client.query(np.ones((1, N_FEATURES)))
+        handle.close()
+        handle.close()
+        assert handle.loop.is_closed()
+
+    def test_concurrent_close_from_many_threads(self):
+        handle = serve_in_thread(_oracle("paper/mnist-softmax"), _config())
+        with NetClient(handle.address, config=_config()) as client:
+            client.query(np.ones((1, N_FEATURES)))
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            list(pool.map(lambda _: handle.close(), range(8)))
+        assert handle.loop.is_closed()
 
 
 class TestNetServiceConfig:

@@ -1,15 +1,13 @@
-"""Tests for repro.service: coalescing, equivalence, facade, error paths.
+"""Tests for repro.service: coalescing, equivalence, error paths.
 
 The acceptance property — coalesced service responses are bit-identical to
 per-request synchronous queries — is asserted for **every registered scenario
 preset** against the scenario's own hardware stack, plus the service
 machinery itself: tick formation, backpressure, shared-bus error semantics,
-query accounting, and the synchronous facade.
+query accounting, and the plain oracle every scenario builds.
 """
 
 import asyncio
-import concurrent.futures
-import threading
 import time
 
 import numpy as np
@@ -19,12 +17,7 @@ from repro.attacks.oracle import Oracle
 from repro.experiments.scenario import SCENARIOS, list_scenarios
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
-from repro.service import (
-    BatchingOracle,
-    QueryService,
-    ServiceClosedError,
-    ServiceConfig,
-)
+from repro.service import QueryService, ServiceClosedError, ServiceConfig
 from repro.sidechannel.measurement import PowerMeasurement, QueryBudgetExceeded
 
 pytestmark = pytest.mark.service
@@ -426,80 +419,12 @@ class TestServiceMechanics:
         assert service.stats.max_tick_rows <= 2
 
 
-class TestBatchingOracleFacade:
-    """The sync drop-in front-end existing attacks can use unchanged."""
-
-    def test_sequential_queries_match_direct(self):
-        requests = _requests()
-        with BatchingOracle(
-            _oracle("service-noisy-device"), ServiceConfig(max_wait_ms=0)
-        ) as facade:
-            responses = [facade.query(request) for request in requests]
-            seeds = [
-                facade.service.seeds_for(i, len(request))
-                for i, request in enumerate(requests)
-            ]
-        direct = _oracle("service-noisy-device")
-        for request, response, request_seeds in zip(requests, responses, seeds):
-            reference = direct.query(request, seeds=request_seeds)
-            np.testing.assert_array_equal(response.outputs, reference.outputs)
-            np.testing.assert_array_equal(response.power, reference.power)
-
-    def test_concurrent_threads_coalesce_and_get_their_own_rows(self):
-        requests = _requests((1,) * 16)
-        barrier = threading.Barrier(8)
-        facade = BatchingOracle(
-            _oracle("paper/mnist-softmax"),
-            ServiceConfig(max_batch=16, max_wait_ms=20),
-        )
-
-        def client(request):
-            barrier.wait()
-            return facade.query(request)
-
-        try:
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                responses = list(pool.map(client, requests[:8]))
-            for request, response in zip(requests[:8], responses):
-                np.testing.assert_array_equal(response.queries, request)
-            assert facade.stats.coalescing_factor > 1.0
-        finally:
-            facade.close()
-
-    def test_oracle_surface_passthroughs(self):
-        oracle = _oracle("paper/mnist-softmax")
-        with BatchingOracle(oracle) as facade:
-            assert facade.n_outputs == N_CLASSES
-            assert facade.output_mode == "raw"
-            facade.query(np.ones((2, N_FEATURES)))
-            assert facade.queries_used == 2
-            facade.reset_counter()
-            assert facade.queries_used == 0
-            labels = facade.predict_labels(np.ones((3, N_FEATURES)))
-            assert labels.shape == (3,)
-            assert facade.queries_used == 0  # evaluation helpers are free
-
-    def test_close_is_idempotent(self):
-        facade = BatchingOracle(_oracle("paper/mnist-softmax"))
-        facade.query(np.ones((1, N_FEATURES)))
-        facade.close()
-        facade.close()
-
-    def test_submit_after_close_raises_typed_error(self):
-        facade = BatchingOracle(_oracle("paper/mnist-softmax"))
-        assert not facade.closed
-        facade.query(np.ones((1, N_FEATURES)))
-        facade.close()
-        assert facade.closed
-        with pytest.raises(ServiceClosedError, match="has been closed"):
-            facade.query(np.ones((1, N_FEATURES)))
-
-    def test_concurrent_close_from_many_threads(self):
-        facade = BatchingOracle(_oracle("paper/mnist-softmax"))
-        facade.query(np.ones((1, N_FEATURES)))
-        with concurrent.futures.ThreadPoolExecutor(4) as pool:
-            list(pool.map(lambda _: facade.close(), range(8)))
-        assert facade.closed
+@pytest.mark.parametrize("name", list_scenarios())
+def test_build_oracle_returns_a_plain_oracle(name):
+    """Every scenario, service presets included, hands attackers an Oracle;
+    coalescing is the job of a QueryService the experiment builds."""
+    oracle = SCENARIOS[name].build_oracle(_target(name), random_state=0)
+    assert type(oracle) is Oracle
 
 
 class TestServiceRegressionGate:

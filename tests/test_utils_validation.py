@@ -1,11 +1,15 @@
 """Tests for repro.utils.validation."""
 
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.utils.validation import (
     check_array,
     check_in_range,
+    check_known_fields,
     check_matrix,
     check_non_negative,
     check_non_negative_int,
@@ -116,3 +120,23 @@ class TestScalarChecks:
 
     def test_numpy_integers_accepted(self):
         assert check_positive_int(np.int64(4), "n") == 4
+
+
+@dataclass
+class _Knobs:
+    beta: int = 0
+    alpha: int = 0
+
+
+class TestCheckKnownFields:
+    def test_accepts_any_subset_of_the_fields(self):
+        check_known_fields({}, _Knobs)
+        check_known_fields({"alpha": 1, "beta": 2}, _Knobs)
+
+    def test_names_the_unknown_and_the_accepted_keys(self):
+        message = (
+            "unknown _Knobs fields ['gamma', 'zeta']; "
+            "expected a subset of ['alpha', 'beta']"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_known_fields({"zeta": 0, "alpha": 1, "gamma": 2}, _Knobs)
