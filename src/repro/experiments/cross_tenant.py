@@ -159,18 +159,18 @@ def _mount_attack(scenario: ScenarioSpec, scale: ExperimentScale, seed: int):
     Returns ``(model, metrics)`` with every scalar the main experiment and
     the tenant sweeps report.  The job drives the :class:`QueryService`
     itself, under the scenario's :attr:`~ScenarioSpec.service` policy — the
-    two-tenant traffic pattern *is* the experiment; per-tile power is
-    exposed whenever the scenario shards layers onto tile banks.
+    two-tenant traffic pattern *is* the experiment.  The served oracle is
+    :meth:`~ScenarioSpec.build_oracle`'s, with the scenario's instrument
+    noise; per-tile power is exposed whenever the scenario shards layers
+    onto tile banks.
     """
-    from repro.attacks.oracle import Oracle
-
     config = scenario.service if scenario.service is not None else ServiceConfig()
     dataset = prepare_dataset(scenario.dataset, scale, random_state=seed)
     model = scenario.build_victim(dataset, scale, random_state=seed)
     target = scenario.build_accelerator(model.network, random_state=seed)
-    oracle = Oracle(
+    oracle = scenario.build_oracle(
         target,
-        expose_power=True,
+        random_state=seed,
         expose_per_tile_power=scenario.sharding is not None,
     )
 

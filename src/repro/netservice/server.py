@@ -5,13 +5,19 @@ many independent client processes into one in-process
 :class:`~repro.service.coalescer.QueryService`, so every connected tenant
 shares the same simulated accelerator — and the same fused traversals.
 
-The pipeline, per request frame::
+The pipeline, per query frame::
 
     read_frame -> admission (tenant lookup, idempotency dedup)
                -> per-tenant FIFO queue
                -> weighted-fair scheduler (budget charge)
-               -> QueryService.submit_traced  (coalesced into shared ticks)
-               -> response frame (request_id + base_seed for bit-exact replay)
+               -> QueryService.enqueue  (coalesced into shared ticks)
+               -> tick done-callback (stats, idempotency cache, refund)
+               -> reply done-callback: response frame (request_id + base_seed
+                  for bit-exact replay)
+
+Admission and both callbacks are synchronous: a query holds no task of its
+own between its frame and its tick, only futures.  Hello, ping and stats
+frames are answered inline.
 
 Design points, each carrying one acceptance criterion:
 
@@ -31,8 +37,10 @@ Design points, each carrying one acceptance criterion:
   idempotency key, so a client retry after a lost response is answered from
   cache and never charged twice.
 * **Backpressure** — at most ``max_inflight_per_connection`` pipelined
-  frames are admitted per connection; beyond that the server simply stops
-  reading the socket and the kernel buffers push back to the client.
+  frames are admitted per connection, and a connection whose replies pile
+  up unread (its transport above the write high-water mark) is not read
+  again until they drain; either way the server simply stops reading the
+  socket and the kernel buffers push back to the client.
 * **Graceful drain** — ``stop()`` stops accepting, fails every queued
   request with a typed ``service-closed`` error (never a hang), lets
   in-flight ticks finish, and only then closes transports.
@@ -45,6 +53,7 @@ import math
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -181,12 +190,23 @@ class _TenantState:
 
 
 class _Connection:
-    """Per-connection plumbing: serialised writes, bounded pipelining."""
+    """Per-connection plumbing: one writer, bounded pipelining.
+
+    Replies are written whole by callbacks on the loop thread, so frames
+    never interleave; ``inflight`` counts the frames awaiting a reply.
+    """
 
     def __init__(self, writer: asyncio.StreamWriter, max_inflight: int):
         self.writer = writer
         self.inflight = asyncio.Semaphore(max_inflight)
-        self.write_lock = asyncio.Lock()
+
+
+def _draining() -> ServiceUnavailableError:
+    """The typed error of a query the drain turned away uncharged."""
+    return ServiceUnavailableError(
+        "server is draining for shutdown; the request was not charged — "
+        "retry against the restarted service"
+    )
 
 
 def _json_safe_metadata(metadata: dict) -> dict:
@@ -250,8 +270,11 @@ class NetworkQueryService:
         self._closing = False
         self._started = False
         self._connections: Set[_Connection] = set()
-        self._dispatch_tasks: Set[asyncio.Task] = set()
-        self._serve_tasks: Set[asyncio.Task] = set()
+        #: Admitted queries whose reply is not yet written; ``_answered`` is
+        #: set whenever this is zero (what :meth:`stop` waits for).
+        self._unanswered = 0
+        self._answered = asyncio.Event()
+        self._answered.set()
         self._stopped_event = asyncio.Event()
         #: Recent (tenant, rows) dispatch order — what the fairness tests
         #: and the demo inspect.
@@ -306,24 +329,17 @@ class NetworkQueryService:
         except asyncio.CancelledError:
             pass
         # Everything still queued gets the typed drain error.
-        drain_error = ServiceUnavailableError(
-            "server is draining for shutdown; the request was not charged — "
-            "retry against the restarted service"
-        )
         for state in self._tenants.values():
             while state.queue:
                 request = state.queue.popleft()
                 state.inflight.pop(request.key, None)
-                if not request.future.done():
-                    request.future.set_exception(drain_error)
-        # In-flight ticks finish (the coalescer never strands a tick) ...
+                request.future.set_exception(_draining())
+        # In-flight ticks finish (the coalescer never strands a tick) and
+        # their done-callbacks settle the dispatched queries ...
         await self.service.stop()
-        if self._dispatch_tasks:
-            await asyncio.gather(*self._dispatch_tasks, return_exceptions=True)
-        # ... and their responses (plus the drain errors) flush out before
-        # the transports close.
-        if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks, return_exceptions=True)
+        # ... and every admitted query's reply (drain errors included) is
+        # written before the transports close.
+        await self._answered.wait()
         # Transports close *before* wait_closed(): on 3.12+ wait_closed()
         # blocks until every connection handler returns, and the handlers
         # are blocked in read_frame() until their transport dies.
@@ -397,67 +413,90 @@ class NetworkQueryService:
                 self._work.clear()
                 continue
             request = state.queue.popleft()
-            if request.future.done():  # already failed/abandoned
-                state.inflight.pop(request.key, None)
-                self._window.release()
-                continue
             self._vclock = max(self._vclock, state.vtime)
             state.vtime += request.rows / state.policy.weight
             self.dispatch_log.append((state.policy.name, request.rows))
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch(state, request)
+            charged = False
+            try:
+                self._check_dispatch(state, request)
+                state.stats.rows_charged += request.rows
+                charged = True
+                # Awaits only the coalescer's max_pending backpressure.  The
+                # tenant identity rides into the coalescer with the request,
+                # so the tick-placement policy and the rail ledger see *who*
+                # submitted every row — not just that some row arrived.
+                request_id, future = await self.service.enqueue(
+                    request.inputs,
+                    on_dispatch=state.stats.record_tick,
+                    tenant=state.policy.name,
+                )
+            except asyncio.CancelledError:
+                # stop() cancelled us before the request was queued.
+                self._settle(state, request, error=_draining(), refund=charged)
+                raise
+            except Exception as exc:
+                self._settle(state, request, error=exc, refund=charged)
+                continue
+            future.add_done_callback(
+                partial(self._complete, state, request, request_id)
             )
-            self._dispatch_tasks.add(task)
-            task.add_done_callback(self._dispatch_tasks.discard)
 
-    async def _dispatch(self, state: _TenantState, request: _QueuedRequest) -> None:
-        charged = False
-        try:
-            if self._closing:
-                raise ServiceUnavailableError(
-                    "server is draining for shutdown; the request was not "
-                    "charged — retry against the restarted service"
-                )
-            shape = request.inputs.shape
-            if request.inputs.ndim != 2 or shape[1] != self._n_inputs:
-                # Fails here, alone: fused into a tick, the mismatch would
-                # fail every other tenant's batch-mates with it.
-                raise ValueError(
-                    f"expected (rows, {self._n_inputs}) inputs, got shape {shape}"
-                )
-            budget = state.policy.query_budget
-            if budget is not None and state.stats.rows_charged + request.rows > budget:
-                raise QueryBudgetExceeded(
-                    f"tenant {state.policy.name!r}: request of {request.rows} "
-                    f"rows would exceed the query budget of {budget} "
-                    f"(already charged {state.stats.rows_charged})"
-                )
-            state.stats.rows_charged += request.rows
-            charged = True
-            # The tenant identity rides into the coalescer with the request,
-            # so the tick-placement policy and the rail ledger see *who*
-            # submitted every row — not just that some row arrived.
-            request_id, result = await self.service.submit_traced(
-                request.inputs,
-                on_dispatch=state.stats.record_tick,
-                tenant=state.policy.name,
+    def _check_dispatch(self, state: _TenantState, request: _QueuedRequest) -> None:
+        """Raise for a query that must fail alone, before it is charged."""
+        if self._closing:
+            raise _draining()
+        shape = request.inputs.shape
+        if request.inputs.ndim != 2 or shape[1] != self._n_inputs:
+            # Fails here, alone: fused into a tick, the mismatch would fail
+            # every other tenant's batch-mates with it.
+            raise ValueError(
+                f"expected (rows, {self._n_inputs}) inputs, got shape {shape}"
             )
-            state.stats.n_requests += 1
-            state.stats.rows_served += request.rows
-            response = self._encode_result(request_id, result)
-            state.remember(request.key, response)
-            state.inflight.pop(request.key, None)
-            if not request.future.done():
-                request.future.set_result(response)
+        budget = state.policy.query_budget
+        if budget is not None and state.stats.rows_charged + request.rows > budget:
+            raise QueryBudgetExceeded(
+                f"tenant {state.policy.name!r}: request of {request.rows} "
+                f"rows would exceed the query budget of {budget} "
+                f"(already charged {state.stats.rows_charged})"
+            )
+
+    def _complete(
+        self,
+        state: _TenantState,
+        request: _QueuedRequest,
+        request_id: int,
+        future: asyncio.Future,
+    ) -> None:
+        """Done-callback of a dispatched query's coalescer future."""
+        try:
+            response = self._encode_result(request_id, future.result())
         except Exception as exc:
+            self._settle(state, request, error=exc, refund=True)
+            return
+        state.stats.n_requests += 1
+        state.stats.rows_served += request.rows
+        state.remember(request.key, response)
+        self._settle(state, request, response=response)
+
+    def _settle(
+        self,
+        state: _TenantState,
+        request: _QueuedRequest,
+        *,
+        response: Optional[Tuple[dict, dict]] = None,
+        error: Optional[BaseException] = None,
+        refund: bool = False,
+    ) -> None:
+        """Resolve a popped query and give its dispatch window slot back."""
+        if refund:
             # Failed work charges nothing (shared-bus semantics end to end).
-            if charged:
-                state.stats.rows_charged -= request.rows
-            state.inflight.pop(request.key, None)
-            if not request.future.done():
-                request.future.set_exception(exc)
-        finally:
-            self._window.release()
+            state.stats.rows_charged -= request.rows
+        state.inflight.pop(request.key, None)
+        if error is None:
+            request.future.set_result(response)
+        else:
+            request.future.set_exception(error)
+        self._window.release()
 
     # ------------------------------------------------------------- requests
 
@@ -480,7 +519,13 @@ class NetworkQueryService:
             arrays["per_tile_power"] = result.per_tile_power
         return header, arrays
 
-    async def _handle_query(self, header: dict, arrays: dict) -> Tuple[dict, dict]:
+    def _admit_query(self, header: dict, arrays: dict) -> asyncio.Future:
+        """Admit one query frame; return the future of its response.
+
+        Raises for a frame that is refused outright.  A retry of a served
+        key gets an already-resolved future from the idempotency cache, and
+        a retry of an in-flight key shares that request's future.
+        """
         if self._closing:
             raise ServiceUnavailableError(
                 "server is draining for shutdown; retry against the "
@@ -507,21 +552,21 @@ class NetworkQueryService:
             # A retried request the server already served: answer from the
             # idempotency cache — the tenant is never charged twice.
             state.stats.n_deduped += 1
-            return cached
-        pending = state.inflight.get(key)
-        if pending is None:
-            state.stats.n_received += 1
             pending = asyncio.get_running_loop().create_future()
-            state.inflight[key] = pending
-            state.queue.append(
-                _QueuedRequest(
-                    key=key, inputs=inputs, rows=len(inputs), future=pending
-                )
-            )
-            self._work.set()
-        else:
-            state.stats.n_deduped += 1
-        return await asyncio.shield(pending)
+            pending.set_result(cached)
+            return pending
+        pending = state.inflight.get(key)
+        if pending is not None:
+            state.stats.n_deduped += 1  # answered with the in-flight original
+            return pending
+        state.stats.n_received += 1
+        pending = asyncio.get_running_loop().create_future()
+        state.inflight[key] = pending
+        state.queue.append(
+            _QueuedRequest(key=key, inputs=inputs, rows=len(inputs), future=pending)
+        )
+        self._work.set()
+        return pending
 
     def _hello_header(self) -> dict:
         return {
@@ -554,7 +599,10 @@ class NetworkQueryService:
 
     # ---------------------------------------------------------- connections
 
-    async def _send(self, conn: _Connection, header: dict, arrays) -> None:
+    def _write(self, conn: _Connection, request: dict, header: dict, arrays=None) -> None:
+        """Write one reply frame to ``request``'s connection (never blocks)."""
+        if "cid" in request:
+            header["cid"] = request["cid"]
         try:
             frame = encode_frame(header, arrays)
         except Exception as exc:
@@ -566,61 +614,58 @@ class NetworkQueryService:
             if "cid" in header:
                 fallback["cid"] = header["cid"]
             frame = encode_frame(fallback, None)
-        async with conn.write_lock:
-            try:
-                conn.writer.write(frame)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                pass  # the client vanished; its retry will re-ask
+        if not conn.writer.transport.is_closing():
+            conn.writer.write(frame)  # a vanished client's retry re-asks
 
-    async def _serve_frame(self, conn: _Connection, header: dict, arrays: dict) -> None:
+    def _serve(self, conn: _Connection, header: dict, arrays: dict) -> None:
+        """Answer one frame inline, or admit a query to answer on settling."""
+        request_type = header.get("type")
         try:
-            try:
-                request_type = header.get("type")
-                if request_type == "query":
-                    response_header, response_arrays = await self._handle_query(
-                        header, arrays
-                    )
-                    # cached responses are shared: never mutate them in place
-                    response_header = dict(response_header)
-                elif request_type == "hello":
-                    response_header, response_arrays = self._hello_header(), None
-                elif request_type == "ping":
-                    response_header, response_arrays = (
-                        {"type": "response", "status": "ok"},
-                        None,
-                    )
-                elif request_type == "stats":
-                    response_header, response_arrays = (
-                        {
-                            "type": "response",
-                            "status": "ok",
-                            "tenants": {
-                                name: _finite_or_null(counters)
-                                for name, counters in self.stats().items()
-                            },
-                            "service": self.service.stats.to_dict(),
-                        },
-                        None,
-                    )
-                else:
-                    raise ProtocolError(f"unknown request type {request_type!r}")
-            except Exception as exc:
-                response_header, response_arrays = self._error_header(exc), None
-            if "cid" in header:
-                response_header["cid"] = header["cid"]
-            if (
-                self.drop_next_responses > 0
-                and header.get("type") == "query"
-                and response_header.get("status") == "ok"
-            ):
-                # Fault injection: the work happened, the response is lost.
-                self.drop_next_responses -= 1
-                conn.writer.transport.abort()
+            if request_type == "query":
+                future = self._admit_query(header, arrays)
+                self._unanswered += 1
+                self._answered.clear()
+                future.add_done_callback(partial(self._answer, conn, header))
                 return
-            await self._send(conn, response_header, response_arrays)
-        finally:
-            conn.inflight.release()
+            if request_type == "hello":
+                response_header = self._hello_header()
+            elif request_type == "ping":
+                response_header = {"type": "response", "status": "ok"}
+            elif request_type == "stats":
+                response_header = {
+                    "type": "response",
+                    "status": "ok",
+                    "tenants": {
+                        name: _finite_or_null(counters)
+                        for name, counters in self.stats().items()
+                    },
+                    "service": self.service.stats.to_dict(),
+                }
+            else:
+                raise ProtocolError(f"unknown request type {request_type!r}")
+        except Exception as exc:
+            response_header = self._error_header(exc)
+        self._write(conn, header, response_header)
+        conn.inflight.release()
+
+    def _answer(self, conn: _Connection, request: dict, future: asyncio.Future) -> None:
+        """Done-callback of an admitted query: write its reply."""
+        try:
+            header, arrays = future.result()
+            # cached responses are shared: never mutate them in place
+            header = dict(header)
+        except Exception as exc:
+            header, arrays = self._error_header(exc), None
+        if self.drop_next_responses > 0 and header["status"] == "ok":
+            # Fault injection: the work happened, the response is lost.
+            self.drop_next_responses -= 1
+            conn.writer.transport.abort()
+        else:
+            self._write(conn, request, header, arrays)
+        conn.inflight.release()
+        self._unanswered -= 1
+        if not self._unanswered:
+            self._answered.set()
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -638,15 +683,16 @@ class NetworkQueryService:
                 except ProtocolError as exc:
                     # A corrupted stream cannot be resynchronised: report
                     # once, then drop the connection.
-                    await self._send(conn, self._error_header(exc), None)
+                    self._write(conn, {}, self._error_header(exc))
                     break
-                # Backpressure: stop reading while the pipeline is full.
+                # Backpressure: stop reading while the pipeline is full ...
                 await conn.inflight.acquire()
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_frame(conn, header, arrays)
-                )
-                self._serve_tasks.add(task)
-                task.add_done_callback(self._serve_tasks.discard)
+                self._serve(conn, header, arrays)
+                # ... or while replies sit unread above the high-water mark.
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    break
         finally:
             self._connections.discard(conn)
             writer.close()

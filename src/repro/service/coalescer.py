@@ -31,17 +31,19 @@ tick also appends a :class:`TickTrace` to :attr:`QueryService.tick_trace` —
 the *physical* rail observable (total supply current of the whole fused
 batch, optionally jammed by the ``noise_budget`` dummy draw) that a
 co-resident attacker probing the shared power rail would record.  The ledger
-is a side channel by construction: it never feeds back into any response, so
-tenant-facing results stay bit-identical under every policy.
+keeps the newest :data:`TICK_LEDGER_TICKS` ticks.  It is a side channel by
+construction: it never feeds back into any response, so tenant-facing
+results stay bit-identical under every policy.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +61,12 @@ from repro.utils.rng import (
 #: defence.  Distinct from the oracle (2) and defence (4) domains, so the
 #: ledger noise never collides with any response-path draw.
 _RAIL_DOMAIN = 7
+
+#: Ticks :attr:`QueryService.tick_trace` keeps, newest last.  A long-lived
+#: server dispatches ticks without end; the largest in-process co-residency
+#: round (cross-tenant at paper scale on a CIFAR scenario) dispatches about
+#: 3,100, well inside the bound.
+TICK_LEDGER_TICKS = 8192
 
 
 @dataclass
@@ -214,7 +222,8 @@ class QueryService:
         self.stats = ServiceStats()
         #: Per-tick physical rail observables (:class:`TickTrace`), in
         #: dispatch order — what a co-resident attacker's rail probe records.
-        self.tick_trace: List[TickTrace] = []
+        #: Bounded: the oldest tick is evicted past :data:`TICK_LEDGER_TICKS`.
+        self.tick_trace: Deque[TickTrace] = deque(maxlen=TICK_LEDGER_TICKS)
         self._queue: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
         self._request_counter = 0

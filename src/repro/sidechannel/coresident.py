@@ -209,7 +209,9 @@ async def run_coresident_attack(
     outcome, so the round holds the queued requests and one tick's
     responses, never the whole flood.  When a tick fails, the round raises
     the exception of the earliest-enqueued failed request once every
-    request has settled.
+    request has settled.  A round whose first tick the bounded ledger has
+    already evicted (:data:`~repro.service.coalescer.TICK_LEDGER_TICKS`)
+    raises :class:`RuntimeError` rather than return a partial view.
 
     Returns the attacker's view: the bank-filtered rail ledger plus the
     per-tick known-row sums.  The service is *not* stopped — callers own
@@ -218,7 +220,9 @@ async def run_coresident_attack(
     victim_inputs = np.atleast_2d(np.asarray(victim_inputs, dtype=float))
     flood_ratio = check_non_negative_int(flood_ratio, "flood_ratio")
     probes = iter(probe_inputs)
-    ledger_start = len(service.tick_trace)
+    # Tick ids are 1-based and dispatch in order; the ledger is bounded, so
+    # the round's ticks are picked by id, not by position.
+    first_tick = service.stats.n_ticks + 1
 
     sums: Dict[int, np.ndarray] = {}
     victim_counts: Dict[int, int] = {}
@@ -271,7 +275,15 @@ async def run_coresident_attack(
     if failure is not None:
         raise failure[1]
 
-    ticks = visible_ticks(service.tick_trace[ledger_start:], attacker)
+    ledger = service.tick_trace
+    if ledger and ledger[0].tick_id > first_tick:
+        raise RuntimeError(
+            f"the tick ledger keeps the newest {ledger.maxlen} ticks and has "
+            f"evicted this round's first tick ({first_tick})"
+        )
+    ticks = visible_ticks(
+        [tick for tick in ledger if tick.tick_id >= first_tick], attacker
+    )
     visible_ids = {tick.tick_id for tick in ticks}
     return CoResidentTrace(
         ticks=tuple(ticks),

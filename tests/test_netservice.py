@@ -17,9 +17,13 @@ The acceptance properties:
 import asyncio
 import concurrent.futures
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,22 @@ def _read_async(frame: bytes, **kwargs):
         return await read_frame(reader, **kwargs)
 
     return asyncio.run(run())
+
+
+def _on_loop(handle, function):
+    """``function()`` evaluated on the server's loop thread."""
+
+    async def call():
+        return function()
+
+    return handle.call(call())
+
+
+def _queued(handle):
+    """Admitted queries waiting in the tenant queues of a served handle."""
+    return _on_loop(
+        handle, lambda: sum(len(state.queue) for state in handle.server._tenants.values())
+    )
 
 
 class TestProtocol:
@@ -640,26 +660,109 @@ class TestBackpressureAndDrain:
                         {"inputs": np.ones((1, N_FEATURES))},
                     )
 
-                def admitted():
-                    async def count():
-                        return sum(
-                            len(state.queue)
-                            for state in handle.server._tenants.values()
-                        )
-
-                    return handle.call(count())
-
                 deadline = time.time() + 5
-                while admitted() < 2 and time.time() < deadline:
+                while _queued(handle) < 2 and time.time() < deadline:
                     time.sleep(0.02)
                 time.sleep(0.2)  # excess frames must stay unread
-                assert admitted() == 2
+                assert _queued(handle) == 2
                 handle.resume_scheduling()
                 for _ in range(5):  # nothing was dropped: all five complete
                     header, _ = read_frame_sync(sock)
                     assert header["status"] == "ok"
             finally:
                 sock.close()
+
+    def test_pipelined_queries_hold_no_task(self):
+        """An admitted query waits as a future, not a task: the server
+        loop's task count does not grow with the frames in flight."""
+        config = _config(max_inflight_per_connection=8)
+        tasks = {}
+        with serve_in_thread(_oracle("paper/mnist-softmax"), config) as handle:
+            handle.pause_scheduling()
+            sock = socket.create_connection(handle.address, timeout=30)
+            try:
+                sent = 0
+                for n_frames in (2, 8):
+                    for key in range(sent, n_frames):
+                        send_frame_sync(
+                            sock,
+                            {"type": "query", "tenant": "t", "key": f"k{key}"},
+                            {"inputs": np.ones((1, N_FEATURES))},
+                        )
+                    sent = n_frames
+                    deadline = time.time() + 5
+                    while _queued(handle) < n_frames and time.time() < deadline:
+                        time.sleep(0.02)
+                    assert _queued(handle) == n_frames
+                    tasks[n_frames] = _on_loop(handle, lambda: len(asyncio.all_tasks()))
+                handle.resume_scheduling()
+                for _ in range(sent):
+                    header, _ = read_frame_sync(sock)
+                    assert header["status"] == "ok"
+            finally:
+                sock.close()
+        assert tasks[8] == tasks[2]
+
+    def test_unread_replies_stop_admission(self):
+        """A client that pipelines queries and never reads its replies stops
+        being read: admission halts and the server's write buffer stays
+        bounded instead of holding every reply."""
+        config = _config(max_inflight_per_connection=8)
+        n_frames = 2000
+        row = np.ones((1, N_FEATURES)) * 0.5
+        frames = b"".join(
+            encode_frame(
+                {"type": "query", "tenant": "hoarder", "key": f"k{i:06d}"},
+                {"inputs": row},
+            )
+            for i in range(n_frames)
+        )
+        frame_bytes = len(frames) // n_frames
+
+        def transports():
+            return [conn.writer.transport for conn in handle.server._connections]
+
+        def n_received():
+            return handle.stats().get("hoarder", {}).get("n_received", 0)
+
+        with serve_in_thread(_oracle("paper/mnist-softmax"), config) as handle:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            try:
+                sock.settimeout(30)
+                sock.connect(handle.address)
+                send_frame_sync(sock, {"type": "ping"})
+                read_frame_sync(sock)
+                # Small kernel buffers on both ends, so unread replies reach
+                # the server's own write buffer after a few frames.
+                _on_loop(handle, lambda: [
+                    transport.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                    )
+                    for transport in transports()
+                ])
+                sock.setblocking(False)
+                sent, stalled = 0, None
+                while sent < len(frames):
+                    try:
+                        sent += sock.send(frames[sent:sent + 65536])
+                        stalled = None
+                    except BlockingIOError:
+                        stalled = stalled or time.monotonic()
+                        if time.monotonic() - stalled > 0.5:
+                            break  # the server stopped reading
+                        time.sleep(0.01)
+                received = -1
+                while received != n_received():
+                    received = n_received()
+                    time.sleep(0.2)
+                buffered = _on_loop(handle, lambda: [
+                    transport.get_write_buffer_size() for transport in transports()
+                ])
+            finally:
+                sock.close()
+        assert received < sent // frame_bytes
+        assert max(buffered) < 256 * 1024
 
     def test_graceful_drain_fails_queued_requests_typed(self):
         """Acceptance: a stopping server answers queued requests with a typed
@@ -756,6 +859,41 @@ class TestBackpressureAndDrain:
         finally:
             sock.close()
 
+    def test_stop_while_scheduler_waits_on_coalescer_refunds_and_drains(self):
+        """stop() cancels a scheduler held by the coalescer's max_pending
+        backpressure: the query it popped and charged is refunded and gets
+        the typed drain error."""
+        handle = serve_in_thread(_oracle("paper/mnist-softmax"), _config())
+        blocked = threading.Event()
+
+        async def backpressured(*args, **kwargs):
+            blocked.set()
+            await asyncio.get_running_loop().create_future()  # never resolves
+
+        def hold_enqueue():
+            handle.server.service.enqueue = backpressured
+
+        _on_loop(handle, hold_enqueue)
+        sock = socket.create_connection(handle.address, timeout=30)
+        try:
+            send_frame_sync(
+                sock,
+                {"type": "query", "tenant": "stuck", "key": "held-1"},
+                {"inputs": np.ones((1, N_FEATURES))},
+            )
+            assert blocked.wait(timeout=10)
+            assert handle.stats()["stuck"]["rows_charged"] == 1
+            closer = threading.Thread(target=handle.close)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "stop() hung on a held enqueue"
+            header, _ = read_frame_sync(sock)
+            assert header["status"] == "error"
+            assert header["code"] == "service-closed"
+            assert handle.server.stats()["stuck"]["rows_charged"] == 0
+        finally:
+            sock.close()
+
     def test_stop_completes_in_a_task_that_caught_its_own_cancel(self):
         """The ``serve`` CLI's Ctrl-C path: the main task swallows its own
         cancellation, then ``async with`` stops the server from that task.
@@ -824,6 +962,29 @@ class TestBackpressureAndDrain:
                 assert header["status"] == "ok"
             finally:
                 sock.close()
+
+
+class TestCli:
+    def test_demo_runs_end_to_end(self):
+        """``python -m repro.netservice demo`` serves both tenants and prints
+        one stats line per tenant, with warnings as errors."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "repro.netservice",
+             "demo", "--queries", "8"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, path)))},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        tenants = [
+            line.split()[0]
+            for line in proc.stdout.splitlines()
+            if "rows_served=16 " in line
+        ]
+        assert tenants == ["alice", "bob"]
 
 
 class TestServerHandle:

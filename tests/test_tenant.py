@@ -36,7 +36,7 @@ from repro.experiments.sweep import SWEEPS, SweepSpec
 from repro.netservice.server import TenantServiceStats
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
-from repro.service import QueryService, ServiceConfig
+from repro.service import QueryService, ServiceConfig, coalescer
 from repro.service.coalescer import _Pending
 from repro.sidechannel.coresident import (
     estimate_victim_norms,
@@ -255,6 +255,53 @@ class TestRailLedger:
         assert visible_ticks(service.tick_trace, "alice") == []
 
 
+class TestBoundedLedger:
+    """The ledger keeps the newest ticks; a round selects its own by id."""
+
+    def test_ledger_keeps_exactly_the_newest_ticks(self, monkeypatch):
+        assert QueryService(_oracle()).tick_trace.maxlen == 8192
+        monkeypatch.setattr(coalescer, "TICK_LEDGER_TICKS", 4)
+        service = QueryService(_oracle(), _config(max_batch=1, max_wait_ms=0))
+
+        async def drive():
+            async with service:
+                for row in _rows(10):
+                    await service.submit(row[np.newaxis, :])
+
+        asyncio.run(drive())
+        assert service.stats.n_ticks == 10
+        assert [tick.tick_id for tick in service.tick_trace] == [7, 8, 9, 10]
+
+    @staticmethod
+    def _round(service, n_victim=16, ratio=3):
+        async def drive():
+            async with service:
+                return await run_coresident_attack(
+                    service,
+                    _rows(n_victim, seed=5),
+                    _rows(ratio * n_victim, seed=6),
+                    flood_ratio=ratio,
+                )
+
+        return asyncio.run(drive())
+
+    def test_round_on_a_full_ledger_sees_its_own_ticks(self, monkeypatch):
+        monkeypatch.setattr(coalescer, "TICK_LEDGER_TICKS", 8)
+        config = _config(placement="shared", max_wait_ms=10_000)
+        service = QueryService(_oracle(), config)
+        first = self._round(service)
+        second = self._round(service)
+        assert [tick.tick_id for tick in first.ticks] == list(range(1, 9))
+        assert [tick.tick_id for tick in second.ticks] == list(range(9, 17))
+        assert set(second.rows_by_tick) == set(range(9, 17))
+
+    def test_round_whose_ticks_were_evicted_raises(self, monkeypatch):
+        monkeypatch.setattr(coalescer, "TICK_LEDGER_TICKS", 2)
+        service = QueryService(_oracle(), _config(placement="shared", max_wait_ms=10_000))
+        with pytest.raises(RuntimeError, match="evicted"):
+            self._round(service)
+
+
 class TestDroppedRequests:
     """Regression: cancelled batch-mates are counted, not silently skipped."""
 
@@ -314,7 +361,7 @@ class TestDroppedRequests:
         assert service.stats.n_dropped_requests == 2
         assert service.stats.n_ticks == 0
         assert oracle.queries_used == 0
-        assert service.tick_trace == []
+        assert list(service.tick_trace) == []
 
 
 class TestTenantStatsCoalescingFactor:
@@ -808,3 +855,17 @@ class TestCrossTenantExperimentEndToEnd:
         curve = result.summary["curves"][0]
         assert curve["advantage_mean"][0] < curve["advantage_mean"][1]
         assert curve["leakage_mean"][0] < curve["leakage_mean"][1]
+
+
+class TestCrossTenantInstrumentNoise:
+    """The co-residency job serves the scenario's own instrument."""
+
+    def test_measurement_noise_reaches_the_served_oracle(self):
+        from repro.experiments.cross_tenant import _mount_attack
+
+        noisy = get_scenario("high-read-noise")
+        assert noisy.measurement_noise > 0.0
+        quiet = noisy.with_overrides(measurement_noise=0.0)
+        _, noisy_metrics = _mount_attack(noisy, _TINY, 3)
+        _, quiet_metrics = _mount_attack(quiet, _TINY, 3)
+        assert noisy_metrics != quiet_metrics
