@@ -31,10 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.crossbar.accelerator import CrossbarAccelerator
+from repro.crossbar.power import PowerReport
 from repro.attacks.oracle import Oracle
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
 
 #: Default output path, shared by every engine-related benchmark.
@@ -57,8 +57,8 @@ def build_accelerator(n_inputs=256, n_outputs=10, *, seed=0):
 # ------------------------------------------------------------- legacy engine
 
 
-def legacy_power_trace(accelerator, inputs, *, cached=False):
-    """The seed engine's power trace: two array ops per tile (current+forward).
+def legacy_power_report(accelerator, inputs, *, cached=False):
+    """The seed engine's power report: two array ops per tile (current+forward).
 
     The seed engine had no effective-state cache — every array operation
     recomputed ``G+ - G-`` from scratch — so the faithful
@@ -75,8 +75,9 @@ def legacy_power_trace(accelerator, inputs, *, cached=False):
         if not cached:
             tile.physical_arrays[0].invalidate_state_cache()
         activations = np.atleast_2d(tile.forward(activations))
-    total = np.sum(per_tile_currents, axis=0)
-    return accelerator.power_model.report(total, per_tile_currents)
+    return PowerReport(
+        np.sum(per_tile_currents, axis=0), np.stack(per_tile_currents, axis=1)
+    )
 
 
 def legacy_query(accelerator, inputs, *, cached=False):
@@ -85,7 +86,7 @@ def legacy_query(accelerator, inputs, *, cached=False):
         for tile in accelerator.tiles:
             tile.physical_arrays[0].invalidate_state_cache()
     outputs = np.atleast_2d(accelerator.forward(inputs))
-    report = legacy_power_trace(accelerator, inputs, cached=cached)
+    report = legacy_power_report(accelerator, inputs, cached=cached)
     return outputs, np.atleast_1d(report.total_current)
 
 
@@ -147,7 +148,7 @@ def run_probing_benchmark(accelerator, *, repeats=5, seed=0):
 
     def probe(batched):
         prober = ColumnNormProber(
-            PowerMeasurement(accelerator, random_state=seed),
+            Oracle(accelerator, random_state=seed),
             accelerator.n_inputs,
             measure_baseline=True,
             batched=batched,

@@ -17,7 +17,7 @@ from repro.datasets import load_mnist_like
 from repro.experiments.reporting import format_table
 from repro.nn.gradients import weight_column_norms
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel.measurement import PowerMeasurement
+from repro.attacks.oracle import Oracle
 from repro.sidechannel.probing import ColumnNormProber
 
 STRENGTH = 8.0
@@ -33,7 +33,7 @@ def run_mapping_ablation(seed=0):
         accelerator = CrossbarAccelerator(
             network, mapping=ConductanceMapping(scheme=scheme), random_state=seed
         )
-        prober = ColumnNormProber(PowerMeasurement(accelerator), dataset.n_features)
+        prober = ColumnNormProber(Oracle(accelerator), dataset.n_features)
         leaked = prober.probe_all().column_sums
         if leaked.std() == 0:
             leak_correlation = 0.0

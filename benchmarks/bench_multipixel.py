@@ -14,7 +14,7 @@ from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.datasets import load_mnist_like
 from repro.experiments.reporting import format_series
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel.measurement import PowerMeasurement
+from repro.attacks.oracle import Oracle
 from repro.sidechannel.probing import ColumnNormProber
 
 PIXEL_COUNTS = (1, 2, 4, 8)
@@ -25,7 +25,7 @@ def run_multipixel_ablation(seed=0):
     dataset = load_mnist_like(n_train=2000, n_test=400, random_state=seed)
     network, _ = train_single_layer(dataset, output="softmax", epochs=25, random_state=seed)
     accelerator = CrossbarAccelerator(network, random_state=seed)
-    prober = ColumnNormProber(PowerMeasurement(accelerator), dataset.n_features)
+    prober = ColumnNormProber(Oracle(accelerator), dataset.n_features)
     norms = prober.probe_all().column_sums
 
     curves = {"random-direction": [], "oracle-direction": []}

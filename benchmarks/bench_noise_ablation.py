@@ -14,7 +14,7 @@ from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.datasets import load_mnist_like
 from repro.experiments.reporting import format_series
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel.measurement import PowerMeasurement
+from repro.attacks.oracle import Oracle
 from repro.sidechannel.probing import ColumnNormProber
 
 NOISE_LEVELS = (0.0, 0.05, 0.2, 1.0, 5.0)
@@ -37,7 +37,9 @@ def run_noise_ablation(seed=0):
         accuracies = []
         for trial in range(N_TRIALS):
             prober = ColumnNormProber(
-                PowerMeasurement(accelerator, noise_std=noise, random_state=100 * trial + seed),
+                Oracle(
+                    accelerator, power_noise_std=noise, random_state=100 * trial + seed
+                ),
                 dataset.n_features,
             )
             leaked = prober.probe_all().column_sums

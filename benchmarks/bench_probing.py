@@ -29,7 +29,7 @@ from repro.datasets import load_cifar_like, load_mnist_like
 from repro.experiments.reporting import format_table
 from repro.nn.gradients import weight_column_norms
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel.measurement import PowerMeasurement
+from repro.attacks.oracle import Oracle
 from repro.sidechannel.probing import ColumnNormProber
 from repro.sidechannel.search import (
     coarse_to_fine_search,
@@ -64,7 +64,7 @@ def run_probing_ablation(seed=0, *, batched=True):
         scores = {"random": [], "greedy": [], "coarse-to-fine": []}
         for trial in range(N_TRIALS):
             prober = ColumnNormProber(
-                PowerMeasurement(accelerator, random_state=trial),
+                Oracle(accelerator, random_state=trial),
                 dataset.n_features,
                 batched=batched,
             )
@@ -102,7 +102,7 @@ def _probe_workload(accelerator, n_features, image_shape, *, batched):
     """The ablation's probing/search workload on one trained accelerator."""
     for trial in range(N_TRIALS):
         prober = ColumnNormProber(
-            PowerMeasurement(accelerator, random_state=trial),
+            Oracle(accelerator, random_state=trial),
             n_features,
             batched=batched,
         )

@@ -14,6 +14,7 @@ Run with:  python examples/hardware_design_space.py
 
 import numpy as np
 
+from repro.attacks import Oracle
 from repro.crossbar import (
     PCM_DEVICE,
     RERAM_DEVICE,
@@ -25,14 +26,13 @@ from repro.datasets import load_mnist_like
 from repro.experiments.reporting import format_table
 from repro.nn.gradients import weight_column_norms
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel import ColumnNormProber, PowerMeasurement
+from repro.sidechannel import ColumnNormProber
 
 
 def leak_correlation(accelerator, n_features, true_norms, noise_std=0.0, seed=0):
     """Correlation between power-probed column sums and the true 1-norms."""
-    prober = ColumnNormProber(
-        PowerMeasurement(accelerator, noise_std=noise_std, random_state=seed), n_features
-    )
+    oracle = Oracle(accelerator, power_noise_std=noise_std, random_state=seed)
+    prober = ColumnNormProber(oracle, n_features)
     leaked = prober.probe_all().column_sums
     if leaked.std() == 0:
         return 0.0

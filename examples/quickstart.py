@@ -17,12 +17,13 @@ Run with:  python examples/quickstart.py
 import numpy as np
 
 from repro.analysis import sensitivity_norm_correlations
+from repro.attacks import Oracle
 from repro.crossbar import CrossbarAccelerator
 from repro.datasets import load_mnist_like
 from repro.experiments import get_experiment, run_experiments
 from repro.nn.gradients import weight_column_norms
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel import ColumnNormProber, PowerMeasurement
+from repro.sidechannel import ColumnNormProber
 
 
 def main() -> None:
@@ -38,8 +39,8 @@ def main() -> None:
     print(f"   hardware-vs-software output difference (ideal crossbar): {fidelity:.2e}")
 
     print("3) Probing the power side channel (one query per input column) ...")
-    measurement = PowerMeasurement(accelerator, noise_std=0.01, random_state=1)
-    prober = ColumnNormProber(measurement, dataset.n_features)
+    oracle = Oracle(accelerator, power_noise_std=0.01, random_state=1)
+    prober = ColumnNormProber(oracle, dataset.n_features)
     probe = prober.probe_all()
     print(f"   queries spent: {probe.queries_used}")
 

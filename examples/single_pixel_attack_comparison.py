@@ -8,12 +8,17 @@ approaching the white-box single-pixel FGSM bound.
 Run with:  python examples/single_pixel_attack_comparison.py
 """
 
-from repro.attacks import SinglePixelAttack, SinglePixelStrategy, accuracy_under_attack
+from repro.attacks import (
+    Oracle,
+    SinglePixelAttack,
+    SinglePixelStrategy,
+    accuracy_under_attack,
+)
 from repro.crossbar import CrossbarAccelerator
 from repro.datasets import load_mnist_like
 from repro.experiments.reporting import format_series
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel import ColumnNormProber, PowerMeasurement
+from repro.sidechannel import ColumnNormProber
 
 ATTACK_STRENGTHS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
@@ -26,7 +31,7 @@ def main() -> None:
 
     # The attacker recovers the column 1-norms through the power side channel.
     accelerator = CrossbarAccelerator(network, random_state=0)
-    prober = ColumnNormProber(PowerMeasurement(accelerator), dataset.n_features)
+    prober = ColumnNormProber(Oracle(accelerator), dataset.n_features)
     probe = prober.probe_all()
     print(f"power probing used {probe.queries_used} queries\n")
 

@@ -7,8 +7,9 @@ The package is organised bottom-up:
 * :mod:`repro.nn` — from-scratch numpy neural-network substrate.
 * :mod:`repro.datasets` — synthetic MNIST-like / CIFAR-like datasets.
 * :mod:`repro.crossbar` — behavioural NVM crossbar simulator (the hardware).
-* :mod:`repro.sidechannel` — power measurement, probing and search.
-* :mod:`repro.attacks` — the paper's power-aided adversarial attacks.
+* :mod:`repro.sidechannel` — power-channel probing, estimation and search.
+* :mod:`repro.attacks` — the attacker's oracle and the paper's power-aided
+  adversarial attacks.
 * :mod:`repro.analysis` — correlations, sensitivity maps, significance tests.
 * :mod:`repro.experiments` — pipelines regenerating every table and figure.
 
@@ -17,11 +18,12 @@ Quickstart
 >>> from repro.datasets import load_mnist_like
 >>> from repro.nn.trainer import train_single_layer
 >>> from repro.crossbar import CrossbarAccelerator
->>> from repro.sidechannel import PowerMeasurement, ColumnNormProber
+>>> from repro.attacks import Oracle
+>>> from repro.sidechannel import ColumnNormProber
 >>> dataset = load_mnist_like(n_train=1000, n_test=200, random_state=0)
 >>> network, _ = train_single_layer(dataset, output="softmax", random_state=0)
 >>> accelerator = CrossbarAccelerator(network, random_state=0)
->>> prober = ColumnNormProber(PowerMeasurement(accelerator), dataset.n_features)
+>>> prober = ColumnNormProber(Oracle(accelerator), dataset.n_features)
 >>> leaked_norms = prober.probe_all().column_sums  # the power side channel
 """
 

@@ -9,7 +9,9 @@ accelerator with inputs of their choice and observe some combination of:
 
 :class:`Oracle` wraps either a software network or a
 :class:`~repro.crossbar.accelerator.CrossbarAccelerator` and exposes exactly
-those observation channels, while counting queries.
+those observation channels, while counting queries.  It is the attacker's
+only instrument: the power-channel probers of :mod:`repro.sidechannel` read
+the rail through :attr:`OracleResponse.power` as well.
 
 Queries run on the accelerator's fused single-pass engine: when the target is
 a :class:`~repro.crossbar.accelerator.CrossbarAccelerator` and power is
@@ -36,7 +38,6 @@ import numpy as np
 from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.datasets.transforms import one_hot
 from repro.nn.network import Sequential
-from repro.sidechannel.measurement import QueryBudgetExceeded
 from repro.utils.results import compact_repr
 from repro.utils.rng import RandomState, as_rng, sample_stream
 from repro.utils.validation import check_array, check_non_negative, check_positive_int
@@ -45,6 +46,10 @@ from repro.utils.validation import check_array, check_non_negative, check_positi
 _ORACLE_DOMAIN = 2
 _TOTAL_CHANNEL = 0
 _PER_TILE_CHANNEL = 1
+
+
+class QueryBudgetExceeded(RuntimeError):
+    """Raised when a query would exceed the oracle's query budget."""
 
 
 @dataclass(repr=False)
@@ -118,9 +123,8 @@ class Oracle:
         individual measurement's noise level.
     query_budget:
         Optional hard cap on the number of queried inputs; queries that would
-        exceed it raise
-        :class:`~repro.sidechannel.measurement.QueryBudgetExceeded` before
-        touching the hardware.  Queries are charged only after a successful
+        exceed it raise :class:`QueryBudgetExceeded` before touching the
+        hardware.  Queries are charged only after a successful
         traversal — a failing forward costs the attacker nothing.
     random_state:
         Seed for the measurement noise.

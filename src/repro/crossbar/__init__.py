@@ -19,7 +19,7 @@ from repro.crossbar.mapping import (
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.adc_dac import DAC, ADC
-from repro.crossbar.power import PowerModel, PowerReport
+from repro.crossbar.power import PowerReport
 from repro.crossbar.tile import CrossbarTile
 from repro.crossbar.accelerator import CrossbarAccelerator
 
@@ -36,7 +36,6 @@ __all__ = [
     "CrossbarArray",
     "DAC",
     "ADC",
-    "PowerModel",
     "PowerReport",
     "CrossbarTile",
     "CrossbarAccelerator",

@@ -10,9 +10,9 @@ activations *and* each physical tile's supply current from the same
 conductance realization (via :meth:`CrossbarTile.forward_with_power_shards`),
 so the functional outputs and the power trace an attacker observes are
 physically consistent and the accelerator is traversed once per batch instead
-of twice.  :meth:`power_trace` and :meth:`total_current` are thin wrappers
-over that fused path; :meth:`forward` streams batches through the tiles in
-2-D form without per-layer re-wrapping.  On deterministic (read-noise-free)
+of twice.  It is the only power entry point: the attacker reads it through
+an :class:`~repro.attacks.oracle.Oracle`.  :meth:`forward` streams batches
+through the tiles in 2-D form without per-layer re-wrapping.  On deterministic (read-noise-free)
 arrays each tile additionally reuses its cached effective state, so repeated
 queries cost one matrix product per tile and nothing else.
 
@@ -36,7 +36,7 @@ import numpy as np
 from repro.crossbar.adc_dac import ADC, DAC
 from repro.crossbar.mapping import UNSHARDED, ConductanceMapping, ShardingSpec
 from repro.crossbar.nonidealities import NonidealityConfig
-from repro.crossbar.power import PowerModel, PowerReport
+from repro.crossbar.power import PowerReport
 from repro.crossbar.tile import CrossbarTile
 from repro.nn.network import Sequential
 from repro.utils.rng import RandomState, spawn_rngs
@@ -78,8 +78,6 @@ class CrossbarAccelerator:
         Optional non-ideal effects shared by all tiles.
     dac / adc:
         Converter models shared by all tiles.
-    power_model:
-        Converts currents into power/energy reports.
     sharding:
         ``None`` (one tile per layer, the historical placement), a single
         :class:`~repro.crossbar.mapping.ShardingSpec` applied to every layer,
@@ -96,14 +94,12 @@ class CrossbarAccelerator:
         nonidealities: Optional[NonidealityConfig] = None,
         dac: Optional[DAC] = None,
         adc: Optional[ADC] = None,
-        power_model: Optional[PowerModel] = None,
         sharding: Union[None, ShardingSpec, Sequence[Optional[ShardingSpec]]] = None,
         random_state: RandomState = None,
     ):
         if not network.layers:
             raise ValueError("cannot build an accelerator from an empty network")
         self.network = network
-        self.power_model = power_model if power_model is not None else PowerModel()
         layer_sharding = _resolve_layer_sharding(sharding, len(network.layers))
         rngs = spawn_rngs(random_state, len(network.layers))
         self.tiles: List[CrossbarTile] = [
@@ -248,40 +244,12 @@ class CrossbarAccelerator:
             )
             per_tile_currents.extend(shard_currents)
             layer_currents.append(tile.reduce_shard_currents(shard_currents))
-        total = np.sum(layer_currents, axis=0)
-        report = self.power_model.report(
-            total, per_tile_currents, labels=self.tile_labels
+        report = PowerReport(
+            np.sum(layer_currents, axis=0),
+            np.stack(per_tile_currents, axis=1),
+            self.tile_labels,
         )
         return (activations[0] if single else activations), report
-
-    def power_trace(self, inputs: np.ndarray) -> PowerReport:
-        """Measure the power side channel for a batch of inputs.
-
-        The report contains the per-physical-tile and summed total currents
-        that an attacker probing the supply rails would observe while the
-        batch is processed.  Implemented on the fused path: the tiles are
-        traversed once (not once for power and once for activations as in
-        the legacy two-pass engine).
-        """
-        _, report = self.forward_with_power(inputs)
-        return report
-
-    def total_current(self, inputs: np.ndarray) -> np.ndarray:
-        """Summed total current per input (convenience wrapper).
-
-        Returns
-        -------
-        float or np.ndarray
-            A ``float`` for a single ``(N,)`` input; a ``(B,)`` array for a
-            ``(B, N)`` batch (including ``B == 1``).  The value is the sum of
-            the per-tile currents for each sample, regardless of the number
-            of tiles.
-        """
-        single = np.asarray(inputs).ndim == 1
-        report = self.power_trace(inputs)
-        if single:
-            return float(report.total_current[0])
-        return report.total_current
 
     def fidelity(self, inputs: np.ndarray) -> float:
         """Mean absolute difference between accelerator and software outputs.

@@ -1,10 +1,9 @@
-"""Power model and measurement reports for the crossbar accelerator.
+"""Power-channel reports for the crossbar accelerator.
 
 The "power information" in the paper is the total steady-state current drawn
-by the array for a given input (Eq. 5).  :class:`PowerModel` converts that
-current into the quantities an attacker could realistically record —
-instantaneous power at the supply voltage and energy per inference — and
-bundles them into :class:`PowerReport` objects.
+by the array for a given input (Eq. 5).  With the supply normalised to 1 V
+(the paper's formulation) that current *is* the dissipated power, so a
+:class:`PowerReport` carries currents only.
 
 With multi-tile sharding each physical tile's supply rail is individually
 observable: :attr:`PowerReport.per_tile_current` carries one column per
@@ -22,7 +21,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.utils.results import compact_repr
-from repro.utils.validation import check_positive
 
 #: The accelerator's tile-label grammar: ``layer<i>`` for unsharded layers,
 #: ``layer<i>/r<row>c<col>`` for shards of a sharded layer.
@@ -85,10 +83,6 @@ class PowerReport:
     ----------
     total_current:
         ``(B,)`` total crossbar current per input (the paper's side channel).
-    power:
-        ``(B,)`` dissipated power ``Vdd * i_total``.
-    energy:
-        ``(B,)`` energy per inference, ``power * integration_time``.
     per_tile_current:
         ``(B, n_tiles)`` currents, one column per *physical* crossbar tile.
         Unsharded accelerators have one column per layer; sharded layers
@@ -99,18 +93,16 @@ class PowerReport:
     """
 
     total_current: np.ndarray
-    power: np.ndarray
-    energy: np.ndarray
     per_tile_current: np.ndarray
     tile_labels: Optional[Tuple[str, ...]] = None
 
     __repr__ = compact_repr
 
     def __post_init__(self) -> None:
-        for name in ("total_current", "power", "energy"):
-            value = getattr(self, name)
-            if np.asarray(value).ndim != 1:
-                raise ValueError(f"{name} must be 1-D, got shape {np.shape(value)}")
+        if np.asarray(self.total_current).ndim != 1:
+            raise ValueError(
+                f"total_current must be 1-D, got shape {np.shape(self.total_current)}"
+            )
         if np.asarray(self.per_tile_current).ndim != 2:
             raise ValueError(
                 f"per_tile_current must be 2-D, got shape {np.shape(self.per_tile_current)}"
@@ -151,69 +143,3 @@ class PowerReport:
             raise KeyError(f"no tile labelled {label!r} in {self.tile_labels}")
         return self.per_tile_current[:, columns].sum(axis=1)
 
-    def mean_power(self) -> float:
-        """Average dissipated power over the batch."""
-        return float(np.mean(self.power))
-
-    def total_energy(self) -> float:
-        """Total energy over the batch."""
-        return float(np.sum(self.energy))
-
-
-class PowerModel:
-    """Converts total currents into power/energy figures.
-
-    Parameters
-    ----------
-    supply_voltage:
-        The read voltage Vdd applied to active lines (normalised to 1 V by
-        default, matching the paper's normalised formulation).
-    integration_time:
-        The time the read voltage is applied per inference, in seconds, used
-        to report energy.
-    """
-
-    def __init__(self, supply_voltage: float = 1.0, integration_time: float = 100e-9):
-        self.supply_voltage = check_positive(supply_voltage, "supply_voltage")
-        self.integration_time = check_positive(integration_time, "integration_time")
-
-    def report(
-        self,
-        total_currents: np.ndarray,
-        per_tile_currents: Optional[Sequence[np.ndarray]] = None,
-        *,
-        labels: Optional[Sequence[str]] = None,
-    ) -> PowerReport:
-        """Build a :class:`PowerReport` from raw current measurements.
-
-        Parameters
-        ----------
-        total_currents:
-            ``(B,)`` summed currents across all tiles.
-        per_tile_currents:
-            Optional sequence of ``(B,)`` arrays, one per physical tile.
-            Defaults to a single tile carrying the whole current.
-        labels:
-            Optional tile names, one per entry of ``per_tile_currents``.
-        """
-        total_currents = np.atleast_1d(np.asarray(total_currents, dtype=float))
-        if per_tile_currents is None:
-            per_tile = total_currents[:, np.newaxis]
-        else:
-            per_tile = np.stack(
-                [np.atleast_1d(np.asarray(c, dtype=float)) for c in per_tile_currents],
-                axis=1,
-            )
-            if per_tile.shape[0] != total_currents.shape[0]:
-                raise ValueError(
-                    "per-tile currents disagree with total currents on sample count"
-                )
-        power = self.supply_voltage * total_currents
-        energy = power * self.integration_time
-        return PowerReport(
-            total_current=total_currents,
-            power=power,
-            energy=energy,
-            per_tile_current=per_tile,
-            tile_labels=tuple(labels) if labels is not None else None,
-        )

@@ -8,13 +8,19 @@ from typing import Optional
 import numpy as np
 
 from repro.attacks.evaluation import accuracy_under_attack
+from repro.attacks.oracle import Oracle
 from repro.attacks.single_pixel import SinglePixelAttack, SinglePixelStrategy
 from repro.nn.gradients import weight_column_norms
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
 from repro.utils.rng import RandomState, as_rng
+
+
+def _probe_column_sums(power_target, n_features: int, noise_std: float, random_state):
+    """Basis-probe ``power_target`` through a fresh :class:`Oracle`."""
+    oracle = Oracle(power_target, power_noise_std=noise_std, random_state=random_state)
+    return ColumnNormProber(oracle, n_features).probe_all().column_sums
 
 
 def leakage_correlation(
@@ -35,6 +41,10 @@ def leakage_correlation(
 
     Parameters
     ----------
+    power_target:
+        The target to probe through an :class:`~repro.attacks.oracle.Oracle`
+        with ``noise_std`` instrument noise (an accelerator, a defended
+        accelerator, or a software network).
     leaked_norms:
         Optional pre-probed column sums.  When given, ``power_target`` is not
         probed again — the caller's own acquisition (a scenario-configured
@@ -43,13 +53,7 @@ def leakage_correlation(
     """
     if leaked_norms is None:
         n_features = network.layers[0].n_inputs
-        prober = ColumnNormProber(
-            PowerMeasurement(
-                power_target, noise_std=noise_std, random_state=random_state
-            ),
-            n_features,
-        )
-        leaked = prober.probe_all().column_sums
+        leaked = _probe_column_sums(power_target, n_features, noise_std, random_state)
     else:
         leaked = np.asarray(leaked_norms, dtype=float)
     true_norms = weight_column_norms(network.layers[0].weights)
@@ -131,20 +135,18 @@ def evaluate_defense(
     victim:
         The network whose predictions the attacker is trying to flip.
     power_target:
-        The object the attacker probes (possibly wrapped in a defence such as
-        :class:`~repro.defenses.noise_injection.PowerNoiseDefense`).
+        The target the attacker's :class:`~repro.attacks.oracle.Oracle`
+        probes: an accelerator, possibly wrapped in a defence such as
+        :class:`~repro.defenses.noise_injection.PowerNoiseDefense`.
     """
     rng = as_rng(random_state)
     clean_accuracy = accuracy(victim.predict(test_inputs), test_targets)
     leakage = leakage_correlation(
         power_target, victim, noise_std=probe_noise_std, random_state=rng
     )
-    n_features = victim.layers[0].n_inputs
-    prober = ColumnNormProber(
-        PowerMeasurement(power_target, noise_std=probe_noise_std, random_state=rng),
-        n_features,
+    leaked = _probe_column_sums(
+        power_target, victim.layers[0].n_inputs, probe_noise_std, rng
     )
-    leaked = prober.probe_all().column_sums
     advantage = single_pixel_attack_advantage(
         victim, leaked, test_inputs, test_targets, strength=attack_strength, random_state=rng
     )

@@ -4,9 +4,9 @@ A defender who cannot change the conductance mapping can still blunt the side
 channel by drawing additional, input-dependent-but-random current during each
 inference — e.g. activating a dummy crossbar column with a random conductance,
 or randomising the order/duty-cycle of the read pulses.  This module models
-that class of countermeasure as a wrapper around any object exposing
-``total_current`` (a tile or a whole accelerator): the functional outputs are
-untouched, only the power observable is distorted.
+that class of countermeasure as a wrapper around an accelerator's fused
+``forward_with_power``: the functional outputs are untouched, only the
+power observable is distorted.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.crossbar.power import PowerReport
 from repro.utils.rng import RandomState, as_rng, sample_stream
 from repro.utils.validation import check_non_negative
 
@@ -30,8 +31,7 @@ class PowerNoiseDefense:
     Parameters
     ----------
     target:
-        A :class:`~repro.crossbar.tile.CrossbarTile` or
-        :class:`~repro.crossbar.accelerator.CrossbarAccelerator`.
+        A :class:`~repro.crossbar.accelerator.CrossbarAccelerator`.
     dummy_current_scale:
         Mean of the random dummy current added per inference, expressed as a
         fraction of the target's typical total current (estimated lazily from
@@ -131,14 +131,6 @@ class PowerNoiseDefense:
                 defended[i] += rng.exponential(self.dummy_current_scale * reference)
         return defended
 
-    def total_current(self, inputs: np.ndarray) -> np.ndarray:
-        """The defended power observable: jittered real current + dummy draw."""
-        inputs = np.asarray(inputs, dtype=float)
-        single = inputs.ndim == 1
-        real = np.atleast_1d(np.asarray(self.target.total_current(inputs), dtype=float))
-        defended = self._defend(real)
-        return float(defended[0]) if single else defended
-
     def forward_with_power(self, inputs: np.ndarray, *, sample_seeds=None):
         """Fused passthrough: the target's outputs with a defended power report.
 
@@ -150,14 +142,8 @@ class PowerNoiseDefense:
         outputs, report = self.target.forward_with_power(
             inputs, sample_seeds=sample_seeds
         )
-        defended = self._defend(np.atleast_1d(report.total_current), sample_seeds)
-        per_tile = [
-            report.per_tile_current[:, k] for k in range(report.per_tile_current.shape[1])
-        ]
-        defended_report = self.target.power_model.report(
-            defended, per_tile, labels=report.tile_labels
-        )
-        return outputs, defended_report
+        defended = self._defend(report.total_current, sample_seeds)
+        return outputs, PowerReport(defended, report.per_tile_current, report.tile_labels)
 
     @property
     def overhead_factor(self) -> float:

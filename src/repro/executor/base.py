@@ -37,16 +37,15 @@ class Executor(ABC):
 
     ``submit_jobs`` is the single entry point: it receives the full ordered
     job grid and returns the ordered results.  ``run_job`` is the
-    experiment's picklable per-job callable; ``None`` resolves each job's
-    experiment by name through the registry (sufficient for every built-in
-    experiment, and for any registered experiment on the local process).
+    experiment's picklable per-job callable (:meth:`Experiment.run_job
+    <repro.experiments.base.Experiment.run_job>`).
     """
 
     #: Short identifier used by CLIs and result metadata.
     name: str = ""
 
     @abstractmethod
-    def submit_jobs(self, jobs: Sequence, *, run_job: Optional[Callable] = None) -> List:
+    def submit_jobs(self, jobs: Sequence, *, run_job: Callable) -> List:
         """Execute every job and return the results in job order."""
 
 
@@ -55,11 +54,9 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def submit_jobs(self, jobs, *, run_job=None):
-        from repro.experiments.base import _execute_job, _run_annotated
+    def submit_jobs(self, jobs, *, run_job):
+        from repro.experiments.base import _run_annotated
 
-        if run_job is None:
-            return [_execute_job(job) for job in jobs]
         return [_run_annotated(run_job, job) for job in jobs]
 
 
@@ -114,11 +111,9 @@ class PoolExecutor(Executor):
         self.name = mode
         self.max_workers = max_workers
 
-    def submit_jobs(self, jobs, *, run_job=None):
-        from repro.experiments.base import _execute_job, _run_annotated
+    def submit_jobs(self, jobs, *, run_job):
+        from repro.experiments.base import _run_annotated
 
-        if run_job is None:
-            return self.map(_execute_job, [(job,) for job in jobs])
         return self.map(_run_annotated, [(run_job, job) for job in jobs])
 
     def map(self, fn: Callable, args_list: Sequence[tuple]) -> List:

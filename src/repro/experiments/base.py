@@ -28,7 +28,7 @@ from __future__ import annotations
 import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.experiments.config import ExperimentScale, resolve_scale
 from repro.experiments.scenario import ScenarioSpec, resolve_scenarios
@@ -300,23 +300,11 @@ def _run_annotated(run_job, job: Job) -> RunResult:
     return _annotate(run_job(job), job)
 
 
-def _execute_job(job: Job) -> RunResult:
-    """Registry-resolving job trampoline (serial path and replay tooling).
-
-    Resolves the experiment by name through the registry, which lazily
-    imports the built-in experiment modules — sufficient for the four paper
-    pipelines anywhere, and for any experiment on the local process.
-    """
-    from repro.experiments.registry import get_experiment
-
-    return _annotate(get_experiment(job.experiment).run_job(job), job)
-
-
 def execute_jobs(
     jobs: Sequence[Job],
     *,
+    run_job: Callable[[Job], RunResult],
     executor=None,
-    run_job=None,
 ) -> List[RunResult]:
     """Run every job through an :class:`~repro.executor.Executor`.
 
@@ -331,11 +319,11 @@ def execute_jobs(
     understood by :func:`~repro.executor.resolve_executor` (``"serial"``,
     ``"process"``, ``"thread"``), or ``None`` for the in-process serial path.
 
-    When ``run_job`` (a module-level picklable function) is given, workers
-    receive it directly with each job, so user-registered experiments work
-    under any start method (``fork``/``spawn``/``forkserver``) without the
-    worker needing to re-import and re-register them; without it, jobs are
-    resolved by name through the registry.
+    ``run_job`` is the experiment's module-level picklable per-job function
+    (:meth:`Experiment.run_job`).  Workers receive it directly with each
+    job, so user-registered experiments work under any start method
+    (``fork``/``spawn``/``forkserver``) without the worker needing to
+    re-import and re-register them.
     """
     from repro.executor import resolve_executor
 

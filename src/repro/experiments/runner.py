@@ -16,6 +16,7 @@ from __future__ import annotations
 import numbers
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Optional
 
 import numpy as np
@@ -34,7 +35,18 @@ class TrainedModel:
     network: SingleLayerNetwork
     dataset: Dataset
     output: str
-    test_accuracy: float
+
+    @cached_property
+    def test_accuracy(self) -> float:
+        """Clean accuracy on the test split, from one forward on first read.
+
+        Read lazily, so a training-time defence that edits the weights
+        after training (``"rebalance"``) is scored once, on the final
+        network.
+        """
+        return accuracy(
+            self.network.predict(self.dataset.test_inputs), self.dataset.test_targets
+        )
 
     @property
     def n_features(self) -> int:
@@ -130,9 +142,4 @@ def prepare_model(
         regularizer=regularizer,
         random_state=random_state,
     )
-    return TrainedModel(
-        network=network,
-        dataset=dataset,
-        output=output,
-        test_accuracy=accuracy(network.predict(dataset.test_inputs), dataset.test_targets),
-    )
+    return TrainedModel(network=network, dataset=dataset, output=output)

@@ -38,9 +38,7 @@ from repro.experiments.config import (
     WIRED_CROSSBAR_OHM,
     WIRED_CROSSBAR_PROBE_NOISE,
 )
-from repro.nn.metrics import accuracy
 from repro.service.config import ServiceConfig
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
 from repro.utils.validation import check_known_fields
 
@@ -354,9 +352,6 @@ class ScenarioSpec:
         )
         if self.defense == "rebalance":
             rebalance_column_norms(model.network, blend=min(self.defense_strength, 1.0))
-            model.test_accuracy = accuracy(
-                model.network.predict(dataset.test_inputs), dataset.test_targets
-            )
         return model
 
     def build_accelerator(self, network, *, random_state: int):
@@ -433,19 +428,25 @@ class ScenarioSpec:
     def build_prober(self, target, n_features: int, *, random_state: int) -> ColumnNormProber:
         """The attacker's probing stack against ``target``.
 
-        The paper-ideal scenario constructs ``PowerMeasurement(target)`` with
-        default arguments, matching the legacy pipelines exactly.
+        A :class:`~repro.sidechannel.probing.ColumnNormProber` over an
+        :class:`~repro.attacks.oracle.Oracle` with this scenario's
+        instrument noise (seeded apart from :meth:`build_oracle`'s stream)
+        and acquisition ADC.  The paper-ideal scenario builds
+        ``Oracle(target)`` with default arguments.
         """
+        from repro.attacks.oracle import Oracle
+
         kwargs: Dict[str, object] = {}
         if self.measurement_noise > 0.0:
-            kwargs["noise_std"] = self.measurement_noise
+            kwargs["power_noise_std"] = self.measurement_noise
             kwargs["random_state"] = np.random.default_rng(
                 [int(random_state) & 0xFFFFFFFF, 0xA7C]
             )
-        if self.probe_adc_bits is not None:
-            kwargs["quantization_bits"] = self.probe_adc_bits
-        measurement = PowerMeasurement(target, **kwargs)
-        return ColumnNormProber(measurement, n_features)
+        return ColumnNormProber(
+            Oracle(target, **kwargs),
+            n_features,
+            quantization_bits=self.probe_adc_bits,
+        )
 
 
 def _paper_scenario(dataset: str, activation: str) -> ScenarioSpec:

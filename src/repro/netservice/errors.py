@@ -16,9 +16,10 @@ Terminal
     :class:`ProtocolError` (malformed/oversized frames — a software bug or a
     version mismatch), :class:`RemoteServiceError` (the server-side traversal
     raised; carries the remote exception type),
-    :class:`~repro.sidechannel.measurement.QueryBudgetExceeded` (the
-    tenant's query budget is spent — re-raised as the same type the direct
-    path raises, so attack code handles both identically), and
+    :class:`~repro.attacks.oracle.QueryBudgetExceeded` (the tenant's
+    query budget is spent — re-raised as the same type a direct
+    :class:`~repro.attacks.oracle.Oracle` raises, so attack code handles
+    both identically), and
     :class:`~repro.service.errors.ServiceClosedError` (the *local* handle
     was closed — shared with the in-process
     :class:`~repro.service.coalescer.QueryService`).
@@ -27,7 +28,7 @@ Terminal
 from __future__ import annotations
 
 from repro.service.errors import ServiceClosedError  # noqa: F401  (re-export)
-from repro.sidechannel.measurement import QueryBudgetExceeded  # noqa: F401
+from repro.attacks.oracle import QueryBudgetExceeded  # noqa: F401  (re-export)
 
 
 class NetServiceError(Exception):

@@ -1,11 +1,13 @@
 """Power side-channel acquisition and analysis.
 
-Implements the attacker's measurement apparatus: acquiring total-current
-traces from the crossbar (with optional measurement noise and query
-accounting), recovering the per-column conductance sums ``G_j`` via
-basis-vector probing (Section II-B of the paper), estimating them from
-arbitrary query sets, and locating the largest column 1-norm with fewer
-probes than inputs (the search strategies sketched at the end of Section III).
+Implements the attacker's analysis of the power channel.  Acquisition goes
+through the one attacker instrument, :class:`~repro.attacks.oracle.Oracle`
+(instrument noise, query budget and accounting); on top of it this package
+recovers the per-column conductance sums ``G_j`` via basis-vector probing
+(Section II-B of the paper, with an optional acquisition ADC), estimates
+them from arbitrary query sets, and locates the largest column 1-norm with
+fewer probes than inputs (the search strategies sketched at the end of
+Section III).
 """
 
 from repro.sidechannel.coresident import (
@@ -15,7 +17,7 @@ from repro.sidechannel.coresident import (
     run_coresident_attack,
     visible_ticks,
 )
-from repro.sidechannel.measurement import PowerMeasurement, QueryBudgetExceeded
+from repro.attacks.oracle import QueryBudgetExceeded
 from repro.sidechannel.probing import ColumnNormProber, ProbeResult
 from repro.sidechannel.shardprobe import PerShardProber, ShardProbeResult
 from repro.sidechannel.estimators import estimate_column_sums_ridge
@@ -33,7 +35,6 @@ __all__ = [
     "estimate_victim_norms",
     "run_coresident_attack",
     "visible_ticks",
-    "PowerMeasurement",
     "QueryBudgetExceeded",
     "ColumnNormProber",
     "ProbeResult",

@@ -6,17 +6,17 @@ all column conductance sums, which under the min-power mapping are affine in
 the column 1-norms of the weight matrix.  The prober also measures the
 all-zero input to remove the affine offset contributed by ``g_min`` devices.
 
-The prober is fully batched: all basis vectors of one
-:meth:`ColumnNormProber.probe_indices` call — *including* the optional
-all-zero baseline probe, which previously went out as a separate
-:meth:`~repro.sidechannel.measurement.PowerMeasurement.measure` call — are
-submitted as a single batched query, so the target hardware realises its
-conductance state once per probe round.  ``batched=False`` selects a
-per-column reference mode (one query per probe vector plus a separate
-baseline query), modelling an attacker whose instrument can only issue
-scalar queries; it exists for equivalence testing and for quantifying what
-batching buys.  Both modes charge the same number of queries against the
-budget.
+The prober reads the rail through an :class:`~repro.attacks.oracle.Oracle`
+(``response.power``): the oracle holds the attacker's instrument noise and
+query budget, and the prober adds the acquisition ADC.  It is fully batched:
+all basis vectors of one :meth:`ColumnNormProber.probe_indices` call —
+including the optional all-zero baseline probe — are submitted as a single
+query, so the target hardware realises its conductance state once per probe
+round.  ``batched=False`` selects a per-column reference mode (one query per
+probe vector plus a separate baseline query), modelling an attacker whose
+instrument can only issue scalar queries; it exists for equivalence testing
+and for quantifying what batching buys.  Both modes charge the same number
+of queries against the budget.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.sidechannel.measurement import PowerMeasurement
+from repro.attacks.oracle import Oracle
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -80,11 +80,23 @@ class ColumnNormProber:
 
     Parameters
     ----------
-    measurement:
-        A :class:`~repro.sidechannel.measurement.PowerMeasurement` wrapping
-        the target crossbar.
+    oracle:
+        An :class:`~repro.attacks.oracle.Oracle` over the target crossbar,
+        built with ``expose_power=True``; its ``power_noise_std`` is the
+        instrument noise and its ``query_budget`` caps the probes.
     n_inputs:
         Input dimensionality N of the target.
+    quantization_bits:
+        Resolution of the attacker's acquisition ADC, in bits; ``None``
+        (default) models an ideal continuous instrument.  Every query call
+        **auto-ranges**: it snaps its readings to ``2**bits`` uniform levels
+        spanning that call's observed range (noise included), like an
+        oscilloscope whose vertical scale is fit to the trace.  A call with
+        zero dynamic range (including any single-probe read of the
+        ``batched=False`` mode) passes through unchanged.  This quantizes
+        the *side channel*, independently of the accelerator's own output
+        ADC, which digitises functional outputs only — the supply rail an
+        attacker taps is analogue.
     drive_voltage:
         The voltage applied to the probed line (the paper's Vdd, 1.0 in the
         normalised formulation).
@@ -101,26 +113,49 @@ class ColumnNormProber:
 
     def __init__(
         self,
-        measurement: PowerMeasurement,
+        oracle: Oracle,
         n_inputs: int,
         *,
+        quantization_bits: Optional[int] = None,
         drive_voltage: float = 1.0,
         measure_baseline: bool = False,
         batched: bool = True,
     ):
-        self.measurement = measurement
+        if not getattr(oracle, "expose_power", False):
+            raise ValueError(
+                "ColumnNormProber requires an oracle with expose_power=True"
+            )
+        self.oracle = oracle
         self.n_inputs = check_positive_int(n_inputs, "n_inputs")
+        if quantization_bits is not None:
+            check_positive_int(quantization_bits, "quantization_bits")
+        self.quantization_bits = quantization_bits
         self.drive_voltage = check_positive(drive_voltage, "drive_voltage")
         self.measure_baseline = bool(measure_baseline)
         self.batched = bool(batched)
 
     # ------------------------------------------------------------------ api
 
+    def _measure(self, probes: np.ndarray) -> np.ndarray:
+        """One oracle query: the ``(B,)`` power readings through the ADC."""
+        return self._quantize(self.oracle.query(probes).power)
+
+    def _quantize(self, readings: np.ndarray) -> np.ndarray:
+        """Snap readings to ``2**bits`` uniform levels over the batch's range."""
+        if self.quantization_bits is None:
+            return readings
+        low, high = float(readings.min()), float(readings.max())
+        if high <= low:
+            return readings
+        steps = 2**self.quantization_bits - 1
+        span = high - low
+        indices = np.clip(np.rint((readings - low) / span * steps), 0, steps)
+        return low + indices * span / steps
+
     def _baseline(self) -> float:
         if not self.measure_baseline:
             return 0.0
-        zero = np.zeros(self.n_inputs)
-        return float(self.measurement.measure(zero))
+        return float(self._measure(np.zeros(self.n_inputs))[0])
 
     def _basis_vectors(self, indices: np.ndarray) -> np.ndarray:
         probes = np.zeros((len(indices), self.n_inputs), dtype=float)
@@ -134,7 +169,7 @@ class ColumnNormProber:
             probes = np.concatenate(
                 [np.zeros((1, self.n_inputs), dtype=float), probes], axis=0
             )
-        currents = np.atleast_1d(self.measurement.measure(probes))
+        currents = self._measure(probes)
         if self.measure_baseline:
             return currents[1:], float(currents[0])
         return currents, 0.0
@@ -143,9 +178,7 @@ class ColumnNormProber:
         """Reference path: one query per probed column, separate baseline query."""
         baseline = self._baseline()
         probes = self._basis_vectors(indices)
-        currents = np.array(
-            [float(self.measurement.measure(probe)) for probe in probes]
-        )
+        currents = np.array([float(self._measure(probe)[0]) for probe in probes])
         return currents, baseline
 
     def probe_indices(self, indices: Sequence[int]) -> ProbeResult:
@@ -158,7 +191,7 @@ class ColumnNormProber:
                 f"indices must lie in [0, {self.n_inputs}), got range "
                 f"[{indices.min()}, {indices.max()}]"
             )
-        queries_before = self.measurement.queries_used
+        queries_before = self.oracle.queries_used
         if self.batched:
             currents, baseline = self._measure_batched(indices)
         else:
@@ -168,7 +201,7 @@ class ColumnNormProber:
             indices=indices,
             column_sums=column_sums,
             baseline=baseline,
-            queries_used=self.measurement.queries_used - queries_before,
+            queries_used=self.oracle.queries_used - queries_before,
         )
 
     def probe_all(self) -> ProbeResult:

@@ -127,12 +127,12 @@ def greedy_neighbourhood_search(
     rng = as_rng(random_state)
 
     known: dict[int, float] = {}
-    queries_before = prober.measurement.queries_used
+    queries_before = prober.oracle.queries_used
 
     def value_of(indices: list[int]) -> None:
         """Probe any indices not yet measured (respecting the budget)."""
         unknown = [i for i in indices if i not in known]
-        remaining = budget - (prober.measurement.queries_used - queries_before)
+        remaining = budget - (prober.oracle.queries_used - queries_before)
         unknown = unknown[: max(0, remaining)]
         if unknown:
             probed_idx, values = _probe(prober, unknown)
@@ -143,7 +143,7 @@ def greedy_neighbourhood_search(
     for start in starts:
         current = int(start)
         while True:
-            if prober.measurement.queries_used - queries_before >= budget:
+            if prober.oracle.queries_used - queries_before >= budget:
                 break
             neighbours = _grid_neighbours(current, (height, width))
             value_of(neighbours)
@@ -160,7 +160,7 @@ def greedy_neighbourhood_search(
     return SearchResult(
         best_index=int(best_index),
         best_value=float(known[best_index]),
-        queries_used=prober.measurement.queries_used - queries_before,
+        queries_used=prober.oracle.queries_used - queries_before,
         probed_indices=np.asarray(sorted(known), dtype=int),
         metadata={"strategy": "greedy_neighbourhood", "budget": budget, "n_restarts": n_restarts},
     )
@@ -181,7 +181,7 @@ def coarse_to_fine_search(
         raise ValueError(
             f"image_shape {image_shape} does not cover {prober.n_inputs} inputs"
         )
-    queries_before = prober.measurement.queries_used
+    queries_before = prober.oracle.queries_used
 
     coarse_rows = np.arange(coarse_stride // 2, height, coarse_stride)
     coarse_cols = np.arange(coarse_stride // 2, width, coarse_stride)
@@ -207,7 +207,7 @@ def coarse_to_fine_search(
     return SearchResult(
         best_index=int(all_indices[best]),
         best_value=float(all_values[best]),
-        queries_used=prober.measurement.queries_used - queries_before,
+        queries_used=prober.oracle.queries_used - queries_before,
         probed_indices=np.asarray(sorted(all_indices), dtype=int),
         metadata={
             "strategy": "coarse_to_fine",

@@ -6,9 +6,9 @@ that, for **every registered scenario preset**: with fixed per-request seeds,
 query-by-query :class:`Oracle` results are bit-identical across batch sizes
 ``{1, k, whole}``, and the batch-composition bugs once found here
 (batch-mean noise scale, layer-0-only analytic power, charge-before-success
-query accounting) stay fixed.  :class:`PowerMeasurement`, which the service
-does not serve, keeps its per-element noise scale and its documented
-batch-dependent auto-ranging ADC.
+query accounting) stay fixed.  The probing attacker's auto-ranging
+acquisition ADC (on :class:`ColumnNormProber`, not the oracle) stays
+batch-dependent by design.
 """
 
 import asyncio
@@ -16,12 +16,12 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.attacks.oracle import Oracle
+from repro.attacks.oracle import Oracle, QueryBudgetExceeded
 from repro.experiments.config import TENANT_PRESET_CONFIGS
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.service import QueryService
-from repro.sidechannel.measurement import PowerMeasurement, QueryBudgetExceeded
+from repro.sidechannel.probing import ColumnNormProber
 from repro.experiments.scenario import SCENARIOS, list_scenarios
 from repro.utils.rng import derive_request_seeds
 
@@ -107,49 +107,25 @@ class TestOracleBatchInvariance:
 
 
 class TestMeasurementBatchInvariance:
-    """PowerMeasurement's auto-ranging ADC is batch-dependent by design."""
+    """The prober's auto-ranging ADC is batch-dependent by design."""
 
     def test_auto_range_is_documented_batch_dependent(self):
-        """The standalone-scope default intentionally stays auto-ranging."""
-        column_sums = np.linspace(0.5, 2.0, N_FEATURES)
+        """The acquisition ADC intentionally stays auto-ranging per query."""
+        network = Sequential([Dense(N_FEATURES, 1, activation="linear", random_state=0)])
+        network.layers[0].set_weights(np.linspace(0.5, 2.0, N_FEATURES)[np.newaxis, :])
 
-        class _Static:
-            def total_current(self, inputs):
-                return np.atleast_2d(inputs) @ column_sums
+        def probe(batched):
+            prober = ColumnNormProber(
+                Oracle(network), N_FEATURES, quantization_bits=2, batched=batched
+            )
+            return prober.probe_all().column_sums
 
-        auto = PowerMeasurement(_Static(), quantization_bits=2)
-        inputs = _query_batch()
-        whole = auto.measure(inputs)
-        alone = np.array([auto.measure(row) for row in inputs])
         # single reads have zero dynamic range -> pass through unquantized
-        assert not np.array_equal(whole, alone)
+        assert not np.array_equal(probe(True), probe(False))
 
 
 class TestNoiseScaleIsPerElement:
     """Regression: the noise magnitude must not depend on batch composition."""
-
-    class _Static:
-        def __init__(self, column_sums):
-            self.column_sums = np.asarray(column_sums, dtype=float)
-
-        def total_current(self, inputs):
-            return np.atleast_2d(inputs) @ self.column_sums
-
-    def test_measurement_noise_scale_tracks_each_element(self):
-        """A tiny reading keeps tiny noise even next to a huge batch-mate."""
-        target = self._Static([1.0])
-        measurement = PowerMeasurement(target, noise_std=0.01, random_state=0)
-        small, large = 1e-3, 1e3
-        readings = np.array(
-            [
-                measurement.measure(np.array([[small], [large]]))[0]
-                for _ in range(200)
-            ]
-        )
-        errors = np.abs(readings - small)
-        # Per-element scale: ~1% of 1e-3.  The old batch-mean scale would
-        # have produced noise ~1% of ~500 — nine orders of magnitude larger.
-        assert np.max(errors) < 1e-3
 
     def test_oracle_noise_scale_tracks_each_element(self, trained_linear):
         oracle = Oracle(trained_linear, power_noise_std=0.01, random_state=0)
@@ -163,7 +139,7 @@ class TestNoiseScaleIsPerElement:
 
 
 class TestOracleAccounting:
-    """Regression: failing queries are free; budgets mirror PowerMeasurement."""
+    """Regression: failing queries are free; rejected queries are not charged."""
 
     def test_failing_forward_charges_nothing(self, trained_linear):
         oracle = Oracle(trained_linear, random_state=0)
@@ -187,16 +163,6 @@ class TestOracleAccounting:
     def test_invalid_budget(self, trained_linear):
         with pytest.raises(ValueError):
             Oracle(trained_linear, query_budget=0)
-
-    def test_measurement_failing_read_charges_nothing(self):
-        class _Broken:
-            def total_current(self, inputs):
-                raise RuntimeError("bus fault")
-
-        measurement = PowerMeasurement(_Broken())
-        with pytest.raises(RuntimeError):
-            measurement.measure(np.ones((4, 2)))
-        assert measurement.queries_used == 0
 
 
 @pytest.mark.tenant

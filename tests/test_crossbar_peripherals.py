@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar.adc_dac import ADC, DAC
-from repro.crossbar.power import PowerModel, PowerReport
+from repro.crossbar.power import PowerReport
 
 
 class TestDAC:
@@ -48,54 +48,23 @@ class TestADC:
         assert np.all(np.diff(converted) >= 0)
 
 
-class TestPowerModel:
-    def test_report_fields_consistent(self):
-        model = PowerModel(supply_voltage=0.8, integration_time=1e-7)
-        report = model.report(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(report.power, [0.8, 1.6])
-        np.testing.assert_allclose(report.energy, [0.8e-7, 1.6e-7])
-        assert report.n_samples == 2
-        assert report.n_tiles == 1
-
+class TestPowerReport:
     def test_report_with_per_tile_currents(self):
-        model = PowerModel()
-        report = model.report(np.array([3.0]), [np.array([1.0]), np.array([2.0])])
+        report = PowerReport(np.array([3.0]), np.array([[1.0, 2.0]]))
+        assert report.n_samples == 1
         assert report.n_tiles == 2
         np.testing.assert_allclose(report.per_tile_current, [[1.0, 2.0]])
 
-    def test_per_tile_count_mismatch_raises(self):
-        model = PowerModel()
-        with pytest.raises(ValueError):
-            model.report(np.array([1.0, 2.0]), [np.array([1.0])])
-
-    def test_mean_power_and_total_energy(self):
-        report = PowerModel(supply_voltage=1.0, integration_time=2.0).report(
-            np.array([1.0, 3.0])
-        )
-        assert report.mean_power() == pytest.approx(2.0)
-        assert report.total_energy() == pytest.approx(8.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            PowerModel(supply_voltage=0.0)
-        with pytest.raises(ValueError):
-            PowerModel(integration_time=-1.0)
-
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            PowerReport(
-                total_current=np.zeros((2, 2)),
-                power=np.zeros(2),
-                energy=np.zeros(2),
-                per_tile_current=np.zeros((2, 1)),
-            )
+            PowerReport(total_current=np.zeros((2, 2)), per_tile_current=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="1 tile labels for 2 current columns"):
+            PowerReport(np.ones(2), np.ones((2, 2)), tile_labels=("layer0",))
 
     def test_current_for_unknown_label_names_available_labels(self):
         """Regression: the KeyError must list the labels that do exist."""
         report = PowerReport(
             total_current=np.ones(2),
-            power=np.ones(2),
-            energy=np.ones(2),
             per_tile_current=np.ones((2, 2)),
             tile_labels=("layer0", "layer1"),
         )
@@ -108,8 +77,6 @@ class TestPowerModel:
     def test_current_for_without_labels(self):
         report = PowerReport(
             total_current=np.ones(2),
-            power=np.ones(2),
-            energy=np.ones(2),
             per_tile_current=np.ones((2, 1)),
         )
         with pytest.raises(ValueError, match="no tile labels"):

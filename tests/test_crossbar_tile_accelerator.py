@@ -89,15 +89,16 @@ class TestCrossbarAccelerator:
             accelerator.predict_labels(inputs), trained_softmax.predict_labels(inputs)
         )
 
-    def test_power_trace_shapes(self, accelerator, mnist_small):
-        report = accelerator.power_trace(mnist_small.test_inputs[:7])
+    def test_power_report_shapes(self, accelerator, mnist_small):
+        _, report = accelerator.forward_with_power(mnist_small.test_inputs[:7])
         assert report.total_current.shape == (7,)
         assert report.per_tile_current.shape == (7, 1)
         assert np.all(report.total_current > 0)
 
-    def test_total_current_single_input(self, accelerator, mnist_small):
-        value = accelerator.total_current(mnist_small.test_inputs[0])
-        assert np.isscalar(value) and value > 0
+    def test_power_report_single_input(self, accelerator, mnist_small):
+        outputs, report = accelerator.forward_with_power(mnist_small.test_inputs[0])
+        assert outputs.shape == (accelerator.n_outputs,)
+        assert report.total_current.shape == (1,) and report.total_current[0] > 0
 
     def test_multi_layer_accelerator(self, rng):
         network = Sequential(
@@ -109,7 +110,7 @@ class TestCrossbarAccelerator:
         np.testing.assert_allclose(
             accelerator.forward(inputs), network.predict(inputs), atol=1e-8
         )
-        report = accelerator.power_trace(inputs)
+        _, report = accelerator.forward_with_power(inputs)
         assert report.per_tile_current.shape == (4, 2)
         np.testing.assert_allclose(
             report.total_current, report.per_tile_current.sum(axis=1)
@@ -137,7 +138,7 @@ class TestCrossbarAccelerator:
         )
         n_features = trained_linear.layers[0].n_inputs
         probes = np.eye(n_features)
-        currents = balanced.total_current(probes)
+        currents = balanced.forward_with_power(probes)[1].total_current
         norms = weight_column_norms(trained_linear.weights)
         # A constant current vector leaks nothing (and has no correlation).
         flat = currents.std() / currents.mean() < 1e-6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attacks.oracle import Oracle
 from repro.crossbar import CrossbarAccelerator
 from repro.defenses import (
     ColumnNormRegularizer,
@@ -15,7 +16,7 @@ from repro.defenses import (
 from repro.nn.gradients import weight_column_norms
 from repro.nn.metrics import accuracy
 from repro.nn.trainer import train_single_layer
-from repro.sidechannel import ColumnNormProber, PowerMeasurement
+from repro.sidechannel import ColumnNormProber
 
 
 class TestColumnNormRegularizer:
@@ -107,7 +108,7 @@ class TestRebalanceColumnNorms:
         assert defended_accuracy > baseline_accuracy - 0.35
         # ...and the crossbar built from it must no longer leak the original norms.
         accelerator = CrossbarAccelerator(network, random_state=0)
-        prober = ColumnNormProber(PowerMeasurement(accelerator), mnist_small.n_features)
+        prober = ColumnNormProber(Oracle(accelerator), mnist_small.n_features)
         leaked = prober.probe_all().column_sums
         original_norms = weight_column_norms(trained_softmax.weights)
         mask = original_norms > 1e-9  # columns that were never used stay at zero
@@ -159,10 +160,12 @@ class TestPowerNoiseDefense:
     def test_power_observable_randomised(self, accelerator, mnist_small):
         defense = PowerNoiseDefense(accelerator, random_state=0)
         u = mnist_small.test_inputs[0]
-        readings = np.array([defense.total_current(u) for _ in range(20)])
+        readings = np.array(
+            [defense.forward_with_power(u)[1].total_current[0] for _ in range(20)]
+        )
         assert readings.std() > 0
         # dummy draw only ever adds current
-        assert readings.mean() > accelerator.total_current(u)
+        assert readings.mean() > accelerator.forward_with_power(u)[1].total_current[0]
 
     def test_defense_destroys_probe_correlation(self, accelerator, trained_softmax, mnist_small):
         strong_defense = PowerNoiseDefense(
@@ -190,7 +193,7 @@ class TestEvaluation:
     def test_attack_advantage_positive_without_defense(
         self, trained_softmax, accelerator, mnist_small
     ):
-        prober = ColumnNormProber(PowerMeasurement(accelerator), mnist_small.n_features)
+        prober = ColumnNormProber(Oracle(accelerator), mnist_small.n_features)
         leaked = prober.probe_all().column_sums
         advantage = single_pixel_attack_advantage(
             trained_softmax,
@@ -205,11 +208,10 @@ class TestEvaluation:
     def test_zero_variance_leaked_norms_give_zero_leakage(self, trained_softmax):
         """A fully jammed/quantised channel must score 0.0, not NaN."""
 
-        class _ConstantTarget:
-            def total_current(self, inputs):
-                return np.full(len(np.atleast_2d(inputs)), 3.0)
-
-        leakage = leakage_correlation(_ConstantTarget(), trained_softmax)
+        # every basis probe of this target reads the same 3.0
+        constant_target = trained_softmax.clone_architecture(random_state=0)
+        constant_target.weights = np.full_like(trained_softmax.weights, 0.3)
+        leakage = leakage_correlation(constant_target, trained_softmax)
         assert leakage == 0.0
         # the precomputed-norms path hits the same guard
         n = trained_softmax.layers[0].n_inputs
@@ -234,7 +236,7 @@ class TestEvaluation:
 
     def test_precomputed_norms_match_probing_path(self, trained_softmax, accelerator, mnist_small):
         """Scoring a caller-supplied acquisition equals probing in-place."""
-        prober = ColumnNormProber(PowerMeasurement(accelerator), mnist_small.n_features)
+        prober = ColumnNormProber(Oracle(accelerator), mnist_small.n_features)
         leaked = prober.probe_all().column_sums
         assert leakage_correlation(
             accelerator, trained_softmax, leaked_norms=leaked
@@ -243,7 +245,7 @@ class TestEvaluation:
     def test_attack_advantage_deterministic_under_fixed_seed(
         self, trained_softmax, accelerator, mnist_small
     ):
-        prober = ColumnNormProber(PowerMeasurement(accelerator), mnist_small.n_features)
+        prober = ColumnNormProber(Oracle(accelerator), mnist_small.n_features)
         leaked = prober.probe_all().column_sums
         advantages = [
             single_pixel_attack_advantage(

@@ -26,7 +26,6 @@ from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.tile import CrossbarTile
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
 
 NONIDEALITY_CONFIGS = {
@@ -98,9 +97,12 @@ class TestFusedMatchesSeparate:
         batch = rng.uniform(0, 1, size=(5, 12))
         outputs, report = accelerator.forward_with_power(batch)
         np.testing.assert_array_equal(outputs, accelerator.forward(batch))
-        legacy = accelerator.power_trace(batch)
-        np.testing.assert_array_equal(report.total_current, legacy.total_current)
-        np.testing.assert_array_equal(report.per_tile_current, legacy.per_tile_current)
+        legacy, activations = [], batch  # the separate per-tile passes
+        for tile in accelerator.tiles:
+            legacy.append(tile.total_current(activations))
+            activations = tile.forward(activations)
+        np.testing.assert_array_equal(report.total_current, np.sum(legacy, axis=0))
+        np.testing.assert_array_equal(report.per_tile_current, np.stack(legacy, axis=1))
         assert report.per_tile_current.shape == (5, accelerator.n_tiles)
 
     def test_fused_consistent_under_read_noise(self):
@@ -210,12 +212,15 @@ class TestBatchedEqualsLoop:
     def test_batched_probing_equals_per_column_loop(self, rng):
         weights = rng.normal(size=(5, 8))
         device = NVMDeviceModel(name="offset", g_min=0.05, g_max=1.0)
-        array = make_array(weights, device=device)
+        layer = Dense(8, 5, activation="linear", random_state=0)
+        layer.set_weights(weights)
+        accelerator = CrossbarAccelerator(
+            Sequential([layer]), mapping=ConductanceMapping(device=device), random_state=0
+        )
 
         def probe(batched):
-            measurement = PowerMeasurement(array, random_state=0)
             prober = ColumnNormProber(
-                measurement, 8, measure_baseline=True, batched=batched
+                Oracle(accelerator, random_state=0), 8, measure_baseline=True, batched=batched
             )
             return prober.probe_all()
 
@@ -259,26 +264,3 @@ class TestSingleTraversalAccounting:
         accelerator.reset_operation_counters()
         oracle.query(rng.uniform(0, 1, size=(8, 12)))
         assert accelerator.n_array_operations == accelerator.n_tiles
-
-
-class TestAcceleratorTotalCurrentTypes:
-    """Satellite: total_current return types for (N,) and (B, N) inputs."""
-
-    def test_single_input_returns_float_multi_tile(self, rng):
-        accelerator = make_accelerator()
-        value = accelerator.total_current(rng.uniform(0, 1, size=12))
-        assert isinstance(value, float)
-
-    def test_batch_of_one_returns_array(self, rng):
-        accelerator = make_accelerator()
-        value = accelerator.total_current(rng.uniform(0, 1, size=(1, 12)))
-        assert isinstance(value, np.ndarray)
-        assert value.shape == (1,)
-
-    def test_batch_returns_per_sample_sums(self, rng):
-        accelerator = make_accelerator()
-        batch = rng.uniform(0, 1, size=(6, 12))
-        value = accelerator.total_current(batch)
-        assert value.shape == (6,)
-        report = accelerator.power_trace(batch)
-        np.testing.assert_allclose(value, report.per_tile_current.sum(axis=1))

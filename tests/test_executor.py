@@ -231,7 +231,8 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("executor", ["serial", "process", "thread"])
     def test_empty_grid_returns_empty(self, executor):
-        assert resolve_executor(executor).submit_jobs([]) == []
+        run_job = get_experiment("figure3").run_job
+        assert resolve_executor(executor).submit_jobs([], run_job=run_job) == []
 
 
 # ------------------------------------------------------------- CLI flags

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar.nonidealities import NonidealityConfig
-from repro.executor import PoolExecutor
+from repro.executor import PoolExecutor, SerialExecutor
 from repro.experiments import (
     PAPER_SCENARIOS,
     ExperimentResult,
@@ -20,7 +20,7 @@ from repro.experiments import (
     resolve_scenarios,
     run_experiments,
 )
-from repro.experiments.base import Experiment, Job, _execute_job
+from repro.experiments.base import Experiment, Job
 from repro.experiments.figure5 import OUTPUT_MODES
 from repro.experiments.config import PAPER_CONFIGURATIONS
 from repro.experiments.registry import _REGISTRY
@@ -448,7 +448,8 @@ class TestRunExperimentsEndToEnd:
         job = get_experiment("figure3").build_jobs(
             fast_scale, resolve_scenarios(["paper/mnist-softmax"]), base_seed=0
         )[0]
-        result = _execute_job(job)
+        experiment = get_experiment("figure3")
+        (result,) = SerialExecutor().submit_jobs([job], run_job=experiment.run_job)
         assert result.metadata["experiment"] == "figure3"
         assert result.metadata["scenario"] == "paper/mnist-softmax"
         assert result.metadata["seed"] == job.seed

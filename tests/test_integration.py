@@ -12,7 +12,7 @@ from repro.attacks import (
 )
 from repro.crossbar import CrossbarAccelerator
 from repro.nn.gradients import weight_column_norms
-from repro.sidechannel import ColumnNormProber, PowerMeasurement
+from repro.sidechannel import ColumnNormProber
 
 
 class TestCase1PowerOnlyAttacker:
@@ -22,8 +22,8 @@ class TestCase1PowerOnlyAttacker:
         # 1. the victim runs on a crossbar accelerator
         accelerator = CrossbarAccelerator(trained_softmax, random_state=0)
         # 2. the attacker probes the power rail to recover the column 1-norms
-        measurement = PowerMeasurement(accelerator, noise_std=0.01, random_state=1)
-        prober = ColumnNormProber(measurement, mnist_small.n_features)
+        oracle = Oracle(accelerator, power_noise_std=0.01, random_state=1)
+        prober = ColumnNormProber(oracle, mnist_small.n_features)
         probe = prober.probe_all()
         assert probe.queries_used == mnist_small.n_features
         # the leaked values must rank the columns like the true 1-norms
@@ -48,7 +48,7 @@ class TestCase1PowerOnlyAttacker:
 
     def test_noisy_measurements_degrade_gracefully(self, trained_softmax, mnist_small):
         accelerator = CrossbarAccelerator(trained_softmax, random_state=0)
-        heavy_noise = PowerMeasurement(accelerator, noise_std=0.5, random_state=2)
+        heavy_noise = Oracle(accelerator, power_noise_std=0.5, random_state=2)
         prober = ColumnNormProber(heavy_noise, mnist_small.n_features)
         noisy_norms = prober.probe_all().column_sums
         true_norms = weight_column_norms(trained_softmax.weights)

@@ -13,12 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.attacks.oracle import Oracle
+from repro.attacks.oracle import Oracle, QueryBudgetExceeded
 from repro.experiments.scenario import SCENARIOS, list_scenarios
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.service import QueryService, ServiceClosedError, ServiceConfig
-from repro.sidechannel.measurement import PowerMeasurement, QueryBudgetExceeded
 
 pytestmark = pytest.mark.service
 
@@ -233,7 +232,7 @@ class TestServiceMechanics:
         assert np.isfinite(ledger[0].rail_power)
 
     def test_unknown_target_rejected(self):
-        for target in (object(), PowerMeasurement(_target("paper/mnist-softmax"))):
+        for target in (object(), _target("paper/mnist-softmax")):
             with pytest.raises(TypeError, match="cannot serve"):
                 QueryService(target)
 

@@ -34,7 +34,6 @@ from repro.experiments.scenario import SCENARIOS, ScenarioSpec, get_scenario
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.sidechannel import PerShardProber
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
 from repro.utils.rng import derive_request_seeds
 
@@ -60,6 +59,11 @@ def dyadic_network(rng, n_inputs=13, n_outputs=7, activation="softmax"):
     bias = rng.integers(-4, 5, size=n_outputs) / 8.0
     layer.set_weights(weights, bias=bias)
     return Sequential([layer])
+
+
+def _total_current(accelerator, inputs):
+    """The accelerator's ``(B,)`` summed supply current (fused path)."""
+    return accelerator.forward_with_power(inputs)[1].total_current
 
 
 def dyadic_inputs(rng, n, n_inputs=13):
@@ -159,9 +163,6 @@ class TestBitIdentity:
             report_sharded.total_current, report_single.total_current
         )
         np.testing.assert_array_equal(sharded.forward(inputs), single.forward(inputs))
-        np.testing.assert_array_equal(
-            sharded.total_current(inputs), single.total_current(inputs)
-        )
 
     @pytest.mark.parametrize("spec", GEOMETRIES, ids=lambda s: f"{s.row_shards}x{s.col_shards}-{s.reduction}")
     def test_trained_weights_match_to_reduction_precision(self, spec, rng):
@@ -174,7 +175,7 @@ class TestBitIdentity:
 
         np.testing.assert_allclose(sharded.forward(inputs), single.forward(inputs), atol=1e-10)
         np.testing.assert_allclose(
-            sharded.total_current(inputs), single.total_current(inputs), rtol=1e-10
+            _total_current(sharded, inputs), _total_current(single, inputs), rtol=1e-10
         )
         np.testing.assert_array_equal(
             sharded.predict_labels(inputs), single.predict_labels(inputs)
@@ -199,7 +200,7 @@ class TestBitIdentity:
         sharded = CrossbarAccelerator(network, sharding=ShardingSpec.grid(2, 2), random_state=0)
         def probe(acc):
             return ColumnNormProber(
-                PowerMeasurement(acc), 8, measure_baseline=True
+                Oracle(acc), 8, measure_baseline=True
             ).probe_all()
 
         np.testing.assert_allclose(
@@ -213,7 +214,7 @@ class TestShardedPowerAccounting:
         spec = ShardingSpec.grid(2, 3)
         accelerator = CrossbarAccelerator(network, sharding=spec, random_state=0)
         inputs = dyadic_inputs(rng, 5)
-        report = accelerator.power_trace(inputs)
+        _, report = accelerator.forward_with_power(inputs)
         assert report.per_tile_current.shape == (5, 6)
         assert report.tile_labels == (
             "layer0/r0c0", "layer0/r0c1", "layer0/r0c2",
@@ -228,7 +229,7 @@ class TestShardedPowerAccounting:
         accelerator = CrossbarAccelerator(
             network, sharding=ShardingSpec.columns(2), random_state=0
         )
-        report = accelerator.power_trace(dyadic_inputs(rng, 4))
+        _, report = accelerator.forward_with_power(dyadic_inputs(rng, 4))
         shard0 = report.current_for("layer0/r0c0")
         shard1 = report.current_for("layer0/r0c1")
         np.testing.assert_allclose(shard0 + shard1, report.current_for("layer0"))
@@ -240,7 +241,7 @@ class TestShardedPowerAccounting:
             [Dense(10, 6, activation="relu", random_state=0), Dense(6, 3, random_state=1)]
         )
         accelerator = CrossbarAccelerator(network, random_state=0)
-        report = accelerator.power_trace(rng.uniform(0, 1, size=(4, 10)))
+        _, report = accelerator.forward_with_power(rng.uniform(0, 1, size=(4, 10)))
         assert report.per_tile_current.shape == (4, 2)
         assert report.tile_labels == ("layer0", "layer1")
         np.testing.assert_allclose(report.current_for("layer1"), report.per_tile_current[:, 1])
@@ -258,8 +259,8 @@ class TestShardedPowerAccounting:
         inputs = rng.uniform(0, 1, size=(5, 12))
         group = accelerator.tiles[0]
         before = group.n_array_realizations
-        report_a = accelerator.power_trace(inputs)
-        report_b = accelerator.power_trace(inputs)
+        _, report_a = accelerator.forward_with_power(inputs)
+        _, report_b = accelerator.forward_with_power(inputs)
         # one fresh realization per shard per traversal
         assert group.n_array_realizations == before + 2 * spec.n_shards
         assert not np.array_equal(report_a.per_tile_current, report_b.per_tile_current)
@@ -280,8 +281,8 @@ class TestShardedPowerAccounting:
             random_state=0,
         )
         inputs = rng.uniform(0, 1, size=(6, 12))
-        a = accelerator.total_current(inputs)
-        b = accelerator.total_current(inputs)
+        a = _total_current(accelerator, inputs)
+        b = _total_current(accelerator, inputs)
         assert not np.array_equal(a, b)  # independent per-rail noise draws
 
     def test_operation_counters_and_reset(self, rng):
@@ -468,7 +469,7 @@ class TestWireResistance:
         wired = CrossbarAccelerator(network, nonidealities=self.WIRED, random_state=0)
         # positive drive voltages, non-negative conductances: droop strictly
         # reduces the measured supply current
-        assert np.all(wired.total_current(inputs) < ideal.total_current(inputs))
+        assert np.all(_total_current(wired, inputs) < _total_current(ideal, inputs))
 
     def test_fused_path_consistent_under_wire_resistance(self, rng):
         network = dyadic_network(rng)
@@ -477,7 +478,7 @@ class TestWireResistance:
         out_fused, report = wired.forward_with_power(inputs)
         np.testing.assert_array_equal(out_fused, wired.forward(inputs))
         np.testing.assert_array_equal(
-            report.total_current, wired.total_current(inputs)
+            report.total_current, wired.tiles[0].total_current(inputs)
         )
 
     def test_droop_is_geometry_dependent(self, rng):
@@ -494,7 +495,7 @@ class TestWireResistance:
                 network, sharding=sharding, nonidealities=self.WIRED, random_state=0
             )
             return np.max(
-                np.abs(wired.total_current(inputs) - ideal.total_current(inputs))
+                np.abs(_total_current(wired, inputs) - _total_current(ideal, inputs))
             )
 
         err_mono = droop_error(None)

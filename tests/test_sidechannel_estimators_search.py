@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.attacks.oracle import Oracle
+from repro.crossbar import CrossbarAccelerator
 from repro.crossbar.array import CrossbarArray
+from repro.nn.network import SingleLayerNetwork
 from repro.sidechannel.estimators import estimate_column_sums_ridge
-from repro.sidechannel.measurement import PowerMeasurement
 from repro.sidechannel.probing import ColumnNormProber
 from repro.sidechannel.search import (
     coarse_to_fine_search,
@@ -76,9 +78,11 @@ def make_prober_with_image(rng, height, width, smooth=True, seed=0):
     else:
         profile = rng.uniform(0.1, 1.0, size=(height, width))
     weights = rng.normal(size=(5, n)) * profile.ravel()[np.newaxis, :]
-    array = CrossbarArray(weights, random_state=seed)
-    measurement = PowerMeasurement(array, random_state=seed)
-    prober = ColumnNormProber(measurement, n)
+    network = SingleLayerNetwork(n, 5, random_state=0)
+    network.weights = weights
+    accelerator = CrossbarAccelerator(network, random_state=seed)
+    (array,) = accelerator.physical_arrays
+    prober = ColumnNormProber(Oracle(accelerator, random_state=seed), n)
     true_best = int(np.argmax(array.column_conductance_sums))
     return prober, true_best
 

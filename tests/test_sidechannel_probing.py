@@ -3,19 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.crossbar.array import CrossbarArray
+from repro.attacks.oracle import Oracle
+from repro.crossbar import CrossbarAccelerator
 from repro.crossbar.devices import IDEAL_DEVICE, NVMDeviceModel
 from repro.crossbar.mapping import ConductanceMapping
 from repro.nn.gradients import weight_column_norms
-from repro.sidechannel.measurement import PowerMeasurement
+from repro.nn.network import SingleLayerNetwork
 from repro.sidechannel.probing import ColumnNormProber, ProbeResult
 
 
+def make_oracle(weights, *, device=IDEAL_DEVICE, noise_std=0.0, seed=0):
+    """An oracle over a one-layer accelerator holding ``weights``, and its array."""
+    network = SingleLayerNetwork(weights.shape[1], weights.shape[0], random_state=0)
+    network.weights = weights
+    accelerator = CrossbarAccelerator(
+        network, mapping=ConductanceMapping(device=device), random_state=seed
+    )
+    (array,) = accelerator.physical_arrays
+    return Oracle(accelerator, power_noise_std=noise_std, random_state=seed), array
+
+
 def make_prober(weights, *, device=IDEAL_DEVICE, noise_std=0.0, measure_baseline=False, seed=0):
-    array = CrossbarArray(weights, mapping=ConductanceMapping(device=device), random_state=seed)
-    measurement = PowerMeasurement(array, noise_std=noise_std, random_state=seed)
+    oracle, array = make_oracle(weights, device=device, noise_std=noise_std, seed=seed)
     return ColumnNormProber(
-        measurement, weights.shape[1], measure_baseline=measure_baseline
+        oracle, weights.shape[1], measure_baseline=measure_baseline
     ), array
 
 
@@ -106,30 +117,29 @@ class TestBatchedProbing:
         weights = rng.normal(size=(4, 7))
         prober, _ = make_prober(weights, measure_baseline=True)
         calls = []
-        original = prober.measurement.measure
+        original = prober.oracle.query
 
-        def counting_measure(inputs):
+        def counting_query(inputs):
             calls.append(np.atleast_2d(inputs).shape)
             return original(inputs)
 
-        prober.measurement.measure = counting_measure
+        prober.oracle.query = counting_query
         result = prober.probe_all()
         assert calls == [(8, 7)]  # 7 basis vectors + 1 baseline, one call
         assert result.queries_used == 8
 
     def test_per_column_reference_mode_issues_one_query_per_column(self, rng):
         weights = rng.normal(size=(4, 7))
-        array = CrossbarArray(weights, random_state=0)
-        measurement = PowerMeasurement(array)
-        prober = ColumnNormProber(measurement, 7, measure_baseline=True, batched=False)
+        oracle, array = make_oracle(weights)
+        prober = ColumnNormProber(oracle, 7, measure_baseline=True, batched=False)
         calls = []
-        original = measurement.measure
+        original = oracle.query
 
-        def counting_measure(inputs):
+        def counting_query(inputs):
             calls.append(np.atleast_2d(inputs).shape)
             return original(inputs)
 
-        measurement.measure = counting_measure
+        oracle.query = counting_query
         result = prober.probe_all()
         assert len(calls) == 8  # baseline + one call per column
         assert result.queries_used == 8
@@ -144,16 +154,14 @@ class TestProbeResultValidation:
             ProbeResult(indices=[1, 2], column_sums=[1.0], baseline=0.0, queries_used=2)
 
     def test_drive_voltage_scaling(self, rng):
-        weights = rng.normal(size=(4, 5))
-        array = CrossbarArray(weights, random_state=0)
-        measurement = PowerMeasurement(array)
-        low_voltage = ColumnNormProber(measurement, 5, drive_voltage=0.5)
+        oracle, array = make_oracle(rng.normal(size=(4, 5)))
+        low_voltage = ColumnNormProber(oracle, 5, drive_voltage=0.5)
         result = low_voltage.probe_all()
         np.testing.assert_allclose(result.column_sums, array.column_conductance_sums, atol=1e-12)
 
     def test_invalid_construction(self, rng):
-        measurement = PowerMeasurement(CrossbarArray(rng.normal(size=(3, 4)), random_state=0))
+        oracle, _ = make_oracle(rng.normal(size=(3, 4)))
         with pytest.raises(ValueError):
-            ColumnNormProber(measurement, 0)
+            ColumnNormProber(oracle, 0)
         with pytest.raises(ValueError):
-            ColumnNormProber(measurement, 4, drive_voltage=0.0)
+            ColumnNormProber(oracle, 4, drive_voltage=0.0)

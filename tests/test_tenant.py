@@ -43,7 +43,7 @@ from repro.sidechannel.coresident import (
     run_coresident_attack,
     visible_ticks,
 )
-from repro.sidechannel.measurement import QueryBudgetExceeded
+from repro.sidechannel import QueryBudgetExceeded
 from repro.utils.rng import derive_request_seeds
 
 pytestmark = pytest.mark.tenant

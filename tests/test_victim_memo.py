@@ -23,9 +23,10 @@ from repro.executor import PoolExecutor
 from repro.experiments import execute_jobs, get_experiment, get_scenario
 from repro.experiments import runner
 from repro.experiments.base import victim_grouped_order
-from repro.experiments.config import ExperimentScale
+from repro.experiments.config import SCALES, ExperimentScale
 from repro.experiments.scenario import resolve_scenarios
 from repro.experiments.sweep import _run_sweep_job
+from repro.nn.network import Sequential
 from repro.service.coalescer import TickTrace
 from repro.sidechannel.coresident import CoResidentTrace
 from repro.utils.results import RunResult
@@ -213,6 +214,31 @@ class TestVictimMemo:
         np.testing.assert_array_equal(seen[0].train_inputs, dataset.train_inputs)
 
 
+class TestRebalanceVictim:
+    """A rebalanced victim is scored once, on its rebalanced weights."""
+
+    def test_one_test_set_forward(self, monkeypatch):
+        scale = SCALES["smoke"]
+        spec = get_scenario("paper/mnist-softmax").with_overrides(
+            name="rebalanced", defense="rebalance", defense_strength=0.5
+        )
+        dataset = runner.prepare_dataset(spec.dataset, scale, random_state=0)
+        test_forwards = []
+        original = Sequential.forward
+
+        def counted(self, inputs, **kwargs):
+            if inputs is dataset.test_inputs:
+                test_forwards.append(len(inputs))
+            return original(self, inputs, **kwargs)
+
+        monkeypatch.setattr(Sequential, "forward", counted)
+        model = spec.build_victim(dataset, scale, random_state=0)
+        accuracies = {model.test_accuracy, model.test_accuracy}
+        assert test_forwards == [scale.n_test]
+        # the bits the victim reported when it was scored twice
+        assert [value.hex() for value in accuracies] == ["0x1.c7ae147ae147bp-1"]
+
+
 class TestGroupedExecution:
     def test_sweep_build_jobs_stays_value_major(self):
         _, jobs = _sweep_jobs()
@@ -312,8 +338,6 @@ class TestBoundedReprs:
     def test_power_report(self):
         report = PowerReport(
             total_current=np.zeros(5000),
-            power=np.zeros(5000),
-            energy=np.zeros(5000),
             per_tile_current=np.zeros((5000, 64)),
             tile_labels=tuple(f"layer0/r0c{i}" for i in range(64)),
         )
