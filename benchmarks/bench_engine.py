@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.crossbar.accelerator import CrossbarAccelerator
+from repro.crossbar.mapping import reduce_partial_sums
 from repro.crossbar.power import PowerReport
 from repro.attacks.oracle import Oracle
 from repro.nn.layers import Dense
@@ -60,6 +61,9 @@ def build_accelerator(n_inputs=256, n_outputs=10, *, seed=0):
 def legacy_power_report(accelerator, inputs, *, cached=False):
     """The seed engine's power report: two array ops per tile (current+forward).
 
+    Each tile is traversed twice: once in full for its supply current, then
+    once more without the rail measurement for the activations it passes on.
+
     The seed engine had no effective-state cache — every array operation
     recomputed ``G+ - G-`` from scratch — so the faithful
     baseline invalidates the cache before each operation.  ``cached=True``
@@ -71,10 +75,13 @@ def legacy_power_report(accelerator, inputs, *, cached=False):
     for tile in accelerator.tiles:
         if not cached:
             tile.physical_arrays[0].invalidate_state_cache()
-        per_tile_currents.append(np.atleast_1d(tile.total_current(activations)))
+        _, shard_currents = tile.traverse(activations)  # the power pass
+        per_tile_currents.append(
+            reduce_partial_sums(shard_currents, tile.sharding.reduction)
+        )
         if not cached:
             tile.physical_arrays[0].invalidate_state_cache()
-        activations = np.atleast_2d(tile.forward(activations))
+        activations, _ = tile.traverse(activations, want_currents=False)
     return PowerReport(
         np.sum(per_tile_currents, axis=0), np.stack(per_tile_currents, axis=1)
     )

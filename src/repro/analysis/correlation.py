@@ -87,10 +87,6 @@ class CorrelationSummary:
     correlation_of_mean: float
     n_samples: int
 
-    def as_row(self) -> tuple[float, float]:
-        """(mean correlation, correlation of mean) tuple for table printing."""
-        return self.mean_correlation, self.correlation_of_mean
-
 
 def sensitivity_norm_correlations(
     network: Sequential,

@@ -104,7 +104,9 @@ class Oracle:
         power comes from the simulated hardware) or a plain
         :class:`~repro.nn.network.Sequential` network (power is then computed
         analytically from the weight-column 1-norms, i.e. the ideal-crossbar
-        value).
+        value).  Any target with ``forward_with_power`` counts as hardware,
+        so a :class:`~repro.defenses.noise_injection.PowerNoiseDefense` over
+        an accelerator is one too; anything else raises :class:`TypeError`.
     output_mode:
         ``"raw"`` to reveal output vectors, ``"label"`` to reveal only the
         argmax label.
@@ -162,9 +164,12 @@ class Oracle:
         self._queries_used = 0
         # Hardware-like targets expose the fused traversal; this also admits
         # wrappers such as PowerNoiseDefense that decorate an accelerator.
-        self._hardware = isinstance(target, CrossbarAccelerator) or hasattr(
-            target, "forward_with_power"
-        )
+        self._hardware = hasattr(target, "forward_with_power")
+        if not self._hardware and not isinstance(target, Sequential):
+            raise TypeError(
+                f"an Oracle needs a hardware target (with forward_with_power) "
+                f"or a Sequential network, got {type(target).__name__}"
+            )
 
         self._n_outputs = target.n_outputs
 
@@ -205,9 +210,7 @@ class Oracle:
 
     def _forward(self, inputs: np.ndarray, seeds=None) -> np.ndarray:
         if self._hardware:
-            if seeds is not None:
-                return np.atleast_2d(self.target.forward(inputs, sample_seeds=seeds))
-            return np.atleast_2d(self.target.forward(inputs))
+            return np.atleast_2d(self.target.forward(inputs, sample_seeds=seeds))
         return np.atleast_2d(self.target.predict(inputs))
 
     def _apply_power_noise(
@@ -286,12 +289,9 @@ class Oracle:
         per_tile_power = None
         metadata = {"expose_power": self.expose_power}
         if self.expose_power and self._hardware:
-            if seeds is not None:
-                raw_outputs, report = self.target.forward_with_power(
-                    inputs, sample_seeds=seeds
-                )
-            else:
-                raw_outputs, report = self.target.forward_with_power(inputs)
+            raw_outputs, report = self.target.forward_with_power(
+                inputs, sample_seeds=seeds
+            )
             raw_outputs = np.atleast_2d(raw_outputs)
             power = self._apply_power_noise(np.atleast_1d(report.total_current), seeds)
             if self.expose_per_tile_power:

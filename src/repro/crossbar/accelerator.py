@@ -7,14 +7,17 @@ classification outputs, raw output vectors, and the power side channel.
 The compute spine is a fused single-pass engine.  :meth:`forward_with_power`
 streams a batch through every tile exactly once, collecting the layer
 activations *and* each physical tile's supply current from the same
-conductance realization (via :meth:`CrossbarTile.forward_with_power_shards`),
-so the functional outputs and the power trace an attacker observes are
-physically consistent and the accelerator is traversed once per batch instead
-of twice.  It is the only power entry point: the attacker reads it through
-an :class:`~repro.attacks.oracle.Oracle`.  :meth:`forward` streams batches
-through the tiles in 2-D form without per-layer re-wrapping.  On deterministic (read-noise-free)
-arrays each tile additionally reuses its cached effective state, so repeated
-queries cost one matrix product per tile and nothing else.
+conductance realization (via :meth:`CrossbarTile.traverse`), so the
+functional outputs and the power trace an attacker observes are physically
+consistent and the accelerator is traversed once per batch instead of twice.
+It is the only power entry point: the attacker reads it through an
+:class:`~repro.attacks.oracle.Oracle`.  :meth:`forward` streams batches
+through the tiles in 2-D form without per-layer re-wrapping.  These two
+methods are the only place the single-vector shape convention lives: a 1-D
+input is promoted to a one-row batch on the way in and unwrapped on the way
+out.  On deterministic (read-noise-free) arrays each tile additionally reuses
+its cached effective state, so repeated queries cost one matrix product per
+tile and nothing else.
 
 Multi-tile sharding: passing a
 :class:`~repro.crossbar.mapping.ShardingSpec` (one spec for every layer, or a
@@ -34,7 +37,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.crossbar.adc_dac import ADC, DAC
-from repro.crossbar.mapping import UNSHARDED, ConductanceMapping, ShardingSpec
+from repro.crossbar.mapping import (
+    UNSHARDED,
+    ConductanceMapping,
+    ShardingSpec,
+    reduce_partial_sums,
+)
 from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.power import PowerReport
 from repro.crossbar.tile import CrossbarTile
@@ -194,24 +202,19 @@ class CrossbarAccelerator:
         ``sample_seeds`` (one seed per batch row) keys every tile's noise on
         the row's seed instead of the tile generators, making row outputs
         independent of batch composition — see
-        :meth:`~repro.crossbar.array.CrossbarArray.matvec_with_current`.
+        :meth:`~repro.crossbar.array.CrossbarArray.traverse`.
         """
         activations, single = self._as_batch(inputs)
         for tile in self.tiles:
-            activations = tile.forward_batch(activations, sample_seeds=sample_seeds)
+            activations, _ = tile.traverse(
+                activations, sample_seeds, want_currents=False
+            )
         return activations[0] if single else activations
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`forward`."""
-        return self.forward(inputs)
 
     def predict_labels(self, inputs: np.ndarray) -> np.ndarray:
         """Argmax class labels from the accelerator outputs."""
         outputs = np.atleast_2d(self.forward(inputs))
         return np.argmax(outputs, axis=1)
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
 
     # ---------------------------------------------------------- power channel
 
@@ -239,11 +242,11 @@ class CrossbarAccelerator:
         per_tile_currents: List[np.ndarray] = []
         layer_currents: List[np.ndarray] = []
         for tile in self.tiles:
-            activations, shard_currents = tile.forward_with_power_shards(
-                activations, sample_seeds=sample_seeds
-            )
+            activations, shard_currents = tile.traverse(activations, sample_seeds)
             per_tile_currents.extend(shard_currents)
-            layer_currents.append(tile.reduce_shard_currents(shard_currents))
+            layer_currents.append(
+                reduce_partial_sums(shard_currents, tile.sharding.reduction)
+            )
         report = PowerReport(
             np.sum(layer_currents, axis=0),
             np.stack(per_tile_currents, axis=1),

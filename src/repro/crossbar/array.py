@@ -12,18 +12,18 @@ differential matrix ``(G+ - G-) * d`` and the column conductance sums
 wire) — realised from one conductance read.  Three properties of that state
 drive the engine:
 
-* **Fusion.**  :meth:`matvec`, :meth:`total_current` and
-  :meth:`matvec_with_current` are views of one traversal, which computes the
-  output currents (Eq. 3) *and* the total supply current (Eq. 5) from a
-  *single* conductance realization, so the functional outputs and the power
-  side channel observed by an attacker are physically consistent (one read,
-  one noise draw) and the array is traversed once instead of twice.
+* **Fusion.**  :meth:`traverse` is the array's one analogue operation: it
+  computes the output currents (Eq. 3) *and* the total supply current
+  (Eq. 5) of a ``(B, N)`` batch from a *single* conductance realization, so
+  the functional outputs and the power side channel observed by an attacker
+  are physically consistent (one read, one noise draw) and the array is
+  traversed once instead of twice.
 * **Caching.**  When the device has no read noise the effective state is
-  deterministic, so it is computed lazily once and reused by every subsequent
-  :meth:`matvec` / :meth:`total_current` / :meth:`matvec_with_current` call.
-  The cache is invalidated whenever ``g_plus`` / ``g_minus`` are rebound (it
-  is keyed on the identity of both arrays); code that mutates the conductance
-  matrices *in place* must call :meth:`invalidate_state_cache` afterwards.
+  deterministic, so it is computed lazily once and reused by every
+  subsequent :meth:`traverse`.  The cache is invalidated whenever
+  ``g_plus`` / ``g_minus`` are rebound (it is keyed on the identity of both
+  arrays); code that mutates the conductance matrices *in place* must call
+  :meth:`invalidate_state_cache` afterwards.
   With read noise enabled the cache is bypassed and every operation draws a
   fresh realization, exactly as before.
 * **Accounting.**  :attr:`n_operations` counts analogue array traversals and
@@ -73,16 +73,13 @@ class CrossbarArray:
     """A programmed NVM crossbar holding one weight matrix.
 
     The array is created by programming a weight matrix through a
-    :class:`~repro.crossbar.mapping.ConductanceMapping`; afterwards it exposes
-    the analogue operations the paper uses:
-
-    * :meth:`matvec` — the differential matrix-vector product
-      ``i_s = (G+ - G-) v_u`` (Eq. 3).
-    * :meth:`total_current` — the summed current through all devices
-      ``i_total = Σ_j v_j Σ_i (G+_ij + G-_ij)`` (Eq. 5), i.e. the power side
-      channel.
-    * :meth:`matvec_with_current` — both of the above fused into one pass
-      over a single conductance realization (see the module docstring).
+    :class:`~repro.crossbar.mapping.ConductanceMapping`; afterwards
+    :meth:`traverse` performs the analogue operation the paper uses.  For a
+    ``(B, N)`` batch of input voltages it returns the differential
+    matrix-vector product ``i_s = (G+ - G-) v_u`` (Eq. 3) and the summed
+    current through all devices ``i_total = Σ_j v_j Σ_i (G+_ij + G-_ij)``
+    (Eq. 5), i.e. the power side channel, from one conductance realization
+    (see the module docstring).
 
     Parameters
     ----------
@@ -348,25 +345,6 @@ class CrossbarArray:
             self._state_cache = state
         return state
 
-    def _validate_batch(self, voltages: np.ndarray) -> Tuple[np.ndarray, bool]:
-        voltages = np.asarray(voltages, dtype=float)
-        single = voltages.ndim == 1
-        batch = np.atleast_2d(voltages)
-        if batch.shape[1] != self.n_columns:
-            raise ValueError(
-                f"expected {self.n_columns} input voltages, got {batch.shape[1]}"
-            )
-        return batch, single
-
-    def _validate_seeds(self, sample_seeds, batch: np.ndarray) -> np.ndarray:
-        seeds = np.asarray(sample_seeds, dtype=np.uint64)
-        if seeds.ndim != 1 or len(seeds) != len(batch):
-            raise ValueError(
-                f"sample_seeds must be 1-D with one seed per batch row "
-                f"({len(batch)}), got shape {seeds.shape}"
-            )
-        return seeds
-
     def _rail_factors(self, n_rows: int, seeds) -> Optional[np.ndarray]:
         """Multiplicative rail-noise factors, ``None`` when noise-free.
 
@@ -382,39 +360,50 @@ class CrossbarArray:
             seeds, _ARRAY_DOMAIN, self.noise_tag, _RAIL_CHANNEL, std=noise
         )
 
-    def _traverse(
-        self,
-        batch: np.ndarray,
-        sample_seeds=None,
-        *,
-        want_outputs: bool = True,
-        want_totals: bool = True,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    def traverse(
+        self, batch: np.ndarray, sample_seeds=None, *, want_totals: bool = True
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """One analogue traversal of a ``(B, N)`` batch: ``(outputs, totals)``.
+
+        ``outputs`` are the differential output currents ``(B, M)`` of Eq. 3;
+        ``totals`` the supply currents ``(B,)`` of Eq. 5 (``None`` without
+        ``want_totals``, which skips the rail measurement).  Both come from
+        one conductance realization.  Inputs are read as float64.
 
         Unseeded, the effective state is read through the array's own
         generator (and cached when read-noise free), and the products run on
-        BLAS ``matmul``.  With ``sample_seeds`` every stochastic effect
-        — read-noise conductance realizations and rail measurement noise — is
-        drawn from a stream derived from ``(row seed, noise_tag, channel)``
-        instead, making row ``i``'s observables a pure function of
-        ``(batch[i], sample_seeds[i])``: independent of batch composition and
-        of any previous operation.  A seeded noisy device realises one read
-        per row; a read-noise-free one reuses the cached state.
+        BLAS ``matmul``.  With ``sample_seeds`` (one seed per row) every
+        stochastic effect — read-noise conductance realizations and rail
+        measurement noise — is drawn from a stream derived from
+        ``(row seed, noise_tag, channel)`` instead, making row ``i``'s
+        observables a pure function of ``(batch[i], sample_seeds[i])``:
+        independent of batch composition and of any previous operation.  A
+        seeded noisy device realises one read per row; a read-noise-free one
+        reuses the cached state.
         """
+        batch = np.asarray(batch, dtype=float)
+        if batch.ndim != 2 or batch.shape[1] != self.n_columns:
+            raise ValueError(
+                f"expected a (B, {self.n_columns}) batch of input voltages, "
+                f"got shape {batch.shape}"
+            )
         seeds = None
         if sample_seeds is not None:
-            seeds = self._validate_seeds(sample_seeds, batch)
+            seeds = np.asarray(sample_seeds, dtype=np.uint64)
+            if seeds.ndim != 1 or len(seeds) != len(batch):
+                raise ValueError(
+                    f"sample_seeds must be 1-D with one seed per batch row "
+                    f"({len(batch)}), got shape {seeds.shape}"
+                )
         self._n_operations += 1
         if seeds is not None and self.device.read_noise > 0:
-            outputs = np.empty((len(batch), self.n_rows)) if want_outputs else None
+            outputs = np.empty((len(batch), self.n_rows))
             totals = np.empty(len(batch)) if want_totals else None
             for i, (row, seed) in enumerate(zip(batch, seeds)):
                 rng = sample_stream(seed, _ARRAY_DOMAIN, self.noise_tag, _READ_CHANNEL)
                 effective, column_sums = self._effective(*self._read_conductances(rng))
                 self._n_realizations += 1
-                if want_outputs:
-                    outputs[i] = effective @ row
+                outputs[i] = effective @ row
                 if want_totals:
                     totals[i] = row @ column_sums
             factors = self._rail_factors(len(batch), seeds) if want_totals else None
@@ -426,82 +415,19 @@ class CrossbarArray:
         # einsum, not BLAS matmul, whenever rows must not depend on their
         # batch: its per-row reduction order is independent of the batch size
         # (BLAS gemm/gemv pick different kernels per shape and break that).
-        outputs = totals = None
-        if want_outputs:
-            outputs = (
-                np.matmul(batch, state.effective.T)
-                if seeds is None
-                else np.einsum("ij,kj->ik", batch, state.effective)
-            )
-        if want_totals:
-            totals = (
-                np.matmul(batch, state.column_sums)
-                if seeds is None
-                else np.einsum("ij,j->i", batch, state.column_sums)
-            )
-            factors = self._rail_factors(len(batch), seeds)
-            if factors is not None:
-                totals = totals * factors
-        return outputs, totals
-
-    def matvec(
-        self, voltages: np.ndarray, *, sample_seeds=None
-    ) -> np.ndarray:
-        """Differential crossbar output currents for a batch of input voltages.
-
-        Parameters
-        ----------
-        voltages:
-            ``(N,)`` or ``(B, N)`` input voltage vector(s).
-        sample_seeds:
-            Optional per-row noise seeds (see :meth:`_traverse`); the
-            default draws from the array's own generator as before.
-
-        Returns
-        -------
-        np.ndarray
-            Output currents ``(M,)`` or ``(B, M)``.
-        """
-        batch, single = self._validate_batch(voltages)
-        currents, _ = self._traverse(batch, sample_seeds, want_totals=False)
-        return currents[0] if single else currents
-
-    def total_current(
-        self, voltages: np.ndarray, *, sample_seeds=None
-    ) -> np.ndarray:
-        """Total steady-state current drawn for each input vector (Eq. 5).
-
-        This is the paper's "power information": ``i_total = Σ_j v_j G_j``
-        with ``G_j`` the per-column conductance sum, plus optional measurement
-        noise (drawn per row from ``sample_seeds`` streams when given).
-        """
-        batch, single = self._validate_batch(voltages)
-        _, currents = self._traverse(batch, sample_seeds, want_outputs=False)
-        return float(currents[0]) if single else currents
-
-    def matvec_with_current(
-        self, voltages: np.ndarray, *, sample_seeds=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused MVM + total current from a *single* conductance realization.
-
-        Equivalent to calling :meth:`matvec` and :meth:`total_current` on the
-        same inputs, except that both observables are derived from one read —
-        one array traversal, and (with read noise enabled) one shared noise
-        draw, so the outputs and the power channel are physically consistent.
-        With ``sample_seeds`` the noise is keyed per row instead (each row's
-        observables then come from its own seeded realization), which is what
-        makes coalesced service batches bit-identical to per-request queries.
-
-        Returns
-        -------
-        (output_currents, total_currents):
-            ``(M,)`` and ``float`` for a single vector, ``(B, M)`` and
-            ``(B,)`` for a batch.
-        """
-        batch, single = self._validate_batch(voltages)
-        outputs, totals = self._traverse(batch, sample_seeds)
-        if single:
-            return outputs[0], float(totals[0])
+        if seeds is None:
+            outputs = np.matmul(batch, state.effective.T)
+        else:
+            outputs = np.einsum("ij,kj->ik", batch, state.effective)
+        if not want_totals:
+            return outputs, None
+        if seeds is None:
+            totals = np.matmul(batch, state.column_sums)
+        else:
+            totals = np.einsum("ij,j->i", batch, state.column_sums)
+        factors = self._rail_factors(len(batch), seeds)
+        if factors is not None:
+            totals = totals * factors
         return outputs, totals
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

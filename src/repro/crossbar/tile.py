@@ -19,18 +19,17 @@ per-tile observables the paper's hardware discussion assumes.  For ideal
 exact-arithmetic operations as the single-array one, so the two placements
 agree bit-for-bit whenever no float rounding occurs and to ~1e-12 otherwise.
 
-Batches stream through the tile in 2-D form end to end: :meth:`_traverse`
-assumes a ``(B, n_inputs)`` array and never re-wraps its operands, while the
-public methods only handle the single-vector/batch shape convention at the
-boundary.  :meth:`forward_with_power_shards` is the fused interface the
-accelerator drives: one call yields the layer outputs and one ``(B,)``
-supply current per physical array from the same conductance realizations.
+Batches stream through the tile in 2-D form end to end: :meth:`traverse`
+takes a ``(B, n_inputs)`` array and never re-wraps its operands.  It is the
+tile's one compute entry, the call the accelerator drives: it yields the
+layer outputs and one ``(B,)`` supply current per physical array from the
+same conductance realizations.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -211,10 +210,11 @@ class CrossbarTile:
 
     def _line_voltages(self, inputs: np.ndarray) -> np.ndarray:
         """Convert digital inputs to crossbar line voltages (DAC + bias column)."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if inputs.shape[1] != self.n_inputs:
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
             raise ValueError(
-                f"expected inputs with {self.n_inputs} features, got {inputs.shape[1]}"
+                f"expected a (B, {self.n_inputs}) batch of inputs, "
+                f"got shape {inputs.shape}"
             )
         voltages = self.dac.convert(inputs)
         if self._has_bias_column:
@@ -228,7 +228,7 @@ class CrossbarTile:
             currents = self.adc.convert(currents)
         return currents * self._current_to_logical
 
-    def _traverse(
+    def traverse(
         self, batch: np.ndarray, sample_seeds=None, *, want_currents: bool = True
     ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
         """Layer outputs + per-shard supply currents, one traversal per shard.
@@ -236,9 +236,12 @@ class CrossbarTile:
         Returns ``(outputs (B, n_outputs), shard_currents)`` for a
         ``(B, n_inputs)`` batch, with one ``(B,)`` current per shard in
         row-major order (``None`` entries without ``want_currents``, which
-        skips the rail measurement).  Row-shard outputs are concatenated and
-        column-shard partial sums reduced in ``sharding.reduction`` order.
-        The per-row ``sample_seeds`` are shared by every shard — each shard
+        skips the rail measurement); every shard's output and current come
+        from the same conductance realization.  Row-shard outputs are
+        concatenated and column-shard partial sums reduced in
+        ``sharding.reduction`` order; the layer's total current is
+        ``reduce_partial_sums(shard_currents, sharding.reduction)``.  The
+        per-row ``sample_seeds`` are shared by every shard — each shard
         derives its own noise streams from them via its distinct
         :attr:`CrossbarArray.noise_tag`.
         """
@@ -251,7 +254,7 @@ class CrossbarTile:
         for row in self.shards:
             partials = []
             for array, shard_voltages in zip(row, slices):
-                outputs, totals = array._traverse(
+                outputs, totals = array.traverse(
                     shard_voltages, sample_seeds, want_totals=want_currents
                 )
                 partials.append(outputs)
@@ -259,62 +262,6 @@ class CrossbarTile:
             blocks.append(reduce_partial_sums(partials, self.sharding.reduction))
         outputs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         return self.activation.forward(self._to_logical(outputs)), currents
-
-    def reduce_shard_currents(self, shard_currents: Sequence[np.ndarray]) -> np.ndarray:
-        """Layer total current: partial-sum reduction over the shard rails."""
-        return reduce_partial_sums(shard_currents, self.sharding.reduction)
-
-    def forward_batch(self, batch: np.ndarray, *, sample_seeds=None) -> np.ndarray:
-        """Layer output for a ``(B, n_inputs)`` batch; always returns 2-D."""
-        outputs, _ = self._traverse(batch, sample_seeds, want_currents=False)
-        return outputs
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Layer output ``f(W u)`` computed through the crossbar."""
-        single = np.asarray(inputs).ndim == 1
-        out = self.forward_batch(inputs)
-        return out[0] if single else out
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
-
-    def forward_with_power_shards(
-        self, batch: np.ndarray, *, sample_seeds=None
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Fused layer output + per-physical-tile supply currents.
-
-        The interface the accelerator drives: returns
-        ``(outputs (B, n_outputs), shard_currents)`` with one ``(B,)``
-        current per physical tile, row-major; every shard's output and
-        current come from the same conductance realization.
-        """
-        return self._traverse(batch, sample_seeds)
-
-    def forward_with_power(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused :meth:`forward` + :meth:`total_current` in a single pass.
-
-        Returns ``(output, total_current)`` with the same shape conventions as
-        the separate methods: ``((n_outputs,), float)`` for a 1-D input,
-        ``((B, n_outputs), (B,))`` for a batch.  Both observables come from
-        the same conductance realization.
-        """
-        single = np.asarray(inputs).ndim == 1
-        outputs, shard_currents = self._traverse(inputs)
-        totals = self.reduce_shard_currents(shard_currents)
-        if single:
-            return outputs[0], float(totals[0])
-        return outputs, totals
-
-    def total_current(self, inputs: np.ndarray, *, sample_seeds=None) -> np.ndarray:
-        """The tile's power side channel for each input (Eq. 5).
-
-        Each shard's rail is measured independently (per-shard measurement
-        noise); the observable is the reduction of the per-shard currents.
-        """
-        single = np.asarray(inputs).ndim == 1
-        _, shard_currents = self._traverse(inputs, sample_seeds)
-        currents = self.reduce_shard_currents(shard_currents)
-        return float(currents[0]) if single else currents
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

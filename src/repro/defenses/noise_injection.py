@@ -63,17 +63,7 @@ class PowerNoiseDefense:
 
     def forward(self, inputs: np.ndarray, *, sample_seeds=None) -> np.ndarray:
         """Functional outputs are unaffected by the defence."""
-        if sample_seeds is not None:
-            return self.target.forward(inputs, sample_seeds=sample_seeds)
-        return self.target.forward(inputs)
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`forward`."""
-        return self.forward(inputs)
-
-    def predict_labels(self, inputs: np.ndarray) -> np.ndarray:
-        """Labels are unaffected by the defence."""
-        return self.target.predict_labels(inputs)
+        return self.target.forward(inputs, sample_seeds=sample_seeds)
 
     @property
     def n_inputs(self) -> int:
@@ -84,9 +74,6 @@ class PowerNoiseDefense:
     def n_outputs(self) -> int:
         """Output dimensionality of the wrapped target."""
         return self.target.n_outputs
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
 
     # --------------------------------------------------------- power channel
 

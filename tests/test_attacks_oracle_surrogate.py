@@ -12,6 +12,8 @@ from repro.attacks.surrogate import (
     SurrogateTrainer,
 )
 from repro.crossbar.accelerator import CrossbarAccelerator
+from repro.crossbar.tile import CrossbarTile
+from repro.nn.layers import Dense
 from repro.nn.gradients import weight_column_norms
 
 
@@ -87,6 +89,16 @@ class TestOracle:
     def test_invalid_output_mode(self, trained_linear):
         with pytest.raises(ValueError):
             Oracle(trained_linear, output_mode="logits")
+
+    @pytest.mark.parametrize(
+        "target",
+        [CrossbarTile(Dense(4, 3, random_state=0), random_state=0), Dense(4, 3), object()],
+        ids=["tile", "layer", "object"],
+    )
+    def test_unsupported_target_rejected_at_construction(self, target):
+        """Hardware means ``forward_with_power``; software means a Sequential."""
+        with pytest.raises(TypeError, match="hardware target"):
+            Oracle(target)
 
 
 class TestSurrogateConfig:

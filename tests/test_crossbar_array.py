@@ -18,14 +18,16 @@ class TestIdealBehaviour:
         array = CrossbarArray(weights, random_state=0)
         u = rng.uniform(0, 1, size=7)
         scale = array.mapping.conductance_per_unit_weight(weights)
-        np.testing.assert_allclose(array.matvec(u) / scale, weights @ u, atol=1e-12)
+        outputs, _ = array.traverse(u[np.newaxis])
+        np.testing.assert_allclose(outputs[0] / scale, weights @ u, atol=1e-12)
 
     def test_matvec_batched(self, rng):
         weights = rng.normal(size=(3, 5))
         array = CrossbarArray(weights, random_state=0)
         batch = rng.uniform(0, 1, size=(6, 5))
         scale = array.mapping.conductance_per_unit_weight(weights)
-        np.testing.assert_allclose(array.matvec(batch) / scale, batch @ weights.T, atol=1e-12)
+        outputs, _ = array.traverse(batch)
+        np.testing.assert_allclose(outputs / scale, batch @ weights.T, atol=1e-12)
 
     def test_total_current_equals_eq5(self, rng):
         """Eq. 5: i_total = sum_j v_j * G_j."""
@@ -33,13 +35,13 @@ class TestIdealBehaviour:
         array = CrossbarArray(weights, random_state=0)
         u = rng.uniform(0, 1, size=6)
         expected = float(u @ array.column_conductance_sums)
-        assert array.total_current(u) == pytest.approx(expected)
+        assert array.traverse(u[np.newaxis])[1][0] == pytest.approx(expected)
 
     def test_total_current_batched_shape(self, rng):
         weights = rng.normal(size=(5, 6))
         array = CrossbarArray(weights, random_state=0)
         batch = rng.uniform(0, 1, size=(4, 6))
-        assert array.total_current(batch).shape == (4,)
+        assert array.traverse(batch)[1].shape == (4,)
 
     def test_effective_weights_match_programmed(self, rng):
         weights = rng.normal(size=(4, 4))
@@ -49,9 +51,22 @@ class TestIdealBehaviour:
     def test_wrong_input_size_raises(self, rng):
         array = CrossbarArray(rng.normal(size=(3, 4)), random_state=0)
         with pytest.raises(ValueError):
-            array.matvec(np.zeros(5))
+            array.traverse(np.zeros((1, 5)), want_totals=False)
         with pytest.raises(ValueError):
-            array.total_current(np.zeros((2, 5)))
+            array.traverse(np.zeros((2, 5)))
+
+    def test_batch_must_be_2d(self, rng):
+        """The single-vector convention lives at the accelerator, not here."""
+        array = CrossbarArray(rng.normal(size=(3, 4)), random_state=0)
+        with pytest.raises(ValueError):
+            array.traverse(np.zeros(4))
+
+    def test_one_seed_per_row_required(self, rng):
+        array = CrossbarArray(rng.normal(size=(3, 4)), random_state=0)
+        batch = np.zeros((2, 4))
+        for seeds in (np.arange(3), np.arange(2).reshape(1, 2)):
+            with pytest.raises(ValueError, match="one seed per batch row"):
+                array.traverse(batch, seeds)
 
     def test_shape_properties(self, rng):
         array = CrossbarArray(rng.normal(size=(3, 4)), random_state=0)
@@ -77,7 +92,8 @@ class TestNonidealities:
             weights, mapping=ConductanceMapping(device=device), random_state=0
         )
         u = rng.uniform(0, 1, size=6)
-        first, second = array.matvec(u), array.matvec(u)
+        first, _ = array.traverse(u[np.newaxis], want_totals=False)
+        second, _ = array.traverse(u[np.newaxis], want_totals=False)
         assert not np.allclose(first, second)
 
     def test_stuck_devices_change_effective_weights(self, rng):
@@ -95,7 +111,7 @@ class TestNonidealities:
             random_state=0,
         )
         u = np.ones(8)
-        assert stuck_on.total_current(u) > ideal.total_current(u)
+        assert stuck_on.traverse(u[np.newaxis])[1][0] > ideal.traverse(u[np.newaxis])[1][0]
 
     def test_ir_drop_attenuates_current(self, rng):
         weights = np.abs(rng.normal(size=(6, 6)))
@@ -106,8 +122,10 @@ class TestNonidealities:
             random_state=0,
         )
         u = np.ones(6)
-        assert lossy.total_current(u) < ideal.total_current(u)
-        assert np.all(np.abs(lossy.matvec(u)) <= np.abs(ideal.matvec(u)) + 1e-12)
+        lossy_out, lossy_total = lossy.traverse(u[np.newaxis])
+        ideal_out, ideal_total = ideal.traverse(u[np.newaxis])
+        assert lossy_total[0] < ideal_total[0]
+        assert np.all(np.abs(lossy_out[0]) <= np.abs(ideal_out[0]) + 1e-12)
 
     def test_measurement_noise_on_total_current(self, rng):
         weights = rng.normal(size=(4, 4))
@@ -117,7 +135,7 @@ class TestNonidealities:
             random_state=0,
         )
         u = np.ones(4)
-        readings = np.array([array.total_current(u) for _ in range(50)])
+        readings = np.array([array.traverse(u[np.newaxis])[1][0] for _ in range(50)])
         assert readings.std() > 0
 
     def test_temperature_drift_scales_conductances(self, rng):
@@ -184,10 +202,12 @@ class TestWireDroop:
         droop = droop_reference(wired.g_plus + wired.g_minus, resistance)
         u = rng.uniform(0, 1, size=7)
         np.testing.assert_allclose(
-            wired.matvec(u), ((wired.g_plus - wired.g_minus) * droop) @ u, rtol=1e-12
+            wired.traverse(u[np.newaxis])[0][0],
+            ((wired.g_plus - wired.g_minus) * droop) @ u,
+            rtol=1e-12,
         )
         np.testing.assert_allclose(
-            wired.total_current(np.eye(7)),
+            wired.traverse(np.eye(7))[1],
             ((wired.g_plus + wired.g_minus) * droop).sum(axis=0),
             rtol=1e-12,
         )
@@ -200,7 +220,7 @@ class TestWireDroop:
                 weights,
                 nonidealities=NonidealityConfig(wire_resistance_ohm=resistance),
                 random_state=0,
-            ).total_current(u)
+            ).traverse(u[np.newaxis])[1][0]
             for resistance in (0.0, 1e-3, 1e-2, 1e-1)
         ]
         assert all(far < near for near, far in zip(currents, currents[1:]))
@@ -213,7 +233,7 @@ class TestWireDroop:
             nonidealities=NonidealityConfig(wire_resistance_ohm=0.05),
             random_state=0,
         )
-        sums = wired.total_current(np.eye(6))
+        _, sums = wired.traverse(np.eye(6))
         assert np.all(np.diff(sums) < 0)
 
 
@@ -221,7 +241,7 @@ NOISY = IDEAL_DEVICE.with_noise(read_noise=0.05)
 
 
 class TestSingleTraversal:
-    """matvec / total_current / matvec_with_current are views of one traversal."""
+    """Seeded traversals key every draw on the row, not on the batch."""
 
     @pytest.mark.parametrize(
         "device, config",
@@ -243,17 +263,14 @@ class TestSingleTraversal:
         )
         batch = rng.uniform(0, 1, size=(4, 9))
         seeds = np.arange(10, 14, dtype=np.uint64)
-        outputs, totals = array.matvec_with_current(batch, sample_seeds=seeds)
-        np.testing.assert_array_equal(array.matvec(batch, sample_seeds=seeds), outputs)
+        outputs, totals = array.traverse(batch, seeds)
         np.testing.assert_array_equal(
-            array.total_current(batch, sample_seeds=seeds), totals
+            array.traverse(batch, seeds, want_totals=False)[0], outputs
         )
         for i in range(len(batch)):
-            row_out, row_total = array.matvec_with_current(
-                batch[i], sample_seeds=seeds[i : i + 1]
-            )
-            np.testing.assert_array_equal(row_out, outputs[i])
-            assert row_total == totals[i]
+            row_out, row_total = array.traverse(batch[i : i + 1], seeds[i : i + 1])
+            np.testing.assert_array_equal(row_out[0], outputs[i])
+            assert row_total[0] == totals[i]
 
 
 class TestEffectiveStateCache:
@@ -269,12 +286,12 @@ class TestEffectiveStateCache:
     def test_program_drops_state_and_changes_results(self, rng):
         array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
         inputs = rng.uniform(0, 1, size=(9, 16))
-        before = array.matvec(inputs)
+        before, _ = array.traverse(inputs)
         state = array._realize_state()
         array.program(rng.normal(size=(5, 16)))
         rebuilt = array._realize_state()
         assert rebuilt is not state
-        after = array.matvec(inputs)
+        after, _ = array.traverse(inputs)
         assert not np.array_equal(after, before)
         np.testing.assert_allclose(after, inputs @ rebuilt.effective.T, rtol=1e-12)
 
@@ -283,7 +300,7 @@ class TestEffectiveStateCache:
         inputs = rng.uniform(0, 1, size=(9, 16))
         seeds = np.arange(len(inputs), dtype=np.uint64)
         np.testing.assert_allclose(
-            array.matvec(inputs, sample_seeds=seeds), array.matvec(inputs), rtol=1e-12
+            array.traverse(inputs, seeds)[0], array.traverse(inputs)[0], rtol=1e-12
         )
 
     def test_invalidated_state_is_rebuilt_bit_for_bit(self, rng):
@@ -303,7 +320,7 @@ class TestEffectiveStateCache:
         array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
         inputs = rng.uniform(0, 1, size=(3, 16))
         for _ in range(4):
-            array.matvec_with_current(inputs)
+            array.traverse(inputs)
         assert array.n_operations == 4
         assert array.n_realizations == 1
 
@@ -314,8 +331,8 @@ class TestEffectiveStateCache:
             random_state=0,
         )
         inputs = rng.uniform(0, 1, size=(3, 16))
-        first = array.matvec(inputs)
-        second = array.matvec(inputs)
+        first, _ = array.traverse(inputs, want_totals=False)
+        second, _ = array.traverse(inputs, want_totals=False)
         assert array.n_realizations == 2
         assert array._state_cache is None
         assert not np.array_equal(first, second)
@@ -342,34 +359,36 @@ class TestFloat64Engine:
         )
         inputs = rng.uniform(0, 1, size=(9, 16))
         seeds = np.arange(len(inputs), dtype=np.uint64)
-        seeded_out, seeded_total = array.matvec_with_current(inputs, sample_seeds=seeds)
-        out, total = array.matvec_with_current(inputs)
+        seeded_out, seeded_total = array.traverse(inputs, seeds)
+        out, total = array.traverse(inputs)
         np.testing.assert_allclose(seeded_out, out, rtol=1e-12)
         np.testing.assert_allclose(seeded_total, total, rtol=1e-12)
 
     @pytest.mark.parametrize("config", DETERMINISTIC_PHYSICS, ids=DETERMINISTIC_IDS)
-    def test_unseeded_views_are_the_blas_products(self, config, rng):
-        """matvec / total_current / the fused call are one matmul each."""
+    def test_unseeded_traverse_is_the_blas_products(self, config, rng):
+        """Outputs and totals are one matmul each, with or without the rail."""
         array = CrossbarArray(
             rng.normal(size=(5, 16)), nonidealities=config, random_state=0
         )
         inputs = rng.uniform(0, 1, size=(9, 16))
-        outputs, totals = array.matvec_with_current(inputs)
+        outputs, totals = array.traverse(inputs)
         state = array._realize_state()
         np.testing.assert_array_equal(outputs, np.matmul(inputs, state.effective.T))
         np.testing.assert_array_equal(totals, np.matmul(inputs, state.column_sums))
-        np.testing.assert_array_equal(array.matvec(inputs), outputs)
-        np.testing.assert_array_equal(array.total_current(inputs), totals)
+        np.testing.assert_array_equal(
+            array.traverse(inputs, want_totals=False)[0], outputs
+        )
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
     def test_inputs_are_read_as_float64(self, dtype, rng):
         array = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
         inputs = rng.integers(0, 4, size=(6, 16)).astype(dtype)
         reference = inputs.astype(np.float64)
-        outputs, totals = array.matvec_with_current(inputs)
+        outputs, totals = array.traverse(inputs)
         assert outputs.dtype == np.float64 and totals.dtype == np.float64
-        np.testing.assert_array_equal(outputs, array.matvec(reference))
-        np.testing.assert_array_equal(totals, array.total_current(reference))
+        reference_outputs, reference_totals = array.traverse(reference)
+        np.testing.assert_array_equal(outputs, reference_outputs)
+        np.testing.assert_array_equal(totals, reference_totals)
 
     def test_float32_conductances_are_stored_as_float64(self, rng):
         programmed = CrossbarArray(rng.normal(size=(5, 16)), random_state=0)
@@ -386,7 +405,9 @@ class TestFloat64Engine:
         assert state.effective.dtype == np.float64
         assert state.column_sums.dtype == np.float64
         inputs = rng.uniform(0, 1, size=(4, 16))
-        np.testing.assert_allclose(narrow.matvec(inputs), wide.matvec(inputs), rtol=1e-6)
+        np.testing.assert_allclose(
+            narrow.traverse(inputs)[0], wide.traverse(inputs)[0], rtol=1e-6
+        )
 
 
 class TestNoEngineKnobs:

@@ -6,7 +6,7 @@ import pytest
 from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.crossbar.adc_dac import ADC, DAC
 from repro.crossbar.devices import IDEAL_DEVICE
-from repro.crossbar.mapping import ConductanceMapping
+from repro.crossbar.mapping import ConductanceMapping, ShardingSpec
 from repro.crossbar.nonidealities import NonidealityConfig
 from repro.crossbar.tile import CrossbarTile
 from repro.nn.gradients import weight_column_norms
@@ -19,14 +19,8 @@ class TestCrossbarTile:
         layer = Dense(6, 4, activation="softmax", random_state=0)
         tile = CrossbarTile(layer, random_state=0)
         inputs = rng.uniform(0, 1, size=(5, 6))
-        np.testing.assert_allclose(tile.forward(inputs), layer.forward(inputs), atol=1e-10)
-
-    def test_single_vector_input(self, rng):
-        layer = Dense(6, 4, activation="linear", random_state=0)
-        tile = CrossbarTile(layer, random_state=0)
-        u = rng.uniform(0, 1, size=6)
-        assert tile.forward(u).shape == (4,)
-        assert np.isscalar(tile.total_current(u))
+        outputs, _ = tile.traverse(inputs)
+        np.testing.assert_allclose(outputs, layer.forward(inputs), atol=1e-10)
 
     def test_bias_mapped_to_extra_column(self, rng):
         layer = Dense(5, 3, activation="linear", use_bias=True, random_state=0)
@@ -34,7 +28,8 @@ class TestCrossbarTile:
         tile = CrossbarTile(layer, random_state=0)
         assert tile.physical_arrays[0].n_columns == 6
         inputs = rng.uniform(0, 1, size=(4, 5))
-        np.testing.assert_allclose(tile.forward(inputs), layer.forward(inputs), atol=1e-10)
+        outputs, _ = tile.traverse(inputs)
+        np.testing.assert_allclose(outputs, layer.forward(inputs), atol=1e-10)
 
     def test_column_sums_exclude_bias_column(self, rng):
         layer = Dense(5, 3, activation="linear", use_bias=True, random_state=0)
@@ -46,7 +41,7 @@ class TestCrossbarTile:
         tile = CrossbarTile(layer, random_state=0)
         # probing with basis vectors recovers the per-column conductance sums
         probes = np.eye(6)
-        currents = tile.total_current(probes)
+        _, (currents,) = tile.traverse(probes)
         norms = weight_column_norms(layer.weights)
         correlation = np.corrcoef(currents, norms)[0, 1]
         assert correlation > 0.999999
@@ -56,21 +51,35 @@ class TestCrossbarTile:
         ideal = CrossbarTile(layer, random_state=0)
         coarse = CrossbarTile(layer, dac=DAC(n_bits=2), random_state=0)
         inputs = rng.uniform(0, 1, size=(10, 8))
-        ideal_error = np.abs(ideal.forward(inputs) - layer.forward(inputs)).max()
-        coarse_error = np.abs(coarse.forward(inputs) - layer.forward(inputs)).max()
+        ideal_error = np.abs(ideal.traverse(inputs)[0] - layer.forward(inputs)).max()
+        coarse_error = np.abs(coarse.traverse(inputs)[0] - layer.forward(inputs)).max()
         assert ideal_error < 1e-10
         assert coarse_error > ideal_error
 
     def test_adc_applied_to_output(self, rng):
         layer = Dense(6, 3, activation="linear", random_state=0)
         tile = CrossbarTile(layer, adc=ADC(n_bits=2, current_range=(-1, 1)), random_state=0)
-        out = tile.forward(rng.uniform(0, 1, size=(4, 6)))
+        out, _ = tile.traverse(rng.uniform(0, 1, size=(4, 6)), want_currents=False)
         assert np.isfinite(out).all()
 
     def test_wrong_input_dimension(self, rng):
         tile = CrossbarTile(Dense(6, 3, random_state=0), random_state=0)
         with pytest.raises(ValueError):
-            tile.forward(rng.uniform(size=(2, 7)))
+            tile.traverse(rng.uniform(size=(2, 7)))
+
+    def test_batch_must_be_2d(self, rng):
+        """The single-vector convention lives at the accelerator, not here."""
+        tile = CrossbarTile(Dense(6, 3, random_state=0), random_state=0)
+        with pytest.raises(ValueError):
+            tile.traverse(rng.uniform(size=6))
+
+    def test_without_currents_skips_every_rail(self, rng):
+        tile = CrossbarTile(
+            Dense(6, 3, random_state=0), sharding=ShardingSpec.grid(1, 2), random_state=0
+        )
+        outputs, currents = tile.traverse(rng.uniform(size=(2, 6)), want_currents=False)
+        assert outputs.shape == (2, 3)
+        assert currents == [None, None]
 
 
 class TestCrossbarAccelerator:

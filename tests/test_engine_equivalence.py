@@ -3,10 +3,13 @@
 Asserts that the fused/cached/batched paths introduced by the engine refactor
 are *observably identical* to the legacy separate/uncached/per-sample paths:
 
-* fused ``forward_with_power`` == separate ``forward`` + ``total_current``
-  bit-for-bit on deterministic (ideal) arrays, at every layer of the stack;
-* cached vs uncached ``matvec``/``total_current`` agree across all mapping
-  schemes and non-ideality configurations;
+* the accelerator's fused ``forward_with_power`` == its ``forward`` plus
+  separate per-tile power passes, bit-for-bit on deterministic (ideal)
+  arrays;
+* for every scenario preset, power-exposed and power-blind oracle queries
+  return bit-identical outputs, seeded and unseeded;
+* cached vs uncached array traversals agree across all mapping schemes and
+  non-ideality configurations;
 * batched oracle queries and batched basis-vector probing equal their
   per-sample/per-column reference loops under a fixed seed;
 * a power-exposed oracle query traverses the accelerator exactly once per
@@ -21,12 +24,19 @@ from repro.attacks.oracle import Oracle
 from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.devices import IDEAL_DEVICE, NVMDeviceModel
-from repro.crossbar.mapping import ConductanceMapping, MappingScheme
+from repro.crossbar.mapping import (
+    ConductanceMapping,
+    MappingScheme,
+    reduce_partial_sums,
+)
 from repro.crossbar.nonidealities import NonidealityConfig
-from repro.crossbar.tile import CrossbarTile
+from repro.experiments.config import SCALES
+from repro.experiments.runner import prepare_dataset
+from repro.experiments.scenario import get_scenario, list_scenarios
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.sidechannel.probing import ColumnNormProber
+from repro.utils.rng import derive_request_seeds
 
 NONIDEALITY_CONFIGS = {
     "ideal": NonidealityConfig(),
@@ -59,39 +69,6 @@ def make_accelerator(n_inputs=12, hidden=6, n_outputs=4, *, seed=0):
 class TestFusedMatchesSeparate:
     """(a) fused outputs+power == separate passes, bit-for-bit when ideal."""
 
-    def test_array_fused_equals_separate(self, rng):
-        weights = rng.normal(size=(5, 9))
-        array = make_array(weights)
-        voltages = rng.uniform(0, 1, size=(7, 9))
-        outputs, totals = array.matvec_with_current(voltages)
-        np.testing.assert_array_equal(outputs, array.matvec(voltages))
-        np.testing.assert_array_equal(totals, array.total_current(voltages))
-
-    def test_array_fused_single_vector_shapes(self, rng):
-        weights = rng.normal(size=(4, 6))
-        array = make_array(weights)
-        u = rng.uniform(0, 1, size=6)
-        outputs, total = array.matvec_with_current(u)
-        assert outputs.shape == (4,)
-        assert isinstance(total, float)
-        np.testing.assert_array_equal(outputs, array.matvec(u))
-        assert total == array.total_current(u)
-
-    def test_tile_fused_equals_separate(self, rng):
-        layer = Dense(8, 5, activation="relu", random_state=3)
-        tile = CrossbarTile(layer, random_state=0)
-        batch = rng.uniform(0, 1, size=(6, 8))
-        outputs, totals = tile.forward_with_power(batch)
-        np.testing.assert_array_equal(outputs, tile.forward(batch))
-        np.testing.assert_array_equal(totals, tile.total_current(batch))
-
-        u = batch[0]
-        single_out, single_total = tile.forward_with_power(u)
-        assert single_out.shape == (5,)
-        assert isinstance(single_total, float)
-        np.testing.assert_array_equal(single_out, tile.forward(u))
-        assert single_total == tile.total_current(u)
-
     def test_accelerator_fused_equals_separate(self, rng):
         accelerator = make_accelerator()
         batch = rng.uniform(0, 1, size=(5, 12))
@@ -99,8 +76,9 @@ class TestFusedMatchesSeparate:
         np.testing.assert_array_equal(outputs, accelerator.forward(batch))
         legacy, activations = [], batch  # the separate per-tile passes
         for tile in accelerator.tiles:
-            legacy.append(tile.total_current(activations))
-            activations = tile.forward(activations)
+            _, shard_currents = tile.traverse(activations)
+            legacy.append(reduce_partial_sums(shard_currents, tile.sharding.reduction))
+            activations, _ = tile.traverse(activations, want_currents=False)
         np.testing.assert_array_equal(report.total_current, np.sum(legacy, axis=0))
         np.testing.assert_array_equal(report.per_tile_current, np.stack(legacy, axis=1))
         assert report.per_tile_current.shape == (5, accelerator.n_tiles)
@@ -110,8 +88,8 @@ class TestFusedMatchesSeparate:
         weights = np.random.default_rng(0).normal(size=(6, 10))
         device = IDEAL_DEVICE.with_noise(read_noise=0.05)
         array = make_array(weights, device=device, seed=7)
-        u = np.full(10, 0.5)
-        outputs, total = array.matvec_with_current(u)
+        u = np.full((1, 10), 0.5)
+        outputs, total = array.traverse(u)
         # The realised conductances satisfy both observables simultaneously:
         # i_s = G_eff v and i_total = G_sums v must be reproducible from one
         # consistent state.  With two independent reads (legacy) the chance of
@@ -120,9 +98,40 @@ class TestFusedMatchesSeparate:
         assert array.n_realizations == 1
         assert array.n_operations == 1
         # Separate calls realise separate states (no caching under noise).
-        array.matvec(u)
-        array.total_current(u)
+        array.traverse(u, want_totals=False)
+        array.traverse(u)
         assert array.n_realizations == 3
+
+
+class TestPowerExposureLeavesOutputs:
+    """Reading the rail never changes what the victim computes.
+
+    For every scenario preset, a power-exposed query and a power-blind one
+    on fresh accelerators return bit-identical outputs: seeded, and on the
+    first unseeded query (before the two generators' histories diverge).
+    """
+
+    @staticmethod
+    def _victim(name):
+        spec = get_scenario(name)
+        scale = SCALES["smoke"]
+        dataset = prepare_dataset(spec.dataset, scale, random_state=0)
+        network = spec.build_victim(dataset, scale, random_state=0).network
+        return spec, network, dataset.test_inputs[:8]
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_outputs_match_with_and_without_power(self, name, seeded):
+        spec, network, inputs = self._victim(name)
+        seeds = derive_request_seeds(0, 0, len(inputs)) if seeded else None
+        outputs = [
+            Oracle(
+                spec.build_accelerator(network, random_state=0),
+                expose_power=expose_power,
+            ).query(inputs, seeds=seeds).outputs
+            for expose_power in (False, True)
+        ]
+        np.testing.assert_array_equal(outputs[0], outputs[1])
 
 
 class TestStateCache:
@@ -137,14 +146,14 @@ class TestStateCache:
         fresh = make_array(weights, scheme=scheme, nonidealities=config, seed=11)
         voltages = rng.uniform(0, 1, size=(4, 9))
 
-        cached.matvec(voltages)  # populate the cache
+        cached.traverse(voltages, want_totals=False)  # populate the cache
         assert cached.n_realizations == 1
-        warm = cached.matvec(voltages)
+        warm, _ = cached.traverse(voltages, want_totals=False)
         assert cached.n_realizations == 1  # second call hit the cache
-        cold = fresh.matvec(voltages)
+        cold, _ = fresh.traverse(voltages, want_totals=False)
         np.testing.assert_array_equal(warm, cold)
         np.testing.assert_array_equal(
-            cached.total_current(voltages), fresh.total_current(voltages)
+            cached.traverse(voltages)[1], fresh.traverse(voltages)[1]
         )
 
     @pytest.mark.parametrize("scheme", list(MappingScheme))
@@ -153,39 +162,39 @@ class TestStateCache:
         array = make_array(
             weights, scheme=scheme, device=IDEAL_DEVICE.with_noise(read_noise=0.03)
         )
-        u = rng.uniform(0, 1, size=7)
-        array.matvec(u)
-        array.matvec(u)
+        u = rng.uniform(0, 1, size=(1, 7))
+        array.traverse(u, want_totals=False)
+        array.traverse(u, want_totals=False)
         assert array.n_realizations == 2
 
     def test_cache_with_measurement_noise_still_draws_fresh_noise(self, rng):
         weights = rng.normal(size=(5, 7))
         config = NonidealityConfig(current_measurement_noise=0.05)
         array = make_array(weights, nonidealities=config)
-        u = np.full(7, 0.8)
-        readings = np.array([array.total_current(u) for _ in range(20)])
+        u = np.full((1, 7), 0.8)
+        readings = np.array([array.traverse(u)[1][0] for _ in range(20)])
         assert array.n_realizations == 1  # effective state cached
         assert readings.std() > 0  # but measurement noise is per-read
 
     def test_rebinding_conductances_invalidates_cache(self, rng):
         weights = rng.normal(size=(4, 6))
         array = make_array(weights)
-        u = np.full(6, 1.0)
-        before = array.total_current(u)
+        u = np.full((1, 6), 1.0)
+        before = array.traverse(u)[1][0]
         array.g_plus = array.g_plus * 2.0  # rebind -> auto-invalidation
-        after = array.total_current(u)
+        after = array.traverse(u)[1][0]
         assert after != before
         assert array.n_realizations == 2
 
     def test_in_place_mutation_requires_explicit_invalidation(self, rng):
         weights = np.abs(rng.normal(size=(4, 6)))
         array = make_array(weights)
-        u = np.full(6, 1.0)
-        before = array.total_current(u)
+        u = np.full((1, 6), 1.0)
+        before = array.traverse(u)[1][0]
         array.g_plus *= 2.0  # in-place: the cache cannot see this
-        assert array.total_current(u) == before
+        assert array.traverse(u)[1][0] == before
         array.invalidate_state_cache()
-        assert array.total_current(u) != before
+        assert array.traverse(u)[1][0] != before
 
 
 class TestBatchedEqualsLoop:
@@ -251,8 +260,8 @@ class TestSingleTraversalAccounting:
         accelerator.forward(batch)
         activations = batch
         for tile in accelerator.tiles:  # the seed power_trace body
-            tile.total_current(activations)
-            activations = np.atleast_2d(tile.forward(activations))
+            tile.traverse(activations)
+            activations, _ = tile.traverse(activations, want_currents=False)
         for tile in accelerator.tiles:
             assert tile.n_array_operations == 3
 

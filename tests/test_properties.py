@@ -119,8 +119,8 @@ class TestCrossbarProperties:
         rng = np.random.default_rng(seed)
         u = rng.uniform(0, 1, size=weights.shape[1])
         v = rng.uniform(0, 1, size=weights.shape[1])
-        combined = array.total_current(0.3 * u + 0.6 * v)
-        separate = 0.3 * array.total_current(u) + 0.6 * array.total_current(v)
+        _, (combined, at_u, at_v) = array.traverse(np.stack([0.3 * u + 0.6 * v, u, v]))
+        separate = 0.3 * at_u + 0.6 * at_v
         assert combined == pytest.approx(separate, rel=1e-9, abs=1e-12)
 
     @given(weight_matrices())
@@ -128,7 +128,7 @@ class TestCrossbarProperties:
     def test_total_current_non_negative_for_non_negative_inputs(self, weights):
         array = CrossbarArray(weights, random_state=0)
         u = np.abs(weights[0]) / (np.abs(weights[0]).max() + 1e-9)
-        assert array.total_current(u) >= -1e-12
+        assert array.traverse(u[np.newaxis])[1][0] >= -1e-12
 
 
 class TestSideChannelProperties:
@@ -139,7 +139,7 @@ class TestSideChannelProperties:
         weights = rng.normal(size=(4, 9))
         array = CrossbarArray(weights, random_state=0)
         probes = np.eye(9)
-        currents = array.total_current(probes)
+        _, currents = array.traverse(probes)
         # basis probes make the system the identity: each current is one G_j
         np.testing.assert_allclose(currents, array.column_conductance_sums, atol=1e-9)
 

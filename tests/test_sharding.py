@@ -316,12 +316,13 @@ class TestShardRunners:
         PRESET_AND_UNEVEN,
         ids=lambda s: f"{s.row_shards}x{s.col_shards}-{s.reduction}",
     )
-    def test_seeded_views_share_one_traversal(self, spec, rng):
-        """Outputs, shard rails and layer current are views of one pass.
+    def test_seeded_traverse_is_row_keyed(self, spec, rng):
+        """Outputs, shard rails and layer current come from one pass.
 
         With per-row seeds every stochastic draw (read noise, rail noise) is
-        keyed on the row, so the separate views must agree bitwise with the
-        fused one, and each row must equal the same row traversed alone.
+        keyed on the row, so a repeated or rail-free traversal must agree
+        bitwise with the first, and each row must equal the same row
+        traversed alone.
         """
         layer = Dense(13, 7, activation="softmax", use_bias=True, random_state=0)
         layer.set_weights(rng.normal(size=(7, 13)), bias=rng.normal(size=7))
@@ -334,20 +335,16 @@ class TestShardRunners:
         )
         inputs = rng.uniform(0, 1, size=(6, 13))
         seeds = derive_request_seeds(0, 0, 6)
-        outputs, shard_currents = tile.forward_with_power_shards(
-            inputs, sample_seeds=seeds
-        )
+        outputs, shard_currents = tile.traverse(inputs, seeds)
         assert len(shard_currents) == tile.n_physical_tiles
         np.testing.assert_array_equal(
-            tile.forward_batch(inputs, sample_seeds=seeds), outputs
+            tile.traverse(inputs, seeds, want_currents=False)[0], outputs
         )
         np.testing.assert_array_equal(
-            tile.total_current(inputs, sample_seeds=seeds),
-            tile.reduce_shard_currents(shard_currents),
+            reduce_partial_sums(tile.traverse(inputs, seeds)[1], spec.reduction),
+            reduce_partial_sums(shard_currents, spec.reduction),
         )
-        row_out, row_currents = tile.forward_with_power_shards(
-            inputs[2:3], sample_seeds=seeds[2:3]
-        )
+        row_out, row_currents = tile.traverse(inputs[2:3], seeds[2:3])
         np.testing.assert_array_equal(row_out[0], outputs[2])
         for alone, batched in zip(row_currents, shard_currents):
             assert alone[0] == batched[2]
@@ -478,7 +475,7 @@ class TestWireResistance:
         out_fused, report = wired.forward_with_power(inputs)
         np.testing.assert_array_equal(out_fused, wired.forward(inputs))
         np.testing.assert_array_equal(
-            report.total_current, wired.tiles[0].total_current(inputs)
+            report.total_current, wired.tiles[0].traverse(inputs)[1][0]
         )
 
     def test_droop_is_geometry_dependent(self, rng):

@@ -31,7 +31,7 @@ class TestEstimators:
         array = CrossbarArray(rng.normal(size=(4, 9)), random_state=0)
         probes = np.eye(9)
         estimate = estimate_column_sums_ridge(
-            probes, array.total_current(probes), regularization=0.0
+            probes, array.traverse(probes)[1], regularization=0.0
         )
         np.testing.assert_allclose(estimate, array.column_conductance_sums, atol=1e-12)
 

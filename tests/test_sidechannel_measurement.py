@@ -89,7 +89,8 @@ class TestMeasurement:
         )
         (array,) = accelerator.physical_arrays
         u = rng.uniform(0, 1, size=6)
-        assert _power(Oracle(accelerator), u)[0] == pytest.approx(array.total_current(u))
+        _, (total,) = array.traverse(u[np.newaxis])
+        assert _power(Oracle(accelerator), u)[0] == pytest.approx(total)
 
 
 class TestAcquisitionQuantization:
