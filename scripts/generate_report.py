@@ -1,6 +1,6 @@
 """Regenerate every table/figure at bench scale and write the text reports.
 
-Used to produce the measured values recorded in EXPERIMENTS.md:
+One text report per paper artefact lands in ``output_dir``:
 
     python scripts/generate_report.py [output_dir]
 """

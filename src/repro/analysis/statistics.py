@@ -48,9 +48,8 @@ def independent_ttest(
     sample_b: np.ndarray,
     *,
     alpha: float = 0.05,
-    equal_variance: bool = True,
 ) -> TTestResult:
-    """Student's t-test between two independent samples.
+    """Student's (pooled-variance) t-test between two independent samples.
 
     Parameters
     ----------
@@ -59,9 +58,6 @@ def independent_ttest(
         one value per independent run).
     alpha:
         Significance threshold (0.05 in the paper).
-    equal_variance:
-        ``True`` for the classic Student's t-test (the paper's choice),
-        ``False`` for Welch's correction.
     """
     sample_a = check_vector(sample_a, "sample_a")
     sample_b = check_vector(sample_b, "sample_b")
@@ -77,7 +73,7 @@ def independent_ttest(
         # scipy.stats costs more than the rest of the package together.
         from scipy import stats
 
-        statistic, p_value = stats.ttest_ind(sample_a, sample_b, equal_var=equal_variance)
+        statistic, p_value = stats.ttest_ind(sample_a, sample_b)
         statistic = float(statistic)
         p_value = float(p_value)
     return TTestResult(

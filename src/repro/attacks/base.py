@@ -4,11 +4,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.datasets.transforms import clip_to_range
 
 
 @dataclass
@@ -49,10 +46,6 @@ class AttackResult:
         """The applied perturbations ``r = u' - u``."""
         return self.adversarial_inputs - self.original_inputs
 
-    def perturbation_norms(self, order: float = 2) -> np.ndarray:
-        """Per-sample ℓp norms of the perturbations."""
-        return np.linalg.norm(self.perturbations, ord=order, axis=1)
-
     @property
     def n_samples(self) -> int:
         """Number of attacked samples."""
@@ -62,28 +55,9 @@ class AttackResult:
 class Attack(ABC):
     """Base class for evasion attacks.
 
-    Parameters
-    ----------
-    clip_range:
-        Optional ``(low, high)`` box constraint applied to adversarial
-        examples.  The paper's single-pixel experiments do not clip (attack
-        strengths up to 10 on [0, 1] pixels), so clipping defaults to off and
-        is opt-in per attack.
+    Adversarial examples are never clipped to the pixel range: the paper's
+    single-pixel experiments use attack strengths up to 10 on [0, 1] pixels.
     """
-
-    def __init__(self, clip_range: Optional[Tuple[float, float]] = None):
-        if clip_range is not None:
-            low, high = float(clip_range[0]), float(clip_range[1])
-            if high <= low:
-                raise ValueError(f"clip_range upper bound {high} must exceed {low}")
-            clip_range = (low, high)
-        self.clip_range = clip_range
-
-    def _finalize(self, adversarial: np.ndarray) -> np.ndarray:
-        """Apply the box constraint (if any)."""
-        if self.clip_range is None:
-            return adversarial
-        return clip_to_range(adversarial, *self.clip_range)
 
     @abstractmethod
     def attack(

@@ -8,7 +8,7 @@ model in the black-box experiments (with attack strength 0.1).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,18 +42,9 @@ class FastGradientSignMethod(Attack):
         The (white-box or surrogate) model whose gradients guide the attack.
     loss:
         Loss to differentiate; defaults to the network's natural loss.
-    clip_range:
-        Optional box constraint for the adversarial examples.
     """
 
-    def __init__(
-        self,
-        network: Sequential,
-        *,
-        loss: Optional[Loss] = None,
-        clip_range: Optional[Tuple[float, float]] = None,
-    ):
-        super().__init__(clip_range)
+    def __init__(self, network: Sequential, *, loss: Optional[Loss] = None):
         self.network = network
         self.loss = loss
 
@@ -62,9 +53,8 @@ class FastGradientSignMethod(Attack):
         perturbation = fgsm_perturbation(
             self.network, inputs, targets, strength, loss=self.loss
         )
-        adversarial = self._finalize(inputs + perturbation)
         return AttackResult(
-            adversarial_inputs=adversarial,
+            adversarial_inputs=inputs + perturbation,
             original_inputs=inputs,
             strength=float(strength),
             metadata={"attack": "fgsm"},

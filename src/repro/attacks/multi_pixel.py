@@ -9,7 +9,7 @@ reproduced, plus the oracle-direction variant that serves as its upper bound.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class MultiPixelAttack(Attack):
         gradient (requires ``network``), providing the upper bound.
     network / loss:
         Needed only for the ``"oracle"`` direction.
-    clip_range:
-        Optional box constraint.
     random_state:
         Seed for the random directions.
     """
@@ -55,10 +53,8 @@ class MultiPixelAttack(Attack):
         network: Optional[Sequential] = None,
         loss: Optional[Loss] = None,
         queries_used: int = 0,
-        clip_range: Optional[Tuple[float, float]] = None,
         random_state: RandomState = None,
     ):
-        super().__init__(clip_range)
         self.column_norms = check_vector(column_norms, "column_norms")
         self.n_pixels = check_positive_int(n_pixels, "n_pixels")
         if self.n_pixels > len(self.column_norms):
@@ -106,9 +102,8 @@ class MultiPixelAttack(Attack):
 
         perturbation = np.zeros_like(inputs)
         perturbation[:, pixels] = signs * strength
-        adversarial = self._finalize(inputs + perturbation)
         return AttackResult(
-            adversarial_inputs=adversarial,
+            adversarial_inputs=inputs + perturbation,
             original_inputs=inputs,
             strength=float(strength),
             queries_used=self.queries_used,

@@ -21,7 +21,7 @@ Five strategies are compared in the paper:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -88,8 +88,6 @@ class SinglePixelAttack(Attack):
     queries_used:
         Number of power queries spent obtaining ``column_norms``; recorded in
         the attack result for bookkeeping.
-    clip_range:
-        Optional box constraint (off by default, as in the paper).
     random_state:
         Seed for the random pixel / random sign choices.
     """
@@ -102,10 +100,8 @@ class SinglePixelAttack(Attack):
         network: Optional[Sequential] = None,
         loss: Optional[Loss] = None,
         queries_used: int = 0,
-        clip_range: Optional[Tuple[float, float]] = None,
         random_state: RandomState = None,
     ):
-        super().__init__(clip_range)
         self.strategy = SinglePixelStrategy(strategy)
         self.column_norms = (
             check_vector(column_norms, "column_norms") if column_norms is not None else None
@@ -166,9 +162,8 @@ class SinglePixelAttack(Attack):
                 signs = self._rng.choice([-1.0, 1.0], size=n_samples)
             perturbation[:, pixel] = signs * strength
 
-        adversarial = self._finalize(inputs + perturbation)
         return AttackResult(
-            adversarial_inputs=adversarial,
+            adversarial_inputs=inputs + perturbation,
             original_inputs=inputs,
             strength=float(strength),
             queries_used=self.queries_used,

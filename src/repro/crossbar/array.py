@@ -250,10 +250,6 @@ class CrossbarArray:
             split = self.g_plus.size
             self.g_plus = stacked[:split].reshape(self.g_plus.shape)
             self.g_minus = stacked[split:].reshape(self.g_minus.shape)
-        if config.temperature_drift:
-            factor = 1.0 + config.temperature_drift
-            self.g_plus = np.clip(self.g_plus * factor, 0.0, self.device.g_max)
-            self.g_minus = np.clip(self.g_minus * factor, 0.0, self.device.g_max)
         self.invalidate_state_cache()
 
     # ------------------------------------------------------------- dynamics

@@ -35,7 +35,12 @@ import numpy as np
 
 from repro.crossbar.devices import IDEAL_DEVICE, NVMDeviceModel
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import check_matrix, check_positive, check_positive_int
+from repro.utils.validation import (
+    check_known_fields,
+    check_matrix,
+    check_positive,
+    check_positive_int,
+)
 
 
 class MappingScheme(str, Enum):
@@ -309,13 +314,7 @@ class ShardingSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ShardingSpec":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        allowed = {"row_shards", "col_shards", "reduction"}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown ShardingSpec key(s): {sorted(unknown)}; "
-                f"allowed: {sorted(allowed)}"
-            )
+        check_known_fields(payload, cls)
         return cls(**payload)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import check_finite, check_non_negative, check_probability
+from repro.utils.validation import check_non_negative, check_probability
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,12 @@ class NonidealityConfig:
     current_measurement_noise:
         Standard deviation of additive noise on the *total current*
         measurement (the power side channel), relative to the measured value.
-    temperature_drift:
-        Relative conductance drift applied uniformly to all devices
-        (e.g. 0.02 = +2%); models a temperature offset between programming
-        and inference.
     """
 
     stuck_at_off_fraction: float = 0.0
     stuck_at_on_fraction: float = 0.0
     wire_resistance_ohm: float = 0.0
     current_measurement_noise: float = 0.0
-    temperature_drift: float = 0.0
 
     def __post_init__(self) -> None:
         check_probability(self.stuck_at_off_fraction, "stuck_at_off_fraction")
@@ -57,11 +52,6 @@ class NonidealityConfig:
             raise ValueError("stuck-at fractions must sum to at most 1")
         check_non_negative(self.wire_resistance_ohm, "wire_resistance_ohm")
         check_non_negative(self.current_measurement_noise, "current_measurement_noise")
-        check_finite(self.temperature_drift, "temperature_drift")
-        if self.temperature_drift < -1.0:
-            raise ValueError(
-                f"temperature_drift must be >= -1, got {self.temperature_drift}"
-            )
 
     @property
     def is_ideal(self) -> bool:
@@ -71,7 +61,6 @@ class NonidealityConfig:
             and self.stuck_at_on_fraction == 0.0
             and self.wire_resistance_ohm == 0.0
             and self.current_measurement_noise == 0.0
-            and self.temperature_drift == 0.0
         )
 
 

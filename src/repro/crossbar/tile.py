@@ -72,7 +72,9 @@ class CrossbarTile:
     nonidealities:
         Optional non-ideal effects.
     dac / adc:
-        Converter models; ``None`` means ideal converters.
+        Converter models; ``None`` means ideal converters.  The ADC's full
+        scale is :attr:`adc_full_scale`, derived here from the programmed
+        conductances.
     random_state:
         Seed for stochastic hardware effects.
     """
@@ -115,6 +117,11 @@ class CrossbarTile:
         )
         # Scale factor converting output currents back to the digital domain.
         self._current_to_logical = 1.0 / mapping.conductance_per_unit_weight(weights)
+        self.dac = dac if dac is not None else DAC()
+        self.adc = adc
+        self.adc_full_scale = self._largest_output_current(
+            programmed.g_plus - programmed.g_minus
+        )
 
         if sharding.is_trivial:
             self.shards: List[List[CrossbarArray]] = [[programmed]]
@@ -145,8 +152,6 @@ class CrossbarTile:
                 ]
                 for r, rows in enumerate(row_sections)
             ]
-        self.dac = dac if dac is not None else DAC()
-        self.adc = adc
 
     # ----------------------------------------------------------- properties
 
@@ -208,6 +213,26 @@ class CrossbarTile:
 
     # -------------------------------------------------------------- compute
 
+    def _largest_output_current(self, difference: np.ndarray) -> float:
+        """The largest ``|i_s|`` any output row carries for an in-range input.
+
+        Row ``i``'s current ``Σ_j (G+ - G-)_ij v_j`` peaks, in either sign,
+        with every line of that sign's devices at the DAC's top voltage and
+        every other line grounded; the bias line (if any) always sits at 1.
+        This is the ADC's symmetric full scale, so no in-range input on the
+        programmed devices saturates it.  It carries the rounding headroom of
+        two ``n``-term sums, ``2 * n * eps * Σ|terms|``: the one computed
+        here and the traversal's dot product, which may add the same terms
+        in another order.
+        """
+        inputs = difference[:, : self.n_inputs] * self.dac.high
+        bias = difference[:, -1] if self._has_bias_column else 0.0
+        positive = np.maximum(inputs, 0.0).sum(axis=1) + bias
+        negative = np.maximum(-inputs, 0.0).sum(axis=1) - bias
+        magnitude = np.abs(inputs).sum(axis=1) + np.abs(bias)
+        rounding = 2 * difference.shape[1] * np.finfo(float).eps * magnitude
+        return float((np.maximum(positive, negative) + rounding).max())
+
     def _line_voltages(self, inputs: np.ndarray) -> np.ndarray:
         """Convert digital inputs to crossbar line voltages (DAC + bias column)."""
         inputs = np.asarray(inputs, dtype=float)
@@ -225,7 +250,7 @@ class CrossbarTile:
     def _to_logical(self, currents: np.ndarray) -> np.ndarray:
         """ADC conversion + current-to-logical rescaling."""
         if self.adc is not None:
-            currents = self.adc.convert(currents)
+            currents = self.adc.convert(currents, self.adc_full_scale)
         return currents * self._current_to_logical
 
     def traverse(

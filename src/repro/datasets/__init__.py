@@ -2,7 +2,7 @@
 
 The evaluation environment has no network access, so the paper's datasets are
 replaced by generative synthetic equivalents that preserve the statistics the
-experiments depend on (see DESIGN.md section 2 for the substitution argument):
+experiments depend on:
 
 * :func:`load_mnist_like` — smooth, centre-concentrated digit-style images,
   easily separable by a single-layer network (≈90% test accuracy).
@@ -17,7 +17,6 @@ from repro.datasets.transforms import (
     from_one_hot,
     flatten_images,
     unflatten_images,
-    clip_to_range,
 )
 from repro.datasets.synthetic_digits import SyntheticDigitsGenerator, load_mnist_like
 from repro.datasets.synthetic_objects import SyntheticObjectsGenerator, load_cifar_like
@@ -29,7 +28,6 @@ __all__ = [
     "from_one_hot",
     "flatten_images",
     "unflatten_images",
-    "clip_to_range",
     "SyntheticDigitsGenerator",
     "load_mnist_like",
     "SyntheticObjectsGenerator",

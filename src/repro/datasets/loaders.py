@@ -57,8 +57,8 @@ def load_dataset(
     ----------
     name:
         One of :func:`available_datasets` (case insensitive).  The ``mnist``
-        and ``cifar10`` aliases map to the synthetic stand-ins documented in
-        DESIGN.md.
+        and ``cifar10`` aliases map to the synthetic stand-ins of this
+        package.
     n_train / n_test:
         Split sizes.
     random_state:

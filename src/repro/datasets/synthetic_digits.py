@@ -45,12 +45,17 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.datasets.transforms import flatten_images, one_hot
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import (
-    check_non_negative,
-    check_non_negative_int,
-    check_positive,
-    check_positive_int,
-)
+from repro.utils.validation import check_non_negative_int, check_positive_int
+
+#: Line segments composing each class prototype.
+N_STROKES = 4
+#: Gaussian brush width (pixels) used when rasterising strokes.
+BRUSH_SIGMA = 1.1
+#: Standard deviation (pixels) of the per-sample random translation.
+DEFORMATION = 1.0
+#: Standard deviation of the additive pixel noise.
+NOISE_LEVEL = 0.10
+
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """``scipy.ndimage.gaussian_filter(image, sigma)`` for a float64 image.
@@ -128,14 +133,6 @@ class SyntheticDigitsGenerator:
         Side length of the square images (default 28, as in MNIST).
     n_classes:
         Number of digit classes (default 10).
-    n_strokes:
-        Number of line segments composing each class prototype.
-    brush_sigma:
-        Gaussian brush width used when rasterising strokes.
-    deformation:
-        Standard deviation (in pixels) of the per-sample random translation.
-    noise_level:
-        Standard deviation of additive pixel noise.
     random_state:
         Seed controlling the class prototypes.  Two generators built with the
         same seed produce identical prototypes, so train and test samples are
@@ -147,18 +144,10 @@ class SyntheticDigitsGenerator:
         *,
         image_size: int = 28,
         n_classes: int = 10,
-        n_strokes: int = 4,
-        brush_sigma: float = 1.1,
-        deformation: float = 1.0,
-        noise_level: float = 0.10,
         random_state: RandomState = 0,
     ):
         self.image_size = check_positive_int(image_size, "image_size")
         self.n_classes = check_positive_int(n_classes, "n_classes")
-        self.n_strokes = check_positive_int(n_strokes, "n_strokes")
-        self.brush_sigma = check_positive(brush_sigma, "brush_sigma")
-        self.deformation = check_non_negative(deformation, "deformation")
-        self.noise_level = check_non_negative(noise_level, "noise_level")
         self._prototype_rng = as_rng(random_state)
         self.prototypes = self._build_prototypes()
 
@@ -175,7 +164,7 @@ class SyntheticDigitsGenerator:
             for t in np.linspace(0.0, 1.0, n_steps):
                 cy, cx = (1 - t) * start + t * end
                 canvas += np.exp(
-                    -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * self.brush_sigma**2)
+                    -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * BRUSH_SIGMA**2)
                 )
         canvas = gaussian_blur(canvas, sigma=0.8)
         peak = canvas.max()
@@ -190,7 +179,7 @@ class SyntheticDigitsGenerator:
         spread = size / 4.5
         prototypes = np.zeros((self.n_classes, size, size), dtype=float)
         for cls in range(self.n_classes):
-            n_points = self.n_strokes + 1
+            n_points = N_STROKES + 1
             angles = np.sort(self._prototype_rng.uniform(0, 2 * np.pi, size=n_points))
             radii = self._prototype_rng.uniform(0.25 * spread, spread, size=n_points)
             points = np.stack(
@@ -221,9 +210,9 @@ class SyntheticDigitsGenerator:
         brightness = np.empty(n_samples, dtype=float)
         noise = np.empty((n_samples, *shape), dtype=float)
         for i in range(n_samples):
-            offsets[i] = rng.normal(0.0, self.deformation, size=2)
+            offsets[i] = rng.normal(0.0, DEFORMATION, size=2)
             brightness[i] = rng.uniform(0.8, 1.2)
-            noise[i] = rng.normal(0.0, self.noise_level, size=shape)
+            noise[i] = rng.normal(0.0, NOISE_LEVEL, size=shape)
         images = shift_images(self.prototypes[cls], offsets)
         images = brightness[:, np.newaxis, np.newaxis] * images + noise
         return np.clip(images, 0.0, 1.0)

@@ -26,12 +26,19 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.datasets.transforms import flatten_images, one_hot
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import (
-    check_non_negative,
-    check_non_negative_int,
-    check_positive,
-    check_positive_int,
-)
+from repro.utils.validation import check_non_negative_int, check_positive_int
+
+#: Sinusoidal gratings mixed into each class texture.
+N_GRATINGS = 3
+#: Amplitude of the class texture relative to the noise floor.
+TEXTURE_STRENGTH = 0.35
+#: Standard deviation of the additive pixel noise.
+NOISE_LEVEL = 0.25
+#: Half-width (radians) of the uniform per-sample phase jitter applied to each
+#: class grating.  Larger jitter washes out the class template a linear model
+#: can exploit; this value gives a single-layer network roughly CIFAR-10-like
+#: accuracy (30-40%).
+PHASE_JITTER = 2.7
 
 
 class SyntheticObjectsGenerator:
@@ -43,18 +50,6 @@ class SyntheticObjectsGenerator:
         Side length (default 32, as in CIFAR-10).
     n_classes:
         Number of classes (default 10).
-    n_gratings:
-        Number of sinusoidal gratings mixed into each class texture.
-    texture_strength:
-        Amplitude of the class texture relative to the noise floor.  Smaller
-        values make the task harder.
-    noise_level:
-        Standard deviation of the additive pixel noise.
-    phase_jitter:
-        Half-width (radians) of the uniform per-sample phase jitter applied to
-        each class grating.  Larger jitter washes out the class template a
-        linear model can exploit; the default is tuned so a single-layer
-        network reaches roughly CIFAR-10-like accuracy (30-40%).
     random_state:
         Seed controlling the class texture definitions.
     """
@@ -64,18 +59,10 @@ class SyntheticObjectsGenerator:
         *,
         image_size: int = 32,
         n_classes: int = 10,
-        n_gratings: int = 3,
-        texture_strength: float = 0.35,
-        noise_level: float = 0.25,
-        phase_jitter: float = 2.7,
         random_state: RandomState = 0,
     ):
         self.image_size = check_positive_int(image_size, "image_size")
         self.n_classes = check_positive_int(n_classes, "n_classes")
-        self.n_gratings = check_positive_int(n_gratings, "n_gratings")
-        self.texture_strength = check_positive(texture_strength, "texture_strength")
-        self.noise_level = check_non_negative(noise_level, "noise_level")
-        self.phase_jitter = check_non_negative(phase_jitter, "phase_jitter")
         rng = as_rng(random_state)
         self._grating_params = self._build_grating_params(rng)
 
@@ -83,9 +70,9 @@ class SyntheticObjectsGenerator:
 
     def _build_grating_params(self, rng: np.random.Generator) -> np.ndarray:
         """Per class and grating: (frequency_x, frequency_y, phase, channel weight x3)."""
-        params = np.empty((self.n_classes, self.n_gratings, 6), dtype=float)
+        params = np.empty((self.n_classes, N_GRATINGS, 6), dtype=float)
         for cls in range(self.n_classes):
-            for g in range(self.n_gratings):
+            for g in range(N_GRATINGS):
                 # moderately high spatial frequencies -> rapidly varying maps
                 params[cls, g, 0] = rng.uniform(2.0, 8.0)
                 params[cls, g, 1] = rng.uniform(2.0, 8.0)
@@ -100,7 +87,7 @@ class SyntheticObjectsGenerator:
         size = self.image_size
         yy, xx = np.mgrid[0:size, 0:size] / size
         texture = np.zeros((size, size, 3), dtype=float)
-        for g in range(self.n_gratings):
+        for g in range(N_GRATINGS):
             fx, fy, phase, *weights = self._grating_params[cls, g]
             wave = np.sin(2 * np.pi * (fx * xx + fy * yy) + phase + phase_jitter[g])
             for channel, weight in enumerate(weights):
@@ -119,9 +106,7 @@ class SyntheticObjectsGenerator:
         size = self.image_size
         images = np.empty((n_samples, size, size, 3), dtype=float)
         for i in range(n_samples):
-            phase_jitter = rng.uniform(
-                -self.phase_jitter, self.phase_jitter, size=self.n_gratings
-            )
+            phase_jitter = rng.uniform(-PHASE_JITTER, PHASE_JITTER, size=N_GRATINGS)
             texture = self.class_texture(cls, phase_jitter)
             # The background tint is drawn per *sample*, not per class, so the
             # mean colour carries no class information and the task stays hard
@@ -131,13 +116,13 @@ class SyntheticObjectsGenerator:
             tint = rng.uniform(0.35, 0.65, size=3)
             distractor_cls = int(rng.integers(self.n_classes))
             distractor = self.class_texture(
-                distractor_cls, rng.uniform(0, 2 * np.pi, size=self.n_gratings)
+                distractor_cls, rng.uniform(0, 2 * np.pi, size=N_GRATINGS)
             )
             image = (
                 tint[np.newaxis, np.newaxis, :]
-                + self.texture_strength * texture
-                + 0.4 * self.texture_strength * distractor
-                + rng.normal(0.0, self.noise_level, size=(size, size, 3))
+                + TEXTURE_STRENGTH * texture
+                + 0.4 * TEXTURE_STRENGTH * distractor
+                + rng.normal(0.0, NOISE_LEVEL, size=(size, size, 3))
             )
             images[i] = np.clip(image, 0.0, 1.0)
         return images

@@ -56,10 +56,3 @@ def unflatten_images(
             f"cannot reshape {flat.shape[1]} features into image shape {shape}"
         )
     return flat.reshape((flat.shape[0],) + tuple(shape))
-
-
-def clip_to_range(data: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """Clip data into ``[low, high]`` (pixel box constraint)."""
-    if high < low:
-        raise ValueError(f"high ({high}) must be >= low ({low})")
-    return np.clip(np.asarray(data, dtype=float), low, high)

@@ -17,18 +17,15 @@ from repro.sidechannel.probing import ColumnNormProber
 from repro.utils.rng import RandomState, as_rng
 
 
-def _probe_column_sums(power_target, n_features: int, noise_std: float, random_state):
-    """Basis-probe ``power_target`` through a fresh :class:`Oracle`."""
-    oracle = Oracle(power_target, power_noise_std=noise_std, random_state=random_state)
-    return ColumnNormProber(oracle, n_features).probe_all().column_sums
+def _probe_column_sums(power_target, n_features: int):
+    """Basis-probe ``power_target`` through a fresh noise-free :class:`Oracle`."""
+    return ColumnNormProber(Oracle(power_target), n_features).probe_all().column_sums
 
 
 def leakage_correlation(
     power_target,
     network: Sequential,
     *,
-    noise_std: float = 0.0,
-    random_state: RandomState = None,
     leaked_norms: Optional[np.ndarray] = None,
 ) -> float:
     """Correlation between power-probed column sums and the true 1-norms.
@@ -42,9 +39,10 @@ def leakage_correlation(
     Parameters
     ----------
     power_target:
-        The target to probe through an :class:`~repro.attacks.oracle.Oracle`
-        with ``noise_std`` instrument noise (an accelerator, a defended
-        accelerator, or a software network).
+        The target to probe through a noise-free
+        :class:`~repro.attacks.oracle.Oracle` (an accelerator, a defended
+        accelerator, or a software network); any noise on the reading is the
+        target's own, such as a defence's dummy current.
     leaked_norms:
         Optional pre-probed column sums.  When given, ``power_target`` is not
         probed again — the caller's own acquisition (a scenario-configured
@@ -53,7 +51,7 @@ def leakage_correlation(
     """
     if leaked_norms is None:
         n_features = network.layers[0].n_inputs
-        leaked = _probe_column_sums(power_target, n_features, noise_std, random_state)
+        leaked = _probe_column_sums(power_target, n_features)
     else:
         leaked = np.asarray(leaked_norms, dtype=float)
     true_norms = weight_column_norms(network.layers[0].weights)
@@ -124,7 +122,6 @@ def evaluate_defense(
     test_targets: np.ndarray,
     *,
     attack_strength: float = 8.0,
-    probe_noise_std: float = 0.0,
     power_overhead: float = 1.0,
     random_state: RandomState = None,
 ) -> DefenseReport:
@@ -139,16 +136,16 @@ def evaluate_defense(
         probes: an accelerator, possibly wrapped in a defence such as
         :class:`~repro.defenses.noise_injection.PowerNoiseDefense`.
     """
-    rng = as_rng(random_state)
     clean_accuracy = accuracy(victim.predict(test_inputs), test_targets)
-    leakage = leakage_correlation(
-        power_target, victim, noise_std=probe_noise_std, random_state=rng
-    )
-    leaked = _probe_column_sums(
-        power_target, victim.layers[0].n_inputs, probe_noise_std, rng
-    )
+    leakage = leakage_correlation(power_target, victim)
+    leaked = _probe_column_sums(power_target, victim.layers[0].n_inputs)
     advantage = single_pixel_attack_advantage(
-        victim, leaked, test_inputs, test_targets, strength=attack_strength, random_state=rng
+        victim,
+        leaked,
+        test_inputs,
+        test_targets,
+        strength=attack_strength,
+        random_state=random_state,
     )
     return DefenseReport(
         name=name,

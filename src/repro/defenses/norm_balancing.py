@@ -16,7 +16,7 @@ useful from probing.  Two mechanisms are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -82,14 +82,14 @@ def rebalance_column_norms(
     network: Sequential,
     *,
     blend: float = 1.0,
-    target_norm: Optional[float] = None,
 ) -> Tuple[Sequential, np.ndarray]:
     """Post-training projection towards uniform column 1-norms.
 
     Each column of the first layer's weight matrix is rescaled towards the
-    target norm: ``w_j <- w_j * (target / n_j) ** blend``.  With ``blend=1``
-    every column ends up with exactly the target 1-norm (maximal leak
-    suppression, largest accuracy impact); smaller blends interpolate.
+    mean column 1-norm ``m`` (which keeps the overall conductance budget):
+    ``w_j <- w_j * (m / n_j) ** blend``.  With ``blend=1`` every column ends
+    up with exactly the mean 1-norm (maximal leak suppression, largest
+    accuracy impact); smaller blends interpolate.
 
     Parameters
     ----------
@@ -97,9 +97,6 @@ def rebalance_column_norms(
         The trained victim; it is modified **in place** (and also returned).
     blend:
         Interpolation factor in ``[0, 1]``.
-    target_norm:
-        The 1-norm every column is pulled towards; defaults to the mean of the
-        current column norms (which keeps the overall conductance budget).
 
     Returns
     -------
@@ -110,9 +107,7 @@ def rebalance_column_norms(
     layer = network.layers[0]
     weights = layer.weights
     norms = np.abs(weights).sum(axis=0)
-    if target_norm is None:
-        target_norm = float(norms.mean())
-    check_non_negative(target_norm, "target_norm")
+    target_norm = float(norms.mean())
 
     safe_norms = np.where(norms > 0, norms, 1.0)
     scale = (target_norm / safe_norms) ** blend

@@ -9,8 +9,6 @@ optionally under non-default scenarios, and serialise the results::
     python -m repro.experiments table1 --scenarios noisy-device quantized-adc
     python -m repro.experiments sweep-adc-bits --scale smoke --executor process
     python -m repro.experiments figure5 --executor process --workers 2
-
-``scripts/run_experiments.py`` is a thin wrapper around the same entry point.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ preset:
 
 * ``"smoke"`` — seconds; used by the test suite.
 * ``"bench"`` — tens of seconds per experiment; the default for the
-  pytest-benchmark harness and the values recorded in EXPERIMENTS.md.
+  pytest-benchmark harness and ``scripts/generate_report.py``.
 * ``"paper"`` — the paper's sizes (long-running).
 """
 
@@ -259,15 +259,6 @@ NETSERVICE_PRESET_CONFIGS: Dict[
 }
 
 
-#: Built-in scenario sweeps registered as ``sweep-*`` experiments:
-#: ``name -> (base scenario preset, knob path, value grid)``.  Kept here as
-#: plain data so the shipped ablation grids are configuration, not
-#: sweep-module code; :mod:`repro.experiments.sweep` turns each entry into a
-#: registered :class:`~repro.experiments.sweep.SweepExperiment`.  Sharding
-#: values are ``(row_shards, col_shards, reduction)`` tuples (``None`` = the
-#: single-tile placement); ``None`` in the ADC grid is the ideal continuous
-#: instrument.  Grids are ordered from the most degraded setting to the most
-#: faithful one, so a healthy leakage curve rises left to right.
 #: Cross-tenant isolation sweeps registered as ``sweep-tenant-*``
 #: experiments by :mod:`repro.experiments.cross_tenant`: same
 #: ``name -> (base scenario preset, knob path, value grid)`` shape as
@@ -292,6 +283,15 @@ TENANT_SWEEP_GRIDS: Dict[str, Tuple[str, str, Tuple[object, ...]]] = {
 }
 
 
+#: Built-in scenario sweeps registered as ``sweep-*`` experiments:
+#: ``name -> (base scenario preset, knob path, value grid)``.  Kept here as
+#: plain data so the shipped ablation grids are configuration, not
+#: sweep-module code; :mod:`repro.experiments.sweep` turns each entry into a
+#: registered :class:`~repro.experiments.sweep.SweepExperiment`.  Sharding
+#: values are ``(row_shards, col_shards, reduction)`` tuples (``None`` = the
+#: single-tile placement); ``None`` in the ADC grid is the ideal continuous
+#: instrument.  Grids are ordered from the most degraded setting to the most
+#: faithful one, so a healthy leakage curve rises left to right.
 SWEEP_PRESET_GRIDS: Dict[str, Tuple[str, str, Tuple[object, ...]]] = {
     "sweep-adc-bits": (
         "paper/mnist-softmax",

@@ -123,7 +123,7 @@ class ScenarioSpec:
     dac_bits / adc_bits:
         Converter resolutions; ``None`` keeps the ideal continuous converters.
     nonidealities:
-        Crossbar non-ideal effects (stuck cells, IR drop, drift, ...).
+        Crossbar non-ideal effects (stuck cells, IR drop, rail measurement noise).
     measurement_noise:
         Relative std of the attacker's power-instrument noise.
     probe_adc_bits:

@@ -75,10 +75,8 @@ class NetClient:
     config:
         Client-side knobs (``request_timeout_s``, ``max_retries``,
         ``backoff_base_s`` / ``backoff_max_s``, ``max_frame_bytes``).
-        Defaults match the server defaults.
-    retry_seed:
-        Optional seed for the backoff jitter (reproducible retry timing in
-        tests); ``None`` draws from the OS.
+        Defaults match the server defaults.  The backoff jitter is seeded
+        from the OS.
 
     Usage::
 
@@ -91,7 +89,6 @@ class NetClient:
         address: Tuple[str, int],
         tenant: str = "default",
         config: Optional[NetServiceConfig] = None,
-        retry_seed: Optional[int] = None,
     ):
         host, port = address
         self.address = (str(host), int(port))
@@ -99,7 +96,7 @@ class NetClient:
             raise ValueError(f"tenant must be a non-empty string, got {tenant!r}")
         self.tenant = tenant
         self.config = config if config is not None else NetServiceConfig()
-        self._rng = random.Random(retry_seed)
+        self._rng = random.Random()
         self._sock: Optional[socket.socket] = None
         self._closed = False
         self._hello: Optional[Dict[str, Any]] = None

@@ -81,10 +81,8 @@ class NetServiceConfig:
         max_wait_ms, backpressure bound, seed-derivation base).
     tenants:
         Pre-declared :class:`TenantConfig` entries.  Tenants not listed are
-        admitted with ``default_weight`` / ``default_query_budget`` on first
-        contact, so single-tenant setups need no tenancy boilerplate.
-    default_weight / default_query_budget:
-        Policy applied to tenants that were not pre-declared.
+        admitted on first contact with weight 1 and no query budget, so
+        single-tenant setups need no tenancy boilerplate.
     max_inflight_per_connection:
         Per-connection backpressure bound: at most this many pipelined
         requests are admitted per TCP connection; further frames are simply
@@ -112,8 +110,6 @@ class NetServiceConfig:
     port: int = 0
     service: ServiceConfig = field(default_factory=ServiceConfig)
     tenants: Tuple[TenantConfig, ...] = ()
-    default_weight: float = 1.0
-    default_query_budget: Optional[int] = None
     max_inflight_per_connection: int = 32
     scheduler_window: int = 256
     max_frame_bytes: int = 64 * 1024 * 1024
@@ -143,9 +139,6 @@ class NetServiceConfig:
                 raise TypeError(
                     f"tenants entries must be TenantConfig, got {type(tenant).__name__}"
                 )
-        check_positive(self.default_weight, "default_weight")
-        if self.default_query_budget is not None:
-            check_positive_int(self.default_query_budget, "default_query_budget")
         check_positive_int(self.max_inflight_per_connection, "max_inflight_per_connection")
         check_positive_int(self.scheduler_window, "scheduler_window")
         check_positive_int(self.max_frame_bytes, "max_frame_bytes")
@@ -160,15 +153,12 @@ class NetServiceConfig:
     # ------------------------------------------------------------- utilities
 
     def tenant_policy(self, name: str) -> TenantConfig:
-        """The declared :class:`TenantConfig` for ``name``, or the default one."""
+        """The declared :class:`TenantConfig` for ``name``, or the default one
+        (weight 1, no query budget)."""
         for tenant in self.tenants:
             if tenant.name == name:
                 return tenant
-        return TenantConfig(
-            name=name,
-            weight=self.default_weight,
-            query_budget=self.default_query_budget,
-        )
+        return TenantConfig(name=name)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable representation (inverse of :meth:`from_dict`)."""

@@ -59,6 +59,10 @@ from repro.sidechannel.estimators import estimate_column_sums_ridge
 from repro.utils.results import compact_repr
 from repro.utils.validation import check_non_negative_int
 
+#: Tenant names of the two parties in one co-residency round.
+VICTIM = "victim"
+ATTACKER = "attacker"
+
 
 @dataclass(frozen=True, repr=False)
 class CoResidentTrace:
@@ -187,12 +191,11 @@ async def run_coresident_attack(
     probe_inputs: Iterable[np.ndarray],
     *,
     flood_ratio: int,
-    victim: str = "victim",
-    attacker: str = "attacker",
 ) -> CoResidentTrace:
     """Drive one co-residency round through a started :class:`QueryService`.
 
-    Victim traffic and attacker probes are enqueued as interleaved
+    Victim traffic (tenant :data:`VICTIM`) and attacker probes (tenant
+    :data:`ATTACKER`) are enqueued as interleaved
     single-row requests by this one coroutine, under the service's
     backpressure: ``flood_ratio`` probes ahead of every victim row (the
     attacker times its probes against the victim's request stream).  Under
@@ -260,14 +263,14 @@ async def run_coresident_attack(
                     f"ahead of each of the {len(victim_inputs)} victim rows"
                 )
             for row in flood:
-                yield attacker, np.asarray(row, dtype=float)
-            yield victim, victim_row
+                yield ATTACKER, np.asarray(row, dtype=float)
+            yield VICTIM, victim_row
 
     for sequence, (tenant, row) in enumerate(requests()):
         _, future = await service.enqueue(
             row[np.newaxis, :],
             tenant=tenant,
-            on_dispatch=partial(observe, row, tenant == victim),
+            on_dispatch=partial(observe, row, tenant == VICTIM),
         )
         future.add_done_callback(partial(on_settled, sequence))
     if len(victim_inputs):
@@ -282,7 +285,7 @@ async def run_coresident_attack(
             f"evicted this round's first tick ({first_tick})"
         )
     ticks = visible_ticks(
-        [tick for tick in ledger if tick.tick_id >= first_tick], attacker
+        [tick for tick in ledger if tick.tick_id >= first_tick], ATTACKER
     )
     visible_ids = {tick.tick_id for tick in ticks}
     return CoResidentTrace(

@@ -1,10 +1,12 @@
 """Basis-vector probing of the crossbar power channel.
 
 Section II-B of the paper: "setting ``v_u1 = Vdd`` and grounding all other
-inputs leads to ``G_1 = i_total / Vdd``".  Repeating for every input recovers
-all column conductance sums, which under the min-power mapping are affine in
-the column 1-norms of the weight matrix.  The prober also measures the
-all-zero input to remove the affine offset contributed by ``g_min`` devices.
+inputs leads to ``G_1 = i_total / Vdd``".  The prober drives the normalised
+``Vdd = 1``, so each reading is a column sum.  Repeating for every input
+recovers all column conductance sums, which under the min-power mapping are
+affine in the column 1-norms of the weight matrix.  The prober also measures
+the all-zero input to remove the affine offset contributed by ``g_min``
+devices.
 
 The prober reads the rail through an :class:`~repro.attacks.oracle.Oracle`
 (``response.power``): the oracle holds the attacker's instrument noise and
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.attacks.oracle import Oracle
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -59,20 +61,9 @@ class ProbeResult:
         if self.indices.shape != self.column_sums.shape:
             raise ValueError("indices and column_sums must have the same shape")
 
-    def full_vector(self, n_inputs: int, fill_value: float = np.nan) -> np.ndarray:
-        """Expand to a length-``n_inputs`` vector with unknown entries filled."""
-        vector = np.full(n_inputs, fill_value, dtype=float)
-        vector[self.indices] = self.column_sums
-        return vector
-
     def argmax(self) -> int:
         """Index (into the original input space) of the largest probed sum."""
         return int(self.indices[int(np.argmax(self.column_sums))])
-
-    def ranking(self) -> np.ndarray:
-        """Probed indices ordered from largest to smallest conductance sum."""
-        order = np.argsort(self.column_sums)[::-1]
-        return self.indices[order]
 
 
 class ColumnNormProber:
@@ -97,9 +88,6 @@ class ColumnNormProber:
         the *side channel*, independently of the accelerator's own output
         ADC, which digitises functional outputs only — the supply rail an
         attacker taps is analogue.
-    drive_voltage:
-        The voltage applied to the probed line (the paper's Vdd, 1.0 in the
-        normalised formulation).
     measure_baseline:
         Whether to spend one extra query on the all-zero input so the
         ``g_min`` offset can be subtracted.  For the ideal device the baseline
@@ -117,7 +105,6 @@ class ColumnNormProber:
         n_inputs: int,
         *,
         quantization_bits: Optional[int] = None,
-        drive_voltage: float = 1.0,
         measure_baseline: bool = False,
         batched: bool = True,
     ):
@@ -130,7 +117,6 @@ class ColumnNormProber:
         if quantization_bits is not None:
             check_positive_int(quantization_bits, "quantization_bits")
         self.quantization_bits = quantization_bits
-        self.drive_voltage = check_positive(drive_voltage, "drive_voltage")
         self.measure_baseline = bool(measure_baseline)
         self.batched = bool(batched)
 
@@ -159,7 +145,7 @@ class ColumnNormProber:
 
     def _basis_vectors(self, indices: np.ndarray) -> np.ndarray:
         probes = np.zeros((len(indices), self.n_inputs), dtype=float)
-        probes[np.arange(len(indices)), indices] = self.drive_voltage
+        probes[np.arange(len(indices)), indices] = 1.0
         return probes
 
     def _measure_batched(self, indices: np.ndarray) -> tuple[np.ndarray, float]:
@@ -196,10 +182,9 @@ class ColumnNormProber:
             currents, baseline = self._measure_batched(indices)
         else:
             currents, baseline = self._measure_looped(indices)
-        column_sums = (currents - baseline) / self.drive_voltage
         return ProbeResult(
             indices=indices,
-            column_sums=column_sums,
+            column_sums=currents - baseline,
             baseline=baseline,
             queries_used=self.oracle.queries_used - queries_before,
         )
@@ -207,21 +192,3 @@ class ColumnNormProber:
     def probe_all(self) -> ProbeResult:
         """Probe every input column (N queries, plus one optional baseline)."""
         return self.probe_indices(np.arange(self.n_inputs))
-
-    def estimate_column_norms(self, reference_weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """Probe everything and return values proportional to the column 1-norms.
-
-        When ``reference_weights`` is given the result is rescaled so that its
-        maximum matches the true maximum column 1-norm, which is convenient
-        for correlation analyses; the attack itself only needs the ordering,
-        which rescaling does not change.
-        """
-        result = self.probe_all()
-        sums = result.column_sums
-        if reference_weights is None:
-            return sums
-        reference = np.abs(np.asarray(reference_weights, dtype=float)).sum(axis=0)
-        peak = sums.max()
-        if peak <= 0:
-            return sums
-        return sums * (reference.max() / peak)

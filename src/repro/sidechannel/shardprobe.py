@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.crossbar.mapping import ShardingSpec
 from repro.crossbar.power import layer_rail_grid
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["PerShardProber", "ShardProbeResult"]
 
@@ -92,12 +92,9 @@ class PerShardProber:
         ``expose_per_tile_power=True``; its query responses must carry
         ``per_tile_power`` and ``metadata["tile_labels"]``.
     n_inputs:
-        Logical input dimensionality ``N`` of the target.
-    layer:
-        Index of the layer whose rails are attacked (the paper's victim is
-        layer 0).
-    drive_voltage:
-        Voltage applied to the probed line (the paper's normalised Vdd).
+        Logical input dimensionality ``N`` of the target.  The attacked rails
+        are layer 0's (the paper's single-layer victim), and every probed
+        line is driven at the normalised ``Vdd = 1``.
     has_bias_column:
         Whether the target layer carries a trailing bias column on its
         physical tiles.  The bias line is driven on every query — including
@@ -111,8 +108,6 @@ class PerShardProber:
         oracle,
         n_inputs: int,
         *,
-        layer: int = 0,
-        drive_voltage: float = 1.0,
         has_bias_column: bool = False,
     ):
         if not getattr(oracle, "expose_per_tile_power", False):
@@ -122,8 +117,6 @@ class PerShardProber:
             )
         self.oracle = oracle
         self.n_inputs = check_positive_int(n_inputs, "n_inputs")
-        self.layer = int(layer)
-        self.drive_voltage = check_positive(drive_voltage, "drive_voltage")
         self.has_bias_column = bool(has_bias_column)
 
     # ------------------------------------------------------------------ api
@@ -144,9 +137,7 @@ class PerShardProber:
         from the same response (``N + 1`` queries total).
         """
         probes = np.zeros((self.n_inputs + 1, self.n_inputs), dtype=float)
-        probes[np.arange(1, self.n_inputs + 1), np.arange(self.n_inputs)] = (
-            self.drive_voltage
-        )
+        probes[np.arange(1, self.n_inputs + 1), np.arange(self.n_inputs)] = 1.0
         queries_before = self.oracle.queries_used
         response = self.oracle.query(probes)
         if response.per_tile_power is None:
@@ -158,7 +149,7 @@ class PerShardProber:
         if labels is None:
             raise ValueError("oracle response carries no tile labels")
 
-        grid, columns = layer_rail_grid(labels, self.layer)
+        grid, columns = layer_rail_grid(labels, 0)
         rails = response.per_tile_power[:, columns.ravel()].reshape(
             (len(probes),) + columns.shape
         )
@@ -170,16 +161,12 @@ class PerShardProber:
         owner = self._column_owner(grid[1])
         # Column j's probe excites only the owning column-shard's rails; sum
         # its row-shard partial currents and discard every other rail.
-        per_shard = (
-            rail_signal[np.arange(self.n_inputs), :, owner].sum(axis=1)
-            / self.drive_voltage
-        )
-        whole_rail = total_signal / self.drive_voltage
+        per_shard = rail_signal[np.arange(self.n_inputs), :, owner].sum(axis=1)
         return ShardProbeResult(
             indices=np.arange(self.n_inputs),
             per_shard_norms=per_shard,
-            whole_rail_norms=whole_rail,
+            whole_rail_norms=total_signal,
             grid=grid,
             queries_used=self.oracle.queries_used - queries_before,
-            metadata={"layer": self.layer, "tile_labels": tuple(labels)},
+            metadata={"tile_labels": tuple(labels)},
         )

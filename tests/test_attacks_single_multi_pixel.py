@@ -102,14 +102,6 @@ class TestPerturbationStructure:
         with pytest.raises(ValueError):
             attack.attack(dataset.test_inputs[:2], dataset.test_targets[:2], 1.0)
 
-    def test_clip_range(self, attack_setup):
-        network, dataset, norms = attack_setup
-        attack = SinglePixelAttack(
-            SinglePixelStrategy.POWER_ADD, column_norms=norms, clip_range=(0.0, 1.0)
-        )
-        result = attack.attack(dataset.test_inputs[:5], dataset.test_targets[:5], 10.0)
-        assert result.adversarial_inputs.max() <= 1.0
-
     def test_queries_recorded(self, attack_setup):
         _, dataset, norms = attack_setup
         attack = SinglePixelAttack(

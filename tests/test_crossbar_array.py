@@ -80,7 +80,6 @@ NONIDEALITY_FIELDS = [
     "stuck_at_on_fraction",
     "wire_resistance_ohm",
     "current_measurement_noise",
-    "temperature_drift",
 ]
 
 
@@ -138,28 +137,11 @@ class TestNonidealities:
         readings = np.array([array.traverse(u[np.newaxis])[1][0] for _ in range(50)])
         assert readings.std() > 0
 
-    def test_temperature_drift_scales_conductances(self, rng):
-        weights = np.abs(rng.normal(size=(4, 4)))
-        # Leave headroom below g_max so the +10% drift is not clipped.
-        mapping = ConductanceMapping(weight_scale=2 * float(np.abs(weights).max()))
-        nominal = CrossbarArray(weights, mapping=mapping, random_state=0)
-        drifted = CrossbarArray(
-            weights,
-            mapping=mapping,
-            nonidealities=NonidealityConfig(temperature_drift=0.1),
-            random_state=0,
-        )
-        ratio = drifted.column_conductance_sums / nominal.column_conductance_sums
-        np.testing.assert_allclose(ratio, 1.1, rtol=1e-6)
-
     def test_nonideality_validation(self):
         with pytest.raises(ValueError):
             NonidealityConfig(stuck_at_off_fraction=0.7, stuck_at_on_fraction=0.7)
         with pytest.raises(ValueError):
             NonidealityConfig(wire_resistance_ohm=-1.0)
-        for drift in (-2.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                NonidealityConfig(temperature_drift=drift)
 
     def test_is_ideal_flag(self):
         assert NonidealityConfig().is_ideal
@@ -344,9 +326,11 @@ DETERMINISTIC_PHYSICS = [
     NonidealityConfig(wire_resistance_ohm=0.5),
     NonidealityConfig(wire_resistance_ohm=1e-3),
     NonidealityConfig(stuck_at_off_fraction=0.1, stuck_at_on_fraction=0.05),
-    NonidealityConfig(temperature_drift=0.05),
+    NonidealityConfig(
+        stuck_at_off_fraction=0.1, stuck_at_on_fraction=0.05, wire_resistance_ohm=0.5
+    ),
 ]
-DETERMINISTIC_IDS = ["ideal", "ir-drop", "wire-droop", "stuck", "drift"]
+DETERMINISTIC_IDS = ["ideal", "ir-drop", "wire-droop", "stuck", "stuck-ir-drop"]
 
 
 class TestFloat64Engine:

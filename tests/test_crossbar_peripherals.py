@@ -9,11 +9,11 @@ from repro.crossbar.power import PowerReport
 
 class TestDAC:
     def test_ideal_dac_only_clips(self):
-        dac = DAC(n_bits=None, voltage_range=(0.0, 1.0))
+        dac = DAC(n_bits=None)
         np.testing.assert_allclose(dac.convert(np.array([-0.5, 0.3, 2.0])), [0.0, 0.3, 1.0])
 
     def test_quantization_levels(self):
-        dac = DAC(n_bits=2, voltage_range=(0.0, 1.0))
+        dac = DAC(n_bits=2)
         values = dac.convert(np.linspace(0, 1, 11))
         levels = np.array([0.0, 1 / 3, 2 / 3, 1.0])
         distances = np.abs(values[:, np.newaxis] - levels[np.newaxis, :]).min(axis=1)
@@ -24,7 +24,7 @@ class TestDAC:
         assert DAC(n_bits=None).n_levels is None
 
     def test_quantization_error_bounded(self, rng):
-        dac = DAC(n_bits=8, voltage_range=(0.0, 1.0))
+        dac = DAC(n_bits=8)
         values = rng.uniform(0, 1, size=100)
         error = np.abs(dac.convert(values) - values)
         assert error.max() <= 0.5 / 255 + 1e-12
@@ -32,20 +32,40 @@ class TestDAC:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             DAC(n_bits=0)
-        with pytest.raises(ValueError):
-            DAC(voltage_range=(1.0, 0.0))
 
 
 class TestADC:
     def test_symmetric_range(self):
-        adc = ADC(n_bits=None, current_range=(-2.0, 2.0))
-        np.testing.assert_allclose(adc.convert(np.array([-3.0, 0.5, 3.0])), [-2.0, 0.5, 2.0])
+        adc = ADC(n_bits=None)
+        converted = adc.convert(np.array([-3.0, 0.5, 3.0]), full_scale=2.0)
+        np.testing.assert_allclose(converted, [-2.0, 0.5, 2.0])
 
     def test_quantization_is_monotonic(self, rng):
-        adc = ADC(n_bits=4, current_range=(-1.0, 1.0))
+        adc = ADC(n_bits=4)
         values = np.sort(rng.uniform(-1, 1, size=50))
-        converted = adc.convert(values)
+        converted = adc.convert(values, full_scale=1.0)
         assert np.all(np.diff(converted) >= 0)
+
+    def test_quantization_levels(self):
+        values = ADC(n_bits=2).convert(np.linspace(-1.5, 1.5, 31), full_scale=1.0)
+        np.testing.assert_allclose(np.unique(values), [-1.0, -1 / 3, 1 / 3, 1.0])
+
+    @pytest.mark.parametrize("n_bits", [2, 6, 8])
+    def test_quantization_error_bounded(self, rng, n_bits):
+        full_scale = 3.0
+        values = rng.uniform(-full_scale, full_scale, size=200)
+        error = np.abs(ADC(n_bits=n_bits).convert(values, full_scale) - values)
+        assert error.max() <= full_scale / (2**n_bits - 1) + 1e-12
+
+    def test_invalid_configuration(self):
+        with pytest.raises(ValueError):
+            ADC(n_bits=0)
+        with pytest.raises(TypeError):
+            ADC(n_bits=4.0)
+
+    def test_zero_full_scale_reads_zero(self):
+        converted = ADC(n_bits=4).convert(np.array([-1.0, 0.0, 2.0]), full_scale=0.0)
+        np.testing.assert_array_equal(converted, 0.0)
 
 
 class TestPowerReport:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crossbar.accelerator import CrossbarAccelerator
 from repro.crossbar.adc_dac import ADC, DAC
@@ -56,11 +58,89 @@ class TestCrossbarTile:
         assert ideal_error < 1e-10
         assert coarse_error > ideal_error
 
-    def test_adc_applied_to_output(self, rng):
-        layer = Dense(6, 3, activation="linear", random_state=0)
-        tile = CrossbarTile(layer, adc=ADC(n_bits=2, current_range=(-1, 1)), random_state=0)
-        out, _ = tile.traverse(rng.uniform(0, 1, size=(4, 6)), want_currents=False)
-        assert np.isfinite(out).all()
+    @given(
+        n_outputs=st.integers(1, 6),
+        n_inputs=st.integers(1, 40),
+        use_bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_adc_never_saturates_in_range(self, n_outputs, n_inputs, use_bias, seed):
+        """No in-range input saturates the output ADC, and its full scale is tight.
+
+        The extreme inputs are each row's sign corners: every line of one
+        sign's devices driven at 1, the rest grounded.
+        """
+        rng = np.random.default_rng(seed)
+        layer = Dense(n_inputs, n_outputs, activation="linear", use_bias=use_bias)
+        layer.set_weights(
+            rng.normal(size=(n_outputs, n_inputs)),
+            bias=rng.normal(size=n_outputs) if use_bias else None,
+        )
+        ideal = CrossbarTile(layer, random_state=0)
+        converted = CrossbarTile(layer, adc=ADC(), random_state=0)
+        (array,) = ideal.physical_arrays
+        difference = (array.g_plus - array.g_minus)[:, :n_inputs]
+        corners = np.concatenate([difference > 0, difference < 0]).astype(float)
+        inputs = np.concatenate([corners, rng.uniform(0, 1, size=(8, n_inputs))])
+        expected, _ = ideal.traverse(inputs)
+        np.testing.assert_array_equal(converted.traverse(inputs)[0], expected)
+        lines = np.hstack([corners, np.ones((len(corners), int(use_bias)))])
+        currents, _ = array.traverse(lines, want_totals=False)
+        assert np.abs(currents).max() == pytest.approx(converted.adc_full_scale, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sharding",
+        [ShardingSpec(row_shards=2), ShardingSpec(col_shards=3), ShardingSpec(2, 2)],
+        ids=["2x1", "1x3", "2x2"],
+    )
+    def test_sharded_adc_never_saturates(self, rng, sharding):
+        """The full scale is the whole layer's: the ADC reads reduced sums."""
+        layer = Dense(9, 4, activation="linear", use_bias=True, random_state=0)
+        layer.set_weights(rng.normal(size=(4, 9)), bias=rng.normal(size=4))
+        unsharded = CrossbarTile(layer, adc=ADC(), random_state=0)
+        ideal = CrossbarTile(layer, sharding=sharding, random_state=0)
+        converted = CrossbarTile(layer, sharding=sharding, adc=ADC(), random_state=0)
+        assert converted.adc_full_scale == unsharded.adc_full_scale
+        (array,) = unsharded.physical_arrays
+        difference = (array.g_plus - array.g_minus)[:, :9]
+        corners = np.concatenate([difference > 0, difference < 0]).astype(float)
+        inputs = np.concatenate([corners, rng.uniform(0, 1, size=(8, 9))])
+        expected, _ = ideal.traverse(inputs)
+        np.testing.assert_array_equal(converted.traverse(inputs)[0], expected)
+
+    def test_zero_layer_has_zero_full_scale(self, rng):
+        layer = Dense(5, 3, activation="linear", use_bias=True, random_state=0)
+        layer.set_weights(np.zeros((3, 5)), bias=np.zeros(3))
+        tile = CrossbarTile(layer, adc=ADC(n_bits=4), random_state=0)
+        assert tile.adc_full_scale == 0.0
+        outputs, _ = tile.traverse(rng.uniform(0, 1, size=(4, 5)))
+        np.testing.assert_array_equal(outputs, 0.0)
+
+    def test_eight_bit_adc_keeps_software_accuracy(self, trained_softmax, mnist_small):
+        """An 8-bit ADC spans the layer's real currents instead of clipping them."""
+        from repro.nn.metrics import accuracy
+
+        inputs, targets = mnist_small.test_inputs, mnist_small.test_targets
+        tile = CrossbarTile(trained_softmax.layers[0], adc=ADC(n_bits=8), random_state=0)
+        outputs, _ = tile.traverse(inputs, want_currents=False)
+        software = accuracy(trained_softmax.predict(inputs), targets)
+        assert accuracy(outputs, targets) >= software - 0.02
+
+    def test_adc_error_shrinks_with_resolution(self, trained_softmax, mnist_small):
+        layer = trained_softmax.layers[0]
+        inputs = mnist_small.test_inputs
+        reference = layer.forward(inputs)
+        errors = [
+            np.abs(
+                CrossbarTile(layer, adc=ADC(n_bits=bits), random_state=0).traverse(
+                    inputs, want_currents=False
+                )[0]
+                - reference
+            ).max()
+            for bits in (4, 8, 12)
+        ]
+        assert errors[0] > errors[1] > errors[2]
 
     def test_wrong_input_dimension(self, rng):
         tile = CrossbarTile(Dense(6, 3, random_state=0), random_state=0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.datasets.transforms import (
-    clip_to_range,
     flatten_images,
     from_one_hot,
     one_hot,
@@ -39,16 +38,6 @@ class TestOneHot:
     def test_from_one_hot_requires_matrix(self):
         with pytest.raises(ValueError):
             from_one_hot(np.array([1, 0]))
-
-
-class TestClipToRange:
-    def test_clip_to_range(self):
-        clipped = clip_to_range(np.array([-1.0, 0.5, 2.0]), 0.0, 1.0)
-        np.testing.assert_allclose(clipped, [0.0, 0.5, 1.0])
-
-    def test_clip_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            clip_to_range(np.zeros(3), 1.0, 0.0)
 
 
 class TestReshaping:

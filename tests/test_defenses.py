@@ -14,7 +14,9 @@ from repro.defenses import (
     single_pixel_attack_advantage,
 )
 from repro.nn.gradients import weight_column_norms
+from repro.nn.layers import Dense
 from repro.nn.metrics import accuracy
+from repro.nn.network import Sequential
 from repro.nn.trainer import train_single_layer
 from repro.sidechannel import ColumnNormProber
 
@@ -81,6 +83,23 @@ class TestRebalanceColumnNorms:
         norms = weight_column_norms(network.weights)
         active = norms[norms > 1e-12]
         assert active.std() / active.mean() < 1e-6
+
+    def test_full_blend_targets_mean_norm(self, rng):
+        network = Sequential([Dense(6, 3, random_state=0)])
+        network.layers[0].set_weights(rng.normal(size=(3, 6)))
+        mean_norm = weight_column_norms(network.layers[0].weights).mean()
+        rebalance_column_norms(network, blend=1.0)
+        np.testing.assert_allclose(weight_column_norms(network.layers[0].weights), mean_norm)
+
+    def test_partial_blend_interpolates_geometrically(self, rng):
+        """``blend=0.5`` leaves each column norm at ``sqrt(n_j * mean)``."""
+        network = Sequential([Dense(6, 3, random_state=0)])
+        network.layers[0].set_weights(rng.normal(size=(3, 6)))
+        norms = weight_column_norms(network.layers[0].weights)
+        rebalance_column_norms(network, blend=0.5)
+        np.testing.assert_allclose(
+            weight_column_norms(network.layers[0].weights), np.sqrt(norms * norms.mean())
+        )
 
     def test_zero_blend_is_identity(self, trained_softmax):
         network = trained_softmax.clone_architecture(random_state=0)

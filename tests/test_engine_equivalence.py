@@ -42,7 +42,9 @@ NONIDEALITY_CONFIGS = {
     "ideal": NonidealityConfig(),
     "stuck": NonidealityConfig(stuck_at_off_fraction=0.05, stuck_at_on_fraction=0.02),
     "ir_drop": NonidealityConfig(wire_resistance_ohm=0.01),
-    "drift": NonidealityConfig(temperature_drift=0.02),
+    "stuck_ir_drop": NonidealityConfig(
+        stuck_at_off_fraction=0.05, stuck_at_on_fraction=0.02, wire_resistance_ohm=0.01
+    ),
 }
 
 

@@ -1040,15 +1040,11 @@ class TestNetServiceConfig:
             TenantConfig("a", query_budget=0)
 
     def test_tenant_policy_fallback(self):
-        config = NetServiceConfig(
-            tenants=(TenantConfig("vip", weight=4.0),),
-            default_weight=0.5,
-            default_query_budget=10,
-        )
+        config = NetServiceConfig(tenants=(TenantConfig("vip", weight=4.0),))
         assert config.tenant_policy("vip").weight == 4.0
         anon = config.tenant_policy("anon")
-        assert anon.weight == 0.5
-        assert anon.query_budget == 10
+        assert anon.weight == 1.0
+        assert anon.query_budget is None
 
     def test_presets(self):
         preset = get_netservice_preset("net-two-tenant")

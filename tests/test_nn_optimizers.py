@@ -6,7 +6,7 @@ import pytest
 from repro.nn.layers import Dense
 from repro.nn.losses import MeanSquaredError
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Adam
+from repro.nn.optimizers import BETA1, BETA2, EPSILON, Adam
 
 
 def make_problem(rng, n_samples=50, n_inputs=6, n_outputs=3):
@@ -41,16 +41,40 @@ class TestValidationAndState:
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
 
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            Adam(beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam(beta2=-0.1)
-
     def test_step_without_gradients_raises(self):
         net = Sequential([Dense(4, 2, random_state=0)])
         with pytest.raises(RuntimeError):
             Adam().step(net)
+
+    def test_first_step_is_normalised_gradient(self, rng):
+        """Bias correction makes step one ``lr * g / (|g| + eps)``."""
+        net = Sequential([Dense(4, 2, random_state=0)])
+        layer = net.layers[0]
+        before = layer.weights.copy()
+        layer.grad_weights = rng.normal(size=before.shape)
+        gradient = layer.grad_weights.copy()
+        Adam(learning_rate=0.1).step(net)
+        expected = before - 0.1 * gradient / (np.abs(gradient) + EPSILON)
+        np.testing.assert_allclose(layer.weights, expected, rtol=1e-12)
+
+    def test_matches_reference_adam(self, rng):
+        """Five steps against a transcription of Kingma & Ba's Algorithm 1."""
+        net = Sequential([Dense(3, 2, random_state=0)])
+        layer = net.layers[0]
+        reference = layer.weights.copy()
+        m = np.zeros_like(reference)
+        v = np.zeros_like(reference)
+        optimizer = Adam(learning_rate=0.01)
+        for t in range(1, 6):
+            gradient = rng.normal(size=reference.shape)
+            layer.grad_weights = gradient.copy()
+            optimizer.step(net)
+            m = BETA1 * m + (1 - BETA1) * gradient
+            v = BETA2 * v + (1 - BETA2) * gradient**2
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            reference = reference - 0.01 * m_hat / (np.sqrt(v_hat) + EPSILON)
+        np.testing.assert_allclose(layer.weights, reference, rtol=1e-12)
 
     def test_bias_updated_when_present(self, rng):
         net = Sequential([Dense(4, 2, use_bias=True, random_state=0)])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.analysis.correlation import pearson_correlation
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.mapping import ConductanceMapping, MappingScheme
-from repro.datasets.transforms import clip_to_range, from_one_hot, one_hot
+from repro.datasets.transforms import from_one_hot, one_hot
 from repro.nn.activations import ReLU, Softmax
 from repro.nn.gradients import weight_column_norms
 from repro.nn.losses import CategoricalCrossEntropy, MeanSquaredError
@@ -70,17 +70,6 @@ class TestOneHotProperties:
         assert encoded.shape == (len(labels), 10)
         np.testing.assert_array_equal(encoded.sum(axis=1), 1.0)
         np.testing.assert_array_equal(from_one_hot(encoded), labels)
-
-    @given(
-        arrays(np.float64, (6, 4), elements=finite_floats),
-        st.floats(min_value=-2, max_value=0),
-        st.floats(min_value=0.1, max_value=2),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_clip_to_range_bounds(self, data, low, high):
-        clipped = clip_to_range(data, low, high)
-        assert clipped.min() >= low - 1e-12
-        assert clipped.max() <= high + 1e-12
 
 
 class TestCrossbarProperties:

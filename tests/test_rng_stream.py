@@ -29,7 +29,7 @@ STREAM_DIGESTS = {
     "high-read-noise": "5468ef53c210a074ed7aa60293baed70742e462a22994d2353536152250a5bd2",
     "noisy-device": "34fb6c5681fea7762924b58d78417662027fcee9f312865223c9dae4914f05b7",
     "paper/mnist-softmax": "5e914a663e28889c5045fa1efd7b6a0be5c754e76541d75be9d0f68c9727667d",
-    "quantized-adc": "3e962f6d91e386010c26980ef24c5d6cc76db361cf7c4e1007d07e34865dd74e",
+    "quantized-adc": "a445293ff240ed83427c8d0ab0a90dab919487028cf5b9fc2923f64c4e12f24d",
     "sharded-2x2": "bfa62d3e77c087375a806b2ae1e398deefb6291d48885a47edb076ab791e59da",
     "sharded-2x2-noisy": "b5227485aea16c104545bd84ac9e342fd6df9bba2a94c70dc92b6bdcdb2d68ea",
     "sharded-4x4-tree": "6c8ce9615dec87d485c8265cd05eb771dde4e402c3e571bdda0aa2016d3cb677",

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.crossbar.mapping import ShardingSpec
 from repro.utils.validation import (
     check_array,
     check_in_range,
@@ -140,3 +141,9 @@ class TestCheckKnownFields:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_known_fields({"zeta": 0, "alpha": 1, "gamma": 2}, _Knobs)
+        message = (
+            "unknown ShardingSpec fields ['bogus']; "
+            "expected a subset of ['col_shards', 'reduction', 'row_shards']"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ShardingSpec.from_dict({"row_shards": 2, "bogus": 1})
