@@ -42,13 +42,6 @@ class _Converter:
             check_positive_int(n_bits, "n_bits")
         self.n_bits = n_bits
 
-    @property
-    def n_levels(self) -> Optional[int]:
-        """Number of representable levels, or None when unquantized."""
-        if self.n_bits is None:
-            return None
-        return 2**self.n_bits
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_bits={self.n_bits})"
 

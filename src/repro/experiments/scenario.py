@@ -59,30 +59,20 @@ _TRAINING_DEFENSES = ("norm-regularizer", "rebalance")
 #: grid geometry; they are folded into :attr:`ScenarioSpec.nonidealities`.
 _SHARDING_WIRE_KNOBS = ("wire_resistance_ohm",)
 
-#: Geometry keys of the dict form (the :meth:`ShardingSpec.to_dict` fields).
-_SHARDING_GEOMETRY_KEYS = ("row_shards", "col_shards", "reduction")
-
 
 def _coerce_scenario_sharding(value) -> Tuple[ShardingSpec, Dict[str, float]]:
     """Coerce a scenario ``sharding`` value to ``(spec, wire_overrides)``.
 
     Accepts a ``(rows, cols[, reduction])`` tuple or a mapping whose keys are
     the :meth:`~repro.crossbar.mapping.ShardingSpec.to_dict` fields plus the
-    wire-physics knobs in :data:`_SHARDING_WIRE_KNOBS`.  Unknown keys are
-    rejected (same contract as :meth:`ScenarioSpec.from_dict`): a typo'd
-    geometry knob must fail loudly, not be silently dropped.
+    wire-physics knobs in :data:`_SHARDING_WIRE_KNOBS`.  The wire knobs are
+    popped first; :meth:`ShardingSpec.from_dict` then rejects any other
+    unknown key, so a typo'd geometry knob fails loudly.
     """
     if isinstance(value, (tuple, list)):
         return ShardingSpec(*value), {}
     if isinstance(value, Mapping):
         payload = dict(value)
-        allowed = set(_SHARDING_GEOMETRY_KEYS) | set(_SHARDING_WIRE_KNOBS)
-        unknown = sorted(set(payload) - allowed)
-        if unknown:
-            raise ValueError(
-                f"unknown sharding key(s) {unknown}; "
-                f"expected a subset of {sorted(allowed)}"
-            )
         wire = {
             knob: float(payload.pop(knob))
             for knob in _SHARDING_WIRE_KNOBS

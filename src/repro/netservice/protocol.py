@@ -15,7 +15,14 @@ header's ``"arrays"`` entry is an ordered list of ``{name, dtype, shape}``
 descriptors and the raw bytes follow the header back to back in that order
 (C-contiguous, native ``tobytes()`` layout).  This keeps power traces and
 query batches bit-exact over the wire — the bit-identity acceptance test
-depends on it — at zero serialisation cost beyond one contiguity copy.
+depends on it — at no serialisation cost beyond one copy of each array's
+bytes on each side: into the frame when encoding, and out of the receive
+buffer into an owned, writable array when decoding.
+
+Decoding takes one pass per frame: the preamble, then the header (one
+module-level JSON decoder), then one loop over each descriptor that
+validates its name, shape and dtype and bounds the payload before any of
+it is read, then the payload.
 
 Both a blocking-socket codec (client side) and an asyncio-streams codec
 (server side) are provided over the same byte layout; every malformed or
@@ -29,7 +36,6 @@ policy keys on it.
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -58,21 +64,40 @@ DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: a peer runs.
 MAX_ARRAY_DIMS = 32
 
-#: dtypes allowed on the wire (everything the oracle path emits).
-_WIRE_DTYPES = frozenset(
-    {"float64", "float32", "int64", "int32", "uint64", "bool"}
-)
+#: Each wire dtype name and its native-byte-order dtype.
+_WIRE_DTYPES = {
+    name: np.dtype(name)
+    for name in ("float64", "float32", "int64", "int32", "uint64", "bool")
+}
 #: Wire name of each native-byte-order wire dtype.  A dict lookup is ~50x
 #: cheaper than ``str(dtype)``; ``dtype.name`` is not used because it reads
 #: ``float64`` for a big-endian ``>f8`` array too.
-_WIRE_NAMES = {np.dtype(name): name for name in _WIRE_DTYPES}
+_WIRE_NAMES = {dtype: name for name, dtype in _WIRE_DTYPES.items()}
 
 
-def _array_descriptors(arrays: Mapping[str, np.ndarray]):
-    """Build the header descriptor list + the contiguous payload chunks."""
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+#: One encoder and one decoder for every frame: ``json.dumps`` / ``json.loads``
+#: with non-default arguments build a new one per call.  Neither keeps state
+#: between calls.  ``allow_nan=False``: the decoder rejects NaN/Infinity, so
+#: never send them.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def encode_frame(
+    header: Dict[str, Any],
+    arrays: Optional[Mapping[str, np.ndarray]] = None,
+) -> bytes:
+    """Serialise one frame (header dict + named ndarray payloads).
+
+    Each array's bytes are copied once, into the frame.
+    """
     descriptors = []
     chunks = []
-    for name, array in arrays.items():
+    for name, array in (arrays or {}).items():
         array = np.ascontiguousarray(array)
         dtype = _WIRE_NAMES.get(array.dtype)
         if dtype is None:
@@ -81,28 +106,16 @@ def _array_descriptors(arrays: Mapping[str, np.ndarray]):
                 f"allowed: {sorted(_WIRE_DTYPES)}"
             )
         descriptors.append(
-            {"name": str(name), "dtype": dtype, "shape": list(array.shape)}
+            {"name": str(name), "dtype": dtype, "shape": array.shape}
         )
-        chunks.append(array.tobytes())
-    return descriptors, chunks
-
-
-def encode_frame(
-    header: Dict[str, Any],
-    arrays: Optional[Mapping[str, np.ndarray]] = None,
-) -> bytes:
-    """Serialise one frame (header dict + named ndarray payloads)."""
-    header = dict(header)
-    descriptors, chunks = _array_descriptors(arrays or {})
-    header["arrays"] = descriptors
+        chunks.append(array)
     try:
-        # allow_nan=False: the decoder rejects NaN/Infinity, so never send them
-        text = json.dumps(header, separators=(",", ":"), allow_nan=False)
+        text = _ENCODER.encode({**header, "arrays": descriptors})
     except ValueError as exc:
         raise ProtocolError(f"frame header is not finite JSON: {exc}") from None
     header_bytes = text.encode("utf-8")
     preamble = _PREAMBLE.pack(MAGIC, PROTOCOL_VERSION, len(header_bytes))
-    return b"".join([preamble, header_bytes] + chunks)
+    return b"".join([preamble, header_bytes, *chunks])
 
 
 def _check_preamble(raw: bytes, max_frame_bytes: int) -> int:
@@ -122,13 +135,14 @@ def _check_preamble(raw: bytes, max_frame_bytes: int) -> int:
     return length
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite JSON constant {name}")
-
-
 def _decode_header(raw: bytes) -> Dict[str, Any]:
     try:
-        header = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+        text = raw.decode("utf-8")
+        if text.startswith("\ufeff"):  # as json.loads words it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        header = _DECODER.decode(text)
     except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError included
         raise ProtocolError(f"frame header is not valid JSON: {exc}") from None
     except RecursionError:
@@ -140,22 +154,23 @@ def _decode_header(raw: bytes) -> Dict[str, Any]:
     return header
 
 
-def _payload_length(
+def _payload_layout(
     descriptors, header_len: int, max_frame_bytes: int
 ) -> Tuple[list, int]:
-    """Validate the descriptor list and return its total payload byte count.
+    """Validate the descriptor list; return its layout and payload byte count.
 
     The payload is bounded by what ``max_frame_bytes`` leaves after the
-    ``header_len`` header bytes, so the whole frame stays within it.
+    ``header_len`` header bytes, so the whole frame stays within it.  Each
+    layout entry is ``(name, dtype, shape, nbytes)``.
     """
     if not isinstance(descriptors, list):
         raise ProtocolError("frame 'arrays' entry must be a list")
     total = 0
-    parsed = []
+    layout = []
     for descriptor in descriptors:
         try:
             name = descriptor["name"]
-            dtype = str(descriptor["dtype"])
+            dtype_name = str(descriptor["dtype"])
             shape = tuple(descriptor["shape"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ProtocolError(f"malformed array descriptor {descriptor!r}: {exc}") from None
@@ -166,35 +181,43 @@ def _payload_length(
                 f"array {name!r} has {len(shape)} dimensions "
                 f"(at most {MAX_ARRAY_DIMS} on the wire)"
             )
-        if not all(type(n) is int for n in shape):  # bool and float excluded
-            raise ProtocolError(f"array {name!r} shape must be integers, got {shape}")
-        if dtype not in _WIRE_DTYPES:
-            raise ProtocolError(f"array {name!r} has non-wire dtype {dtype!r}")
-        if any(n < 0 for n in shape):
-            raise ProtocolError(f"array {name!r} has negative shape {shape}")
         # Python-int arithmetic: an adversarial shape like [2**32, 2**32]
-        # must hit this bound before any payload is read, not wrap to a
-        # tiny nbytes.
-        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        # must hit the size bound below before any payload is read, not
+        # wrap to a tiny count.
+        count = 1
+        negative = False
+        for n in shape:
+            if type(n) is not int:  # bool and float excluded
+                raise ProtocolError(
+                    f"array {name!r} shape must be integers, got {shape}"
+                )
+            negative = negative or n < 0
+            count *= n
+        dtype = _WIRE_DTYPES.get(dtype_name)
+        if dtype is None:
+            raise ProtocolError(f"array {name!r} has non-wire dtype {dtype_name!r}")
+        if negative:
+            raise ProtocolError(f"array {name!r} has negative shape {shape}")
+        nbytes = dtype.itemsize * count
         total += nbytes
         if header_len + total > max_frame_bytes:
             raise ProtocolError(
                 f"frame header ({header_len} B) plus payload (at least "
                 f"{total} B) exceeds max_frame_bytes={max_frame_bytes}"
             )
-        parsed.append((name, dtype, shape, nbytes))
-    return parsed, total
+        layout.append((name, dtype, shape, nbytes))
+    return layout, total
 
 
-def _assemble(header: Dict[str, Any], parsed, payload: bytes):
+def _assemble(header: Dict[str, Any], layout, payload: bytes):
     arrays: Dict[str, np.ndarray] = {}
     offset = 0
-    for name, dtype, shape, nbytes in parsed:
-        segment = payload[offset : offset + nbytes]
-        # .copy() yields an owned, writable array: request inputs flow into
-        # the oracle path, responses outlive the receive buffer.
+    for name, dtype, shape, nbytes in layout:
+        # A view of the payload, then one copy: an owned, writable, aligned,
+        # C-contiguous array.  Request inputs flow into the oracle path, and
+        # responses outlive the receive buffer.
         try:
-            arrays[name] = np.frombuffer(segment, dtype=dtype).reshape(shape).copy()
+            arrays[name] = np.ndarray(shape, dtype, payload, offset).copy()
         except ValueError as exc:  # a shape numpy rejects, e.g. [0, 2**40, 2**40]
             raise ProtocolError(f"array {name!r} has unusable shape: {exc}") from None
         offset += nbytes
@@ -217,11 +240,11 @@ async def read_frame(
     raw = await reader.readexactly(_PREAMBLE.size)
     header_len = _check_preamble(raw, max_frame_bytes)
     header = _decode_header(await reader.readexactly(header_len))
-    parsed, total = _payload_length(
+    layout, total = _payload_layout(
         header.get("arrays", []), header_len, max_frame_bytes
     )
     payload = await reader.readexactly(total) if total else b""
-    return _assemble(header, parsed, payload)
+    return _assemble(header, layout, payload)
 
 
 def write_frame(writer, header, arrays=None) -> None:
@@ -273,8 +296,8 @@ def read_frame_sync(
     """Read one frame from a blocking socket; returns ``(header, arrays)``."""
     header_len = _check_preamble(_recv_exactly(sock, _PREAMBLE.size), max_frame_bytes)
     header = _decode_header(_recv_exactly(sock, header_len))
-    parsed, total = _payload_length(
+    layout, total = _payload_layout(
         header.get("arrays", []), header_len, max_frame_bytes
     )
     payload = _recv_exactly(sock, total)
-    return _assemble(header, parsed, payload)
+    return _assemble(header, layout, payload)

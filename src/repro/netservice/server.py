@@ -12,12 +12,13 @@ The pipeline, per query frame::
                -> weighted-fair scheduler (budget charge)
                -> QueryService.enqueue  (coalesced into shared ticks)
                -> tick done-callback (stats, idempotency cache, refund)
-               -> reply done-callback: response frame (request_id + base_seed
-                  for bit-exact replay)
+                  writes the response frame (request_id + base_seed for
+                  bit-exact replay) to every frame waiting on the query
 
-Admission and both callbacks are synchronous: a query holds no task of its
-own between its frame and its tick, only futures.  Hello, ping and stats
-frames are answered inline.
+Admission and the callback are synchronous: a query holds no task and no
+future of its own between its frame and its tick, only the coalescer's
+future.  Hello, ping and stats frames, and retries of served keys, are
+answered inline.
 
 Design points, each carrying one acceptance criterion:
 
@@ -153,14 +154,17 @@ class TenantServiceStats:
         }
 
 
-@dataclass(repr=False)
+@dataclass(repr=False, slots=True)
 class _QueuedRequest:
-    """One admitted query waiting for the weighted-fair scheduler."""
+    """One admitted query, from its frame until its reply is written."""
 
     key: str
     inputs: np.ndarray
     rows: int
-    future: asyncio.Future
+    #: ``(connection, request header)`` of every frame the query's reply
+    #: answers: the admitting frame, then each retry of its key that
+    #: arrived while it was in flight.
+    waiters: list
 
     def __repr__(self) -> str:  # keep shutdown repr cheap, as in _Pending
         return f"_QueuedRequest(key={self.key!r}, rows={self.rows})"
@@ -180,8 +184,8 @@ class _TenantState:
         self.vtime = 0.0
         #: idempotency key -> completed (header, arrays) response
         self.completed: "OrderedDict[str, Tuple[dict, dict]]" = OrderedDict()
-        #: idempotency key -> future of the in-flight request
-        self.inflight: Dict[str, asyncio.Future] = {}
+        #: idempotency key -> the in-flight request
+        self.inflight: Dict[str, _QueuedRequest] = {}
 
     def remember(self, key: str, response: Tuple[dict, dict]) -> None:
         self.completed[key] = response
@@ -270,8 +274,8 @@ class NetworkQueryService:
         self._closing = False
         self._started = False
         self._connections: Set[_Connection] = set()
-        #: Admitted queries whose reply is not yet written; ``_answered`` is
-        #: set whenever this is zero (what :meth:`stop` waits for).
+        #: Query frames whose reply is not yet written; ``_answered`` is set
+        #: whenever this is zero (what :meth:`stop` waits for).
         self._unanswered = 0
         self._answered = asyncio.Event()
         self._answered.set()
@@ -333,7 +337,7 @@ class NetworkQueryService:
             while state.queue:
                 request = state.queue.popleft()
                 state.inflight.pop(request.key, None)
-                request.future.set_exception(_draining())
+                self._reply(request, error=_draining())
         # In-flight ticks finish (the coalescer never strands a tick) and
         # their done-callbacks settle the dispatched queries ...
         await self.service.stop()
@@ -398,17 +402,15 @@ class NetworkQueryService:
         while True:
             await self._work.wait()
             await self._sched_gate.wait()
-            if self._next_tenant() is None:
-                self._work.clear()
-                continue
             # Window bound: limits how far dispatch runs ahead of completion
             # (window=1 degenerates to strict weighted-fair order).  Acquired
             # *before* any request is popped: if stop() cancels the scheduler
             # while it blocks here, every request is still in its tenant
             # queue and gets the typed drain error — nothing is stranded.
+            # The tenant is picked after the wait, once per query.
             await self._window.acquire()
             state = self._next_tenant()
-            if state is None:  # drained while waiting on the window
+            if state is None:  # no backlog (or drained while waiting)
                 self._window.release()
                 self._work.clear()
                 continue
@@ -487,16 +489,27 @@ class NetworkQueryService:
         error: Optional[BaseException] = None,
         refund: bool = False,
     ) -> None:
-        """Resolve a popped query and give its dispatch window slot back."""
+        """Answer a popped query and give its dispatch window slot back."""
         if refund:
             # Failed work charges nothing (shared-bus semantics end to end).
             state.stats.rows_charged -= request.rows
         state.inflight.pop(request.key, None)
-        if error is None:
-            request.future.set_result(response)
-        else:
-            request.future.set_exception(error)
         self._window.release()
+        self._reply(request, response=response, error=error)
+
+    def _reply(
+        self,
+        request: _QueuedRequest,
+        *,
+        response: Optional[Tuple[dict, dict]] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Write a settled query's reply to every frame waiting on it."""
+        for conn, frame in request.waiters:
+            self._answer(conn, frame, response=response, error=error)
+        self._unanswered -= len(request.waiters)
+        if not self._unanswered:
+            self._answered.set()
 
     # ------------------------------------------------------------- requests
 
@@ -519,12 +532,15 @@ class NetworkQueryService:
             arrays["per_tile_power"] = result.per_tile_power
         return header, arrays
 
-    def _admit_query(self, header: dict, arrays: dict) -> asyncio.Future:
-        """Admit one query frame; return the future of its response.
+    def _admit_query(
+        self, conn: _Connection, header: dict, arrays: dict
+    ) -> Optional[Tuple[dict, dict]]:
+        """Admit one query frame from ``conn``.
 
         Raises for a frame that is refused outright.  A retry of a served
-        key gets an already-resolved future from the idempotency cache, and
-        a retry of an in-flight key shares that request's future.
+        key returns the response from the idempotency cache, to answer
+        inline.  Otherwise returns ``None``: the frame is answered when its
+        query settles, and a retry of an in-flight key waits on that query.
         """
         if self._closing:
             raise ServiceUnavailableError(
@@ -542,7 +558,11 @@ class NetworkQueryService:
         inputs = arrays.get("inputs")
         if inputs is None:
             raise ProtocolError("query frames must carry an 'inputs' array")
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        # Converted once: QueryService.enqueue passes a 2-D float array
+        # through unchanged.
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim < 2:
+            inputs = inputs.reshape(1, -1)
         if inputs.size == 0:
             raise ProtocolError("cannot serve an empty query")
 
@@ -552,21 +572,20 @@ class NetworkQueryService:
             # A retried request the server already served: answer from the
             # idempotency cache — the tenant is never charged twice.
             state.stats.n_deduped += 1
-            pending = asyncio.get_running_loop().create_future()
-            pending.set_result(cached)
-            return pending
-        pending = state.inflight.get(key)
-        if pending is not None:
+            return cached
+        self._unanswered += 1
+        self._answered.clear()
+        request = state.inflight.get(key)
+        if request is not None:
             state.stats.n_deduped += 1  # answered with the in-flight original
-            return pending
+            request.waiters.append((conn, header))
+            return None
         state.stats.n_received += 1
-        pending = asyncio.get_running_loop().create_future()
-        state.inflight[key] = pending
-        state.queue.append(
-            _QueuedRequest(key=key, inputs=inputs, rows=len(inputs), future=pending)
-        )
+        request = _QueuedRequest(key, inputs, len(inputs), [(conn, header)])
+        state.inflight[key] = request
+        state.queue.append(request)
         self._work.set()
-        return pending
+        return None
 
     def _hello_header(self) -> dict:
         return {
@@ -622,10 +641,9 @@ class NetworkQueryService:
         request_type = header.get("type")
         try:
             if request_type == "query":
-                future = self._admit_query(header, arrays)
-                self._unanswered += 1
-                self._answered.clear()
-                future.add_done_callback(partial(self._answer, conn, header))
+                cached = self._admit_query(conn, header, arrays)
+                if cached is not None:
+                    self._answer(conn, header, response=cached)
                 return
             if request_type == "hello":
                 response_header = self._hello_header()
@@ -648,14 +666,21 @@ class NetworkQueryService:
         self._write(conn, header, response_header)
         conn.inflight.release()
 
-    def _answer(self, conn: _Connection, request: dict, future: asyncio.Future) -> None:
-        """Done-callback of an admitted query: write its reply."""
-        try:
-            header, arrays = future.result()
+    def _answer(
+        self,
+        conn: _Connection,
+        request: dict,
+        *,
+        response: Optional[Tuple[dict, dict]] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Write one query frame's reply: its response, or its error."""
+        if error is None:
+            header, arrays = response
             # cached responses are shared: never mutate them in place
             header = dict(header)
-        except Exception as exc:
-            header, arrays = self._error_header(exc), None
+        else:
+            header, arrays = self._error_header(error), None
         if self.drop_next_responses > 0 and header["status"] == "ok":
             # Fault injection: the work happened, the response is lost.
             self.drop_next_responses -= 1
@@ -663,9 +688,6 @@ class NetworkQueryService:
         else:
             self._write(conn, request, header, arrays)
         conn.inflight.release()
-        self._unanswered -= 1
-        if not self._unanswered:
-            self._answered.set()
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -10,9 +10,10 @@ scattered back to the awaiting futures.
 
 Correctness rests on per-request derived RNG streams: every submitted request
 receives a sequence number, from which one ``uint64`` seed per input row is
-derived (the values of :func:`~repro.utils.rng.derive_request_seeds`, kept as
-Python ints per request and assembled into one array per tick) and passed
-down the measurement path as ``seeds``.  Each row's noise — conductance read
+derived (the values of :func:`~repro.utils.rng.derive_request_seeds`, computed
+for the whole tick at dispatch by one vectorised
+:func:`~repro.utils.rng.tick_row_seeds` call) and passed down the measurement
+path as ``seeds``.  Each row's noise — conductance read
 noise, defence draws, the oracle's power-measurement noise — is then a pure
 function of the row's seed, so a response is **bit-identical** whether the
 request ran alone, coalesced with strangers, or bypassed the service entirely
@@ -42,8 +43,7 @@ import asyncio
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from repro.utils.results import compact_repr
 from repro.utils.rng import (
     derive_request_seeds,
     mix_base_seed,
-    request_row_seeds,
     sample_stream,
+    tick_row_seeds,
 )
 
 #: Stream-path domain tag for the rail ledger's dummy-draw (noise-budget)
@@ -164,15 +164,14 @@ class TickTrace:
         return self.bank is None or self.bank == tenant
 
 
-@dataclass(repr=False)
+@dataclass(repr=False, slots=True)
 class _Pending:
     """One submitted request waiting for its tick."""
 
     inputs: np.ndarray
-    #: One seed per row: Python ints from the service, or any sequence of
-    #: ``uint64`` values; :meth:`QueryService._dispatch` builds the tick's
-    #: seed array from them.
-    seeds: Sequence[int]
+    #: The sequence number the request's row seeds derive from;
+    #: :meth:`QueryService._dispatch` derives the whole tick's seeds at once.
+    request_id: int
     future: asyncio.Future
     #: Optional observer called with the (1-based) tick index the request was
     #: served in — the hook the networked front-end uses for per-tenant
@@ -324,7 +323,9 @@ class QueryService:
             raise ServiceClosedError("the service is stopping")
         if not self.started:
             await self.start()
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim < 2:
+            inputs = inputs.reshape(1, -1)
         if len(inputs) == 0:
             raise ValueError("cannot submit an empty request")
         # Rejected alone, before a sequence number is taken: fused into a
@@ -335,11 +336,11 @@ class QueryService:
             raise ValueError("inputs contains NaN or infinite values")
         request_id = self._request_counter
         self._request_counter += 1
-        seeds = request_row_seeds(self._base_mix, request_id, len(inputs))
         future = asyncio.get_running_loop().create_future()
+        pending = _Pending(inputs, request_id, future, on_dispatch, tenant)
         self._n_putting += 1
         try:
-            await self._queue.put(_Pending(inputs, seeds, future, on_dispatch, tenant))
+            await self._queue.put(pending)
         finally:
             self._n_putting -= 1
         return request_id, future
@@ -425,6 +426,8 @@ class QueryService:
     def _dispatch(self, tick: List[_Pending]) -> None:
         """One fused traversal for the tick; scatter slices to the futures."""
         live = []
+        request_ids = []
+        row_counts = []
         for pending in tick:
             if pending.future.done():
                 # Client timeout/cancel raced the dispatch: the rows never
@@ -434,17 +437,15 @@ class QueryService:
                 self.stats.n_dropped_requests += 1
             else:
                 live.append(pending)
+                request_ids.append(pending.request_id)
+                row_counts.append(len(pending.inputs))
         if not live:
             return
         try:
             # Batch assembly is part of the failure envelope: a request with
             # mismatched width must fail its tick, not kill the worker.
             inputs = np.concatenate([pending.inputs for pending in live])
-            seeds = np.fromiter(
-                chain.from_iterable(pending.seeds for pending in live),
-                dtype=np.uint64,
-                count=len(inputs),
-            )
+            seeds = tick_row_seeds(self._base_mix, request_ids, row_counts)
             fused = self.oracle.query(inputs, seeds=seeds)
         except Exception as exc:  # shared-bus semantics: the tick fails whole
             self.stats.n_failed_ticks += 1
@@ -456,7 +457,7 @@ class QueryService:
         self.stats.n_requests += len(live)
         self.stats.n_rows += len(inputs)
         self.stats.max_tick_rows = max(self.stats.max_tick_rows, len(inputs))
-        self._record_tick(live, fused, len(inputs))
+        self._record_tick(live, fused, seeds)
         # Imported here, not at module level: importing the service must not
         # load the crossbar engine.
         from repro.attacks.oracle import OracleResponse
@@ -486,7 +487,7 @@ class QueryService:
                 pending.on_dispatch(self.stats.n_ticks)
             offset = end
 
-    def _record_tick(self, live: List[_Pending], fused, rows: int) -> None:
+    def _record_tick(self, live: List[_Pending], fused, seeds: np.ndarray) -> None:
         """Append the tick's physical rail observable to :attr:`tick_trace`.
 
         The rail power is the *sum over every batch-mate's rows* — the
@@ -511,7 +512,7 @@ class QueryService:
         )
         labels = fused.metadata.get("tile_labels")
         if self.config.noise_budget > 0.0:
-            stream = sample_stream(int(live[0].seeds[0]), _RAIL_DOMAIN, 0)
+            stream = sample_stream(int(seeds[0]), _RAIL_DOMAIN, 0)
             if rail_power is not None:
                 rail_power += self.config.noise_budget * float(stream.normal())
             if per_tile_power is not None:
@@ -526,7 +527,7 @@ class QueryService:
                 tick_id=self.stats.n_ticks,
                 tenants=tuple(tenants),
                 tenant_rows=tenant_rows,
-                rows=rows,
+                rows=len(seeds),
                 rail_power=rail_power,
                 per_tile_power=per_tile_power,
                 tile_labels=None if labels is None else tuple(labels),

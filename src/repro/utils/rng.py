@@ -9,7 +9,7 @@ experiments so that runs are reproducible individually and collectively.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -71,12 +71,7 @@ _SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 
 def _splitmix64(x: int) -> int:
-    """splitmix64 finaliser (the standard xoshiro seeding mixer), plain ints.
-
-    Deliberately implemented on Python integers: the service derives seeds
-    per request for typically one-row inputs, where int arithmetic is an
-    order of magnitude faster than numpy uint64 scalar ops.
-    """
+    """splitmix64 finaliser (the standard xoshiro seeding mixer), plain ints."""
     x = (x + _SPLITMIX_GAMMA) & _UINT64_MASK
     x ^= x >> 30
     x = (x * _SPLITMIX_MUL1) & _UINT64_MASK
@@ -86,25 +81,36 @@ def _splitmix64(x: int) -> int:
     return x
 
 
+#: The mixer's constants as ``uint64`` scalars, built once: building one
+#: costs about as much as the small-array operation it feeds.
+_U64_GAMMA = np.uint64(_SPLITMIX_GAMMA)
+_U64_MUL1 = np.uint64(_SPLITMIX_MUL1)
+_U64_MUL2 = np.uint64(_SPLITMIX_MUL2)
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` on a ``uint64`` array, element-wise.
+
+    Array arithmetic wraps modulo 2**64 silently; numpy *scalar* ``uint64``
+    arithmetic would warn on overflow, so callers pass arrays only.
+    """
+    x = x + _U64_GAMMA
+    x ^= x >> _U64_30
+    x *= _U64_MUL1
+    x ^= x >> _U64_27
+    x *= _U64_MUL2
+    x ^= x >> _U64_31
+    return x
+
+
 def mix_base_seed(base_seed: int) -> int:
     """The ``base_seed`` half of the request-seed chain, mixed once.
 
     A service mixes its base seed once and passes the result to
-    :func:`request_row_seeds` for every request.
+    :func:`tick_row_seeds` for every tick.
     """
     return _splitmix64(int(base_seed) & _UINT64_MASK)
-
-
-def request_row_seeds(base_mix: int, request_id: int, n_rows: int) -> List[int]:
-    """Per-row seeds of one request as Python ints (see :func:`derive_request_seeds`).
-
-    ``base_mix`` is :func:`mix_base_seed` of the service's base seed.
-    """
-    root = _splitmix64(base_mix ^ (int(request_id) & _UINT64_MASK))
-    return [
-        _splitmix64((root + _SPLITMIX_GAMMA * row) & _UINT64_MASK)
-        for row in range(1, n_rows + 1)
-    ]
 
 
 def derive_request_seeds(
@@ -124,19 +130,46 @@ def derive_request_seeds(
     :class:`~numpy.random.SeedSequence`, whose construction alone costs
     more than this whole call; the mixer is the standard xoshiro seeding
     finaliser, so distinct ``(base_seed, request_id, row)`` triples map to
-    statistically independent seeds.  This function is the reference, not
-    the hot path: one call costs microseconds, not nanoseconds (4–7 µs for a
-    one-row request on a 2-core x86 box with Python 3.11, about a third of
-    it building the ``uint64`` array).  The service therefore keeps each
-    request's seeds as Python ints (:func:`mix_base_seed` once per service,
-    :func:`request_row_seeds` per request) and assembles one ``uint64``
-    array per tick; those values equal this function's.
+    statistically independent seeds.  Row ``r`` (1-based) of the request
+    gets ``mix(root + r * gamma)``, where ``root = mix(mix(base_seed) ^
+    request_id)``, all modulo 2**64.
+
+    This function is the pure-Python reference, one request at a time.  The
+    service derives a whole tick's seeds at dispatch with one vectorised
+    :func:`tick_row_seeds` call, whose values equal this function's.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    root = _splitmix64(mix_base_seed(base_seed) ^ (int(request_id) & _UINT64_MASK))
     return np.array(
-        request_row_seeds(mix_base_seed(base_seed), request_id, n_rows),
+        [
+            _splitmix64((root + _SPLITMIX_GAMMA * row) & _UINT64_MASK)
+            for row in range(1, n_rows + 1)
+        ],
         dtype=np.uint64,
+    )
+
+
+def tick_row_seeds(
+    base_mix: int, request_ids: np.ndarray, row_counts: np.ndarray
+) -> np.ndarray:
+    """The row seeds of a whole tick, in batch order, in one vectorised pass.
+
+    ``base_mix`` is :func:`mix_base_seed` of the service's base seed;
+    ``request_ids`` (``uint64``) and ``row_counts`` (positive ints) list the
+    tick's requests in batch order.  Returns the concatenation of each
+    request's :func:`derive_request_seeds`, as one ``uint64`` array.
+    """
+    request_ids = np.asarray(request_ids, dtype=np.uint64)
+    row_counts = np.asarray(row_counts, dtype=np.intp)
+    roots = _splitmix64_array(request_ids ^ np.uint64(base_mix))
+    # Row r (1-based) of a request whose rows start at batch index s gets
+    # root + r * gamma = (root - s * gamma) + (s + r) * gamma, and s + r is
+    # the row's 1-based index in the whole batch.
+    starts = (row_counts.cumsum() - row_counts).astype(np.uint64)
+    offsets = (roots - starts * _U64_GAMMA).repeat(row_counts)
+    return _splitmix64_array(
+        offsets + np.arange(1, len(offsets) + 1, dtype=np.uint64) * _U64_GAMMA
     )
 
 

@@ -19,10 +19,6 @@ class TestDAC:
         distances = np.abs(values[:, np.newaxis] - levels[np.newaxis, :]).min(axis=1)
         assert np.all(distances < 1e-12)
 
-    def test_n_levels(self):
-        assert DAC(n_bits=4).n_levels == 16
-        assert DAC(n_bits=None).n_levels is None
-
     def test_quantization_error_bounded(self, rng):
         dac = DAC(n_bits=8)
         values = rng.uniform(0, 1, size=100)

@@ -276,6 +276,28 @@ class TestProtocol:
             array.tobytes() for array in arrays.values()
         )
 
+    @pytest.mark.parametrize("read", [_read_sync, _read_async], ids=["blocking", "asyncio"])
+    @pytest.mark.parametrize("shape", [(1, 3), (3,), (2, 1, 3), (0,), (2, 0), (0, 4)])
+    def test_decoded_arrays_are_owned_writable_aligned_contiguous(self, read, shape):
+        # bool first: every later array starts at an odd payload offset, so
+        # a view of the receive buffer would be misaligned.
+        names = ("bool", "int32", "float32", "int64", "uint64", "float64")
+        arrays = {
+            name: np.arange(int(np.prod(shape))).reshape(shape).astype(name)
+            for name in names
+        }
+        _, decoded = read(encode_frame({"type": "x"}, arrays))
+        assert list(decoded) == list(names)
+        for name, array in decoded.items():
+            assert array.dtype == np.dtype(name)
+            assert array.shape == shape
+            assert array.base is None
+            assert array.flags.owndata
+            assert array.flags.writeable
+            assert array.flags.aligned
+            assert array.flags.c_contiguous
+            np.testing.assert_array_equal(array, arrays[name])
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_header_rejected_at_encode(self, value):
         with pytest.raises(ProtocolError, match="not finite JSON"):

@@ -293,7 +293,7 @@ class TestServiceMechanics:
                 inputs = np.ones((rows, N_FEATURES)) * 0.5
                 future = loop.create_future()
                 service._queue.put_nowait(
-                    _Pending(inputs, service.seeds_for(request_id, rows), future)
+                    _Pending(inputs, request_id, future)
                 )
                 futures.append(future)
             # Simulate trickling cross-thread arrivals: while the queue

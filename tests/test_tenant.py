@@ -44,7 +44,6 @@ from repro.sidechannel.coresident import (
     visible_ticks,
 )
 from repro.sidechannel import QueryBudgetExceeded
-from repro.utils.rng import derive_request_seeds
 
 pytestmark = pytest.mark.tenant
 
@@ -317,8 +316,8 @@ class TestDroppedRequests:
             rows = _rows(2)
             service._dispatch(
                 [
-                    _Pending(rows[:1], derive_request_seeds(0, 0, 1), dead, None, "a"),
-                    _Pending(rows[1:], derive_request_seeds(0, 1, 1), live, None, "b"),
+                    _Pending(rows[:1], 0, dead, None, "a"),
+                    _Pending(rows[1:], 1, live, None, "b"),
                 ]
             )
             await service.stop()
@@ -347,7 +346,7 @@ class TestDroppedRequests:
                 pendings.append(
                     _Pending(
                         _rows(1, seed=index),
-                        derive_request_seeds(0, index, 1),
+                        index,
                         future,
                         None,
                         "a",

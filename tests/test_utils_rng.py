@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import as_rng, seeds_for_runs, spawn_rngs
+from repro.utils.rng import (
+    as_rng,
+    derive_request_seeds,
+    mix_base_seed,
+    seeds_for_runs,
+    spawn_rngs,
+    tick_row_seeds,
+)
 
 
 class TestAsRng:
@@ -77,3 +86,32 @@ class TestSeedsForRuns:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             seeds_for_runs(0, -2)
+
+
+_UINT64 = st.integers(0, 2**64 - 1)
+
+
+class TestTickRowSeeds:
+    """The vectorised tick kernel against the per-request reference."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        base_seed=_UINT64,
+        requests=st.lists(st.tuples(_UINT64, st.integers(1, 6)), min_size=1, max_size=12),
+    )
+    @example(base_seed=0, requests=[(0, 1), (1, 1), (2, 1)])
+    @example(base_seed=2**64 - 1, requests=[(2**64 - 1, 3), (0, 1), (2**63, 2)])
+    def test_equals_concatenated_request_seeds(self, base_seed, requests):
+        request_ids = np.array([request_id for request_id, _ in requests], dtype=np.uint64)
+        row_counts = [rows for _, rows in requests]
+        seeds = tick_row_seeds(mix_base_seed(base_seed), request_ids, row_counts)
+        expected = np.concatenate(
+            [derive_request_seeds(base_seed, request_id, rows) for request_id, rows in requests]
+        )
+        assert seeds.dtype == np.uint64
+        np.testing.assert_array_equal(seeds, expected)
+
+    def test_empty_tick(self):
+        seeds = tick_row_seeds(mix_base_seed(0), np.array([], dtype=np.uint64), [])
+        assert seeds.dtype == np.uint64
+        assert seeds.shape == (0,)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar.mapping import ShardingSpec
+from repro.experiments.scenario import ScenarioSpec
 from repro.utils.validation import (
     check_array,
     check_in_range,
@@ -147,3 +148,10 @@ class TestCheckKnownFields:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ShardingSpec.from_dict({"row_shards": 2, "bogus": 1})
+        # A scenario's dict-form sharding: the wire knob is accepted, the
+        # rest is the ShardingSpec check.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(
+                name="bad",
+                sharding={"row_shards": 2, "wire_resistance_ohm": 1e-3, "bogus": 1},
+            )
